@@ -295,8 +295,15 @@ def lstm_cell_forward(
     return h[0], c[0]
 
 
-def forward_batch(model: Seq2SeqModel, x: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
-    """Batched forward pass: x (B, L, d) -> predictions (B, H) plus cache."""
+def forward_batch(
+    model: Seq2SeqModel, x: np.ndarray, keep_cache: bool = True
+) -> tuple[np.ndarray, ForwardCache | None]:
+    """Batched forward pass: x (B, L, d) -> predictions (B, H) plus cache.
+
+    With `keep_cache=False` the per-step activations are dropped as soon
+    as the next step has consumed them and the cache comes back as None;
+    the predictions are bit-identical either way.
+    """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 3 or x.shape[2] != model.input_dim:
         raise ShapeError(f"input shape {x.shape} incompatible with input_dim={model.input_dim}")
@@ -309,7 +316,8 @@ def forward_batch(model: Seq2SeqModel, x: np.ndarray) -> tuple[np.ndarray, Forwa
     enc_steps: list[_CellStep] = []
     for t in range(seq_len):
         h, c, step = _cell_step(model.encoder, x[:, t, :], h, c)
-        enc_steps.append(step)
+        if keep_cache:
+            enc_steps.append(step)
     h_enc = h
 
     hd = np.zeros((b, model.decoder.hidden_dim))
@@ -320,13 +328,16 @@ def forward_batch(model: Seq2SeqModel, x: np.ndarray) -> tuple[np.ndarray, Forwa
     preds = np.empty((b, model.horizon))
     for k in range(model.horizon):
         hd, cd, step = _cell_step(model.decoder, h_enc, hd, cd)
-        dec_steps.append(step)
         z = hd @ model.head_hidden.weight.T + model.head_hidden.bias
         y = z @ model.head_out.weight.T + model.head_out.bias
-        head_inputs.append(hd)
-        head_hidden_out.append(z)
+        if keep_cache:
+            dec_steps.append(step)
+            head_inputs.append(hd)
+            head_hidden_out.append(z)
         preds[:, k] = y[:, 0]
 
+    if not keep_cache:
+        return preds, None
     cache = ForwardCache(x, enc_steps, dec_steps, h_enc, head_inputs, head_hidden_out, preds, model.rev)
     return preds, cache
 
@@ -519,10 +530,10 @@ def gradient_check(
         a = arrays[name]
         orig = a.flat[j]
         a.flat[j] = orig + epsilon
-        preds_p, _ = forward_batch(model, x[None, :, :])
+        preds_p, _ = forward_batch(model, x[None, :, :], keep_cache=False)
         loss_p, _ = _loss_and_grad(preds_p, target, loss)
         a.flat[j] = orig - epsilon
-        preds_m, _ = forward_batch(model, x[None, :, :])
+        preds_m, _ = forward_batch(model, x[None, :, :], keep_cache=False)
         loss_m, _ = _loss_and_grad(preds_m, target, loss)
         a.flat[j] = orig
         numeric = (loss_p - loss_m) / (2.0 * epsilon)
@@ -593,7 +604,7 @@ def evaluate_loss(model: Seq2SeqModel, windows: WindowSet, loss: str = "mse", ba
     for start in range(0, n, batch_size):
         xb = windows.inputs[start : start + batch_size]
         tb = windows.targets[start : start + batch_size, :, 0]
-        preds, _ = forward_batch(model, xb)
+        preds, _ = forward_batch(model, xb, keep_cache=False)
         value, _ = _loss_and_grad(preds, tb, loss)
         total += value * xb.shape[0]
     return total / n
@@ -660,15 +671,15 @@ def predict(model: Seq2SeqModel, x: np.ndarray) -> np.ndarray:
     `x` is expected in the model's (scaled) input units; the returned
     H-vector is in original units when the model carries a scaler.
     """
-    preds, _ = seq2seq_forward(model, x)
-    if model.scaler is None:
-        return preds
-    return np.asarray(model.scaler.invert_feature(preds, 0), dtype=np.float64)
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2:
+        raise ShapeError(f"expected a (L, d) input, got shape {x.shape}")
+    return predict_batch(model, x[None, :, :])[0]
 
 
 def predict_batch(model: Seq2SeqModel, x: np.ndarray) -> np.ndarray:
     """Batched `predict`: (B, L, d) scaled inputs -> (B, H) original units."""
-    preds, _ = forward_batch(model, x)
+    preds, _ = forward_batch(model, x, keep_cache=False)
     if model.scaler is None:
         return preds
     return np.asarray(model.scaler.invert_feature(preds, 0), dtype=np.float64)

@@ -11,8 +11,10 @@ artifacts are staged under `<out>/.partial` until the run succeeds.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
+import os
 import shutil
 from dataclasses import dataclass
 from datetime import timedelta
@@ -483,10 +485,77 @@ def _eval_on_moisture_scale(
     return model_rmse, persist_rmse
 
 
+def _usable_cores() -> int:
+    """CPUs this process may run on: its affinity mask, not the host's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@contextlib.contextmanager
+def _single_threaded_blas():
+    """Processes started inside the block run BLAS on one thread.
+
+    One training process per core with a multi-threaded BLAS in each
+    oversubscribes the cores. BLAS results at wide layers also depend on
+    its thread count, so pinning it keeps trained bytes independent of
+    the host. The parent's environment is restored on exit.
+    """
+    saved = {name: os.environ.get(name) for name in _BLAS_THREAD_VARS}
+    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+    try:
+        yield
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value
+
+
+def _train_all(
+    jobs: list[tuple[Seq2SeqModel, WindowSet, WindowSet | None, TrainConfig]]
+) -> list[Seq2SeqModel]:
+    """`lstm.train` on every job in spawned workers, one per usable core.
+
+    Models come back in job order. Jobs are handed out in order as
+    workers free up; after the first failure no further job starts, the
+    running ones finish, and the failure of the earliest job is raised,
+    as a serial loop would raise it.
+    """
+    if not jobs:
+        return []
+    import multiprocessing
+    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+
+    workers = min(len(jobs), _usable_cores())
+    spawn = multiprocessing.get_context("spawn")
+    futures = []
+    with _single_threaded_blas(), ProcessPoolExecutor(workers, mp_context=spawn) as pool:
+        running = set()
+        for job in jobs:
+            if len(running) == workers:
+                done, running = wait(running, return_when=FIRST_COMPLETED)
+                if any(future.exception() is not None for future in done):
+                    break
+            futures.append(pool.submit(lstm.train, *job))
+            running.add(futures[-1])
+    # Leaving the pool waited for every started job; the started ones are
+    # a prefix of `jobs`, so this raises the earliest failure if any.
+    return [future.result()[0] for future in futures]
+
+
 def run_soil_stage(
     records, config: RunConfig
 ) -> tuple[list[DepthResult], dict[int, Seq2SeqModel], dict[int, dict[str, tuple[float, ...]]]]:
     """Train, evaluate, and forecast one model per depth.
+
+    Windows are prepared here in depth order, the per-depth models train
+    in parallel worker processes, and evaluation and forecasting run
+    here again in depth order.
 
     Returns per-depth results (metrics + per-sensor 14-day forecasts,
     clipped to the physical moisture range), trained models, and the
@@ -494,24 +563,28 @@ def run_soil_stage(
     """
     sensor_ids = sorted({r.sensor_id for r in records})
     depths = config.depths_cm or tuple(sorted({r.depth_cm for r in records}))
+    shape = ModelShape(
+        input_dim=len(timeseries.FEATURE_NAMES),
+        encoder_hidden=config.soil_model.encoder_hidden,
+        decoder_hidden=config.soil_model.decoder_hidden,
+        dense_hidden=config.soil_model.dense_hidden,
+        horizon=config.horizon_days,
+    )
+    prepared = [_prepare_depth(records, sensor_ids, depth, config) for depth in depths]
+    jobs = []
+    for data in prepared:
+        model = lstm.init_params(shape, seed=_derive_seed(config.seed, 11, data.depth_cm, 0))
+        model = dataclasses.replace(model, scaler=data.scaler)
+        train_config = dataclasses.replace(config.soil_train, seed=_derive_seed(config.seed, 11, data.depth_cm, 1))
+        jobs.append((model, data.fit, data.val, train_config))
+    trained = _train_all(jobs)
+
     results: list[DepthResult] = []
     models: dict[int, Seq2SeqModel] = {}
     forecast_table: dict[int, dict[str, tuple[float, ...]]] = {}
-    for depth in depths:
-        data = _prepare_depth(records, sensor_ids, depth, config)
-        shape = ModelShape(
-            input_dim=len(timeseries.FEATURE_NAMES),
-            encoder_hidden=config.soil_model.encoder_hidden,
-            decoder_hidden=config.soil_model.decoder_hidden,
-            dense_hidden=config.soil_model.dense_hidden,
-            horizon=config.horizon_days,
-        )
-        model = lstm.init_params(shape, seed=_derive_seed(config.seed, 11, depth, 0))
-        model = dataclasses.replace(model, scaler=data.scaler)
-        train_config = dataclasses.replace(config.soil_train, seed=_derive_seed(config.seed, 11, depth, 1))
-        model, _history = lstm.train(model, data.fit, data.val, train_config)
+    for data, model in zip(prepared, trained):
+        depth = data.depth_cm
         rmse, persist = _eval_on_moisture_scale(model, data.test, data.scaler)
-
         forecasts: dict[str, tuple[float, ...]] = {}
         for sid in sorted(data.last_inputs):
             raw = lstm.predict(model, data.last_inputs[sid])

@@ -238,7 +238,7 @@ def predict_pixels(
         xb = windows[idx]
         if model.scaler is not None:
             xb = model.scaler.apply(xb)
-        preds, _ = forward_batch(model, xb)
+        preds, _ = forward_batch(model, xb, keep_cache=False)
         vals = preds[:, 0]
         if model.scaler is not None:
             vals = model.scaler.invert_feature(vals, 0)

@@ -22,6 +22,7 @@ from smartcast.lstm import (
     train,
     zero_grads,
     CHECKPOINT_MAGIC,
+    _loss_and_grad,
 )
 from smartcast.timeseries import Scaler, WindowSet
 
@@ -155,6 +156,21 @@ def test_predict_inverts_target_channel():
     np.testing.assert_allclose(got, raw[0] * 2.0 + 10.0, atol=1e-12)
     batch = predict_batch(model, x[None])
     np.testing.assert_allclose(batch[0], got, atol=1e-12)
+
+
+def test_prediction_paths_keep_no_cache_and_match_forward_batch():
+    model = init_params(TOY, seed=14)
+    rng = np.random.default_rng(14)
+    x = rng.normal(size=(6, 5, 2))
+    targets = rng.normal(size=(6, TOY.horizon, 1))
+    full, cache = forward_batch(model, x)
+    lean, no_cache = forward_batch(model, x, keep_cache=False)
+    assert cache is not None and no_cache is None
+    np.testing.assert_array_equal(lean, full)
+    np.testing.assert_array_equal(predict_batch(model, x), full)
+    np.testing.assert_array_equal(predict(model, x[2]), forward_batch(model, x[2:3])[0][0])
+    expected, _ = _loss_and_grad(full, targets[:, :, 0], "mse")
+    assert evaluate_loss(model, WindowSet(x, targets), batch_size=6) == expected
 
 
 # -- checkpoints -----------------------------------------------------------------

@@ -1,16 +1,20 @@
 """Config parsing, stage orchestration, run artifacts, CLI exit codes."""
 
+import concurrent.futures
 import dataclasses
 import json
+import multiprocessing
+import os
 from datetime import date, timedelta
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from smartcast import pipeline
 from smartcast.cli import main
-from smartcast.errors import ConfigError, DataError, EmptySplitError, StageError
-from smartcast.lstm import ModelShape, init_params, load_model
+from smartcast.errors import ConfigError, DataError, DivergenceError, EmptySplitError, StageError
+from smartcast.lstm import ModelShape, init_params, load_model, save_model
 from smartcast.pipeline import (
     RunConfig,
     _split_by_run,
@@ -19,7 +23,7 @@ from smartcast.pipeline import (
     run_forecast,
     serialize_config,
 )
-from smartcast.timeseries import WindowSet
+from smartcast.timeseries import WindowSet, load_sensor_csv
 from smartcast.vegindex import read_bandgrid
 
 
@@ -238,6 +242,79 @@ def test_run_forecast_stage_failure_is_quarantined(tiny_dir: Path, tmp_path: Pat
     assert isinstance(info.value.cause, EmptySplitError)
     assert (out / ".partial").exists()
     assert not (out / "report.json").exists()
+
+
+# -- parallel soil training -----------------------------------------------------------
+
+
+@pytest.fixture()
+def soil_pools(monkeypatch):
+    """Worker and job counts of every pool the soil stage opens."""
+    pools = []
+
+    class Recording(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            super().__init__(max_workers, **kwargs)
+            pools.append({"workers": max_workers, "jobs": 0})
+
+        def submit(self, fn, /, *args, **kwargs):
+            pools[-1]["jobs"] += 1
+            return super().submit(fn, *args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+    return pools
+
+
+def test_soil_stage_bytes_do_not_depend_on_worker_count(tiny_dir: Path, tmp_path: Path, monkeypatch, soil_pools):
+    config = parse_config(tiny_dir / "config.json")
+    config = dataclasses.replace(config, soil_train=dataclasses.replace(config.soil_train, epochs=3))
+    records = load_sensor_csv(config.sensor_csv_path)
+    outcomes = []
+    for cores in (1, 2):
+        monkeypatch.setattr(pipeline, "_usable_cores", lambda n=cores: n)
+        results, models, forecasts = pipeline.run_soil_stage(records, config)
+        checkpoints = {}
+        for depth, model in models.items():
+            path = tmp_path / f"{cores}-{depth}.ckpt"
+            save_model(model, path)
+            checkpoints[depth] = path.read_bytes()
+        outcomes.append((checkpoints, forecasts, results))
+    assert soil_pools == [{"workers": 1, "jobs": 2}, {"workers": 2, "jobs": 2}]
+    assert outcomes[0] == outcomes[1]
+
+
+def test_single_threaded_blas_is_scoped(monkeypatch):
+    monkeypatch.setenv("OMP_NUM_THREADS", "3")
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    with pipeline._single_threaded_blas():
+        assert [os.environ[name] for name in pipeline._BLAS_THREAD_VARS] == ["1", "1", "1"]
+    assert os.environ["OMP_NUM_THREADS"] == "3"
+    assert "OPENBLAS_NUM_THREADS" not in os.environ
+
+
+def test_soil_worker_divergence_stays_typed(tiny_dir: Path, tmp_path: Path, monkeypatch, soil_pools, capsys):
+    payload = json.loads((tiny_dir / "config.json").read_text(encoding="utf-8"))
+    payload["soil_train"]["learning_rate"] = 1e200  # one Adam step sends the weights to +-1e200
+    for key in ("sensor_csv", "image_manifest"):
+        payload[key] = str(tiny_dir / payload[key])
+    config_path = write_config(tmp_path, payload, "diverge.json")
+    monkeypatch.setattr(pipeline, "_usable_cores", lambda: 1)
+
+    out = tmp_path / "run"
+    with pytest.raises(StageError) as info:
+        run_forecast(parse_config(config_path), out_dir=out)
+    assert info.value.stage == "soil"
+    assert isinstance(info.value.cause, DivergenceError)
+    assert soil_pools[-1]["jobs"] == 1  # the second depth never started
+    assert [p for p in out.rglob("*") if p.is_file()] == []
+    assert multiprocessing.active_children() == []
+
+    for command in ("train-soil", "run"):
+        out = tmp_path / command
+        assert main([command, "--config", str(config_path), "--out", str(out)]) == 4
+        assert multiprocessing.active_children() == []
+    assert not (tmp_path / "train-soil" / ".partial").exists()
+    assert "non-finite" in capsys.readouterr().err
 
 
 def test_run_forecast_rejects_bad_day(tiny_dir: Path, tmp_path: Path):

@@ -145,30 +145,31 @@ def cmd_forecast(args: argparse.Namespace) -> int:
     checkpoints = sorted(ckpt_dir.glob("soil_depth_*.ckpt"))
     if not checkpoints:
         raise DataError(f"no soil checkpoints under {ckpt_dir}; run train-soil first")
-    records = timeseries.load_sensor_csv(config.sensor_csv_path)
-    sensor_ids = sorted({r.sensor_id for r in records})
+    groups = timeseries.group_records(timeseries.load_sensor_csv(config.sensor_csv_path))
+    sensor_ids = sorted({sid for sid, _ in groups})
     length = config.soil_model.input_length
-    table: dict[str, dict[str, list[float]]] = {}
+    table: dict[str, dict[str, tuple[float, ...]]] = {}
     for ckpt in checkpoints:
         depth = int(ckpt.stem.rsplit("_", 1)[1])
         model = lstm.load_model(ckpt)
         if model.scaler is None:
             raise DataError(f"checkpoint {ckpt.name} carries no scaler")
-        per_sensor: dict[str, list[float]] = {}
+        tails: dict[str, np.ndarray] = {}
         for sid in sensor_ids:
             try:
-                series = timeseries.build_series(records, sid, depth, max_gap=config.max_gap_days)
+                series = timeseries.build_series(
+                    groups.get((sid, depth), []), sid, depth, max_gap=config.max_gap_days
+                )
             except DataError:
                 continue
             if series.length < length:
                 raise DataError(
                     f"sensor {sid} depth {depth}: {series.length} days < input window {length}"
                 )
-            tail = model.scaler.apply(series.features[-length:])
-            per_sensor[sid] = [float(v) for v in np.clip(lstm.predict(model, tail), 0.0, 100.0)]
-        if not per_sensor:
+            tails[sid] = model.scaler.apply(series.features[-length:])
+        if not tails:
             raise DataError(f"no sensor has data at depth {depth}")
-        table[str(depth)] = per_sensor
+        table[str(depth)] = pipeline.forecast_sensors(model, tails)
     partial = _staged_output(out_dir)
     _write_json(partial / "forecasts.json", table)
     pipeline._promote_partial(partial, out_dir)

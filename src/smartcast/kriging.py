@@ -292,10 +292,11 @@ def build_model(samples: list[SamplePoint], variogram: Variogram) -> KrigingMode
     points = np.array([(s.x, s.y) for s in samples], dtype=np.float64)
     values = np.array([s.value for s in samples], dtype=np.float64)
     n = len(samples)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if points[i, 0] == points[j, 0] and points[i, 1] == points[j, 1]:
-                raise DataError(f"samples {i} and {j} share coordinates ({points[i, 0]}, {points[i, 1]})")
+    same = (points[:, None, 0] == points[None, :, 0]) & (points[:, None, 1] == points[None, :, 1])
+    pairs = np.argwhere(np.triu(same, k=1))  # row-major: the first pair a nested i < j loop meets
+    if pairs.size:
+        i, j = pairs[0]
+        raise DataError(f"samples {i} and {j} share coordinates ({points[i, 0]}, {points[i, 1]})")
 
     jitters = [0.0] + [
         variogram.sill * _JITTER_START * 10**k
@@ -398,6 +399,11 @@ def loo_score(samples: list[SamplePoint], variogram: Variogram) -> float:
     Each sample is predicted from the remaining ones under the given
     variogram; the score is 1 - SS_res/SS_tot. Raises
     UndefinedScoreError when the sample values have zero variance.
+
+    All n residuals come from one factorization of the full bordered
+    system A: with z = (values, 0), e_i = (A^-1 z)_i / (A^-1)_ii
+    (Dubrule 1983), which equals refitting without sample i under the
+    same jitter.
     """
     if len(samples) < 3:
         raise InsufficientDataError("leave-one-out scoring needs at least 3 samples")
@@ -405,12 +411,14 @@ def loo_score(samples: list[SamplePoint], variogram: Variogram) -> float:
     ss_tot = float(((values - values.mean()) ** 2).sum())
     if ss_tot == 0.0:
         raise UndefinedScoreError("sample values are constant; the score is undefined")
-    preds = np.empty(len(samples))
-    for i in range(len(samples)):
-        rest = samples[:i] + samples[i + 1 :]
-        model = build_model(rest, variogram)
-        preds[i], _ = predict_point(model, samples[i].x, samples[i].y)
-    ss_res = float(((values - preds) ** 2).sum())
+    model = build_model(samples, variogram)
+    n = model.n_samples
+    rhs = np.zeros((n + 1, n + 2))
+    rhs[:n, 0] = model.values
+    rhs[:, 1:] = np.eye(n + 1)
+    sol = lu_solve(model.lu, rhs)
+    residuals = sol[:n, 0] / np.diag(sol[:n, 1 : n + 1])
+    ss_res = float((residuals**2).sum())
     return 1.0 - ss_res / ss_tot
 
 

@@ -276,25 +276,6 @@ def _cell_step(p: LstmLayerParams, x: np.ndarray, h_prev: np.ndarray, c_prev: np
     return h, c, _CellStep(x, h_prev, c_prev, i, f, o, g, tanh_c)
 
 
-def lstm_cell_forward(
-    params: LstmLayerParams, x: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """One LSTM cell step on vectors: returns (h, c).
-
-    Standard gates i = sigmoid(W_i x + U_i h + b_i), likewise f and o,
-    g = tanh(W_g x + U_g h + b_g); c = f*c_prev + i*g; h = o*tanh(c).
-    """
-    x = np.asarray(x, dtype=np.float64)
-    h_prev = np.asarray(h_prev, dtype=np.float64)
-    c_prev = np.asarray(c_prev, dtype=np.float64)
-    if x.shape != (params.input_dim,):
-        raise ShapeError(f"input shape {x.shape} != ({params.input_dim},)")
-    if h_prev.shape != (params.hidden_dim,) or c_prev.shape != (params.hidden_dim,):
-        raise ShapeError("state shape mismatch")
-    h, c, _ = _cell_step(params, x[None, :], h_prev[None, :], c_prev[None, :])
-    return h[0], c[0]
-
-
 def forward_batch(
     model: Seq2SeqModel, x: np.ndarray, keep_cache: bool = True
 ) -> tuple[np.ndarray, ForwardCache | None]:

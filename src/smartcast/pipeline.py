@@ -422,14 +422,16 @@ class _DepthData:
 
 
 def _prepare_depth(
-    records, sensor_ids: list[str], depth: int, config: RunConfig
+    groups: dict[tuple[str, int], list[timeseries.SensorRecord]], sensor_ids: list[str], depth: int, config: RunConfig
 ) -> _DepthData:
     length = config.soil_model.input_length
     horizon = config.horizon_days
     series_list = []
     for sid in sensor_ids:
         try:
-            series_list.append(timeseries.build_series(records, sid, depth, max_gap=config.max_gap_days))
+            series_list.append(
+                timeseries.build_series(groups.get((sid, depth), []), sid, depth, max_gap=config.max_gap_days)
+            )
         except DataError:
             continue
     if not series_list:
@@ -548,6 +550,17 @@ def _train_all(
     return [future.result()[0] for future in futures]
 
 
+def forecast_sensors(model: Seq2SeqModel, tails: dict[str, np.ndarray]) -> dict[str, tuple[float, ...]]:
+    """One depth's forecasts: every sensor's scaled (L, 4) tail in one batch.
+
+    Returns per-sensor horizon forecasts in original units, clipped to
+    the physical moisture range [0, 100], keyed in sorted sensor order.
+    """
+    sensor_ids = sorted(tails)
+    preds = np.clip(lstm.predict_batch(model, np.stack([tails[sid] for sid in sensor_ids])), 0.0, 100.0)
+    return {sid: tuple(float(v) for v in row) for sid, row in zip(sensor_ids, preds)}
+
+
 def run_soil_stage(
     records, config: RunConfig
 ) -> tuple[list[DepthResult], dict[int, Seq2SeqModel], dict[int, dict[str, tuple[float, ...]]]]:
@@ -570,7 +583,8 @@ def run_soil_stage(
         dense_hidden=config.soil_model.dense_hidden,
         horizon=config.horizon_days,
     )
-    prepared = [_prepare_depth(records, sensor_ids, depth, config) for depth in depths]
+    groups = timeseries.group_records(records)
+    prepared = [_prepare_depth(groups, sensor_ids, depth, config) for depth in depths]
     jobs = []
     for data in prepared:
         model = lstm.init_params(shape, seed=_derive_seed(config.seed, 11, data.depth_cm, 0))
@@ -585,10 +599,7 @@ def run_soil_stage(
     for data, model in zip(prepared, trained):
         depth = data.depth_cm
         rmse, persist = _eval_on_moisture_scale(model, data.test, data.scaler)
-        forecasts: dict[str, tuple[float, ...]] = {}
-        for sid in sorted(data.last_inputs):
-            raw = lstm.predict(model, data.last_inputs[sid])
-            forecasts[sid] = tuple(float(v) for v in np.clip(raw, 0.0, 100.0))
+        forecasts = forecast_sensors(model, data.last_inputs)
         models[depth] = model
         forecast_table[depth] = forecasts
         results.append(
@@ -744,10 +755,6 @@ def _promote_partial(partial: Path, out_dir: Path) -> None:
             target.unlink()
         child.replace(target)
     partial.rmdir()
-
-
-def _relative_artifacts(paths: dict[str, Path], out_dir: Path) -> dict[str, str]:
-    return {k: p.relative_to(out_dir).as_posix() for k, p in paths.items()}
 
 
 def run_forecast(

@@ -266,6 +266,18 @@ def _fill_column(values: np.ndarray, dates: list[date], max_gap: int, key: str, 
     return out
 
 
+def group_records(records: list[SensorRecord]) -> dict[tuple[str, int], list[SensorRecord]]:
+    """Records keyed by (sensor_id, depth_cm) in one pass, file order kept.
+
+    Each group holds the records themselves, not copies; passing a
+    group to `build_series` gives the same series as passing them all.
+    """
+    groups: dict[tuple[str, int], list[SensorRecord]] = {}
+    for rec in records:
+        groups.setdefault((rec.sensor_id, rec.depth_cm), []).append(rec)
+    return groups
+
+
 def build_series(
     records: list[SensorRecord],
     sensor_id: str,
@@ -276,7 +288,8 @@ def build_series(
 
     Missing days and missing per-feature values are linearly
     interpolated when the gap is at most `max_gap` days; observed
-    values are never altered.
+    values are never altered. `records` may be the whole file or the
+    key's group from `group_records`; the latter keeps many keys linear.
 
     Raises:
         MissingKeyError: key matches no record.

@@ -262,6 +262,12 @@ def test_duplicate_coordinates_rejected_by_name():
     samples = [SamplePoint(1.0, 2.0, 0.0), SamplePoint(5.0, 5.0, 1.0), SamplePoint(1.0, 2.0, 3.0)]
     with pytest.raises(DataError, match=r"samples 0 and 2 share coordinates \(1\.0, 2\.0\)"):
         build_model(samples, v)
+    # samples 1, 5 and 6 share one location and 2, 3 another: the error
+    # names the first pair a nested i < j loop meets, (1, 5)
+    coords = [(0.0, 0.0), (2.0, 3.0), (7.0, 7.0), (7.0, 7.0), (9.0, 1.0), (2.0, 3.0), (2.0, 3.0)]
+    samples = [SamplePoint(x, y, float(k)) for k, (x, y) in enumerate(coords)]
+    with pytest.raises(DataError, match=r"^samples 1 and 5 share coordinates \(2\.0, 3\.0\)$"):
+        build_model(samples, v)
 
 
 def test_near_duplicates_still_solve():
@@ -365,6 +371,49 @@ def test_loo_high_on_smooth_field():
     samples = [SamplePoint(float(x), float(y), 0.03 * x + 0.02 * y) for x, y in pts]
     fit = fit_variogram(empirical_variogram(samples))
     assert loo_score(samples, fit) > 0.9
+
+
+def refit_loo_score(samples, variogram):
+    """Leave-one-out by brute force: refit without each sample, predict it."""
+    values = np.array([s.value for s in samples])
+    preds = np.empty(len(samples))
+    for i in range(len(samples)):
+        rest = samples[:i] + samples[i + 1 :]
+        model = build_model(rest, variogram)
+        preds[i], _ = predict_point(model, samples[i].x, samples[i].y)
+    return 1.0 - float(((values - preds) ** 2).sum()) / float(((values - values.mean()) ** 2).sum())
+
+
+def test_loo_matches_refit_oracle():
+    # nugget > 0 keeps every system well conditioned, so neither path jitters
+    for seed in range(120):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 40))
+        pts = rng.uniform(0.0, 100.0, (n, 2))
+        samples = [SamplePoint(float(x), float(y), float(val)) for (x, y), val in zip(pts, rng.normal(0.0, 3.0, n))]
+        sill = float(rng.uniform(0.5, 5.0))
+        v = Variogram(nugget=float(rng.uniform(0.1, 1.0)) * sill, sill=sill, range_a=float(rng.uniform(10.0, 60.0)))
+        assert build_model(samples, v).jitter == 0.0
+        want = refit_loo_score(samples, v)
+        got = loo_score(samples, v)
+        assert abs(got - want) <= 1e-10 * max(1.0, abs(want)), (seed, got, want)
+
+
+def test_loo_factorizes_once(monkeypatch):
+    from smartcast import kriging
+
+    calls = []
+    real = kriging.build_model
+
+    def counting(samples, variogram):
+        calls.append(len(samples))
+        return real(samples, variogram)
+
+    monkeypatch.setattr(kriging, "build_model", counting)
+    rng = np.random.default_rng(5)
+    samples = [SamplePoint(float(x), float(y), float(x - y)) for x, y in rng.uniform(0.0, 50.0, (30, 2))]
+    loo_score(samples, Variogram(nugget=0.2, sill=2.0, range_a=20.0))
+    assert calls == [30]
 
 
 def test_loo_guard_rails():

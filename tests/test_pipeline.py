@@ -14,7 +14,7 @@ import pytest
 from smartcast import pipeline
 from smartcast.cli import main
 from smartcast.errors import ConfigError, DataError, DivergenceError, EmptySplitError, StageError
-from smartcast.lstm import ModelShape, init_params, load_model, save_model
+from smartcast.lstm import ModelShape, init_params, load_model, predict, save_model
 from smartcast.pipeline import (
     RunConfig,
     _split_by_run,
@@ -23,7 +23,7 @@ from smartcast.pipeline import (
     run_forecast,
     serialize_config,
 )
-from smartcast.timeseries import WindowSet, load_sensor_csv
+from smartcast.timeseries import Scaler, WindowSet, load_sensor_csv
 from smartcast.vegindex import read_bandgrid
 
 
@@ -242,6 +242,35 @@ def test_run_forecast_stage_failure_is_quarantined(tiny_dir: Path, tmp_path: Pat
     assert isinstance(info.value.cause, EmptySplitError)
     assert (out / ".partial").exists()
     assert not (out / "report.json").exists()
+
+
+def test_batched_forecast_matches_per_sensor_predict():
+    scaler = Scaler(mean=np.array([30.0, 15.0, 1.0, 2.0]), std=np.array([40.0, 5.0, 0.5, 3.0]))
+    model = dataclasses.replace(init_params(ModelShape(4, 6, 5, 4, horizon=3), seed=2), scaler=scaler)
+    rng = np.random.default_rng(4)
+    tails = {f"s{k}": rng.normal(0.0, 1.5, (7, 4)) for k in (3, 1, 12, 2)}
+    got = pipeline.forecast_sensors(model, tails)
+    assert list(got) == ["s1", "s12", "s2", "s3"]
+    clipped = 0
+    for sid, values in got.items():
+        want = np.clip(predict(model, tails[sid]), 0.0, 100.0)
+        clipped += int(np.sum(want == 0.0))
+        np.testing.assert_allclose(values, want, rtol=0.0, atol=1e-12)
+    assert clipped < 12  # the comparison is not all clipped zeros
+
+
+def test_stage_chain_writes_what_run_writes(tiny_run, tmp_path: Path, capsys):
+    config, _, run_dir = tiny_run
+    out = tmp_path / "chain"
+    for command in ("train-soil", "train-index", "forecast", "interpolate"):
+        assert main([command, "--config", str(config.base_dir / "config.json"), "--out", str(out)]) == 0
+    capsys.readouterr()
+    names = ["forecasts.json", "grid.csv"]
+    names += [p.relative_to(run_dir).as_posix() for p in sorted(run_dir.glob("checkpoints/*.ckpt"))]
+    names += [p.relative_to(run_dir).as_posix() for p in sorted(run_dir.glob("volume/*.bgrid"))]
+    assert len(names) == 2 + 3 + 2
+    for name in names:
+        assert (out / name).read_bytes() == (run_dir / name).read_bytes(), name
 
 
 # -- parallel soil training -----------------------------------------------------------

@@ -19,11 +19,13 @@ from smartcast.timeseries import (
     CSV_HEADER,
     SensorSeries,
     Scaler,
+    SensorRecord,
     build_series,
     chrono_split,
     concat_windows,
     fit_scaler,
     fit_scaler_pooled,
+    group_records,
     load_sensor_csv,
     make_windows,
 )
@@ -152,6 +154,45 @@ def test_series_key_errors(tmp_path):
         build_series(records, "s1", 20)
     with pytest.raises(InsufficientDataError):
         build_series(records[:1], "s1", 10)
+
+
+def assert_same_series(a: SensorSeries, b: SensorSeries):
+    assert (a.sensor_id, a.depth_cm, a.dates) == (b.sensor_id, b.depth_cm, b.dates)
+    np.testing.assert_array_equal(a.features, b.features)
+    np.testing.assert_array_equal(a.filled, b.filled)
+
+
+def test_grouped_series_equal_full_scan(tmp_path, synth_dir):
+    gappy = write_csv(
+        tmp_path,
+        rows([(4, 33.0), (1, 30.0), (2, None), (6, 35.0), (7, 36.0)])
+        + rows([(1, 20.0), (3, 22.0), (2, 21.0)], depth=20)
+        + rows([(5, 50.0), (1, 10.0)], sensor="s2"),
+    )
+    for path in (synth_dir / "sensors.csv", gappy):
+        records = load_sensor_csv(path)
+        groups = group_records(records)
+        assert sorted(groups) == sorted({(r.sensor_id, r.depth_cm) for r in records})
+        for (sid, depth), group in groups.items():
+            # file order kept, and the records themselves, not copies
+            full = [r for r in records if (r.sensor_id, r.depth_cm) == (sid, depth)]
+            assert len(group) == len(full) and all(g is f for g, f in zip(group, full))
+            assert_same_series(build_series(group, sid, depth), build_series(records, sid, depth))
+        with pytest.raises(MissingKeyError):
+            build_series(groups.get(("nope", 10), []), "nope", 10)
+
+
+def test_group_errors_match_full_scan():
+    day = date(2024, 1, 1)
+    one = SensorRecord(day, "s1", 10, 30.0, 18.0, 1.0, 0.0)
+    again = SensorRecord(day, "s1", 10, 31.0, 18.0, 1.0, 0.0)
+    other = SensorRecord(day + timedelta(days=1), "s2", 10, 31.0, 18.0, 1.0, 0.0)
+    groups = group_records([one, other, again])
+    assert groups == {("s1", 10): [one, again], ("s2", 10): [other]}
+    with pytest.raises(DuplicateKeyError):
+        build_series(groups[("s1", 10)], "s1", 10)
+    with pytest.raises(InsufficientDataError):
+        build_series(groups[("s2", 10)], "s2", 10)
 
 
 # -- scaler ------------------------------------------------------------------------

@@ -9,14 +9,10 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
-import shutil
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from . import kriging, lstm, pipeline, timeseries, vegindex
+from . import pipeline, timeseries, vegindex
 from .errors import ConfigError, DataError, NumericError, SmartcastError, StageError
 from .synth import SynthSpec, generate_dataset
 
@@ -48,21 +44,6 @@ def _load_config(args: argparse.Namespace) -> pipeline.RunConfig:
     return config
 
 
-def _staged_output(out_dir: Path):
-    out_dir.mkdir(parents=True, exist_ok=True)
-    partial = out_dir / ".partial"
-    if partial.exists():
-        shutil.rmtree(partial)
-    partial.mkdir()
-    return partial
-
-
-def _write_json(path: Path, payload: dict) -> None:
-    with path.open("w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def cmd_synth(args: argparse.Namespace) -> int:
     out = Path(args.out or "synthdata")
     seed = args.seed if args.seed is not None else 0
@@ -75,26 +56,10 @@ def cmd_synth(args: argparse.Namespace) -> int:
 def cmd_train_soil(args: argparse.Namespace) -> int:
     config = _load_config(args)
     records = timeseries.load_sensor_csv(config.sensor_csv_path)
-    results, models, forecast_table = pipeline.run_soil_stage(records, config)
+    results, models, _ = pipeline.run_soil_stage(records, config)
     out_dir = config.output_path
-    partial = _staged_output(out_dir)
-    ckpt_dir = partial / "checkpoints"
-    ckpt_dir.mkdir()
-    for depth, model in sorted(models.items()):
-        lstm.save_model(model, ckpt_dir / f"soil_depth_{depth:03d}.ckpt")
-    _write_json(
-        partial / "soil_metrics.json",
-        {
-            str(r.depth_cm): {
-                "test_rmse": r.test_rmse,
-                "persistence_rmse": r.persistence_rmse,
-                "n_train_windows": r.n_train_windows,
-                "n_test_windows": r.n_test_windows,
-            }
-            for r in results
-        },
-    )
-    pipeline._promote_partial(partial, out_dir)
+    with pipeline.staged(out_dir) as partial:
+        pipeline.write_soil(partial, results, models)
     for r in results:
         print(f"depth {r.depth_cm:3d} cm: test RMSE {r.test_rmse:.4f} vs persistence {r.persistence_rmse:.4f}")
     print(f"checkpoints in {out_dir / 'checkpoints'}")
@@ -108,31 +73,8 @@ def cmd_train_index(args: argparse.Namespace) -> int:
     stack = vegindex.load_index_stack(config.image_manifest_path, config.index_kind, config.band_mapping)
     result, model, image = pipeline.run_index_stage(stack, config)
     out_dir = config.output_path
-    partial = _staged_output(out_dir)
-    ckpt_dir = partial / "checkpoints"
-    ckpt_dir.mkdir()
-    lstm.save_model(model, ckpt_dir / "index.ckpt")
-    _write_json(
-        partial / "index_metrics.json",
-        {
-            "test_rmse": result.test_rmse,
-            "test_mae": result.test_mae,
-            "persistence_rmse": result.persistence_rmse,
-            "n_train_windows": result.n_train_windows,
-            "n_test_windows": result.n_test_windows,
-            "forecast_target": result.forecast_target,
-        },
-    )
-    grid = vegindex.BandGrid(
-        width=image.width,
-        height=image.height,
-        nodata=image.nodata,
-        band_names=(config.index_kind,),
-        data=image.values[None, :, :].astype(np.float32),
-    )
-    vegindex.write_bandgrid(grid, partial / "index_forecast.bgrid")
-    vegindex.write_pgm(image.values, partial / "index_forecast.pgm", nodata=image.nodata)
-    pipeline._promote_partial(partial, out_dir)
+    with pipeline.staged(out_dir) as partial:
+        pipeline.write_index(partial, result, model, image)
     print(f"index test RMSE {result.test_rmse:.4f} MAE {result.test_mae:.4f} vs persistence {result.persistence_rmse:.4f}")
     print(f"checkpoint in {out_dir / 'checkpoints' / 'index.ckpt'}")
     return 0
@@ -141,38 +83,9 @@ def cmd_train_index(args: argparse.Namespace) -> int:
 def cmd_forecast(args: argparse.Namespace) -> int:
     config = _load_config(args)
     out_dir = config.output_path
-    ckpt_dir = out_dir / "checkpoints"
-    checkpoints = sorted(ckpt_dir.glob("soil_depth_*.ckpt"))
-    if not checkpoints:
-        raise DataError(f"no soil checkpoints under {ckpt_dir}; run train-soil first")
-    groups = timeseries.group_records(timeseries.load_sensor_csv(config.sensor_csv_path))
-    sensor_ids = sorted({sid for sid, _ in groups})
-    length = config.soil_model.input_length
-    table: dict[str, dict[str, tuple[float, ...]]] = {}
-    for ckpt in checkpoints:
-        depth = int(ckpt.stem.rsplit("_", 1)[1])
-        model = lstm.load_model(ckpt)
-        if model.scaler is None:
-            raise DataError(f"checkpoint {ckpt.name} carries no scaler")
-        tails: dict[str, np.ndarray] = {}
-        for sid in sensor_ids:
-            try:
-                series = timeseries.build_series(
-                    groups.get((sid, depth), []), sid, depth, max_gap=config.max_gap_days
-                )
-            except DataError:
-                continue
-            if series.length < length:
-                raise DataError(
-                    f"sensor {sid} depth {depth}: {series.length} days < input window {length}"
-                )
-            tails[sid] = model.scaler.apply(series.features[-length:])
-        if not tails:
-            raise DataError(f"no sensor has data at depth {depth}")
-        table[str(depth)] = pipeline.forecast_sensors(model, tails)
-    partial = _staged_output(out_dir)
-    _write_json(partial / "forecasts.json", table)
-    pipeline._promote_partial(partial, out_dir)
+    table = pipeline.forecast_from_checkpoints(config, out_dir / "checkpoints")
+    with pipeline.staged(out_dir) as partial:
+        pipeline.write_forecasts(partial, table)
     print(f"forecasts for {len(table)} depth(s) written to {out_dir / 'forecasts.json'}")
     return 0
 
@@ -180,26 +93,11 @@ def cmd_forecast(args: argparse.Namespace) -> int:
 def cmd_interpolate(args: argparse.Namespace) -> int:
     config = _load_config(args)
     out_dir = config.output_path
-    forecasts_path = out_dir / "forecasts.json"
-    if not forecasts_path.is_file():
-        raise DataError(f"{forecasts_path} not found; run forecast first")
-    raw = json.loads(forecasts_path.read_text(encoding="utf-8"))
-    day = args.day if args.day is not None else config.forecast_day
-    if not (1 <= day <= config.horizon_days):
-        raise ConfigError(f"--day must be in 1..{config.horizon_days}")
-    table: dict[int, dict[str, tuple[float, ...]]] = {}
-    for depth_str, per_sensor in raw.items():
-        depth = int(depth_str)
-        table[depth] = {}
-        for sid, values in per_sensor.items():
-            if len(values) < day:
-                raise DataError(f"forecast for {sid} at depth {depth} has {len(values)} < {day} days")
-            table[depth][sid] = tuple(float(v) for v in values)
+    day = pipeline.check_forecast_day(config, args.day)
+    table = pipeline.read_forecasts(out_dir / "forecasts.json", day)
     volume, stats = pipeline.run_kriging_stage(table, config, day)
-    partial = _staged_output(out_dir)
-    kriging.export_volume(volume, partial / "volume")
-    kriging.export_grid_csv(volume, partial / "grid.csv")
-    pipeline._promote_partial(partial, out_dir)
+    with pipeline.staged(out_dir) as partial:
+        pipeline.write_volume(partial, volume)
     for depth in sorted(stats):
         score, variogram, n = stats[depth]
         shown = "n/a" if score is None else f"{score:.4f}"

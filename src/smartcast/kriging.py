@@ -344,17 +344,6 @@ def predict_point(model: KrigingModel, x: float, y: float) -> tuple[float, float
     return float(w @ model.values), float(w @ rhs[:-1] + mu)
 
 
-def point_in_hull(model: KrigingModel, x: float, y: float) -> bool:
-    """True when (x, y) lies inside the samples' axis-aligned bounding box.
-
-    Used to flag extrapolating queries; a bounding box is the widest
-    honest hull proxy that stays defined for collinear or tiny sample
-    sets.
-    """
-    xs, ys = model.points[:, 0], model.points[:, 1]
-    return bool(xs.min() <= x <= xs.max() and ys.min() <= y <= ys.max())
-
-
 def interpolate_grid(
     model: KrigingModel, geometry: GridGeometry, mask: np.ndarray | IndexImage | None = None
 ) -> tuple[np.ndarray, np.ndarray]:

@@ -441,17 +441,6 @@ def backward_batch(
     return value, grads
 
 
-def backward(
-    model: Seq2SeqModel, cache: ForwardCache, target: np.ndarray, loss: str = "mse"
-) -> dict[str, np.ndarray]:
-    """Single-sample gradients; `cache` must come from seq2seq_forward."""
-    target = np.asarray(target, dtype=np.float64)
-    if target.ndim == 1:
-        target = target[None, :]
-    _, grads = backward_batch(model, cache, target, loss)
-    return grads
-
-
 # -- gradient verification --------------------------------------------------------
 
 @dataclass(frozen=True)

@@ -216,19 +216,38 @@ def _optional(given: dict, key: str, kinds, section: str, default):
     return _require(given, key, kinds, section)
 
 
-def _parse_train(section: str, raw: dict, defaults: TrainConfig) -> TrainConfig:
-    allowed = {"learning_rate", "epochs", "batch_size", "loss", "adam_beta1", "adam_beta2", "adam_epsilon"}
-    _reject_unknown(section, raw, allowed)
-    return dataclasses.replace(
-        defaults,
-        learning_rate=float(_optional(raw, "learning_rate", (int, float), section, defaults.learning_rate)),
-        epochs=int(_optional(raw, "epochs", int, section, defaults.epochs)),
-        batch_size=int(_optional(raw, "batch_size", int, section, defaults.batch_size)),
-        loss=str(_optional(raw, "loss", str, section, defaults.loss)),
-        adam_beta1=float(_optional(raw, "adam_beta1", (int, float), section, defaults.adam_beta1)),
-        adam_beta2=float(_optional(raw, "adam_beta2", (int, float), section, defaults.adam_beta2)),
-        adam_epsilon=float(_optional(raw, "adam_epsilon", (int, float), section, defaults.adam_epsilon)),
-    )
+# Sections that map one-to-one onto a dataclass: its fields give the keys,
+# types and defaults, and `None` as the default makes every key required.
+_SECTIONS = {
+    "soil_model": (SoilModelSpec, SoilModelSpec()),
+    "index_model": (IndexModelSpec, IndexModelSpec()),
+    "soil_train": (TrainConfig, TrainConfig()),
+    "index_train": (TrainConfig, TrainConfig()),
+    "grid": (GridGeometry, GridGeometry(nx=16, ny=16, cell_size=10.0)),
+    "variogram": (Variogram, None),
+}
+_KINDS = {"int": (int, int), "float": ((int, float), float), "str": (str, str)}
+
+
+def _section_fields(cls) -> list[dataclasses.Field]:
+    # A training seed is derived from the run seed per stage, never configured.
+    return [f for f in dataclasses.fields(cls) if not (cls is TrainConfig and f.name == "seed")]
+
+
+def _parse_section(section: str, raw: dict, cls, default):
+    fields = _section_fields(cls)
+    _reject_unknown(section, raw, {f.name for f in fields})
+    values = {}
+    for f in fields:
+        kinds, convert = _KINDS[f.type]
+        if default is None:
+            values[f.name] = convert(_require(raw, f.name, kinds, section))
+        else:
+            values[f.name] = convert(_optional(raw, f.name, kinds, section, getattr(default, f.name)))
+    try:
+        return cls(**values)
+    except (ValueError, ConfigError, DataError) as e:
+        raise ConfigError(f"invalid {section}: {e}") from e
 
 
 def parse_config(path: str | Path) -> RunConfig:
@@ -303,42 +322,10 @@ def parse_config(path: str | Path) -> RunConfig:
     if missing:
         raise ConfigError(f"band_mapping for {index_kind} needs key(s): {', '.join(missing)}")
 
-    soil_raw = _optional(raw, "soil_model", dict, "config", {})
-    _reject_unknown("soil_model", soil_raw, {"input_length", "encoder_hidden", "decoder_hidden", "dense_hidden"})
-    soil_model = SoilModelSpec(
-        input_length=int(_optional(soil_raw, "input_length", int, "soil_model", 30)),
-        encoder_hidden=int(_optional(soil_raw, "encoder_hidden", int, "soil_model", 200)),
-        decoder_hidden=int(_optional(soil_raw, "decoder_hidden", int, "soil_model", 200)),
-        dense_hidden=int(_optional(soil_raw, "dense_hidden", int, "soil_model", 100)),
-    )
-    index_raw = _optional(raw, "index_model", dict, "config", {})
-    _reject_unknown("index_model", index_raw, {"encoder_hidden", "decoder_hidden", "dense_hidden"})
-    index_model = IndexModelSpec(
-        encoder_hidden=int(_optional(index_raw, "encoder_hidden", int, "index_model", 50)),
-        decoder_hidden=int(_optional(index_raw, "decoder_hidden", int, "index_model", 50)),
-        dense_hidden=int(_optional(index_raw, "dense_hidden", int, "index_model", 20)),
-    )
-    soil_train = _parse_train("soil_train", _optional(raw, "soil_train", dict, "config", {}), TrainConfig())
-    index_train = _parse_train("index_train", _optional(raw, "index_train", dict, "config", {}), TrainConfig())
-
-    grid_raw = _optional(raw, "grid", dict, "config", {})
-    _reject_unknown("grid", grid_raw, {"nx", "ny", "cell_size", "x0", "y0"})
-    grid = GridGeometry(
-        nx=int(_optional(grid_raw, "nx", int, "grid", 16)),
-        ny=int(_optional(grid_raw, "ny", int, "grid", 16)),
-        cell_size=float(_optional(grid_raw, "cell_size", (int, float), "grid", 10.0)),
-        x0=float(_optional(grid_raw, "x0", (int, float), "grid", 0.0)),
-        y0=float(_optional(grid_raw, "y0", (int, float), "grid", 0.0)),
-    )
-    vario_raw = _optional(raw, "variogram", dict, "config", None)
-    variogram = None
-    if vario_raw is not None:
-        _reject_unknown("variogram", vario_raw, {"nugget", "sill", "range_a"})
-        variogram = Variogram(
-            nugget=float(_require(vario_raw, "nugget", (int, float), "variogram")),
-            sill=float(_require(vario_raw, "sill", (int, float), "variogram")),
-            range_a=float(_require(vario_raw, "range_a", (int, float), "variogram")),
-        )
+    sections = {}
+    for section, (cls, default) in _SECTIONS.items():
+        given = _optional(raw, section, dict, "config", None)
+        sections[section] = default if given is None else _parse_section(section, given, cls, default)
 
     return RunConfig(
         base_dir=base_dir,
@@ -354,12 +341,7 @@ def parse_config(path: str | Path) -> RunConfig:
         forecast_day=forecast_day,
         index_kind=index_kind,
         band_mapping=band_mapping,
-        soil_model=soil_model,
-        index_model=index_model,
-        soil_train=soil_train,
-        index_train=index_train,
-        grid=grid,
-        variogram=variogram,
+        **sections,
     )
 
 
@@ -376,31 +358,16 @@ def serialize_config(config: RunConfig) -> dict:
         "forecast_day": config.forecast_day,
         "index_kind": config.index_kind,
         "band_mapping": dict(sorted(config.band_mapping.items())),
-        "soil_model": dataclasses.asdict(config.soil_model),
-        "index_model": dataclasses.asdict(config.index_model),
-        "soil_train": _train_payload(config.soil_train),
-        "index_train": _train_payload(config.index_train),
-        "grid": dataclasses.asdict(config.grid),
     }
     if config.image_manifest is not None:
         payload["image_manifest"] = config.image_manifest
     if config.depths_cm is not None:
         payload["depths_cm"] = list(config.depths_cm)
-    if config.variogram is not None:
-        payload["variogram"] = dataclasses.asdict(config.variogram)
+    for section, (cls, _) in _SECTIONS.items():
+        value = getattr(config, section)
+        if value is not None:
+            payload[section] = {f.name: getattr(value, f.name) for f in _section_fields(cls)}
     return payload
-
-
-def _train_payload(tc: TrainConfig) -> dict:
-    return {
-        "learning_rate": tc.learning_rate,
-        "epochs": tc.epochs,
-        "batch_size": tc.batch_size,
-        "loss": tc.loss,
-        "adam_beta1": tc.adam_beta1,
-        "adam_beta2": tc.adam_beta2,
-        "adam_epsilon": tc.adam_epsilon,
-    }
 
 
 def _derive_seed(master: int, *parts: int) -> int:
@@ -421,19 +388,25 @@ class _DepthData:
     last_inputs: dict[str, np.ndarray]   # per sensor: scaled (L, 4) tail
 
 
+def _usable_series(
+    groups: dict[tuple[str, int], list[timeseries.SensorRecord]], sensor_ids: list[str], depth: int, max_gap: int
+) -> list[timeseries.SensorSeries]:
+    """Each sensor's series at `depth`, skipping sensors whose records build none."""
+    series_list = []
+    for sid in sensor_ids:
+        try:
+            series_list.append(timeseries.build_series(groups.get((sid, depth), []), sid, depth, max_gap=max_gap))
+        except DataError:
+            continue
+    return series_list
+
+
 def _prepare_depth(
     groups: dict[tuple[str, int], list[timeseries.SensorRecord]], sensor_ids: list[str], depth: int, config: RunConfig
 ) -> _DepthData:
     length = config.soil_model.input_length
     horizon = config.horizon_days
-    series_list = []
-    for sid in sensor_ids:
-        try:
-            series_list.append(
-                timeseries.build_series(groups.get((sid, depth), []), sid, depth, max_gap=config.max_gap_days)
-            )
-        except DataError:
-            continue
+    series_list = _usable_series(groups, sensor_ids, depth, config.max_gap_days)
     if not series_list:
         raise DataError(f"no usable sensor series at depth {depth}")
 
@@ -618,6 +591,37 @@ def run_soil_stage(
     return results, models, forecast_table
 
 
+def forecast_from_checkpoints(config: RunConfig, ckpt_dir: Path) -> dict[int, dict[str, tuple[float, ...]]]:
+    """Forecasts at every sensor from the soil checkpoints under `ckpt_dir`.
+
+    Each checkpoint carries its depth's scaler; sensors without a usable
+    series at a depth are skipped, as in training.
+    """
+    checkpoints = sorted(ckpt_dir.glob("soil_depth_*.ckpt"))
+    if not checkpoints:
+        raise DataError(f"no soil checkpoints under {ckpt_dir}; run train-soil first")
+    groups = timeseries.group_records(timeseries.load_sensor_csv(config.sensor_csv_path))
+    sensor_ids = sorted({sid for sid, _ in groups})
+    length = config.soil_model.input_length
+    table: dict[int, dict[str, tuple[float, ...]]] = {}
+    for ckpt in checkpoints:
+        depth = int(ckpt.stem.rsplit("_", 1)[1])
+        model = lstm.load_model(ckpt)
+        if model.scaler is None:
+            raise DataError(f"checkpoint {ckpt.name} carries no scaler")
+        tails: dict[str, np.ndarray] = {}
+        for series in _usable_series(groups, sensor_ids, depth, config.max_gap_days):
+            if series.length < length:
+                raise DataError(
+                    f"sensor {series.sensor_id} depth {depth}: {series.length} days < input window {length}"
+                )
+            tails[series.sensor_id] = model.scaler.apply(series.features[-length:])
+        if not tails:
+            raise DataError(f"no sensor has data at depth {depth}")
+        table[depth] = forecast_sensors(model, tails)
+    return table
+
+
 # -- index stage ------------------------------------------------------------------
 
 def _split_by_run(windows: WindowSet, run_ids: np.ndarray, test_fraction: float):
@@ -696,6 +700,29 @@ def run_index_stage(
 
 # -- kriging stage ----------------------------------------------------------------
 
+def check_forecast_day(config: RunConfig, day: int | None) -> int:
+    """The day to interpolate: `day`, or the config's when None, within the horizon."""
+    day = config.forecast_day if day is None else day
+    if not (1 <= day <= config.horizon_days):
+        raise ConfigError(f"forecast day must be in 1..{config.horizon_days}")
+    return day
+
+
+def read_forecasts(path: Path, day: int) -> dict[int, dict[str, tuple[float, ...]]]:
+    """The forecast table `write_forecasts` saved; every curve must reach `day`."""
+    if not path.is_file():
+        raise DataError(f"{path} not found; run forecast first")
+    table: dict[int, dict[str, tuple[float, ...]]] = {}
+    for depth_str, per_sensor in json.loads(path.read_text(encoding="utf-8")).items():
+        depth = int(depth_str)
+        table[depth] = {}
+        for sid, values in per_sensor.items():
+            if len(values) < day:
+                raise DataError(f"forecast for {sid} at depth {depth} has {len(values)} < {day} days")
+            table[depth][sid] = tuple(float(v) for v in values)
+    return table
+
+
 def run_kriging_stage(
     forecast_table: dict[int, dict[str, tuple[float, ...]]],
     config: RunConfig,
@@ -739,7 +766,7 @@ def run_kriging_stage(
     return kriging.stack_depths(layers), stats
 
 
-# -- orchestration ----------------------------------------------------------------
+# -- staged outputs ---------------------------------------------------------------
 
 def _promote_partial(partial: Path, out_dir: Path) -> None:
     # Merge, don't clobber: stages share directories (train-soil and
@@ -757,27 +784,103 @@ def _promote_partial(partial: Path, out_dir: Path) -> None:
     partial.rmdir()
 
 
-def run_forecast(
-    config: RunConfig,
-    out_dir: str | Path | None = None,
-    forecast_day: int | None = None,
-) -> tuple[ForecastReport, Path]:
-    """Execute every stage and write artifacts plus report.json.
+@contextlib.contextmanager
+def staged(out_dir: Path):
+    """Yield a fresh `<out>/.partial`; promote it into `out_dir` when the block succeeds.
 
-    Outputs are staged under `<out>/.partial` and promoted only when
-    the whole run succeeds, so a failed run never leaves a partial
-    final report. Identical (config, seed, inputs) produce
-    byte-identical outputs.
+    When the block raises, `.partial` stays behind as quarantine and no
+    file already under `out_dir` changes.
     """
-    out_dir = Path(out_dir) if out_dir is not None else config.output_path
-    day = forecast_day if forecast_day is not None else config.forecast_day
-    if not (1 <= day <= config.horizon_days):
-        raise ConfigError(f"forecast day must be in 1..{config.horizon_days}")
     out_dir.mkdir(parents=True, exist_ok=True)
     partial = out_dir / ".partial"
     if partial.exists():
         shutil.rmtree(partial)
     partial.mkdir()
+    yield partial
+    _promote_partial(partial, out_dir)
+
+
+# Each writer puts one stage's files under `root` and returns their
+# report artifact names with paths relative to `root`.
+
+def _write_json(root: Path, name: str, payload: dict) -> str:
+    with (root / name).open("w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    return name
+
+
+def write_soil(root: Path, results: list[DepthResult], models: dict[int, Seq2SeqModel]) -> dict[str, str]:
+    """One checkpoint per depth plus soil_metrics.json."""
+    (root / "checkpoints").mkdir(exist_ok=True)
+    artifacts = {}
+    for depth, model in sorted(models.items()):
+        rel = f"checkpoints/soil_depth_{depth:03d}.ckpt"
+        lstm.save_model(model, root / rel)
+        artifacts[f"checkpoint_soil_{depth}"] = rel
+    metrics = {
+        str(r.depth_cm): {
+            "test_rmse": r.test_rmse,
+            "persistence_rmse": r.persistence_rmse,
+            "n_train_windows": r.n_train_windows,
+            "n_test_windows": r.n_test_windows,
+        }
+        for r in results
+    }
+    artifacts["soil_metrics"] = _write_json(root, "soil_metrics.json", metrics)
+    return artifacts
+
+
+def write_index(
+    root: Path, result: IndexResult, model: Seq2SeqModel, image: vegindex.IndexImage
+) -> dict[str, str]:
+    """index.ckpt, index_metrics.json and the forecast image as BandGrid and PGM."""
+    (root / "checkpoints").mkdir(exist_ok=True)
+    lstm.save_model(model, root / "checkpoints" / "index.ckpt")
+    grid = vegindex.BandGrid(
+        width=image.width,
+        height=image.height,
+        nodata=image.nodata,
+        band_names=(image.index_kind,),
+        data=image.values[None, :, :].astype(np.float32),
+    )
+    vegindex.write_bandgrid(grid, root / "index_forecast.bgrid")
+    vegindex.write_pgm(image.values, root / "index_forecast.pgm", nodata=image.nodata)
+    return {
+        "checkpoint_index": "checkpoints/index.ckpt",
+        "index_metrics": _write_json(root, "index_metrics.json", dataclasses.asdict(result)),
+        "index_forecast": "index_forecast.bgrid",
+    }
+
+
+def write_forecasts(root: Path, table: dict[int, dict[str, tuple[float, ...]]]) -> dict[str, str]:
+    """forecasts.json: per depth, per sensor, the horizon forecast curve."""
+    return {"forecasts": _write_json(root, "forecasts.json", {str(d): t for d, t in table.items()})}
+
+
+def write_volume(root: Path, volume: kriging.MoistureVolume) -> dict[str, str]:
+    """volume/ (one grid per depth plus a manifest) and grid.csv."""
+    kriging.export_volume(volume, root / "volume")
+    kriging.export_grid_csv(volume, root / "grid.csv")
+    return {"volume_manifest": "volume/manifest.csv", "grid_csv": "grid.csv"}
+
+
+# -- orchestration ----------------------------------------------------------------
+
+def run_forecast(
+    config: RunConfig,
+    out_dir: str | Path | None = None,
+    forecast_day: int | None = None,
+) -> tuple[ForecastReport, Path]:
+    """Execute every stage and write its outputs plus report.json.
+
+    The outputs are those of the four stage commands, written by the
+    same writers inside one `staged` block, so a failed run leaves no
+    new file outside the `.partial` quarantine. Identical (config,
+    seed, inputs) produce byte-identical outputs.
+    """
+    out_dir = Path(out_dir) if out_dir is not None else config.output_path
+    day = check_forecast_day(config, forecast_day)
 
     def stage(name, fn, *args, **kwargs):
         try:
@@ -787,91 +890,42 @@ def run_forecast(
         except Exception as e:
             raise StageError(name, e) from e
 
-    records = stage("load", timeseries.load_sensor_csv, config.sensor_csv_path)
-    stack = None
-    if config.image_manifest_path is not None:
-        stack = stage(
-            "load", vegindex.load_index_stack, config.image_manifest_path, config.index_kind, config.band_mapping
-        )
-
-    depth_results, soil_models, forecast_table = stage("soil", run_soil_stage, records, config)
-
-    index_result = None
-    index_model = None
-    index_image = None
-    if stack is not None:
-        index_result, index_model, index_image = stage("index", run_index_stage, stack, config)
-
-    volume, kriging_stats = stage("kriging", run_kriging_stage, forecast_table, config, day)
-    merged = [
-        dataclasses.replace(
-            r,
-            loo_score=kriging_stats[r.depth_cm][0],
-            variogram=kriging_stats[r.depth_cm][1],
-            n_samples=kriging_stats[r.depth_cm][2],
-        )
-        for r in depth_results
-    ]
-
-    def export() -> dict[str, Path]:
-        paths: dict[str, Path] = {}
-        ckpt_dir = partial / "checkpoints"
-        ckpt_dir.mkdir()
-        for depth, model in sorted(soil_models.items()):
-            p = ckpt_dir / f"soil_depth_{depth:03d}.ckpt"
-            lstm.save_model(model, p)
-            paths[f"checkpoint_soil_{depth}"] = p
-        if index_model is not None:
-            p = ckpt_dir / "index.ckpt"
-            lstm.save_model(index_model, p)
-            paths["checkpoint_index"] = p
-        forecasts_path = partial / "forecasts.json"
-        with forecasts_path.open("w", encoding="utf-8") as fh:
-            json.dump(
-                {str(d): {s: list(v) for s, v in sorted(t.items())} for d, t in sorted(forecast_table.items())},
-                fh,
-                indent=2,
-                sort_keys=True,
+    with staged(out_dir) as partial:
+        records = stage("load", timeseries.load_sensor_csv, config.sensor_csv_path)
+        stack = None
+        if config.image_manifest_path is not None:
+            stack = stage(
+                "load", vegindex.load_index_stack, config.image_manifest_path, config.index_kind, config.band_mapping
             )
-            fh.write("\n")
-        paths["forecasts"] = forecasts_path
-        volume_dir = partial / "volume"
-        paths["volume_manifest"] = kriging.export_volume(volume, volume_dir)
-        grid_csv = partial / "grid.csv"
-        kriging.export_grid_csv(volume, grid_csv)
-        paths["grid_csv"] = grid_csv
-        if index_image is not None:
-            img_grid = vegindex.BandGrid(
-                width=index_image.width,
-                height=index_image.height,
-                nodata=index_image.nodata,
-                band_names=(config.index_kind,),
-                data=index_image.values[None, :, :].astype(np.float32),
+        depth_results, soil_models, forecast_table = stage("soil", run_soil_stage, records, config)
+        index = None
+        if stack is not None:
+            index = stage("index", run_index_stage, stack, config)
+        volume, kriging_stats = stage("kriging", run_kriging_stage, forecast_table, config, day)
+
+        artifacts = stage("export", write_soil, partial, depth_results, soil_models)
+        if index is not None:
+            artifacts.update(stage("export", write_index, partial, *index))
+        artifacts.update(stage("export", write_forecasts, partial, forecast_table))
+        artifacts.update(stage("export", write_volume, partial, volume))
+        artifacts["report"] = "report.json"
+        merged = [
+            dataclasses.replace(
+                r,
+                loo_score=kriging_stats[r.depth_cm][0],
+                variogram=kriging_stats[r.depth_cm][1],
+                n_samples=kriging_stats[r.depth_cm][2],
             )
-            img_path = partial / "index_forecast.bgrid"
-            vegindex.write_bandgrid(img_grid, img_path)
-            vegindex.write_pgm(index_image.values, partial / "index_forecast.pgm", nodata=index_image.nodata)
-            paths["index_forecast"] = img_path
-        return paths
-
-    artifact_paths = stage("export", export)
-    artifacts = {k: (out_dir / p.relative_to(partial)).relative_to(out_dir).as_posix() for k, p in artifact_paths.items()}
-    artifacts["report"] = "report.json"
-    report = ForecastReport(
-        seed=config.seed,
-        forecast_day=day,
-        depths=tuple(merged),
-        index=index_result,
-        artifacts=artifacts,
-    )
-
-    def finalize() -> None:
-        with (partial / "report.json").open("w", encoding="utf-8") as fh:
-            json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        _promote_partial(partial, out_dir)
-
-    stage("export", finalize)
+            for r in depth_results
+        ]
+        report = ForecastReport(
+            seed=config.seed,
+            forecast_day=day,
+            depths=tuple(merged),
+            index=None if index is None else index[0],
+            artifacts=artifacts,
+        )
+        stage("export", lambda: _write_json(partial, "report.json", report.to_dict()))
     return report, out_dir
 
 

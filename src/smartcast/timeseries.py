@@ -325,26 +325,6 @@ def build_series(
 
 # -- normalization ---------------------------------------------------------------
 
-def fit_scaler(series: SensorSeries, train_range: tuple[int, int] | None = None) -> Scaler:
-    """Fit per-feature mean/std over `train_range` (half-open day indices).
-
-    Raises DegenerateScalerError when any feature is constant over the
-    fit range.
-    """
-    start, stop = train_range if train_range is not None else (0, series.length)
-    if not 0 <= start < stop <= series.length:
-        raise ValueError(f"train_range {train_range} out of bounds for series of length {series.length}")
-    block = series.features[start:stop]
-    if block.shape[0] < 2:
-        raise DegenerateScalerError("train_range must cover at least 2 days")
-    mean = block.mean(axis=0)
-    std = block.std(axis=0)
-    for col, name in enumerate(FEATURE_NAMES):
-        if std[col] <= 0:
-            raise DegenerateScalerError(f"feature {name!r} is constant over the fit range")
-    return Scaler(mean=mean, std=std)
-
-
 def fit_scaler_pooled(blocks: list[np.ndarray]) -> Scaler:
     """Fit a scaler over several (T_i, d) feature blocks stacked together."""
     if not blocks:

@@ -123,24 +123,6 @@ class ImageStack:
         return len(self.entries)
 
 
-@dataclass(frozen=True)
-class PixelWindow:
-    """One pixel's model input: 5 rows of (index value, days-to-target).
-
-    Offsets are positive and strictly decreasing (oldest image first).
-    """
-
-    values: np.ndarray
-    target_offset_days: float
-
-    def __post_init__(self):
-        if self.values.shape != (INPUT_WINDOW, 2):
-            raise ShapeError(f"pixel window must be ({INPUT_WINDOW}, 2), got {self.values.shape}")
-        offs = self.values[:, 1]
-        if np.any(offs <= 0) or np.any(np.diff(offs) >= 0):
-            raise DataError("days-to-target must be positive and strictly decreasing")
-
-
 # -- band math ------------------------------------------------------------------
 
 def compute_index(grid: BandGrid, kind: str, band_mapping: dict[str, str]) -> IndexImage:

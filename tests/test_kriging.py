@@ -30,7 +30,6 @@ from smartcast.kriging import (
     gaussian_variogram,
     interpolate_grid,
     loo_score,
-    point_in_hull,
     predict_point,
     solve_weights,
     stack_depths,
@@ -298,15 +297,6 @@ def test_exactly_singular_system_engages_jitter():
     assert np.isfinite(value) and np.isfinite(variance)
     w, _ = solve_weights(model, 2.5, 0.0)
     assert abs(w.sum() - 1.0) <= 1e-10
-
-
-def test_point_in_hull_bounding_box():
-    _, samples, v = random_case(2)
-    model = build_model(samples, v)
-    xs = [s.x for s in samples]
-    ys = [s.y for s in samples]
-    assert point_in_hull(model, float(np.mean(xs)), float(np.mean(ys)))
-    assert not point_in_hull(model, max(xs) + 1.0, float(np.mean(ys)))
 
 
 def test_empty_sample_list_rejected():

@@ -5,6 +5,7 @@ import dataclasses
 import json
 import multiprocessing
 import os
+import shutil
 from datetime import date, timedelta
 from pathlib import Path
 
@@ -101,6 +102,11 @@ def test_parse_validation_errors(minimal_dir: Path):
         ({**base, "sensor_locations": {"s1": [1.0]}}, "s1"),
         ({**base, "variogram": {"nugget": 0.1}}, "sill"),
         ({**base, "seed": "seven"}, "wrong type"),
+        ({**base, "soil_train": {"learning_rate": -1}}, "soil_train"),
+        ({**base, "index_train": {"batch_size": 0}}, "index_train"),
+        ({**base, "soil_model": {"encoder_hidden": 0}}, "soil_model"),
+        ({**base, "grid": {"nx": 0}}, "grid"),
+        ({**base, "variogram": {"nugget": -0.1, "sill": 1.0, "range_a": 5.0}}, "variogram"),
     ]
     for payload, fragment in cases:
         with pytest.raises(ConfigError, match=fragment):
@@ -259,18 +265,41 @@ def test_batched_forecast_matches_per_sensor_predict():
     assert clipped < 12  # the comparison is not all clipped zeros
 
 
-def test_stage_chain_writes_what_run_writes(tiny_run, tmp_path: Path, capsys):
-    config, _, run_dir = tiny_run
-    out = tmp_path / "chain"
+def file_tree(root: Path) -> dict[str, bytes]:
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+@pytest.fixture(scope="module")
+def tiny_chain(tiny_dir: Path, tmp_path_factory: pytest.TempPathFactory) -> Path:
+    out = tmp_path_factory.mktemp("tiny_chain")
     for command in ("train-soil", "train-index", "forecast", "interpolate"):
-        assert main([command, "--config", str(config.base_dir / "config.json"), "--out", str(out)]) == 0
-    capsys.readouterr()
-    names = ["forecasts.json", "grid.csv"]
-    names += [p.relative_to(run_dir).as_posix() for p in sorted(run_dir.glob("checkpoints/*.ckpt"))]
-    names += [p.relative_to(run_dir).as_posix() for p in sorted(run_dir.glob("volume/*.bgrid"))]
-    assert len(names) == 2 + 3 + 2
-    for name in names:
-        assert (out / name).read_bytes() == (run_dir / name).read_bytes(), name
+        assert main([command, "--config", str(tiny_dir / "config.json"), "--out", str(out)]) == 0
+    return out
+
+
+def test_stage_chain_writes_what_run_writes(tiny_run, tiny_chain):
+    _, report, run_dir = tiny_run
+    chain, run = file_tree(tiny_chain), file_tree(run_dir)
+    assert set(chain) == set(run) - {"report.json"}
+    assert {"index_forecast.pgm.txt", "soil_metrics.json", "index_metrics.json"} <= set(chain)
+    for name, data in chain.items():
+        assert data == run[name], name
+    assert set(report.artifacts.values()) <= set(run)
+
+
+def test_failed_stage_command_leaves_outputs_alone(tiny_dir: Path, tiny_chain: Path, tmp_path: Path, capsys):
+    out = tmp_path / "out"
+    shutil.copytree(tiny_chain, out)
+    before = file_tree(out)
+    payload = json.loads((tiny_dir / "config.json").read_text(encoding="utf-8"))
+    payload["sensor_locations"] = {}
+    for key in ("sensor_csv", "image_manifest"):
+        payload[key] = str(tiny_dir / payload[key])
+    config_path = write_config(tmp_path, payload, "unlocated.json")
+    assert main(["interpolate", "--config", str(config_path), "--out", str(out)]) == 3
+    assert "configured location" in capsys.readouterr().err
+    assert file_tree(out) == before
+    assert not (out / ".partial").exists()
 
 
 # -- parallel soil training -----------------------------------------------------------
@@ -383,6 +412,10 @@ def test_cli_exit_codes(tmp_path: Path, capsys):
     assert main(["run", "--config", str(tmp_path / "missing.json")]) == 2
     err = capsys.readouterr().err
     assert "error:" in err and "missing.json" in err
+    (tmp_path / "sensors.csv").write_text("date,sensor_id,depth_cm,moisture,soil_temp,salinity,rainfall\n")
+    path = write_config(tmp_path, {"seed": 1, "sensor_csv": "sensors.csv", "soil_train": {"learning_rate": -1}})
+    assert main(["train-soil", "--config", str(path)]) == 2
+    assert "soil_train" in capsys.readouterr().err
 
 
 def test_cli_forecast_requires_checkpoints(tiny_dir: Path, tmp_path: Path, capsys):

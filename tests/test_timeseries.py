@@ -1,5 +1,6 @@
 """Ingestion, gap fill, scaling, windowing, and split behavior."""
 
+import json
 from datetime import date, timedelta
 
 import numpy as np
@@ -15,6 +16,7 @@ from smartcast.errors import (
     MissingKeyError,
     UnfillableGapError,
 )
+from smartcast.pipeline import _prepare_depth, parse_config
 from smartcast.timeseries import (
     CSV_HEADER,
     SensorSeries,
@@ -23,7 +25,6 @@ from smartcast.timeseries import (
     build_series,
     chrono_split,
     concat_windows,
-    fit_scaler,
     fit_scaler_pooled,
     group_records,
     load_sensor_csv,
@@ -200,8 +201,7 @@ def test_group_errors_match_full_scan():
 def test_scaler_stats_match_numpy():
     rng = np.random.default_rng(0)
     features = rng.normal(10.0, 3.0, size=(50, 4))
-    series = series_from(features)
-    scaler = fit_scaler(series)
+    scaler = fit_scaler_pooled([features])
     np.testing.assert_allclose(scaler.mean, features.mean(axis=0))
     np.testing.assert_allclose(scaler.std, features.std(axis=0))  # ddof=0
     z = scaler.apply(features)
@@ -210,15 +210,46 @@ def test_scaler_stats_match_numpy():
     np.testing.assert_allclose(scaler.invert(z), features, atol=1e-12)
 
 
-def test_scaler_train_range_only():
-    features = np.arange(40.0).reshape(10, 4)
-    features[5:] += 1000.0  # values past the range must not leak into the fit
-    series = series_from(features)
-    scaler = fit_scaler(series, train_range=(0, 5))
-    np.testing.assert_allclose(scaler.mean, features[:5].mean(axis=0))
-    np.testing.assert_allclose(scaler.std, features[:5].std(axis=0))
+def test_scaler_train_range_only(tmp_path):
+    # 40 days, L=5, H=2: 34 windows, the first 25 train, and the training
+    # windows cover days 0..30. Days 31..39 reach only test windows.
+    (tmp_path / "sensors.csv").write_text(HEADER + "\n", encoding="utf-8")
+    config_path = tmp_path / "config.json"
+    config_path.write_text(
+        json.dumps(
+            {
+                "seed": 1,
+                "sensor_csv": "sensors.csv",
+                "horizon_days": 2,
+                "test_fraction": 0.25,
+                "soil_model": {"input_length": 5},
+            }
+        ),
+        encoding="utf-8",
+    )
+    config = parse_config(config_path)
+    rng = np.random.default_rng(3)
+    base = rng.normal(20.0, 2.0, size=(40, 4))
+
+    def scaler_for(features: np.ndarray) -> Scaler:
+        records = [
+            SensorRecord(date(2024, 1, 1) + timedelta(days=i), "s1", 10, *map(float, row))
+            for i, row in enumerate(features)
+        ]
+        return _prepare_depth(group_records(records), ["s1"], 10, config).scaler
+
+    reference = scaler_for(base)
+    np.testing.assert_allclose(reference.mean, base[:31].mean(axis=0), rtol=1e-12)
+    leaked = base.copy()
+    leaked[31:] += 1000.0  # values past the training windows must not leak into the fit
+    shifted = scaler_for(leaked)
+    np.testing.assert_array_equal(shifted.mean, reference.mean)
+    np.testing.assert_array_equal(shifted.std, reference.std)
+    inside = base.copy()
+    inside[30] += 1000.0  # the last day of the training windows does move it
+    assert not np.allclose(scaler_for(inside).mean, reference.mean)
     with pytest.raises(DegenerateScalerError):
-        fit_scaler(series_from(np.ones((10, 4))))
+        fit_scaler_pooled([np.ones((10, 4))])
 
 
 def test_scaler_pooled_and_feature_helpers():

@@ -18,7 +18,6 @@ from smartcast.vegindex import (
     BandGrid,
     ImageStack,
     IndexImage,
-    PixelWindow,
     compute_index,
     flatten_image,
     flatten_stack,
@@ -148,18 +147,6 @@ def test_image_stack_validation():
     other = constant_image(0.1, width=3)
     with pytest.raises(DataError, match="mixed"):
         ImageStack(entries=((d0, img), (d0 + timedelta(days=1), other)))
-
-
-def test_pixel_window_validation():
-    good = np.column_stack([np.zeros(5), [50.0, 40.0, 30.0, 20.0, 10.0]])
-    PixelWindow(values=good, target_offset_days=10.0)
-    bad = good.copy()
-    bad[:, 1] = [50.0, 40.0, 40.0, 20.0, 10.0]
-    with pytest.raises(DataError):
-        PixelWindow(values=bad, target_offset_days=10.0)
-    bad[:, 1] = [50.0, 40.0, 30.0, 20.0, 0.0]
-    with pytest.raises(DataError):
-        PixelWindow(values=bad, target_offset_days=10.0)
 
 
 # -- raster file I/O ---------------------------------------------------------------

@@ -55,8 +55,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 def cmd_train_soil(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    records = timeseries.load_sensor_csv(config.sensor_csv_path)
-    results, models, _ = pipeline.run_soil_stage(records, config)
+    table = timeseries.load_sensor_csv(config.sensor_csv_path)
+    results, models, _ = pipeline.run_soil_stage(table, config)
     out_dir = config.output_path
     with pipeline.staged(out_dir) as partial:
         pipeline.write_soil(partial, results, models)

@@ -389,20 +389,23 @@ class _DepthData:
 
 
 def _usable_series(
-    groups: dict[tuple[str, int], list[timeseries.SensorRecord]], sensor_ids: list[str], depth: int, max_gap: int
+    groups: dict[tuple[str, int], timeseries.SensorTable], sensor_ids: list[str], depth: int, max_gap: int
 ) -> list[timeseries.SensorSeries]:
-    """Each sensor's series at `depth`, skipping sensors whose records build none."""
+    """Each sensor's series at `depth`, skipping sensors whose rows build none."""
     series_list = []
     for sid in sensor_ids:
+        group = groups.get((sid, depth))
+        if group is None:
+            continue
         try:
-            series_list.append(timeseries.build_series(groups.get((sid, depth), []), sid, depth, max_gap=max_gap))
+            series_list.append(timeseries.build_series(group, sid, depth, max_gap=max_gap))
         except DataError:
             continue
     return series_list
 
 
 def _prepare_depth(
-    groups: dict[tuple[str, int], list[timeseries.SensorRecord]], sensor_ids: list[str], depth: int, config: RunConfig
+    groups: dict[tuple[str, int], timeseries.SensorTable], sensor_ids: list[str], depth: int, config: RunConfig
 ) -> _DepthData:
     length = config.soil_model.input_length
     horizon = config.horizon_days
@@ -535,7 +538,7 @@ def forecast_sensors(model: Seq2SeqModel, tails: dict[str, np.ndarray]) -> dict[
 
 
 def run_soil_stage(
-    records, config: RunConfig
+    table: timeseries.SensorTable, config: RunConfig
 ) -> tuple[list[DepthResult], dict[int, Seq2SeqModel], dict[int, dict[str, tuple[float, ...]]]]:
     """Train, evaluate, and forecast one model per depth.
 
@@ -547,8 +550,9 @@ def run_soil_stage(
     clipped to the physical moisture range), trained models, and the
     forecast table used by the kriging stage.
     """
-    sensor_ids = sorted({r.sensor_id for r in records})
-    depths = config.depths_cm or tuple(sorted({r.depth_cm for r in records}))
+    groups = timeseries.group_records(table)
+    sensor_ids = sorted({sid for sid, _ in groups})
+    depths = config.depths_cm or tuple(sorted({depth for _, depth in groups}))
     shape = ModelShape(
         input_dim=len(timeseries.FEATURE_NAMES),
         encoder_hidden=config.soil_model.encoder_hidden,
@@ -556,7 +560,6 @@ def run_soil_stage(
         dense_hidden=config.soil_model.dense_hidden,
         horizon=config.horizon_days,
     )
-    groups = timeseries.group_records(records)
     prepared = [_prepare_depth(groups, sensor_ids, depth, config) for depth in depths]
     jobs = []
     for data in prepared:
@@ -891,13 +894,13 @@ def run_forecast(
             raise StageError(name, e) from e
 
     with staged(out_dir) as partial:
-        records = stage("load", timeseries.load_sensor_csv, config.sensor_csv_path)
+        table = stage("load", timeseries.load_sensor_csv, config.sensor_csv_path)
         stack = None
         if config.image_manifest_path is not None:
             stack = stage(
                 "load", vegindex.load_index_stack, config.image_manifest_path, config.index_kind, config.band_mapping
             )
-        depth_results, soil_models, forecast_table = stage("soil", run_soil_stage, records, config)
+        depth_results, soil_models, forecast_table = stage("soil", run_soil_stage, table, config)
         index = None
         if stack is not None:
             index = stage("index", run_index_stage, stack, config)

@@ -1,8 +1,11 @@
 """Sensor time-series ingestion and supervised windowing.
 
-Reads per-sensor/per-depth daily records from CSV, aligns them to a
-consecutive daily grid (linear gap fill up to a configurable maximum),
-normalizes features, and slices the result into (input window, 14-day
+Reads per-sensor/per-depth daily records from CSV into one columnar
+`SensorTable` (day ordinals, sensor codes, depths, an (N, 4) feature
+matrix), converting and validating the rows in bounded chunks; groups
+the table by (sensor, depth) with one stable sort; aligns each group to
+a consecutive daily grid (linear gap fill up to a configurable maximum);
+normalizes features; and slices the result into (input window, 14-day
 target) training pairs with a chronological train/test split.
 
 Feature column order is fixed everywhere: moisture, soil_temp,
@@ -12,9 +15,10 @@ salinity, rainfall. Moisture (column 0) is the forecast target.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass, replace
-from datetime import date, timedelta
+from datetime import date
 from pathlib import Path
 
 import numpy as np
@@ -37,24 +41,28 @@ DEFAULT_HORIZON = 14
 DEFAULT_MAX_GAP = 3
 
 
-@dataclass(frozen=True)
-class SensorRecord:
-    """One daily observation for a (sensor, depth) pair.
+@dataclass(frozen=True, eq=False)
+class SensorTable:
+    """Sensor observations as columns, one entry per data row.
 
-    Missing feature values are represented as NaN; the key fields
-    (timestamp, sensor_id, depth_cm) are always present.
+    `sensor` indexes `sensor_names`, the distinct ids in order of first
+    appearance; `day` holds `date.toordinal()` values; `features` is an
+    (N, 4) float64 matrix in FEATURE_NAMES order, NaN where a value is
+    missing. A loaded table keeps file order.
     """
 
-    timestamp: date
-    sensor_id: str
-    depth_cm: int
-    moisture: float
-    soil_temp: float
-    salinity: float
-    rainfall: float
+    sensor_names: tuple[str, ...]
+    sensor: np.ndarray     # (N,) int64
+    depth_cm: np.ndarray   # (N,) int64
+    day: np.ndarray        # (N,) int64
+    features: np.ndarray   # (N, 4) float64
 
-    def features(self) -> np.ndarray:
-        return np.array([self.moisture, self.soil_temp, self.salinity, self.rainfall], dtype=np.float64)
+    def __len__(self) -> int:
+        return len(self.day)
+
+    def __getitem__(self, rows) -> "SensorTable":
+        """The rows that a slice, an index array or a boolean mask selects."""
+        return SensorTable(self.sensor_names, self.sensor[rows], self.depth_cm[rows], self.day[rows], self.features[rows])
 
 
 @dataclass(frozen=True)
@@ -166,32 +174,154 @@ def concat_windows(parts: list[WindowSet]) -> WindowSet:
 
 # -- CSV ingestion -------------------------------------------------------------
 
-def _parse_feature(text: str, line_no: int, name: str) -> float:
-    if text == "":
-        return math.nan
+# Data rows are converted to columns this many at a time, so the loader holds
+# one chunk of parsed rows (~0.7 KB each) beside the columns built so far,
+# never the file. Larger chunks load no faster.
+_CHUNK_ROWS = 1024
+# Memoised key values that fail a check; valid ordinals, codes and depths are >= 0.
+_BAD = -1
+_NOT_A_DEPTH = -2
+
+
+def _parse_day(text: str) -> int:
     try:
-        value = float(text)
+        return date.fromisoformat(text).toordinal()
     except ValueError:
-        raise CsvFormatError(f"line {line_no}: {name} is not a number: {text!r}") from None
-    if not math.isfinite(value):
-        raise CsvFormatError(f"line {line_no}: {name} must be finite")
-    return value
+        return _BAD
 
 
-def load_sensor_csv(path: str | Path) -> list[SensorRecord]:
-    """Parse and validate a sensor CSV file.
+def _parse_depth(text: str) -> int:
+    try:
+        depth_cm = int(text)
+    except ValueError:
+        return _BAD
+    return depth_cm if depth_cm in VALID_DEPTHS_CM else _NOT_A_DEPTH
+
+
+def _feature_column(texts: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One feature column's values, with the masks of texts that are not
+    numbers and of numbers that are not finite. An empty text is NaN."""
+    n = len(texts)
+    not_number = np.zeros(n, dtype=bool)
+    try:
+        values = np.fromiter((float(t) if t else math.nan for t in texts), dtype=np.float64, count=n)
+    except ValueError:
+        values = np.full(n, math.nan)
+        for i, text in enumerate(texts):
+            if text:
+                try:
+                    values[i] = float(text)
+                except ValueError:
+                    not_number[i] = True
+    non_finite = ~np.isfinite(values) & ~not_number
+    for i in np.flatnonzero(non_finite):
+        non_finite[i] = texts[i] != ""  # a literal nan or inf, not a missing value
+    return values, not_number, non_finite
+
+
+class _ChunkConverter:
+    """Validates chunks of CSV data rows and collects them as table columns.
+
+    Date, depth and sensor-id texts are parsed once per distinct text.
+    Every check runs on whole columns; the error raised is the one the
+    earliest bad line would give, checks taken in row order.
+    """
+
+    def __init__(self):
+        self.days: dict[str, int] = {}      # date text -> ordinal or _BAD
+        self.depths: dict[str, int] = {}    # depth text -> cm, _BAD or _NOT_A_DEPTH
+        self.sensors: dict[str, int] = {}   # sensor_id text -> code or _BAD
+        self.codes: dict[str, int] = {}     # stripped sensor_id -> code
+        self.parts: list[tuple[np.ndarray, ...]] = []  # (line, sensor, depth, day, features) per chunk
+
+    def _sensor_code(self, text: str) -> int:
+        sensor_id = text.strip()
+        return self.codes.setdefault(sensor_id, len(self.codes)) if sensor_id else _BAD
+
+    @staticmethod
+    def _lookup(memo: dict[str, int], texts: tuple[str, ...], parse) -> np.ndarray:
+        for text in dict.fromkeys(texts):  # first-appearance order keeps sensor codes deterministic
+            if text not in memo:
+                memo[text] = parse(text)
+        return np.fromiter(map(memo.__getitem__, texts), dtype=np.int64, count=len(texts))
+
+    def add(self, rows: list[list[str]], lines: np.ndarray) -> None:
+        """Append one chunk; raise the error of its earliest bad line."""
+        width = len(CSV_HEADER)
+        wrong_width = np.flatnonzero(np.fromiter(map(len, rows), dtype=np.intp, count=len(rows)) != width)
+        n = int(wrong_width[0]) if wrong_width.size else len(rows)
+        columns = list(zip(*rows[:n])) or [()] * width
+        day = self._lookup(self.days, columns[0], _parse_day)
+        sensor = self._lookup(self.sensors, columns[1], self._sensor_code)
+        depth = self._lookup(self.depths, columns[2], _parse_depth)
+        features = np.empty((n, len(FEATURE_NAMES)))
+        # (bad-row mask, message for row i), in the order one row's checks run
+        checks = [
+            (day == _BAD, lambda i: f"bad date {rows[i][0]!r} (want YYYY-MM-DD)"),
+            (sensor == _BAD, lambda i: "sensor_id is empty"),
+            (depth == _BAD, lambda i: f"depth_cm is not an integer: {rows[i][2]!r}"),
+            (depth == _NOT_A_DEPTH, lambda i: f"depth_cm {int(rows[i][2])} not in {{10,20,...,120}}"),
+        ]
+        for col, name in enumerate(FEATURE_NAMES):
+            features[:, col], not_number, non_finite = _feature_column(columns[3 + col])
+            checks.append((not_number, lambda i, col=col, name=name: f"{name} is not a number: {rows[i][3 + col]!r}"))
+            checks.append((non_finite, lambda i, name=name: f"{name} must be finite"))
+        moisture, rainfall = features[:, 0], features[:, 3]
+        checks.append(((moisture < 0.0) | (moisture > 100.0), lambda i: f"moisture {float(moisture[i])} outside [0, 100]"))
+        checks.append((rainfall < 0.0, lambda i: f"rainfall {float(rainfall[i])} is negative"))
+        hits = [(int(bad.argmax()), message) for bad, message in checks if bad.any()]
+        if wrong_width.size:
+            hits.append((n, lambda i: f"expected {width} fields, got {len(rows[i])}"))
+        if not hits:
+            self.parts.append((lines, sensor, depth, day, features))
+            return
+        i, message = min(hits, key=lambda hit: hit[0])  # the first check that fails on the earliest bad row
+        self.parts.append((lines[:i], sensor[:i], depth[:i], day[:i], features[:i]))
+        self._check_duplicates(*self._columns()[:4])  # a repeated key on an earlier line is reported first
+        raise CsvFormatError(f"line {lines[i]}: {message(i)}")
+
+    def _columns(self) -> list[np.ndarray]:
+        """The columns collected so far, joined into one part."""
+        if not self.parts:
+            return [np.zeros(0, dtype=np.int64)] * 4 + [np.zeros((0, len(FEATURE_NAMES)))]
+        columns = [np.concatenate(column) for column in zip(*self.parts)]
+        self.parts = [tuple(columns)]
+        return columns
+
+    def _check_duplicates(self, line: np.ndarray, sensor: np.ndarray, depth: np.ndarray, day: np.ndarray) -> None:
+        """Raise at the earliest line whose (sensor, depth, date) an earlier line holds."""
+        # One int64 key per row: ordinals fit 22 bits, depth // 10 (1..12) 4 bits.
+        key = (sensor << 26) | ((depth // 10) << 22) | day
+        order = np.argsort(key, kind="stable")
+        ordered = key[order]
+        again = order[1:][ordered[1:] == ordered[:-1]]  # with a stable sort: every occurrence but the first
+        if again.size:
+            i = int(again.min())
+            raise DuplicateKeyError(
+                f"line {line[i]}: duplicate record for {tuple(self.codes)[sensor[i]]}/{depth[i]}cm/"
+                f"{date.fromordinal(int(day[i])).isoformat()}"
+            )
+
+    def table(self) -> SensorTable:
+        _, sensor, depth, day, features = columns = self._columns()
+        self._check_duplicates(*columns[:4])
+        return SensorTable(tuple(self.codes), sensor, depth, day, features)
+
+
+def load_sensor_csv(path: str | Path) -> SensorTable:
+    """Parse and validate a sensor CSV file into a SensorTable, file order kept.
 
     The header must be exactly `date,sensor_id,depth_cm,moisture,
-    soil_temp,salinity,rainfall`; empty feature fields mean "missing".
+    soil_temp,salinity,rainfall`, optionally after a UTF-8 byte-order
+    mark; empty feature fields mean "missing"; blank lines are skipped.
 
     Raises:
         CsvFormatError: malformed header/row (message names the line).
         DuplicateKeyError: repeated (sensor_id, depth_cm, date).
     """
     path = Path(path)
-    records: list[SensorRecord] = []
-    seen: set[tuple[str, int, date]] = set()
-    with path.open(newline="", encoding="utf-8") as fh:
+    converter = _ChunkConverter()
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -199,38 +329,16 @@ def load_sensor_csv(path: str | Path) -> list[SensorRecord]:
             raise CsvFormatError("line 1: empty file, header required") from None
         if header != CSV_HEADER:
             raise CsvFormatError(f"line 1: header must be {','.join(CSV_HEADER)!r}, got {','.join(header)!r}")
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(CSV_HEADER):
-                raise CsvFormatError(f"line {line_no}: expected {len(CSV_HEADER)} fields, got {len(row)}")
-            try:
-                day = date.fromisoformat(row[0])
-            except ValueError:
-                raise CsvFormatError(f"line {line_no}: bad date {row[0]!r} (want YYYY-MM-DD)") from None
-            sensor_id = row[1].strip()
-            if not sensor_id:
-                raise CsvFormatError(f"line {line_no}: sensor_id is empty")
-            try:
-                depth_cm = int(row[2])
-            except ValueError:
-                raise CsvFormatError(f"line {line_no}: depth_cm is not an integer: {row[2]!r}") from None
-            if depth_cm not in VALID_DEPTHS_CM:
-                raise CsvFormatError(f"line {line_no}: depth_cm {depth_cm} not in {{10,20,...,120}}")
-            moisture = _parse_feature(row[3], line_no, "moisture")
-            soil_temp = _parse_feature(row[4], line_no, "soil_temp")
-            salinity = _parse_feature(row[5], line_no, "salinity")
-            rainfall = _parse_feature(row[6], line_no, "rainfall")
-            if not math.isnan(moisture) and not 0.0 <= moisture <= 100.0:
-                raise CsvFormatError(f"line {line_no}: moisture {moisture} outside [0, 100]")
-            if not math.isnan(rainfall) and rainfall < 0.0:
-                raise CsvFormatError(f"line {line_no}: rainfall {rainfall} is negative")
-            key = (sensor_id, depth_cm, day)
-            if key in seen:
-                raise DuplicateKeyError(f"line {line_no}: duplicate record for {sensor_id}/{depth_cm}cm/{day.isoformat()}")
-            seen.add(key)
-            records.append(SensorRecord(day, sensor_id, depth_cm, moisture, soil_temp, salinity, rainfall))
-    return records
+        line_no = 2
+        while rows := list(itertools.islice(reader, _CHUNK_ROWS)):
+            lines = np.arange(line_no, line_no + len(rows))
+            line_no += len(rows)
+            if not all(rows):  # skip blank lines; later lines keep their numbers
+                kept = [i for i, row in enumerate(rows) if row]
+                rows, lines = [rows[i] for i in kept], lines[kept]
+            converter.add(rows, lines)
+            del rows  # one chunk of parsed rows alive at a time: drop it before reading the next
+    return converter.table()
 
 
 # -- daily alignment and gap fill ----------------------------------------------
@@ -266,20 +374,24 @@ def _fill_column(values: np.ndarray, dates: list[date], max_gap: int, key: str, 
     return out
 
 
-def group_records(records: list[SensorRecord]) -> dict[tuple[str, int], list[SensorRecord]]:
-    """Records keyed by (sensor_id, depth_cm) in one pass, file order kept.
+def group_records(table: SensorTable) -> dict[tuple[str, int], SensorTable]:
+    """The table's rows keyed by (sensor_id, depth_cm), file order kept in each.
 
-    Each group holds the records themselves, not copies; passing a
-    group to `build_series` gives the same series as passing them all.
+    One stable sort on (sensor, depth); each group is a slice of the
+    sorted table. Passing a group to `build_series` gives the same
+    series as passing the whole table.
     """
-    groups: dict[tuple[str, int], list[SensorRecord]] = {}
-    for rec in records:
-        groups.setdefault((rec.sensor_id, rec.depth_cm), []).append(rec)
-    return groups
+    ordered = table[np.lexsort((table.depth_cm, table.sensor))]
+    change = (ordered.sensor[1:] != ordered.sensor[:-1]) | (ordered.depth_cm[1:] != ordered.depth_cm[:-1])
+    bounds = [0, *(np.flatnonzero(change) + 1).tolist(), len(ordered)] if len(ordered) else []
+    return {
+        (ordered.sensor_names[ordered.sensor[a]], int(ordered.depth_cm[a])): ordered[a:b]
+        for a, b in zip(bounds, bounds[1:])
+    }
 
 
 def build_series(
-    records: list[SensorRecord],
+    table: SensorTable,
     sensor_id: str,
     depth_cm: int,
     max_gap: int = DEFAULT_MAX_GAP,
@@ -288,33 +400,36 @@ def build_series(
 
     Missing days and missing per-feature values are linearly
     interpolated when the gap is at most `max_gap` days; observed
-    values are never altered. `records` may be the whole file or the
+    values are never altered. `table` may be the whole file or the
     key's group from `group_records`; the latter keeps many keys linear.
 
     Raises:
-        MissingKeyError: key matches no record.
-        InsufficientDataError: fewer than 2 matching records.
+        MissingKeyError: key matches no row.
+        InsufficientDataError: fewer than 2 matching rows.
+        DuplicateKeyError: two matching rows share a date.
         UnfillableGapError: gap too long or at a series boundary.
     """
-    matching = [r for r in records if r.sensor_id == sensor_id and r.depth_cm == depth_cm]
-    if not matching:
+    code = table.sensor_names.index(sensor_id) if sensor_id in table.sensor_names else _BAD
+    rows = np.flatnonzero((table.sensor == code) & (table.depth_cm == depth_cm))
+    if rows.size == 0:
         raise MissingKeyError(f"no records for sensor {sensor_id!r} at {depth_cm} cm")
-    if len(matching) < 2:
+    if rows.size < 2:
         raise InsufficientDataError(f"sensor {sensor_id!r} at {depth_cm} cm has a single record; need at least 2")
-    matching.sort(key=lambda r: r.timestamp)
-    for a, b in zip(matching, matching[1:]):
-        if a.timestamp == b.timestamp:
-            raise DuplicateKeyError(f"duplicate record for {sensor_id}/{depth_cm}cm/{a.timestamp.isoformat()}")
+    rows = rows[np.argsort(table.day[rows], kind="stable")]
+    days = table.day[rows]
+    repeated = np.flatnonzero(days[1:] == days[:-1])
+    if repeated.size:
+        day = date.fromordinal(int(days[repeated[0]]))
+        raise DuplicateKeyError(f"duplicate record for {sensor_id}/{depth_cm}cm/{day.isoformat()}")
 
-    first, last = matching[0].timestamp, matching[-1].timestamp
-    t = (last - first).days + 1
-    dates = [first + timedelta(days=i) for i in range(t)]
+    first = int(days[0])
+    t = int(days[-1]) - first + 1
+    dates = [date.fromordinal(first + i) for i in range(t)]
+    offset = days - first
     features = np.full((t, 4), np.nan, dtype=np.float64)
+    features[offset] = table.features[rows]
     observed_day = np.zeros(t, dtype=bool)
-    for rec in matching:
-        i = (rec.timestamp - first).days
-        features[i] = rec.features()
-        observed_day[i] = True
+    observed_day[offset] = True
 
     key = f"{sensor_id}/{depth_cm}cm"
     filled = ~observed_day | np.isnan(features).any(axis=1)

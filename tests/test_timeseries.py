@@ -1,6 +1,10 @@
 """Ingestion, gap fill, scaling, windowing, and split behavior."""
 
+import codecs
+import csv
 import json
+import math
+import tracemalloc
 from datetime import date, timedelta
 
 import numpy as np
@@ -16,12 +20,16 @@ from smartcast.errors import (
     MissingKeyError,
     UnfillableGapError,
 )
+from smartcast import timeseries
 from smartcast.pipeline import _prepare_depth, parse_config
+from smartcast.synth import SynthSpec, generate_sensor_csv
 from smartcast.timeseries import (
     CSV_HEADER,
+    FEATURE_NAMES,
+    VALID_DEPTHS_CM,
     SensorSeries,
     Scaler,
-    SensorRecord,
+    SensorTable,
     build_series,
     chrono_split,
     concat_windows,
@@ -46,6 +54,16 @@ def series_from(features: np.ndarray, sensor_id="s1", depth=10) -> SensorSeries:
     return SensorSeries(sensor_id, depth, dates, features.astype(np.float64), np.zeros(t, dtype=bool))
 
 
+def table_rows(table: SensorTable) -> list[tuple]:
+    """(sensor_id, depth_cm, date, features) per row in table order; None for a missing value."""
+    return [
+        (table.sensor_names[code], depth, date.fromordinal(day), tuple(None if math.isnan(v) else v for v in values))
+        for code, depth, day, values in zip(
+            table.sensor.tolist(), table.depth_cm.tolist(), table.day.tolist(), table.features.tolist()
+        )
+    ]
+
+
 # -- loader ----------------------------------------------------------------------
 
 def test_load_happy_path(tmp_path):
@@ -54,13 +72,14 @@ def test_load_happy_path(tmp_path):
         "2024-01-01,s1,10,35.5,18.2,1.1,0.0\n"
         "2024-01-02,s1,10,34.0,18.0,1.2,4.5\n",
     )
-    records = load_sensor_csv(p)
-    assert len(records) == 2
-    assert records[0].sensor_id == "s1"
-    assert records[0].depth_cm == 10
-    assert records[0].timestamp == date(2024, 1, 1)
-    assert records[1].rainfall == 4.5
-    np.testing.assert_allclose(records[0].features(), [35.5, 18.2, 1.1, 0.0])
+    table = load_sensor_csv(p)
+    assert len(table) == 2
+    assert table.sensor_names == ("s1",)
+    assert table.sensor.tolist() == [0, 0]
+    assert table.depth_cm.tolist() == [10, 10]
+    assert table.day.tolist() == [date(2024, 1, 1).toordinal(), date(2024, 1, 2).toordinal()]
+    assert table.features[1, 3] == 4.5
+    np.testing.assert_allclose(table.features[0], [35.5, 18.2, 1.1, 0.0])
 
 
 def test_load_rejects_wrong_header(tmp_path):
@@ -100,9 +119,182 @@ def test_load_duplicate_key(tmp_path):
 
 def test_load_empty_fields_become_missing(tmp_path):
     p = write_csv(tmp_path, "2024-01-01,s1,10,,18.2,1.1,0.0\n")
-    records = load_sensor_csv(p)
-    assert np.isnan(records[0].moisture)
-    assert records[0].soil_temp == 18.2
+    table = load_sensor_csv(p)
+    assert np.isnan(table.features[0, 0])
+    assert table.features[0, 1] == 18.2
+    # a literal nan is a value that is not finite, not a missing one
+    p = write_csv(tmp_path, "2024-01-01,s1,10,nan,18.2,1.1,0.0\n")
+    with pytest.raises(CsvFormatError, match="line 2: moisture must be finite"):
+        load_sensor_csv(p)
+
+
+def test_earliest_bad_line_wins(tmp_path):
+    good = "2024-01-01,s1,10,35.5,18.2,1.1,0.0\n"
+    cases = [
+        # a later line's error never hides an earlier line's, whatever the checks
+        ("2024-01-01,s1,15,35.5,18.2,1.1,0.0\n01/02/2024,s1,10,35.5,18.2,1.1,0.0\n", CsvFormatError,
+         "line 2: depth_cm 15 not in {10,20,...,120}"),
+        ("2024-01-01,s1,10,120.0,18.2,1.1,0.0\n2024-01-02,s1,10\n", CsvFormatError,
+         "line 2: moisture 120.0 outside [0, 100]"),
+        ("2024-01-01,s1,10,35.5,18.2,1.1,0.0,9\n2024-01-02,s1,15,35.5,18.2,1.1,0.0\n", CsvFormatError,
+         "line 2: expected 7 fields, got 8"),
+        # within one line, the checks run in row order
+        ("xx,,15,abc,inf,1.1,-1\n", CsvFormatError, "line 2: bad date 'xx' (want YYYY-MM-DD)"),
+        ("2024-01-01, ,abc,abc,inf,1.1,-1\n", CsvFormatError, "line 2: sensor_id is empty"),
+        ("2024-01-01,s1,10,200,inf,x,-1\n", CsvFormatError, "line 2: soil_temp must be finite"),
+        ("2024-01-01,s1,10,200,18.2,1.1,-1\n", CsvFormatError, "line 2: moisture 200.0 outside [0, 100]"),
+        # a blank line keeps the numbers of the lines after it
+        (good + "\n" + "2024-01-02,s1,10,35.5,18.2,abc,0.0\n", CsvFormatError,
+         "line 4: salinity is not a number: 'abc'"),
+        # a duplicate is an error of its second line, raised before later errors
+        (good + good + "2024-01-03,s1,15,35.5,18.2,1.1,0.0\n", DuplicateKeyError,
+         "line 3: duplicate record for s1/10cm/2024-01-01"),
+        (good + "2024-01-03,s1,15,35.5,18.2,1.1,0.0\n" + good, CsvFormatError, "line 3: depth_cm 15 not in"),
+    ]
+    for body, error, message in cases:
+        with pytest.raises(error) as exc:
+            load_sensor_csv(write_csv(tmp_path, body))
+        assert str(exc.value).startswith(message), (body, str(exc.value))
+
+
+def test_errors_and_rows_do_not_depend_on_chunking(tmp_path, monkeypatch):
+    days = [f"2024-01-{d:02d}" for d in range(1, 11)]
+    body = [f"{day},s{k % 2},{10 * (1 + k % 3)},{30 + k}.5,18.2,1.1,0.0" for k, day in enumerate(days)]
+    clean = write_csv(tmp_path, "\n".join(body[:4]) + "\n\n" + "\n".join(body[4:]) + "\n")
+    reference = table_rows(load_sensor_csv(clean))
+    monkeypatch.setattr(timeseries, "_CHUNK_ROWS", 3)
+    assert table_rows(load_sensor_csv(clean)) == reference
+    assert len(reference) == 10
+    # line 3's key again on line 9: chunks hold lines 2-4, 5-7, 8-10; a bad
+    # row on line 11 comes later than the duplicate
+    rows = body[:7] + [body[1]] + body[7:8] + ["2024-02-01,s1,15,35.5,18.2,1.1,0.0"]
+    with pytest.raises(DuplicateKeyError, match=r"^line 9: duplicate record for s1/20cm/2024-01-02$"):
+        load_sensor_csv(write_csv(tmp_path, "\n".join(rows) + "\n"))
+    # the same rows one chunk apiece
+    monkeypatch.setattr(timeseries, "_CHUNK_ROWS", 1)
+    with pytest.raises(DuplicateKeyError, match=r"^line 9: "):
+        load_sensor_csv(write_csv(tmp_path, "\n".join(rows) + "\n"))
+
+
+def test_load_accepts_byte_order_mark(tmp_path):
+    plain = write_csv(tmp_path, "2024-01-01,s1,10,35.5,18.2,1.1,0.0\n2024-01-02,s1,10,,18.0,1.2,4.5\n")
+    marked = tmp_path / "marked.csv"
+    marked.write_bytes(codecs.BOM_UTF8 + plain.read_bytes())
+    assert table_rows(load_sensor_csv(marked)) == table_rows(load_sensor_csv(plain))
+
+
+def test_loader_memory_per_row(tmp_path):
+    # 40 sensors x 3 depths x 400 days. The row-object loader this replaced
+    # kept 327 B/row and peaked at 433 B/row on this file.
+    spec = SynthSpec(sensor_fractions=tuple(((k % 8 + 0.5) / 8, (k // 8 + 0.5) / 5) for k in range(40)), n_images=0)
+    path = generate_sensor_csv(spec, tmp_path / "sensors.csv", seed=1)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        table = load_sensor_csv(path)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(table) == 48_000
+    assert (retained - before) / len(table) <= 100
+    assert (peak - before) / len(table) < 433
+
+
+def row_loop_load(path) -> list[tuple]:
+    """Reference: the row-at-a-time loader the columnar one replaced, as table_rows."""
+
+    def feature(text, line_no, name):
+        if text == "":
+            return math.nan
+        try:
+            value = float(text)
+        except ValueError:
+            raise CsvFormatError(f"line {line_no}: {name} is not a number: {text!r}") from None
+        if not math.isfinite(value):
+            raise CsvFormatError(f"line {line_no}: {name} must be finite")
+        return value
+
+    rows, seen = [], set()
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        if header != CSV_HEADER:
+            raise CsvFormatError(f"line 1: header must be {','.join(CSV_HEADER)!r}, got {','.join(header)!r}")
+        for line_no, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(CSV_HEADER):
+                raise CsvFormatError(f"line {line_no}: expected {len(CSV_HEADER)} fields, got {len(row)}")
+            try:
+                day = date.fromisoformat(row[0])
+            except ValueError:
+                raise CsvFormatError(f"line {line_no}: bad date {row[0]!r} (want YYYY-MM-DD)") from None
+            sensor_id = row[1].strip()
+            if not sensor_id:
+                raise CsvFormatError(f"line {line_no}: sensor_id is empty")
+            try:
+                depth_cm = int(row[2])
+            except ValueError:
+                raise CsvFormatError(f"line {line_no}: depth_cm is not an integer: {row[2]!r}") from None
+            if depth_cm not in VALID_DEPTHS_CM:
+                raise CsvFormatError(f"line {line_no}: depth_cm {depth_cm} not in {{10,20,...,120}}")
+            values = [feature(text, line_no, name) for text, name in zip(row[3:], FEATURE_NAMES)]
+            if not math.isnan(values[0]) and not 0.0 <= values[0] <= 100.0:
+                raise CsvFormatError(f"line {line_no}: moisture {values[0]} outside [0, 100]")
+            if not math.isnan(values[3]) and values[3] < 0.0:
+                raise CsvFormatError(f"line {line_no}: rainfall {values[3]} is negative")
+            key = (sensor_id, depth_cm, day)
+            if key in seen:
+                raise DuplicateKeyError(f"line {line_no}: duplicate record for {sensor_id}/{depth_cm}cm/{day.isoformat()}")
+            seen.add(key)
+            rows.append((sensor_id, depth_cm, day, tuple(None if math.isnan(v) else v for v in values)))
+    return rows
+
+
+def test_loader_matches_row_loop_oracle(tmp_path, monkeypatch):
+    rng = np.random.default_rng(11)
+    bad_fields = {
+        0: ["01/02/2024", "", "2024-02-30", "20240105"],
+        1: ["", "  ", " s1 ", "s2"],
+        2: ["15", "abc", "99999999999999999999", " 20 ", "0", "+30"],
+        3: ["", "nan", "inf", "abc", "120", "-1", "1e2", "100.0000001"],
+        4: ["", "nan", "-inf", "x", "1_0"],
+        5: ["", "NaN", "1,5"],
+        6: ["", "-1", "-0.0", "inf", "abc"],
+    }
+    monkeypatch.setattr(timeseries, "_CHUNK_ROWS", 4)
+    outcomes = set()
+    for case in range(300):
+        rows = []
+        for k in range(int(rng.integers(1, 14))):
+            day = date(2024, 1, 1) + timedelta(days=int(rng.integers(0, 6)))
+            row = [day.isoformat(), f"s{rng.integers(1, 3)}", str(10 * int(rng.integers(1, 3)))]
+            row += [f"{rng.uniform(0, 100):.2f}", "18.2", "1.1", f"{rng.uniform(0, 5):.1f}"]
+            if rng.random() < 0.08:
+                col = int(rng.integers(0, 7))
+                row[col] = str(rng.choice(bad_fields[col]))
+            if rng.random() < 0.03:
+                row = row[: int(rng.integers(0, 7))] if rng.random() < 0.5 else row + ["x"]
+            rows.append(row)
+            if rng.random() < 0.05:
+                rows.append([])
+        path = tmp_path / f"case{case}.csv"
+        with path.open("w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(CSV_HEADER)
+            writer.writerows(rows)
+        try:
+            expected = row_loop_load(path)
+        except (CsvFormatError, DuplicateKeyError) as e:
+            with pytest.raises(type(e)) as got:
+                load_sensor_csv(path)
+            assert str(got.value) == str(e), path.read_text()
+            outcomes.add(str(e).split(":")[1].split()[0])
+        else:
+            assert table_rows(load_sensor_csv(path)) == expected
+            outcomes.add("ok")
+    # the cases reach the success path, every key check and a duplicate
+    assert {"ok", "bad", "sensor_id", "depth_cm", "duplicate", "expected", "moisture"} <= outcomes
 
 
 # -- build_series and gap fill ------------------------------------------------------
@@ -148,13 +340,15 @@ def test_series_boundary_gap_rejected(tmp_path):
 
 def test_series_key_errors(tmp_path):
     p = write_csv(tmp_path, rows([(1, 30.0), (2, 31.0)]))
-    records = load_sensor_csv(p)
+    table = load_sensor_csv(p)
     with pytest.raises(MissingKeyError):
-        build_series(records, "nope", 10)
+        build_series(table, "nope", 10)
     with pytest.raises(MissingKeyError):
-        build_series(records, "s1", 20)
+        build_series(table, "s1", 20)
+    with pytest.raises(MissingKeyError):
+        build_series(table[:0], "s1", 10)
     with pytest.raises(InsufficientDataError):
-        build_series(records[:1], "s1", 10)
+        build_series(table[:1], "s1", 10)
 
 
 def assert_same_series(a: SensorSeries, b: SensorSeries):
@@ -171,29 +365,38 @@ def test_grouped_series_equal_full_scan(tmp_path, synth_dir):
         + rows([(5, 50.0), (1, 10.0)], sensor="s2"),
     )
     for path in (synth_dir / "sensors.csv", gappy):
-        records = load_sensor_csv(path)
-        groups = group_records(records)
-        assert sorted(groups) == sorted({(r.sensor_id, r.depth_cm) for r in records})
+        table = load_sensor_csv(path)
+        rows_in_file = table_rows(table)
+        groups = group_records(table)
+        assert sorted(groups) == sorted({row[:2] for row in rows_in_file})
         for (sid, depth), group in groups.items():
-            # file order kept, and the records themselves, not copies
-            full = [r for r in records if (r.sensor_id, r.depth_cm) == (sid, depth)]
-            assert len(group) == len(full) and all(g is f for g, f in zip(group, full))
-            assert_same_series(build_series(group, sid, depth), build_series(records, sid, depth))
+            # group rows equal the full scan's rows in file order
+            assert table_rows(group) == [row for row in rows_in_file if row[:2] == (sid, depth)]
+            assert_same_series(build_series(group, sid, depth), build_series(table, sid, depth))
         with pytest.raises(MissingKeyError):
-            build_series(groups.get(("nope", 10), []), "nope", 10)
+            build_series(table, "nope", 10)
 
 
 def test_group_errors_match_full_scan():
-    day = date(2024, 1, 1)
-    one = SensorRecord(day, "s1", 10, 30.0, 18.0, 1.0, 0.0)
-    again = SensorRecord(day, "s1", 10, 31.0, 18.0, 1.0, 0.0)
-    other = SensorRecord(day + timedelta(days=1), "s2", 10, 31.0, 18.0, 1.0, 0.0)
-    groups = group_records([one, other, again])
-    assert groups == {("s1", 10): [one, again], ("s2", 10): [other]}
-    with pytest.raises(DuplicateKeyError):
-        build_series(groups[("s1", 10)], "s1", 10)
-    with pytest.raises(InsufficientDataError):
-        build_series(groups[("s2", 10)], "s2", 10)
+    # the loader rejects a repeated key, so this table is built directly
+    day = date(2024, 1, 1).toordinal()
+    table = SensorTable(
+        ("s1", "s2"),
+        sensor=np.array([0, 1, 0]),
+        depth_cm=np.array([10, 10, 10]),
+        day=np.array([day, day + 1, day]),
+        features=np.array([[30.0, 18.0, 1.0, 0.0], [31.0, 18.0, 1.0, 0.0], [31.0, 18.0, 1.0, 0.0]]),
+    )
+    groups = group_records(table)
+    assert sorted(groups) == [("s1", 10), ("s2", 10)]
+    assert table_rows(groups[("s1", 10)]) == [table_rows(table)[0], table_rows(table)[2]]
+    for rows in (groups[("s1", 10)], table):
+        with pytest.raises(DuplicateKeyError, match="s1/10cm/2024-01-01"):
+            build_series(rows, "s1", 10)
+    for rows in (groups[("s2", 10)], table):
+        with pytest.raises(InsufficientDataError):
+            build_series(rows, "s2", 10)
+    assert group_records(table[:0]) == {}
 
 
 # -- scaler ------------------------------------------------------------------------
@@ -232,11 +435,12 @@ def test_scaler_train_range_only(tmp_path):
     base = rng.normal(20.0, 2.0, size=(40, 4))
 
     def scaler_for(features: np.ndarray) -> Scaler:
-        records = [
-            SensorRecord(date(2024, 1, 1) + timedelta(days=i), "s1", 10, *map(float, row))
-            for i, row in enumerate(features)
-        ]
-        return _prepare_depth(group_records(records), ["s1"], 10, config).scaler
+        # built directly: the shifted moisture lies outside what the loader accepts
+        t = len(features)
+        table = SensorTable(
+            ("s1",), np.zeros(t, dtype=np.int64), np.full(t, 10), date(2024, 1, 1).toordinal() + np.arange(t), features
+        )
+        return _prepare_depth(group_records(table), ["s1"], 10, config).scaler
 
     reference = scaler_for(base)
     np.testing.assert_allclose(reference.mean, base[:31].mean(axis=0), rtol=1e-12)

@@ -1,7 +1,7 @@
 """Ordinary kriging with a Gaussian variogram.
 
 Empirical variogram estimation, weighted least-squares model fitting,
-LU-factorized ordinary-kriging solves with jitter escalation,
+LU-factorized ordinary-kriging solves with nugget escalation,
 leave-one-out scoring, dense grid interpolation, and stacking of
 per-depth grids into a moisture volume with file exports.
 
@@ -12,7 +12,7 @@ gamma(h) = nugget + sill * (1 - exp(-3 h^2 / a^2)) with gamma(0) = 0.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -96,9 +96,9 @@ class KrigingModel:
 
     points: np.ndarray          # (n, 2)
     values: np.ndarray          # (n,)
-    variogram: Variogram
+    variogram: Variogram        # as solved: the requested nugget plus `jitter`
     lu: tuple                   # scipy (lu, piv) factorization of the bordered system
-    jitter: float
+    jitter: float               # nugget added to make the system solvable
 
     @property
     def n_samples(self) -> int:
@@ -269,11 +269,10 @@ def fit_variogram(bins: list[VariogramBin]) -> Variogram:
 
 # -- kriging system --------------------------------------------------------------
 
-def _assemble(points: np.ndarray, v: Variogram, jitter: float) -> np.ndarray:
+def _assemble(points: np.ndarray, v: Variogram) -> np.ndarray:
     n = points.shape[0]
-    gamma = gaussian_variogram(cdist(points, points), v)
     a = np.zeros((n + 1, n + 1))
-    a[:n, :n] = gamma + jitter * np.eye(n)
+    a[:n, :n] = gaussian_variogram(cdist(points, points), v)
     a[:n, n] = 1.0
     a[n, :n] = 1.0
     return a
@@ -283,9 +282,10 @@ def build_model(samples: list[SamplePoint], variogram: Variogram) -> KrigingMode
     """Assemble and factorize the bordered ordinary-kriging system.
 
     Exact duplicate coordinates are rejected. If the LU factorization
-    fails a probe-solve residual check, nugget-like jitter is added to
-    the sample block diagonal, escalating from 1e-10*sill to 1e-6*sill
-    by factors of 10 before giving up.
+    fails a probe-solve residual check, the variogram's nugget is raised
+    by a jitter escalating from 1e-10*sill to 1e-6*sill by factors of 10
+    before giving up; in variogram form a nugget adds to the off-diagonal
+    entries, never the diagonal. The model carries the raised variogram.
     """
     if not samples:
         raise InsufficientDataError("kriging needs at least one sample")
@@ -303,7 +303,8 @@ def build_model(samples: list[SamplePoint], variogram: Variogram) -> KrigingMode
         for k in range(int(np.log10(_JITTER_STOP / _JITTER_START)) + 1)
     ]
     for jitter in jitters:
-        a = _assemble(points, variogram, jitter)
+        v = replace(variogram, nugget=variogram.nugget + jitter)
+        a = _assemble(points, v)
         try:
             factors = lu_factor(a)
         except Exception:
@@ -314,7 +315,7 @@ def build_model(samples: list[SamplePoint], variogram: Variogram) -> KrigingMode
         resid = np.abs(a @ solved - b).max()
         scale = max(1.0, np.abs(a).max())
         if np.isfinite(resid) and resid <= 1e-9 * scale:
-            return KrigingModel(points=points, values=values, variogram=variogram, lu=factors, jitter=jitter)
+            return KrigingModel(points=points, values=values, variogram=v, lu=factors, jitter=jitter)
     raise FactorizationError(f"kriging system singular even with jitter {jitters[-1]:.3e}")
 
 

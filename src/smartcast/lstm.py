@@ -8,16 +8,24 @@ finite differences; optimization is Adam with bias correction.
 All math is 64-bit; a single parameterization covers both the
 4-feature/14-day soil configuration and the 2-feature/1-step
 vegetation-index configuration.
+
+Each LSTM layer stores its gates fused (the cuDNN RNN layout, Appleyard,
+Kumar & Sharma, arXiv 1604.01946): one W (4n, d), U (4n, n) and b (4n,),
+gate blocks i, f, o, g, so a step is one GEMM pair. The decoder's input
+is always h_enc, so its projection is computed once; the encoder's is
+not hoisted over all L steps, because that (B, L, 4n) block raised the
+peak memory of large-batch evaluation at the paper widths by about half.
+`w_i` ... `b_g` are row-slice views; the fused bytes are the per-gate
+tensors in gate order, so checkpoints keep their layout. numpy only.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import (
     DataError,
@@ -32,51 +40,52 @@ CHECKPOINT_MAGIC = b"SMLSTM1\n"
 _GATES = ("i", "f", "o", "g")
 
 
+def _gate_view(tensor: str, k: int) -> property:
+    def view(self) -> np.ndarray:
+        n = self.hidden_dim
+        return getattr(self, tensor)[k * n : (k + 1) * n]
+
+    return property(view, doc=f"Rows of `{tensor}` for gate {_GATES[k]} (a view).")
+
+
 @dataclass
 class LstmLayerParams:
-    """Gate parameters of one LSTM layer.
+    """Fused gate parameters of one LSTM layer.
 
-    Gate order everywhere (weights, checkpoints) is i, f, o, g with
-    W_* of shape (n, d), U_* of shape (n, n), b_* of shape (n,).
+    `w` is (4n, d), `u` is (4n, n) and `b` is (4n,), with the gate
+    blocks in the order i, f, o, g everywhere (arrays, checkpoints).
+    `w_i` ... `b_g` are read-only attributes that return row-slice
+    views of one gate's block.
     """
 
-    w_i: np.ndarray
-    w_f: np.ndarray
-    w_o: np.ndarray
-    w_g: np.ndarray
-    u_i: np.ndarray
-    u_f: np.ndarray
-    u_o: np.ndarray
-    u_g: np.ndarray
-    b_i: np.ndarray
-    b_f: np.ndarray
-    b_o: np.ndarray
-    b_g: np.ndarray
+    w: np.ndarray
+    u: np.ndarray
+    b: np.ndarray
 
     def __post_init__(self):
-        n, d = self.w_i.shape
-        for g in _GATES:
-            if getattr(self, f"w_{g}").shape != (n, d):
-                raise ShapeError(f"W_{g} shape mismatch")
-            if getattr(self, f"u_{g}").shape != (n, n):
-                raise ShapeError(f"U_{g} shape mismatch")
-            if getattr(self, f"b_{g}").shape != (n,):
-                raise ShapeError(f"b_{g} shape mismatch")
+        if self.w.ndim != 2 or self.w.shape[0] % 4 or self.w.shape[0] == 0:
+            raise ShapeError(f"W shape {self.w.shape} is not (4n, d)")
+        n = self.hidden_dim
+        if self.u.shape != (4 * n, n):
+            raise ShapeError(f"U shape {self.u.shape} != {(4 * n, n)}")
+        if self.b.shape != (4 * n,):
+            raise ShapeError(f"b shape {self.b.shape} != {(4 * n,)}")
+
+    w_i, w_f, w_o, w_g = (_gate_view("w", k) for k in range(4))
+    u_i, u_f, u_o, u_g = (_gate_view("u", k) for k in range(4))
+    b_i, b_f, b_o, b_g = (_gate_view("b", k) for k in range(4))
 
     @property
     def input_dim(self) -> int:
-        return self.w_i.shape[1]
+        return self.w.shape[1]
 
     @property
     def hidden_dim(self) -> int:
-        return self.w_i.shape[0]
+        return self.w.shape[0] // 4
 
     def tensors(self) -> list[tuple[str, np.ndarray]]:
-        """Tensors in checkpoint order: W_i..W_g, U_i..U_g, b_i..b_g."""
-        out = [(f"w_{g}", getattr(self, f"w_{g}")) for g in _GATES]
-        out += [(f"u_{g}", getattr(self, f"u_{g}")) for g in _GATES]
-        out += [(f"b_{g}", getattr(self, f"b_{g}")) for g in _GATES]
-        return out
+        """Tensors in checkpoint order: W, U, b."""
+        return [("w", self.w), ("u", self.u), ("b", self.b)]
 
 
 @dataclass
@@ -153,11 +162,8 @@ class Seq2SeqModel:
 
     def param_items(self) -> list[tuple[str, np.ndarray]]:
         """All parameter tensors in checkpoint order, with dotted names."""
-        items = [(f"encoder.{k}", a) for k, a in self.encoder.tensors()]
-        items += [(f"decoder.{k}", a) for k, a in self.decoder.tensors()]
-        items += [(f"head_hidden.{k}", a) for k, a in self.head_hidden.tensors()]
-        items += [(f"head_out.{k}", a) for k, a in self.head_out.tensors()]
-        return items
+        parts = ("encoder", "decoder", "head_hidden", "head_out")
+        return [(f"{part}.{k}", a) for part in parts for k, a in getattr(self, part).tensors()]
 
     def bump_rev(self) -> None:
         self.rev += 1
@@ -200,11 +206,12 @@ def _glorot(rng: np.random.Generator, out_dim: int, in_dim: int) -> np.ndarray:
 
 
 def _init_layer(rng: np.random.Generator, d: int, n: int) -> LstmLayerParams:
-    ws = {f"w_{g}": _glorot(rng, n, d) for g in _GATES}
-    us = {f"u_{g}": _glorot(rng, n, n) for g in _GATES}
-    bs = {f"b_{g}": np.zeros(n) for g in _GATES}
-    bs["b_f"] = np.ones(n)  # forget-gate bias starts open
-    return LstmLayerParams(**ws, **us, **bs)
+    """Per-gate Glorot blocks drawn in gate order, W blocks before U blocks."""
+    w = np.concatenate([_glorot(rng, n, d) for _ in _GATES])
+    u = np.concatenate([_glorot(rng, n, n) for _ in _GATES])
+    b = np.zeros(4 * n)
+    b[n : 2 * n] = 1.0  # forget-gate bias starts open
+    return LstmLayerParams(w, u, b)
 
 
 def init_params(shape: ModelShape, seed: int, scaler: Scaler | None = None) -> Seq2SeqModel:
@@ -220,17 +227,11 @@ def init_params(shape: ModelShape, seed: int, scaler: Scaler | None = None) -> S
 def copy_model(model: Seq2SeqModel) -> Seq2SeqModel:
     """Deep copy of all parameter arrays (scaler is shared, it is frozen)."""
 
-    def copy_layer(layer: LstmLayerParams) -> LstmLayerParams:
-        return LstmLayerParams(**{k: a.copy() for k, a in layer.tensors()})
+    def copy(part):
+        return type(part)(*(a.copy() for _, a in part.tensors()))
 
-    return Seq2SeqModel(
-        encoder=copy_layer(model.encoder),
-        decoder=copy_layer(model.decoder),
-        head_hidden=DenseParams(model.head_hidden.weight.copy(), model.head_hidden.bias.copy()),
-        head_out=DenseParams(model.head_out.weight.copy(), model.head_out.bias.copy()),
-        horizon=model.horizon,
-        scaler=model.scaler,
-    )
+    parts = (model.encoder, model.decoder, model.head_hidden, model.head_out)
+    return Seq2SeqModel(*map(copy, parts), horizon=model.horizon, scaler=model.scaler)
 
 
 # -- forward -------------------------------------------------------------------
@@ -240,10 +241,7 @@ class _CellStep:
     x: np.ndarray
     h_prev: np.ndarray
     c_prev: np.ndarray
-    i: np.ndarray
-    f: np.ndarray
-    o: np.ndarray
-    g: np.ndarray
+    gates: np.ndarray  # (B, 4n) activations: sigmoid i, f, o then tanh g
     tanh_c: np.ndarray
 
 
@@ -261,19 +259,26 @@ class ForwardCache:
     model_rev: int
 
 
-def _cell_step(p: LstmLayerParams, x: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray):
-    a_i = x @ p.w_i.T + h_prev @ p.u_i.T + p.b_i
-    a_f = x @ p.w_f.T + h_prev @ p.u_f.T + p.b_f
-    a_o = x @ p.w_o.T + h_prev @ p.u_o.T + p.b_o
-    a_g = x @ p.w_g.T + h_prev @ p.u_g.T + p.b_g
-    i = expit(a_i)
-    f = expit(a_f)
-    o = expit(a_o)
-    g = np.tanh(a_g)
-    c = f * c_prev + i * g
+def _sigmoid_(a: np.ndarray) -> np.ndarray:
+    """In-place logistic sigmoid as 0.5 * tanh(0.5 * a) + 0.5; cannot overflow."""
+    a *= 0.5
+    np.tanh(a, out=a)
+    a *= 0.5
+    a += 0.5
+    return a
+
+
+def _cell_step(p: LstmLayerParams, x: np.ndarray, xw: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray):
+    """One step from `xw`, the precomputed input projection x @ W.T + b."""
+    n = p.hidden_dim
+    gates = xw + h_prev @ p.u.T
+    _sigmoid_(gates[:, : 3 * n])
+    g = gates[:, 3 * n :]
+    np.tanh(g, out=g)
+    c = gates[:, n : 2 * n] * c_prev + gates[:, :n] * g
     tanh_c = np.tanh(c)
-    h = o * tanh_c
-    return h, c, _CellStep(x, h_prev, c_prev, i, f, o, g, tanh_c)
+    h = gates[:, 2 * n : 3 * n] * tanh_c
+    return h, c, _CellStep(x, h_prev, c_prev, gates, tanh_c)
 
 
 def forward_batch(
@@ -291,24 +296,27 @@ def forward_batch(
     if not np.all(np.isfinite(x)):
         raise DataError("non-finite values in model input")
     b, seq_len, _ = x.shape
+    enc, dec = model.encoder, model.decoder
 
-    h = np.zeros((b, model.encoder.hidden_dim))
+    h = np.zeros((b, enc.hidden_dim))
     c = np.zeros_like(h)
     enc_steps: list[_CellStep] = []
     for t in range(seq_len):
-        h, c, step = _cell_step(model.encoder, x[:, t, :], h, c)
+        xt = x[:, t, :]
+        h, c, step = _cell_step(enc, xt, xt @ enc.w.T + enc.b, h, c)
         if keep_cache:
             enc_steps.append(step)
     h_enc = h
 
-    hd = np.zeros((b, model.decoder.hidden_dim))
+    hw = h_enc @ dec.w.T + dec.b  # the decoder reads h_enc at every step
+    hd = np.zeros((b, dec.hidden_dim))
     cd = np.zeros_like(hd)
     dec_steps: list[_CellStep] = []
     head_inputs: list[np.ndarray] = []
     head_hidden_out: list[np.ndarray] = []
     preds = np.empty((b, model.horizon))
     for k in range(model.horizon):
-        hd, cd, step = _cell_step(model.decoder, h_enc, hd, cd)
+        hd, cd, step = _cell_step(dec, h_enc, hw, hd, cd)
         z = hd @ model.head_hidden.weight.T + model.head_hidden.bias
         y = z @ model.head_out.weight.T + model.head_out.bias
         if keep_cache:
@@ -349,22 +357,22 @@ def _loss_and_grad(preds: np.ndarray, targets: np.ndarray, kind: str) -> tuple[f
     return value, grad
 
 
-def rmse(pred: np.ndarray, target: np.ndarray) -> float:
-    """Root mean squared error over flattened arrays of equal length."""
+def _error(pred: np.ndarray, target: np.ndarray, metric: str) -> np.ndarray:
     pred = np.asarray(pred, dtype=np.float64).ravel()
     target = np.asarray(target, dtype=np.float64).ravel()
     if pred.size == 0 or pred.size != target.size:
-        raise DataError("rmse needs non-empty arrays of equal length")
-    return float(np.sqrt(np.mean((pred - target) ** 2)))
+        raise DataError(f"{metric} needs non-empty arrays of equal length")
+    return pred - target
+
+
+def rmse(pred: np.ndarray, target: np.ndarray) -> float:
+    """Root mean squared error over flattened arrays of equal length."""
+    return float(np.sqrt(np.mean(_error(pred, target, "rmse") ** 2)))
 
 
 def mae(pred: np.ndarray, target: np.ndarray) -> float:
     """Mean absolute error over flattened arrays of equal length."""
-    pred = np.asarray(pred, dtype=np.float64).ravel()
-    target = np.asarray(target, dtype=np.float64).ravel()
-    if pred.size == 0 or pred.size != target.size:
-        raise DataError("mae needs non-empty arrays of equal length")
-    return float(np.mean(np.abs(pred - target)))
+    return float(np.mean(np.abs(_error(pred, target, "mae"))))
 
 
 # -- backward ------------------------------------------------------------------
@@ -381,26 +389,27 @@ def _cell_backward(
     grads: dict[str, np.ndarray],
     prefix: str,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Backprop one cell step; returns (dx, dh_prev, dc_prev)."""
-    do = dh * s.tanh_c
-    dc_tot = dc + dh * s.o * (1.0 - s.tanh_c * s.tanh_c)
-    di = dc_tot * s.g
-    df = dc_tot * s.c_prev
-    dg = dc_tot * s.i
-    da_i = di * s.i * (1.0 - s.i)
-    da_f = df * s.f * (1.0 - s.f)
-    da_o = do * s.o * (1.0 - s.o)
-    da_g = dg * (1.0 - s.g * s.g)
+    """Backprop one cell step; returns (da, dh_prev, dc_prev).
 
-    for gate, da in (("i", da_i), ("f", da_f), ("o", da_o), ("g", da_g)):
-        grads[f"{prefix}.w_{gate}"] += da.T @ s.x
-        grads[f"{prefix}.u_{gate}"] += da.T @ s.h_prev
-        grads[f"{prefix}.b_{gate}"] += da.sum(axis=0)
+    `da` (B, 4n) is the gradient w.r.t. the gate pre-activations, so
+    the caller gets dx as da @ W.
+    """
+    n = p.hidden_dim
+    gates = s.gates
+    sig = gates[:, : 3 * n]
+    i, f, o, g = gates[:, :n], gates[:, n : 2 * n], gates[:, 2 * n : 3 * n], gates[:, 3 * n :]
+    dc_tot = dc + dh * o * (1.0 - s.tanh_c * s.tanh_c)
+    da = np.empty_like(gates)
+    da[:, :n] = dc_tot * g
+    da[:, n : 2 * n] = dc_tot * s.c_prev
+    da[:, 2 * n : 3 * n] = dh * s.tanh_c
+    da[:, : 3 * n] *= sig * (1.0 - sig)
+    da[:, 3 * n :] = dc_tot * i * (1.0 - g * g)
 
-    dx = da_i @ p.w_i + da_f @ p.w_f + da_o @ p.w_o + da_g @ p.w_g
-    dh_prev = da_i @ p.u_i + da_f @ p.u_f + da_o @ p.u_o + da_g @ p.u_g
-    dc_prev = dc_tot * s.f
-    return dx, dh_prev, dc_prev
+    grads[f"{prefix}.w"] += da.T @ s.x
+    grads[f"{prefix}.u"] += da.T @ s.h_prev
+    grads[f"{prefix}.b"] += da.sum(axis=0)
+    return da, da @ p.u, dc_tot * f
 
 
 def backward_batch(
@@ -419,7 +428,7 @@ def backward_batch(
 
     dh_carry = np.zeros((b, model.decoder.hidden_dim))
     dc_carry = np.zeros_like(dh_carry)
-    d_henc = np.zeros((b, model.encoder.hidden_dim))
+    da_dec = np.zeros((b, 4 * model.decoder.hidden_dim))
     for k in range(model.horizon - 1, -1, -1):
         dy = d_preds[:, k : k + 1]
         z = cache.head_hidden_out[k]
@@ -430,10 +439,10 @@ def backward_batch(
         grads["head_hidden.weight"] += dz.T @ hd
         grads["head_hidden.bias"] += dz.sum(axis=0)
         dh = dz @ model.head_hidden.weight + dh_carry
-        dx, dh_carry, dc_carry = _cell_backward(model.decoder, cache.dec_steps[k], dh, dc_carry, grads, "decoder")
-        d_henc += dx
+        da, dh_carry, dc_carry = _cell_backward(model.decoder, cache.dec_steps[k], dh, dc_carry, grads, "decoder")
+        da_dec += da
 
-    dh_carry = d_henc
+    dh_carry = da_dec @ model.decoder.w  # every decoder step reads h_enc
     dc_carry = np.zeros((b, model.encoder.hidden_dim))
     for t in range(len(cache.enc_steps) - 1, -1, -1):
         _, dh_carry, dc_carry = _cell_backward(model.encoder, cache.enc_steps[t], dh_carry, dc_carry, grads, "encoder")
@@ -659,13 +668,8 @@ def predict_batch(model: Seq2SeqModel, x: np.ndarray) -> np.ndarray:
 
 def save_model(model: Seq2SeqModel, path: str | Path, config_echo: dict | None = None) -> None:
     """Write magic + one-line JSON header + float64-LE tensors in fixed order."""
-    shape = model.shape
     header = {
-        "input_dim": shape.input_dim,
-        "encoder_hidden": shape.encoder_hidden,
-        "decoder_hidden": shape.decoder_hidden,
-        "dense_hidden": shape.dense_hidden,
-        "horizon": shape.horizon,
+        **asdict(model.shape),
         "scaler": None
         if model.scaler is None
         else {"mean": model.scaler.mean.tolist(), "std": model.scaler.std.tolist()},
@@ -689,13 +693,7 @@ def load_model(path: str | Path) -> Seq2SeqModel:
             header = json.loads(header_line.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise DataError(f"{path}: corrupt checkpoint header: {exc}") from None
-        shape = ModelShape(
-            input_dim=header["input_dim"],
-            encoder_hidden=header["encoder_hidden"],
-            decoder_hidden=header["decoder_hidden"],
-            dense_hidden=header["dense_hidden"],
-            horizon=header["horizon"],
-        )
+        shape = ModelShape(*(header[f.name] for f in fields(ModelShape)))
         scaler = None
         if header.get("scaler") is not None:
             scaler = Scaler(

@@ -458,9 +458,7 @@ def _eval_on_moisture_scale(
     targets = scaler.invert_feature(test.targets[:, :, 0], 0)
     last = scaler.invert_feature(test.inputs[:, -1, 0], 0)
     persistence = np.repeat(last[:, None], test.horizon, axis=1)
-    model_rmse = float(np.sqrt(np.mean((preds - targets) ** 2)))
-    persist_rmse = float(np.sqrt(np.mean((persistence - targets) ** 2)))
-    return model_rmse, persist_rmse
+    return lstm.rmse(preds, targets), lstm.rmse(persistence, targets)
 
 
 def _usable_cores() -> int:
@@ -681,9 +679,9 @@ def run_index_stage(
     targets = test.targets[:, 0, 0]
     persistence = test.inputs[:, -1, 0]
     result = IndexResult(
-        test_rmse=float(np.sqrt(np.mean((preds - targets) ** 2))),
-        test_mae=float(np.mean(np.abs(preds - targets))),
-        persistence_rmse=float(np.sqrt(np.mean((persistence - targets) ** 2))),
+        test_rmse=lstm.rmse(preds, targets),
+        test_mae=lstm.mae(preds, targets),
+        persistence_rmse=lstm.rmse(persistence, targets),
         n_train_windows=fit.n_samples + (val.n_samples if val is not None else 0),
         n_test_windows=test.n_samples,
         forecast_target=(stack.entries[-1][0] + timedelta(days=config.forecast_day)).isoformat(),
@@ -965,7 +963,7 @@ def cmd_gradcheck(
         report = lstm.gradient_check(
             model,
             (x, targets),
-            corrupt="encoder.w_i" if corrupt else None,
+            corrupt="encoder.w" if corrupt else None,
             seed=seed,
         )
         reports[name] = {

@@ -237,7 +237,7 @@ def test_kriging_oracle():
         for _ in range(5):
             x, y = (float(c) for c in rng.uniform(-20.0, 120.0, 2))
             value, variance = predict_point(model, x, y)
-            ov, ovar = _dense_oracle(samples, v, model.jitter, x, y)
+            ov, ovar = _dense_oracle(samples, model.variogram, 0.0, x, y)
             max_err = max(max_err, abs(value - ov), abs(variance - ovar))
             w, _ = solve_weights(model, x, y)
             max_wsum = max(max_wsum, abs(float(w.sum()) - 1.0))

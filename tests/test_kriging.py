@@ -206,7 +206,7 @@ def test_predictions_match_dense_solve_oracle():
         for _ in range(5):
             x, y = rng.uniform(-20.0, 120.0, 2)
             value, variance = predict_point(model, float(x), float(y))
-            ov, ovar, _ = oracle_predict(samples, v, model.jitter, float(x), float(y))
+            ov, ovar, _ = oracle_predict(samples, model.variogram, 0.0, float(x), float(y))
             assert abs(value - ov) <= 1e-8
             assert abs(variance - ovar) <= 1e-8
             w, _ = solve_weights(model, float(x), float(y))
@@ -297,6 +297,29 @@ def test_exactly_singular_system_engages_jitter():
     assert np.isfinite(value) and np.isfinite(variance)
     w, _ = solve_weights(model, 2.5, 0.0)
     assert abs(w.sum() - 1.0) <= 1e-10
+
+
+def test_jitter_escalation_raises_the_nugget():
+    # In variogram form a nugget t is -t on the sample-block diagonal (its
+    # t * 11^T part goes into the Lagrange multiplier); +t there would be a
+    # negative nugget that leaves the implied covariance indefinite.
+    v = Variogram(nugget=0.0, sill=1.0, range_a=10.0)
+    h = 1e-9
+    samples = [SamplePoint(0.0, 0.0, 1.0), SamplePoint(0.0, h, 2.0), SamplePoint(5.0, h / 2, 3.0)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with np.errstate(all="ignore"):
+            model = build_model(samples, v)
+    assert model.jitter > 0.0
+    assert model.variogram == Variogram(nugget=v.nugget + model.jitter, sill=v.sill, range_a=v.range_a)
+    pts = np.array([(s.x, s.y) for s in samples])
+    dist = np.linalg.norm(pts[:, None] - pts[None], axis=-1)
+    cov = model.variogram.nugget + model.variogram.sill - gaussian_variogram(dist, model.variogram)
+    assert np.linalg.eigvalsh(cov).min() > 0.0
+    for x, y in [(2.5, 0.0), (1.0, 3.0), (-4.0, 7.5)]:
+        w, _ = solve_weights(model, x, y)
+        _, _, want = oracle_predict(samples, model.variogram, 0.0, x, y)
+        np.testing.assert_allclose(w, want, rtol=0.0, atol=1e-6)
 
 
 def test_empty_sample_list_rejected():

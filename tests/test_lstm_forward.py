@@ -6,15 +6,25 @@ indexing, broadcasting, or state-carry bug in the production forward
 pass shows up as a mismatch far above 1e-12.
 """
 
+import dataclasses
 import math
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
+import smartcast
 from smartcast.errors import DataError, ShapeError
 from smartcast.lstm import (
+    LstmLayerParams,
     ModelShape,
     Seq2SeqModel,
+    _sigmoid_,
     forward_batch,
     init_params,
     seq2seq_forward,
@@ -160,3 +170,44 @@ def test_model_shape_validation():
     model = init_params(SOIL_TOY, seed=0)
     assert model.shape == SOIL_TOY
     assert model.n_params() == sum(a.size for _, a in model.param_items())
+
+
+# -- fused gate layout --------------------------------------------------------------
+
+
+def test_layer_is_three_fused_tensors_with_gate_views():
+    layer = init_params(SOIL_TOY, seed=5).encoder
+    assert [f.name for f in dataclasses.fields(layer)] == ["w", "u", "b"]
+    n, d = layer.hidden_dim, layer.input_dim
+    assert (layer.w.shape, layer.u.shape, layer.b.shape) == ((4 * n, d), (4 * n, n), (4 * n,))
+    for k, gate in enumerate("ifog"):
+        for fused in ("w", "u", "b"):
+            view = getattr(layer, f"{fused}_{gate}")
+            np.testing.assert_array_equal(view, getattr(layer, fused)[k * n : (k + 1) * n])
+            assert np.shares_memory(view, getattr(layer, fused))
+    with pytest.raises(AttributeError):
+        layer.w_i = np.zeros((n, d))
+    with pytest.raises(ShapeError):
+        LstmLayerParams(np.zeros((6, d)), np.zeros((6, 6)), np.zeros(6))
+    with pytest.raises(ShapeError):
+        LstmLayerParams(layer.w, layer.u[:, :-1], layer.b)
+    with pytest.raises(ShapeError):
+        LstmLayerParams(layer.w, layer.u, layer.b[:-1])
+
+
+def test_sigmoid_matches_expit_and_never_warns():
+    """Within two units in the last place of a gate in [0.5, 1), overflow-free."""
+    a = np.concatenate([np.linspace(-1e3, 1e3, 200_001), np.linspace(-40.0, 40.0, 80_001), [-np.inf, np.inf]])
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        got = _sigmoid_(a.copy())
+    assert np.max(np.abs(got - expit(a))) <= 2 * np.spacing(0.5)
+    assert got[0] == 0.0 and got[-1] == 1.0
+
+
+def test_engine_import_loads_no_scipy():
+    src = str(Path(smartcast.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, smartcast.lstm; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"

@@ -51,9 +51,9 @@ def test_gradcheck_mae_loss():
 
 def test_gradcheck_detects_corruption():
     model, x, targets = probe(SOIL_TOY, 6, 0)
-    report = gradient_check(model, (x, targets), corrupt="decoder.u_f")
+    report = gradient_check(model, (x, targets), corrupt="decoder.u")
     assert not report.passed
-    assert report.worst_param == "decoder.u_f"
+    assert report.worst_param == "decoder.u"
 
 
 def test_gradcheck_rejects_bad_epsilon():

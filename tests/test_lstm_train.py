@@ -1,6 +1,8 @@
 """Optimizer properties, training behavior, and checkpoint round trips."""
 
 import dataclasses
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +29,7 @@ from smartcast.lstm import (
 from smartcast.timeseries import Scaler, WindowSet
 
 TOY = ModelShape(input_dim=2, encoder_hidden=4, decoder_hidden=4, dense_hidden=3, horizon=2)
+DATA = Path(__file__).parent / "data"
 
 
 def toy_windows(n=8, length=5, seed=0) -> WindowSet:
@@ -68,8 +71,8 @@ def test_adam_zero_gradient_is_noop():
 def test_adam_rejects_non_finite_gradient():
     model = init_params(TOY, seed=3)
     grads = zero_grads(model)
-    grads["encoder.w_i"][0, 0] = np.nan
-    with pytest.raises(GradientError, match="encoder.w_i"):
+    grads["encoder.w"][0, 0] = np.nan
+    with pytest.raises(GradientError, match="encoder.w"):
         adam_step(model, grads, init_adam_state(model), TrainConfig())
 
 
@@ -190,6 +193,65 @@ def test_checkpoint_round_trip_exact(tmp_path):
     a, _ = forward_batch(model, x)
     b, _ = forward_batch(back, x)
     np.testing.assert_array_equal(a, b)
+
+
+def read_per_gate_checkpoint(path: Path) -> tuple[dict, dict[str, np.ndarray]]:
+    """Independent reader of the checkpoint layout, one array per gate.
+
+    After the magic and the JSON header line come float64-LE tensors:
+    per LSTM layer W_i..W_g (n, d), U_i..U_g (n, n), b_i..b_g (n,), then
+    the dense head's weight and bias.
+    """
+    header_line, _, body = path.read_bytes()[len(CHECKPOINT_MAGIC) :].partition(b"\n")
+    header = json.loads(header_line)
+    shapes = []
+    for layer, d, n in (
+        ("encoder", header["input_dim"], header["encoder_hidden"]),
+        ("decoder", header["encoder_hidden"], header["decoder_hidden"]),
+    ):
+        shapes += [(f"{layer}.{t}_{g}", shape) for t, shape in (("w", (n, d)), ("u", (n, n)), ("b", (n,))) for g in "ifog"]
+    m = header["dense_hidden"]
+    shapes += [
+        ("head_hidden.weight", (m, header["decoder_hidden"])),
+        ("head_hidden.bias", (m,)),
+        ("head_out.weight", (1, m)),
+        ("head_out.bias", (1,)),
+    ]
+    flat = np.frombuffer(body, dtype="<f8")
+    tensors, pos = {}, 0
+    for name, shape in shapes:
+        size = int(np.prod(shape))
+        tensors[name] = flat[pos : pos + size].reshape(shape)
+        pos += size
+    assert pos == flat.size
+    return header, tensors
+
+
+@pytest.mark.parametrize("name", ["pergate_init_seed11.ckpt", "pergate_trained.ckpt"])
+def test_per_gate_engine_checkpoint_loads_and_resaves_identically(tmp_path, name):
+    """Both fixtures were written by the engine that stored one array per gate."""
+    path = DATA / name
+    header, expected = read_per_gate_checkpoint(path)
+    model = load_model(path)
+    for key, want in expected.items():
+        part, attr = key.split(".")
+        np.testing.assert_array_equal(getattr(getattr(model, part), attr), want, err_msg=key)
+    out = tmp_path / name
+    save_model(model, out, config_echo=header["config"])
+    assert out.read_bytes() == path.read_bytes()
+
+
+def test_init_draws_the_per_gate_engine_numbers():
+    """The fixture is the per-gate engine's init_params at seed 11."""
+    ref = load_model(DATA / "pergate_init_seed11.ckpt")
+    assert params_bytes(init_params(ref.shape, seed=11)) == params_bytes(ref)
+
+
+def test_per_gate_engine_checkpoint_predicts_as_it_did():
+    """The per-gate engine predicted these values for this input."""
+    model = load_model(DATA / "pergate_trained.ckpt")
+    x = np.linspace(-1.0, 1.0, 8).reshape(4, 2)
+    np.testing.assert_allclose(predict(model, x), [0.3794287274250784, 0.3544857621197032], rtol=0.0, atol=1e-12)
 
 
 def test_checkpoint_without_scaler(tmp_path):

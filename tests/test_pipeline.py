@@ -400,7 +400,7 @@ def test_cmd_gradcheck_passes_and_honors_dims():
 def test_cmd_gradcheck_detects_corruption():
     report = cmd_gradcheck(seed=0, corrupt=True, hidden=4, dense=3, length=4, horizon=2)
     assert report["passed"] is False
-    assert report["soil"]["worst_param"].startswith("encoder.w_i")
+    assert report["soil"]["worst_param"] == "encoder.w"
 
 
 # -- CLI ----------------------------------------------------------------------------

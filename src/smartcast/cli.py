@@ -136,9 +136,10 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
     for name in ("soil", "index"):
         r = report[name]
         status = "PASS" if r["passed"] else "FAIL"
+        gate = f"gate {r['worst_gate']}, " if r["worst_gate"] else ""
         print(
-            f"{name}: {status} max rel error {r['max_rel_error']:.3e} "
-            f"at {r['worst_param']} over {r['n_checked']} coordinates (tolerance {r['tolerance']:.1e})"
+            f"{name}: {status} max rel error {r['max_rel_error']:.3e} at {r['worst_param']} "
+            f"({gate}index {r['worst_index']}) over {r['n_checked']} coordinates (tolerance {r['tolerance']:.1e})"
         )
     if not report["passed"]:
         print("gradient check FAILED", file=sys.stderr)

@@ -1,9 +1,10 @@
 """Ordinary kriging with a Gaussian variogram.
 
 Empirical variogram estimation, weighted least-squares model fitting,
-LU-factorized ordinary-kriging solves with nugget escalation,
-leave-one-out scoring, dense grid interpolation, and stacking of
-per-depth grids into a moisture volume with file exports.
+ordinary-kriging solves with nugget escalation, leave-one-out scoring,
+dense grid interpolation, and stacking of per-depth grids into a
+moisture volume with file exports. numpy only: every solve goes through
+`np.linalg.solve` on the model's bordered matrix.
 
 The Gaussian model uses the practical-range convention
 gamma(h) = nugget + sill * (1 - exp(-3 h^2 / a^2)) with gamma(0) = 0.
@@ -16,8 +17,6 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
-from scipy.spatial.distance import cdist
 
 from .errors import (
     DataError,
@@ -92,12 +91,12 @@ class GridGeometry:
 
 @dataclass(frozen=True)
 class KrigingModel:
-    """Factorized ordinary-kriging system over a fixed sample set."""
+    """Assembled ordinary-kriging system over a fixed sample set."""
 
     points: np.ndarray          # (n, 2)
     values: np.ndarray          # (n,)
     variogram: Variogram        # as solved: the requested nugget plus `jitter`
-    lu: tuple                   # scipy (lu, piv) factorization of the bordered system
+    system: np.ndarray          # (n+1, n+1) bordered matrix, probe-solved by build_model
     jitter: float               # nugget added to make the system solvable
 
     @property
@@ -162,7 +161,7 @@ def empirical_variogram(
         raise DataError("n_bins must be positive")
     pts = np.array([(s.x, s.y) for s in samples])
     vals = np.array([s.value for s in samples])
-    dist = cdist(pts, pts)
+    dist = _distances(pts, pts)
     iu, ju = np.triu_indices(len(samples), k=1)
     lags = dist[iu, ju]
     sqdiff = (vals[iu] - vals[ju]) ** 2
@@ -269,20 +268,32 @@ def fit_variogram(bins: list[VariogramBin]) -> Variogram:
 
 # -- kriging system --------------------------------------------------------------
 
+def _distances(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """(m, k) Euclidean distances between the rows of p (m, 2) and q (k, 2)."""
+    dx = p[:, None, 0] - q[None, :, 0]
+    dy = p[:, None, 1] - q[None, :, 1]
+    return np.sqrt(dx * dx + dy * dy)
+
+
+def _solve(system: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """The module's one linear solve; LinAlgError on an exactly zero pivot."""
+    return np.linalg.solve(system, rhs)
+
+
 def _assemble(points: np.ndarray, v: Variogram) -> np.ndarray:
     n = points.shape[0]
     a = np.zeros((n + 1, n + 1))
-    a[:n, :n] = gaussian_variogram(cdist(points, points), v)
+    a[:n, :n] = gaussian_variogram(_distances(points, points), v)
     a[:n, n] = 1.0
     a[n, :n] = 1.0
     return a
 
 
 def build_model(samples: list[SamplePoint], variogram: Variogram) -> KrigingModel:
-    """Assemble and factorize the bordered ordinary-kriging system.
+    """Assemble the bordered ordinary-kriging system and probe-solve it.
 
-    Exact duplicate coordinates are rejected. If the LU factorization
-    fails a probe-solve residual check, the variogram's nugget is raised
+    Exact duplicate coordinates are rejected. If the probe solve hits a
+    zero pivot or fails its residual check, the variogram's nugget is raised
     by a jitter escalating from 1e-10*sill to 1e-6*sill by factors of 10
     before giving up; in variogram form a nugget adds to the off-diagonal
     entries, never the diagonal. The model carries the raised variogram.
@@ -305,28 +316,29 @@ def build_model(samples: list[SamplePoint], variogram: Variogram) -> KrigingMode
     for jitter in jitters:
         v = replace(variogram, nugget=variogram.nugget + jitter)
         a = _assemble(points, v)
+        b = a @ np.ones(n + 1)
         try:
-            factors = lu_factor(a)
-        except Exception:
+            solved = _solve(a, b)
+        except np.linalg.LinAlgError:
             continue
-        x_probe = np.ones(n + 1)
-        b = a @ x_probe
-        solved = lu_solve(factors, b)
         resid = np.abs(a @ solved - b).max()
         scale = max(1.0, np.abs(a).max())
         if np.isfinite(resid) and resid <= 1e-9 * scale:
-            return KrigingModel(points=points, values=values, variogram=v, lu=factors, jitter=jitter)
+            return KrigingModel(points=points, values=values, variogram=v, system=a, jitter=jitter)
     raise FactorizationError(f"kriging system singular even with jitter {jitters[-1]:.3e}")
+
+
+def _query_system(model: KrigingModel, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(n+1, k) right-hand sides (gamma_1..gamma_n, 1) for query points q (k, 2), and their solutions."""
+    rhs = np.ones((model.n_samples + 1, q.shape[0]))
+    rhs[:-1] = gaussian_variogram(_distances(model.points, q), model.variogram)
+    return rhs, _solve(model.system, rhs)
 
 
 def solve_weights(model: KrigingModel, x: float, y: float) -> tuple[np.ndarray, float]:
     """Ordinary-kriging weights and Lagrange multiplier for one query point."""
-    q = np.array([[x, y]], dtype=np.float64)
-    rhs = np.empty(model.n_samples + 1)
-    rhs[:-1] = gaussian_variogram(cdist(model.points, q)[:, 0], model.variogram)
-    rhs[-1] = 1.0
-    sol = lu_solve(model.lu, rhs)
-    return sol[:-1], float(sol[-1])
+    _, sol = _query_system(model, np.array([[x, y]], dtype=np.float64))
+    return sol[:-1, 0], float(sol[-1, 0])
 
 
 def predict_point(model: KrigingModel, x: float, y: float) -> tuple[float, float]:
@@ -335,14 +347,9 @@ def predict_point(model: KrigingModel, x: float, y: float) -> tuple[float, float
     Weights solve the bordered system and sum to 1; the variance is
     sum(w_i * gamma_i) + mu, nonnegative up to round-off.
     """
-    q = np.array([[x, y]], dtype=np.float64)
-    rhs = np.empty(model.n_samples + 1)
-    rhs[:-1] = gaussian_variogram(cdist(model.points, q)[:, 0], model.variogram)
-    rhs[-1] = 1.0
-    sol = lu_solve(model.lu, rhs)
-    w = sol[:-1]
-    mu = sol[-1]
-    return float(w @ model.values), float(w @ rhs[:-1] + mu)
+    rhs, sol = _query_system(model, np.array([[x, y]], dtype=np.float64))
+    w = sol[:-1, 0]
+    return float(w @ model.values), float(w @ rhs[:-1, 0] + sol[-1, 0])
 
 
 def interpolate_grid(
@@ -352,7 +359,7 @@ def interpolate_grid(
 
     `mask` (bool array or IndexImage valid mask) restricts evaluation;
     skipped cells hold NaN. Results are independent of evaluation
-    order: all right-hand sides are solved against one factorization.
+    order: all right-hand sides are solved in one call.
     """
     xs, ys = geometry.cell_centers()
     gx, gy = np.meshgrid(xs, ys)
@@ -372,41 +379,32 @@ def interpolate_grid(
     values = np.full(queries.shape[0], np.nan)
     variances = np.full(queries.shape[0], np.nan)
     if active.any():
-        q = queries[active]
-        gamma_q = gaussian_variogram(cdist(model.points, q), model.variogram)
-        rhs = np.vstack([gamma_q, np.ones((1, q.shape[0]))])
-        sol = lu_solve(model.lu, rhs)
-        w = sol[:-1, :]
-        mu = sol[-1, :]
+        rhs, sol = _query_system(model, queries[active])
+        w = sol[:-1]
         values[active] = w.T @ model.values
-        variances[active] = np.sum(w * gamma_q, axis=0) + mu
+        variances[active] = np.sum(w * rhs[:-1], axis=0) + sol[-1]
     return values.reshape(geometry.ny, geometry.nx), variances.reshape(geometry.ny, geometry.nx)
 
 
-def loo_score(samples: list[SamplePoint], variogram: Variogram) -> float:
+def loo_score(model: KrigingModel) -> float:
     """Leave-one-out coefficient of determination in (-inf, 1].
 
-    Each sample is predicted from the remaining ones under the given
+    Each sample is predicted from the remaining ones under the model's
     variogram; the score is 1 - SS_res/SS_tot. Raises
     UndefinedScoreError when the sample values have zero variance.
 
-    All n residuals come from one factorization of the full bordered
-    system A: with z = (values, 0), e_i = (A^-1 z)_i / (A^-1)_ii
-    (Dubrule 1983), which equals refitting without sample i under the
-    same jitter.
+    All n residuals come from one solve of the model's bordered system
+    A: with z = (values, 0), e_i = (A^-1 z)_i / (A^-1)_ii (Dubrule
+    1983), which equals refitting without sample i under the same
+    jitter.
     """
-    if len(samples) < 3:
+    n = model.n_samples
+    if n < 3:
         raise InsufficientDataError("leave-one-out scoring needs at least 3 samples")
-    values = np.array([s.value for s in samples])
-    ss_tot = float(((values - values.mean()) ** 2).sum())
+    ss_tot = float(((model.values - model.values.mean()) ** 2).sum())
     if ss_tot == 0.0:
         raise UndefinedScoreError("sample values are constant; the score is undefined")
-    model = build_model(samples, variogram)
-    n = model.n_samples
-    rhs = np.zeros((n + 1, n + 2))
-    rhs[:n, 0] = model.values
-    rhs[:, 1:] = np.eye(n + 1)
-    sol = lu_solve(model.lu, rhs)
+    sol = _solve(model.system, np.column_stack([np.append(model.values, 0.0), np.eye(n + 1)]))
     residuals = sol[:n, 0] / np.diag(sol[:n, 1 : n + 1])
     ss_res = float((residuals**2).sum())
     return 1.0 - ss_res / ss_tot

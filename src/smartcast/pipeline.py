@@ -754,13 +754,11 @@ def run_kriging_stage(
             variogram = config.variogram
         else:
             variogram = kriging.fit_variogram(kriging.empirical_variogram(samples))
-        score: float | None = None
-        if len(samples) >= 3:
-            try:
-                score = kriging.loo_score(samples, variogram)
-            except DataError:
-                score = None
         model = kriging.build_model(samples, variogram)
+        try:
+            score = kriging.loo_score(model)
+        except DataError:  # fewer than 3 samples, or constant values
+            score = None
         values, variance = kriging.interpolate_grid(model, config.grid)
         layers.append(kriging.DepthLayer(depth_cm=depth, geometry=config.grid, values=values, variance=variance))
         stats[depth] = (score, variogram, len(samples))
@@ -946,7 +944,8 @@ def cmd_gradcheck(
     is fixed at its production shape scaled down. Probe targets sit
     near the model's own predictions so central differences stay clear
     of cancellation noise. `corrupt` doubles one analytic gradient
-    entry to prove the check can fail.
+    entry to prove the check can fail. The worst coordinate is reported
+    by tensor, flat index and, in a fused LSTM tensor, gate.
     """
     reports = {}
     configs = {
@@ -966,12 +965,11 @@ def cmd_gradcheck(
             corrupt="encoder.w" if corrupt else None,
             seed=seed,
         )
-        reports[name] = {
-            "max_rel_error": report.max_rel_error,
-            "worst_param": report.worst_param,
-            "n_checked": report.n_checked,
-            "tolerance": report.tolerance,
-            "passed": report.passed,
-        }
+        layer, _, tensor = report.worst_param.partition(".")
+        gate = None
+        if layer in ("encoder", "decoder"):  # fused (4n, ...) tensor, gate blocks i, f, o, g
+            a = getattr(getattr(model, layer), tensor)
+            gate = "ifog"[report.worst_index // (a.size // a.shape[0]) // (a.shape[0] // 4)]
+        reports[name] = {**dataclasses.asdict(report), "worst_gate": gate}
     reports["passed"] = all(reports[k]["passed"] for k in ("soil", "index"))
     return reports

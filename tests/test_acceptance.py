@@ -264,7 +264,7 @@ def test_kriging_loo_score():
     pts = rng.uniform(0.0, 100.0, (25, 2))
     samples = [SamplePoint(float(x), float(y), 0.03 * x + 0.02 * y) for x, y in pts]
     variogram = fit_variogram(empirical_variogram(samples))
-    score = loo_score(samples, variogram)
+    score = loo_score(build_model(samples, variogram))
     criterion(
         "kriging-loo",
         score >= 0.9,

@@ -7,7 +7,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg import lu_factor, lu_solve
+from scipy.spatial.distance import cdist
 
+from smartcast import kriging
 from smartcast.errors import (
     DataError,
     FlatFieldError,
@@ -383,7 +386,7 @@ def test_loo_high_on_smooth_field():
     pts = rng.uniform(0.0, 100.0, (15, 2))
     samples = [SamplePoint(float(x), float(y), 0.03 * x + 0.02 * y) for x, y in pts]
     fit = fit_variogram(empirical_variogram(samples))
-    assert loo_score(samples, fit) > 0.9
+    assert loo_score(build_model(samples, fit)) > 0.9
 
 
 def refit_loo_score(samples, variogram):
@@ -406,36 +409,78 @@ def test_loo_matches_refit_oracle():
         samples = [SamplePoint(float(x), float(y), float(val)) for (x, y), val in zip(pts, rng.normal(0.0, 3.0, n))]
         sill = float(rng.uniform(0.5, 5.0))
         v = Variogram(nugget=float(rng.uniform(0.1, 1.0)) * sill, sill=sill, range_a=float(rng.uniform(10.0, 60.0)))
-        assert build_model(samples, v).jitter == 0.0
+        model = build_model(samples, v)
+        assert model.jitter == 0.0
         want = refit_loo_score(samples, v)
-        got = loo_score(samples, v)
+        got = loo_score(model)
         assert abs(got - want) <= 1e-10 * max(1.0, abs(want)), (seed, got, want)
-
-
-def test_loo_factorizes_once(monkeypatch):
-    from smartcast import kriging
-
-    calls = []
-    real = kriging.build_model
-
-    def counting(samples, variogram):
-        calls.append(len(samples))
-        return real(samples, variogram)
-
-    monkeypatch.setattr(kriging, "build_model", counting)
-    rng = np.random.default_rng(5)
-    samples = [SamplePoint(float(x), float(y), float(x - y)) for x, y in rng.uniform(0.0, 50.0, (30, 2))]
-    loo_score(samples, Variogram(nugget=0.2, sill=2.0, range_a=20.0))
-    assert calls == [30]
 
 
 def test_loo_guard_rails():
     v = Variogram(nugget=0.0, sill=1.0, range_a=10.0)
     with pytest.raises(InsufficientDataError):
-        loo_score([SamplePoint(0.0, 0.0, 1.0), SamplePoint(1.0, 0.0, 2.0)], v)
+        loo_score(build_model([SamplePoint(0.0, 0.0, 1.0), SamplePoint(1.0, 0.0, 2.0)], v))
     constant = [SamplePoint(float(i), 0.0, 5.0) for i in range(4)]
     with pytest.raises(UndefinedScoreError):
-        loo_score(constant, v)
+        loo_score(build_model(constant, v))
+
+
+# -- scipy oracles ------------------------------------------------------------------------
+
+
+def test_distances_match_cdist_bitwise():
+    rng = np.random.default_rng(41)
+    geom = GridGeometry(nx=64, ny=64, cell_size=10.0)
+    gx, gy = np.meshgrid(*geom.cell_centers())
+    cells = np.column_stack([gx.ravel(), gy.ravel()])
+    cases = [
+        (rng.uniform(0.0, 640.0, (m, 2)), rng.uniform(-50.0, 700.0, (k, 2)))
+        for m, k in [(1, 1), (7, 13), (50, 50)]
+    ]
+    cases += [(pts, pts) for pts in [rng.uniform(0.0, 640.0, (200, 2)), rng.normal(1e5, 3.0, (40, 2))]]
+    cases += [(rng.uniform(0.0, 640.0, (200, 2)), cells)]  # the field_remap shape, 200 x 4096
+    for p, q in cases:
+        got = kriging._distances(p, q)
+        assert got.shape == (p.shape[0], q.shape[0])
+        assert np.array_equal(got, cdist(p, q))
+
+
+def lu_oracle(model, v, queries):
+    """Kriged values, variances and solutions from scipy's LU, assembled with cdist."""
+    n = model.n_samples
+    a = np.ones((n + 1, n + 1))
+    a[:n, :n] = gaussian_variogram(cdist(model.points, model.points), v)
+    a[n, n] = 0.0
+    rhs = np.ones((n + 1, queries.shape[0]))
+    rhs[:n] = gaussian_variogram(cdist(model.points, queries), v)
+    sol = lu_solve(lu_factor(a), rhs)
+    return sol[:n].T @ model.values, np.sum(sol[:n] * rhs[:n], axis=0) + sol[n], sol
+
+
+def test_solves_match_lu_oracle():
+    # nugget > 0 and no jitter: the systems are well conditioned
+    geom = GridGeometry(nx=9, ny=7, cell_size=12.0, x0=-5.0)
+    gx, gy = np.meshgrid(*geom.cell_centers())
+    cells = np.column_stack([gx.ravel(), gy.ravel()])
+    for seed in range(25):
+        rng = np.random.default_rng(500 + seed)
+        n = int(rng.integers(3, 60))
+        pts = rng.uniform(0.0, 100.0, (n, 2))
+        samples = [SamplePoint(float(x), float(y), float(val)) for (x, y), val in zip(pts, rng.uniform(10.0, 50.0, n))]
+        sill = float(rng.uniform(0.5, 5.0))
+        v = Variogram(nugget=float(rng.uniform(0.05, 1.0)) * sill, sill=sill, range_a=float(rng.uniform(10.0, 60.0)))
+        model = build_model(samples, v)
+        assert model.jitter == 0.0
+        want_values, want_var, _ = lu_oracle(model, v, cells)
+        values, variances = interpolate_grid(model, geom)
+        np.testing.assert_allclose(values.ravel(), want_values, rtol=1e-12, atol=0.0)
+        assert np.abs(variances.ravel() - want_var).max() <= 1e-12 * np.abs(want_var).max()
+        queries = rng.uniform(-20.0, 120.0, (4, 2))
+        _, _, want_sol = lu_oracle(model, v, queries)
+        for k, (x, y) in enumerate(queries):
+            w, mu = solve_weights(model, float(x), float(y))
+            assert np.abs(w - want_sol[:n, k]).max() <= 1e-12 * np.abs(want_sol[:n, k]).max()
+            assert abs(mu - want_sol[n, k]) <= 1e-12 * max(abs(want_sol[n, k]), np.abs(w).max())
 
 
 # -- stacking and exports ------------------------------------------------------------------

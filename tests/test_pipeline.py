@@ -6,16 +6,18 @@ import json
 import multiprocessing
 import os
 import shutil
+import subprocess
+import sys
 from datetime import date, timedelta
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from smartcast import pipeline
+from smartcast import kriging, pipeline
 from smartcast.cli import main
 from smartcast.errors import ConfigError, DataError, DivergenceError, EmptySplitError, StageError
-from smartcast.lstm import ModelShape, init_params, load_model, predict, save_model
+from smartcast.lstm import GradCheckReport, ModelShape, init_params, load_model, predict, save_model
 from smartcast.pipeline import (
     RunConfig,
     _split_by_run,
@@ -381,6 +383,28 @@ def test_run_forecast_rejects_bad_day(tiny_dir: Path, tmp_path: Path):
         run_forecast(config, out_dir=tmp_path / "o", forecast_day=15)
 
 
+# -- kriging stage ------------------------------------------------------------------
+
+
+def test_kriging_stage_builds_one_model_per_depth(tiny_dir: Path, monkeypatch):
+    # one model per depth serves both the LOO score and the grid
+    config = parse_config(tiny_dir / "config.json")
+    calls = []
+    real = kriging.build_model
+
+    def counting(samples, variogram):
+        calls.append(len(samples))
+        return real(samples, variogram)
+
+    monkeypatch.setattr(kriging, "build_model", counting)
+    rng = np.random.default_rng(8)
+    table = {depth: {sid: tuple(rng.uniform(10.0, 60.0, 3)) for sid in config.sensor_locations} for depth in (10, 30, 60)}
+    volume, stats = pipeline.run_kriging_stage(table, config, 2)
+    assert calls == [4, 4, 4]
+    assert [layer.depth_cm for layer in volume.layers] == [10, 30, 60]
+    assert all(stats[depth][0] is not None for depth in (10, 30, 60))
+
+
 # -- gradcheck command ----------------------------------------------------------------
 
 
@@ -403,6 +427,35 @@ def test_cmd_gradcheck_detects_corruption():
     assert report["soil"]["worst_param"] == "encoder.w"
 
 
+def test_gradcheck_names_the_corrupted_gate(capsys):
+    # the corruption doubles flat[0] of the fused encoder W: row 0, gate i
+    report = cmd_gradcheck(seed=0, corrupt=True, hidden=4, dense=3, length=4, horizon=2)
+    for r in (report["soil"], report["index"]):
+        assert (r["worst_param"], r["worst_gate"], r["worst_index"]) == ("encoder.w", "i", 0)
+    assert main(["gradcheck", "--corrupt", "--hidden", "4", "--dense", "3", "--length", "4", "--horizon", "2"]) == 4
+    out = capsys.readouterr().out
+    assert "soil: FAIL" in out and "at encoder.w (gate i, index 0) over" in out
+
+
+@pytest.mark.parametrize(
+    "param, index, gate",
+    [
+        ("encoder.w", 15, "i"),  # soil toy, n = 4: W is (16, 4), flat 15 is row 3
+        ("encoder.w", 17, "f"),  # row 4
+        ("decoder.u", 35, "o"),  # U is (16, 4): row 8
+        ("decoder.b", 15, "g"),  # b is (16,)
+        ("head_out.weight", 2, None),  # not an LSTM tensor
+    ],
+)
+def test_gradcheck_gate_of_worst_coordinate(monkeypatch, param, index, gate):
+    report = GradCheckReport(
+        max_rel_error=1.0, worst_param=param, worst_index=index, n_checked=1, tolerance=1e-4, passed=False
+    )
+    monkeypatch.setattr(pipeline.lstm, "gradient_check", lambda *args, **kwargs: report)
+    got = cmd_gradcheck(seed=0, hidden=4, dense=3, length=4, horizon=2)["soil"]
+    assert (got["worst_param"], got["worst_index"], got["worst_gate"]) == (param, index, gate)
+
+
 # -- CLI ----------------------------------------------------------------------------
 
 
@@ -422,6 +475,15 @@ def test_cli_forecast_requires_checkpoints(tiny_dir: Path, tmp_path: Path, capsy
     rc = main(["forecast", "--config", str(tiny_dir / "config.json"), "--out", str(tmp_path / "o")])
     assert rc == 3
     assert "train-soil" in capsys.readouterr().err
+
+
+def test_cli_import_loads_no_scipy():
+    # importing the CLI imports pipeline and kriging too
+    src = str(Path(pipeline.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, smartcast.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"
 
 
 def test_cli_gradcheck(capsys):

@@ -168,9 +168,6 @@ class Seq2SeqModel:
     def bump_rev(self) -> None:
         self.rev += 1
 
-    def n_params(self) -> int:
-        return sum(a.size for _, a in self.param_items())
-
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -470,16 +467,13 @@ def gradient_check(
     epsilon: float = 1e-5,
     tolerance: float = 1e-4,
     loss: str = "mse",
-    max_coords: int | None = None,
-    seed: int = 0,
     corrupt: str | None = None,
 ) -> GradCheckReport:
     """Compare BPTT gradients with central finite differences.
 
-    Sweeps every parameter coordinate unless `max_coords` caps the count
-    (coordinates then sampled deterministically per `seed`). `corrupt`
-    names a tensor whose first analytic entry is doubled, a fault
-    injector used to prove the check can fail.
+    Sweeps every parameter coordinate. `corrupt` names a tensor whose
+    first analytic entry is doubled, a fault injector used to prove the
+    check can fail.
     Failures are reported, never raised.
     """
     if epsilon <= 0:
@@ -497,10 +491,6 @@ def gradient_check(
 
     items = model.param_items()
     coords = [(name, j) for name, a in items for j in range(a.size)]
-    if max_coords is not None and max_coords < len(coords):
-        rng = np.random.default_rng(seed)
-        picked = rng.choice(len(coords), size=max_coords, replace=False)
-        coords = [coords[int(k)] for k in sorted(picked)]
 
     arrays = dict(items)
     max_rel = 0.0

@@ -1,9 +1,14 @@
 """End-to-end orchestration: config parsing, staged runs, reports.
 
 A run trains one soil model per depth (windows pooled across sensors,
-scaled per depth), produces 14-day forecasts at every sensor, trains
-the vegetation-index pixel model, kriges the chosen forecast day into
-a per-depth grid stack, and writes all artifacts plus a JSON report.
+scaled per depth) and the vegetation-index pixel model, produces 14-day
+forecasts at every sensor and a forecast index image, kriges the chosen
+forecast day into a per-depth grid stack, and writes all artifacts plus
+a JSON report.
+
+Each training stage builds its jobs and a function that finishes the
+stage with the trained models. Every model trains in `_train_all`'s
+spawned workers; `run` trains the soil and index models in one pool.
 
 Every stage failure is wrapped in a StageError naming the stage, and
 artifacts are staged under `<out>/.partial` until the run succeeds.
@@ -16,6 +21,7 @@ import dataclasses
 import json
 import os
 import shutil
+from collections.abc import Callable
 from dataclasses import dataclass
 from datetime import timedelta
 from pathlib import Path
@@ -167,23 +173,12 @@ class ForecastReport:
                 "loo_score": None if d.loo_score is None else finite(f"depth {d.depth_cm} loo", d.loo_score),
                 "variogram": None
                 if d.variogram is None
-                else {
-                    "nugget": finite("nugget", d.variogram.nugget),
-                    "sill": finite("sill", d.variogram.sill),
-                    "range_a": finite("range_a", d.variogram.range_a),
-                },
+                else {k: finite(k, v) for k, v in dataclasses.asdict(d.variogram).items()},
             }
             depths[str(d.depth_cm)] = entry
-        index = None
-        if self.index is not None:
-            index = {
-                "test_rmse": finite("index test_rmse", self.index.test_rmse),
-                "test_mae": finite("index test_mae", self.index.test_mae),
-                "persistence_rmse": finite("index persistence_rmse", self.index.persistence_rmse),
-                "n_train_windows": self.index.n_train_windows,
-                "n_test_windows": self.index.n_test_windows,
-                "forecast_target": self.index.forecast_target,
-            }
+        index = None if self.index is None else dataclasses.asdict(self.index)
+        if index is not None:
+            index.update({k: finite(f"index {k}", index[k]) for k in ("test_rmse", "test_mae", "persistence_rmse")})
         return {
             "seed": self.seed,
             "forecast_day": self.forecast_day,
@@ -492,15 +487,17 @@ def _single_threaded_blas():
                 os.environ[name] = value
 
 
-def _train_all(
-    jobs: list[tuple[Seq2SeqModel, WindowSet, WindowSet | None, TrainConfig]]
-) -> list[Seq2SeqModel]:
+# One `lstm.train` call: the stage that owns it, then train's arguments.
+_TrainJob = tuple[str, Seq2SeqModel, WindowSet, WindowSet | None, TrainConfig]
+
+
+def _train_all(jobs: list[_TrainJob]) -> list[Seq2SeqModel]:
     """`lstm.train` on every job in spawned workers, one per usable core.
 
     Models come back in job order. Jobs are handed out in order as
     workers free up; after the first failure no further job starts, the
-    running ones finish, and the failure of the earliest job is raised,
-    as a serial loop would raise it.
+    running ones finish, and the earliest job's failure is raised, as a
+    serial loop would raise it, wrapped in a StageError naming its stage.
     """
     if not jobs:
         return []
@@ -517,11 +514,17 @@ def _train_all(
                 done, running = wait(running, return_when=FIRST_COMPLETED)
                 if any(future.exception() is not None for future in done):
                     break
-            futures.append(pool.submit(lstm.train, *job))
+            futures.append(pool.submit(lstm.train, *job[1:]))
             running.add(futures[-1])
     # Leaving the pool waited for every started job; the started ones are
-    # a prefix of `jobs`, so this raises the earliest failure if any.
-    return [future.result()[0] for future in futures]
+    # a prefix of `jobs`, so the first failure met here is the earliest.
+    models = []
+    for (stage, *_), future in zip(jobs, futures):
+        try:
+            models.append(future.result()[0])
+        except Exception as e:
+            raise StageError(stage, e) from e
+    return models
 
 
 def forecast_sensors(model: Seq2SeqModel, tails: dict[str, np.ndarray]) -> dict[str, tuple[float, ...]]:
@@ -535,9 +538,55 @@ def forecast_sensors(model: Seq2SeqModel, tails: dict[str, np.ndarray]) -> dict[
     return {sid: tuple(float(v) for v in row) for sid, row in zip(sensor_ids, preds)}
 
 
-def run_soil_stage(
+_SoilOutcome = tuple[list[DepthResult], dict[int, Seq2SeqModel], dict[int, dict[str, tuple[float, ...]]]]
+
+
+def _soil_stage(
     table: timeseries.SensorTable, config: RunConfig
-) -> tuple[list[DepthResult], dict[int, Seq2SeqModel], dict[int, dict[str, tuple[float, ...]]]]:
+) -> tuple[list[_TrainJob], Callable[[list[Seq2SeqModel]], _SoilOutcome]]:
+    """Every depth's training job, in depth order, and the function that
+    evaluates and forecasts with the trained models."""
+    groups = timeseries.group_records(table)
+    sensor_ids = sorted({sid for sid, _ in groups})
+    depths = config.depths_cm or tuple(sorted({depth for _, depth in groups}))
+    m, n_features = config.soil_model, len(timeseries.FEATURE_NAMES)
+    shape = ModelShape(n_features, m.encoder_hidden, m.decoder_hidden, m.dense_hidden, config.horizon_days)
+    prepared = [_prepare_depth(groups, sensor_ids, depth, config) for depth in depths]
+    jobs: list[_TrainJob] = []
+    for data in prepared:
+        model = lstm.init_params(shape, seed=_derive_seed(config.seed, 11, data.depth_cm, 0), scaler=data.scaler)
+        train_config = dataclasses.replace(config.soil_train, seed=_derive_seed(config.seed, 11, data.depth_cm, 1))
+        jobs.append(("soil", model, data.fit, data.val, train_config))
+
+    def finish(trained: list[Seq2SeqModel]) -> _SoilOutcome:
+        results: list[DepthResult] = []
+        models: dict[int, Seq2SeqModel] = {}
+        forecast_table: dict[int, dict[str, tuple[float, ...]]] = {}
+        for data, model in zip(prepared, trained):
+            depth = data.depth_cm
+            rmse, persist = _eval_on_moisture_scale(model, data.test, data.scaler)
+            forecasts = forecast_sensors(model, data.last_inputs)
+            models[depth] = model
+            forecast_table[depth] = forecasts
+            results.append(
+                DepthResult(
+                    depth_cm=depth,
+                    test_rmse=rmse,
+                    persistence_rmse=persist,
+                    n_train_windows=data.fit.n_samples + (data.val.n_samples if data.val else 0),
+                    n_test_windows=data.test.n_samples,
+                    forecasts=forecasts,
+                    loo_score=None,
+                    variogram=None,
+                    n_samples=0,
+                )
+            )
+        return results, models, forecast_table
+
+    return jobs, finish
+
+
+def run_soil_stage(table: timeseries.SensorTable, config: RunConfig) -> _SoilOutcome:
     """Train, evaluate, and forecast one model per depth.
 
     Windows are prepared here in depth order, the per-depth models train
@@ -548,48 +597,8 @@ def run_soil_stage(
     clipped to the physical moisture range), trained models, and the
     forecast table used by the kriging stage.
     """
-    groups = timeseries.group_records(table)
-    sensor_ids = sorted({sid for sid, _ in groups})
-    depths = config.depths_cm or tuple(sorted({depth for _, depth in groups}))
-    shape = ModelShape(
-        input_dim=len(timeseries.FEATURE_NAMES),
-        encoder_hidden=config.soil_model.encoder_hidden,
-        decoder_hidden=config.soil_model.decoder_hidden,
-        dense_hidden=config.soil_model.dense_hidden,
-        horizon=config.horizon_days,
-    )
-    prepared = [_prepare_depth(groups, sensor_ids, depth, config) for depth in depths]
-    jobs = []
-    for data in prepared:
-        model = lstm.init_params(shape, seed=_derive_seed(config.seed, 11, data.depth_cm, 0))
-        model = dataclasses.replace(model, scaler=data.scaler)
-        train_config = dataclasses.replace(config.soil_train, seed=_derive_seed(config.seed, 11, data.depth_cm, 1))
-        jobs.append((model, data.fit, data.val, train_config))
-    trained = _train_all(jobs)
-
-    results: list[DepthResult] = []
-    models: dict[int, Seq2SeqModel] = {}
-    forecast_table: dict[int, dict[str, tuple[float, ...]]] = {}
-    for data, model in zip(prepared, trained):
-        depth = data.depth_cm
-        rmse, persist = _eval_on_moisture_scale(model, data.test, data.scaler)
-        forecasts = forecast_sensors(model, data.last_inputs)
-        models[depth] = model
-        forecast_table[depth] = forecasts
-        results.append(
-            DepthResult(
-                depth_cm=depth,
-                test_rmse=rmse,
-                persistence_rmse=persist,
-                n_train_windows=data.fit.n_samples + (data.val.n_samples if data.val else 0),
-                n_test_windows=data.test.n_samples,
-                forecasts=forecasts,
-                loo_score=None,
-                variogram=None,
-                n_samples=0,
-            )
-        )
-    return results, models, forecast_table
+    jobs, finish = _soil_stage(table, config)
+    return finish(_train_all(jobs))
 
 
 def forecast_from_checkpoints(config: RunConfig, ckpt_dir: Path) -> dict[int, dict[str, tuple[float, ...]]]:
@@ -646,57 +655,58 @@ def _split_by_run(windows: WindowSet, run_ids: np.ndarray, test_fraction: float)
     return train, val, test
 
 
-def run_index_stage(
-    stack: vegindex.ImageStack, config: RunConfig
-) -> tuple[IndexResult, Seq2SeqModel, vegindex.IndexImage]:
-    """Train the shared pixel model, evaluate on held-out runs, forecast.
+_IndexOutcome = tuple[IndexResult, Seq2SeqModel, vegindex.IndexImage]
 
-    The forecast target date is the last image date plus the
-    configured forecast day; the predicted image reuses the stack's
-    validity mask.
-    """
+
+def _index_stage(
+    stack: vegindex.ImageStack, config: RunConfig
+) -> tuple[_TrainJob, Callable[[Seq2SeqModel], _IndexOutcome]]:
+    """The pixel model's training job and the function that tests the
+    trained model on held-out runs and forecasts the index image."""
     windows, run_ids = vegindex.stack_windows_for_training(stack)
     fit, val, test = _split_by_run(windows, run_ids, config.test_fraction)
+    n_train_windows = fit.n_samples + (val.n_samples if val is not None else 0)
     scaler = timeseries.fit_scaler_pooled([fit.inputs.reshape(-1, fit.input_dim)])
     fit = WindowSet(scaler.apply(fit.inputs), scaler.apply_feature(fit.targets, 0))
-    test_scaled = WindowSet(scaler.apply(test.inputs), scaler.apply_feature(test.targets, 0))
     if val is not None:
         val = WindowSet(scaler.apply(val.inputs), scaler.apply_feature(val.targets, 0))
 
-    shape = ModelShape(
-        input_dim=2,
-        encoder_hidden=config.index_model.encoder_hidden,
-        decoder_hidden=config.index_model.decoder_hidden,
-        dense_hidden=config.index_model.dense_hidden,
-        horizon=1,
-    )
-    model = lstm.init_params(shape, seed=_derive_seed(config.seed, 22, 0))
-    model = dataclasses.replace(model, scaler=scaler)
+    m = config.index_model
+    shape = ModelShape(2, m.encoder_hidden, m.decoder_hidden, m.dense_hidden, horizon=1)
+    model = lstm.init_params(shape, seed=_derive_seed(config.seed, 22, 0), scaler=scaler)
     train_config = dataclasses.replace(config.index_train, seed=_derive_seed(config.seed, 22, 1))
-    model, _history = lstm.train(model, fit, val, train_config)
+    job: _TrainJob = ("index", model, fit, val, train_config)
 
-    preds = np.clip(lstm.predict_batch(model, test_scaled.inputs)[:, 0], -1.0, 1.0)
-    targets = test.targets[:, 0, 0]
-    persistence = test.inputs[:, -1, 0]
-    result = IndexResult(
-        test_rmse=lstm.rmse(preds, targets),
-        test_mae=lstm.mae(preds, targets),
-        persistence_rmse=lstm.rmse(persistence, targets),
-        n_train_windows=fit.n_samples + (val.n_samples if val is not None else 0),
-        n_test_windows=test.n_samples,
-        forecast_target=(stack.entries[-1][0] + timedelta(days=config.forecast_day)).isoformat(),
-    )
+    def finish(model: Seq2SeqModel) -> _IndexOutcome:
+        preds = np.clip(lstm.predict_batch(model, scaler.apply(test.inputs))[:, 0], -1.0, 1.0)
+        targets = test.targets[:, 0, 0]
+        persistence = test.inputs[:, -1, 0]
+        target_date = stack.entries[-1][0] + timedelta(days=config.forecast_day)
+        result = IndexResult(
+            test_rmse=lstm.rmse(preds, targets),
+            test_mae=lstm.mae(preds, targets),
+            persistence_rmse=lstm.rmse(persistence, targets),
+            n_train_windows=n_train_windows,
+            n_test_windows=test.n_samples,
+            forecast_target=target_date.isoformat(),
+        )
+        flat_windows, mask = vegindex.flatten_stack(stack, target_date)
+        flat_preds = vegindex.predict_pixels(model, flat_windows, mask)
+        image = vegindex.reshape_to_image(flat_preds, stack.width, stack.height, index_kind=config.index_kind)
+        return result, model, image
 
-    target_date = stack.entries[-1][0] + timedelta(days=config.forecast_day)
-    flat_windows, mask = vegindex.flatten_stack(stack, target_date)
-    flat_preds = vegindex.predict_pixels(model, flat_windows, mask)
-    image = vegindex.reshape_to_image(
-        flat_preds,
-        stack.entries[0][1].width,
-        stack.entries[0][1].height,
-        index_kind=config.index_kind,
-    )
-    return result, model, image
+    return job, finish
+
+
+def run_index_stage(stack: vegindex.ImageStack, config: RunConfig) -> _IndexOutcome:
+    """Train the shared pixel model, evaluate on held-out runs, forecast.
+
+    The model trains in one spawned worker, as every model does. The
+    forecast target date is the last image date plus the configured
+    forecast day; the predicted image reuses the stack's validity mask.
+    """
+    job, finish = _index_stage(stack, config)
+    return finish(_train_all([job])[0])
 
 
 # -- kriging stage ----------------------------------------------------------------
@@ -875,8 +885,9 @@ def run_forecast(
 
     The outputs are those of the four stage commands, written by the
     same writers inside one `staged` block, so a failed run leaves no
-    new file outside the `.partial` quarantine. Identical (config,
-    seed, inputs) produce byte-identical outputs.
+    new file outside the `.partial` quarantine. The soil and index
+    models train in one `_train_all` pool. Identical (config, seed,
+    inputs) produce byte-identical outputs.
     """
     out_dir = Path(out_dir) if out_dir is not None else config.output_path
     day = check_forecast_day(config, forecast_day)
@@ -896,10 +907,16 @@ def run_forecast(
             stack = stage(
                 "load", vegindex.load_index_stack, config.image_manifest_path, config.index_kind, config.band_mapping
             )
-        depth_results, soil_models, forecast_table = stage("soil", run_soil_stage, table, config)
-        index = None
+        # One pool trains every model: the soil depths, then the index model.
+        soil_jobs, finish_soil = stage("soil", _soil_stage, table, config)
+        index_jobs = []
         if stack is not None:
-            index = stage("index", run_index_stage, stack, config)
+            index_job, finish_index = stage("index", _index_stage, stack, config)
+            index_jobs = [index_job]
+        trained = stage("soil", _train_all, soil_jobs + index_jobs)  # a failed job raises its own stage's error
+        depth_results, soil_models, forecast_table = stage("soil", finish_soil, trained[: len(soil_jobs)])
+        del soil_jobs, finish_soil  # frees the soil windows before the index finish's peak
+        index = None if stack is None else stage("index", finish_index, trained[-1])
         volume, kriging_stats = stage("kriging", run_kriging_stage, forecast_table, config, day)
 
         artifacts = stage("export", write_soil, partial, depth_results, soil_models)
@@ -963,7 +980,6 @@ def cmd_gradcheck(
             model,
             (x, targets),
             corrupt="encoder.w" if corrupt else None,
-            seed=seed,
         )
         layer, _, tensor = report.worst_param.partition(".")
         gate = None

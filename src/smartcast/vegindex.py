@@ -25,7 +25,7 @@ from .errors import (
     InsufficientHistoryError,
     ShapeError,
 )
-from .lstm import Seq2SeqModel, forward_batch
+from .lstm import Seq2SeqModel, predict_batch
 from .timeseries import WindowSet
 
 BANDGRID_MAGIC = "BGRID 1"
@@ -217,14 +217,8 @@ def predict_pixels(
     active = np.flatnonzero(mask)
     for start in range(0, active.size, batch_size):
         idx = active[start : start + batch_size]
-        xb = windows[idx]
-        if model.scaler is not None:
-            xb = model.scaler.apply(xb)
-        preds, _ = forward_batch(model, xb, keep_cache=False)
-        vals = preds[:, 0]
-        if model.scaler is not None:
-            vals = model.scaler.invert_feature(vals, 0)
-        out[idx] = np.clip(vals, -1.0, 1.0)
+        xb = windows[idx] if model.scaler is None else model.scaler.apply(windows[idx])
+        out[idx] = np.clip(predict_batch(model, xb)[:, 0], -1.0, 1.0)
     return out
 
 

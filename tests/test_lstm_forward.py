@@ -169,7 +169,6 @@ def test_model_shape_validation():
         ModelShape(input_dim=0, encoder_hidden=4, decoder_hidden=4, dense_hidden=2, horizon=1)
     model = init_params(SOIL_TOY, seed=0)
     assert model.shape == SOIL_TOY
-    assert model.n_params() == sum(a.size for _, a in model.param_items())
 
 
 # -- fused gate layout --------------------------------------------------------------

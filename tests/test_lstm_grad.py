@@ -38,7 +38,7 @@ def probe(shape: ModelShape, length: int, seed: int):
 def test_full_coordinate_gradcheck(shape, length, seed):
     model, x, targets = probe(shape, length, seed)
     report = gradient_check(model, (x, targets))
-    assert report.n_checked == model.n_params()
+    assert report.n_checked == sum(a.size for _, a in model.param_items())
     assert report.passed, f"max rel {report.max_rel_error:.3e} at {report.worst_param}"
     assert report.max_rel_error < 1e-4
 

@@ -304,12 +304,12 @@ def test_failed_stage_command_leaves_outputs_alone(tiny_dir: Path, tiny_chain: P
     assert not (out / ".partial").exists()
 
 
-# -- parallel soil training -----------------------------------------------------------
+# -- training pool ---------------------------------------------------------------------
 
 
 @pytest.fixture()
 def soil_pools(monkeypatch):
-    """Worker and job counts of every pool the soil stage opens."""
+    """Worker and job counts of every training pool opened."""
     pools = []
 
     class Recording(concurrent.futures.ProcessPoolExecutor):
@@ -375,6 +375,45 @@ def test_soil_worker_divergence_stays_typed(tiny_dir: Path, tmp_path: Path, monk
         assert multiprocessing.active_children() == []
     assert not (tmp_path / "train-soil" / ".partial").exists()
     assert "non-finite" in capsys.readouterr().err
+
+
+def test_run_trains_every_model_in_one_pool(tiny_dir: Path, tmp_path: Path, monkeypatch, soil_pools):
+    # each run opens one pool for every depth and the index model, and its
+    # whole output tree, index.ckpt included, does not depend on the pool size
+    config = parse_config(tiny_dir / "config.json")
+    trees = []
+    for cores in (1, 2):
+        monkeypatch.setattr(pipeline, "_usable_cores", lambda n=cores: n)
+        report, out_dir = run_forecast(config, out_dir=tmp_path / f"cores{cores}")
+        trees.append(file_tree(out_dir))
+    jobs = len(report.depths) + 1
+    assert soil_pools == [{"workers": 1, "jobs": jobs}, {"workers": 2, "jobs": jobs}]
+    assert "checkpoints/index.ckpt" in trees[0]
+    assert trees[0] == trees[1]
+
+
+def test_index_worker_divergence_stays_typed(tiny_dir: Path, tmp_path: Path, monkeypatch, soil_pools, capsys):
+    payload = json.loads((tiny_dir / "config.json").read_text(encoding="utf-8"))
+    payload["index_train"]["learning_rate"] = 1e200
+    for key in ("sensor_csv", "image_manifest"):
+        payload[key] = str(tiny_dir / payload[key])
+    config_path = write_config(tmp_path, payload, "diverge.json")
+    monkeypatch.setattr(pipeline, "_usable_cores", lambda: 2)
+
+    out = tmp_path / "run"
+    with pytest.raises(StageError) as info:
+        run_forecast(parse_config(config_path), out_dir=out)
+    assert info.value.stage == "index"
+    assert isinstance(info.value.cause, DivergenceError)
+    assert [p for p in out.rglob("*") if p.is_file()] == []
+    assert multiprocessing.active_children() == []
+
+    for command in ("train-index", "run"):
+        out = tmp_path / command
+        assert main([command, "--config", str(config_path), "--out", str(out)]) == 4
+        assert multiprocessing.active_children() == []
+        assert [p for p in out.rglob("*") if p.is_file()] == []
+        assert "stage 'index' failed" in capsys.readouterr().err
 
 
 def test_run_forecast_rejects_bad_day(tiny_dir: Path, tmp_path: Path):

@@ -123,11 +123,19 @@ def test_forward_batch_rows_independent():
 def test_decoder_sees_repeated_encoder_state():
     model = init_params(SOIL_TOY, seed=4)
     rng = np.random.default_rng(11)
-    x = rng.normal(size=(1, SOIL_LEN, 4))
+    x = rng.normal(size=(3, SOIL_LEN, 4))
     _, cache = forward_batch(model, x)
-    h_final = cache.h_enc_final
-    for step in cache.dec_steps:
-        np.testing.assert_array_equal(step.x, h_final)
+    h_enc = cache.enc.h[-1]  # (n, B), samples as columns
+    dec = model.decoder
+    n = dec.hidden_dim
+    h = c = np.zeros((n, 3))
+    for k in range(model.horizon):
+        a = dec.w @ h_enc + dec.b[:, None] + dec.u @ h  # h_enc fed again at step k
+        i, f, o, g = expit(a[:n]), expit(a[n : 2 * n]), expit(a[2 * n : 3 * n]), np.tanh(a[3 * n :])
+        c = f * c + i * g
+        h = o * np.tanh(c)
+        np.testing.assert_allclose(cache.dec.h[k + 1], h, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(cache.dec.c[k + 1], c, rtol=0.0, atol=1e-12)
 
 
 def test_forward_input_validation():

@@ -470,10 +470,11 @@ _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS
 def _single_threaded_blas():
     """Processes started inside the block run BLAS on one thread.
 
-    One training process per core with a multi-threaded BLAS in each
-    oversubscribes the cores. BLAS results at wide layers also depend on
-    its thread count, so pinning it keeps trained bytes independent of
-    the host. The parent's environment is restored on exit.
+    The training pool may start more processes than there are cores (see
+    `_pool_size`); a multi-threaded BLAS in each would multiply that
+    oversubscription by its thread count. BLAS results at wide layers also
+    depend on its thread count, so pinning it keeps trained bytes
+    independent of the host. The parent's environment is restored on exit.
     """
     saved = {name: os.environ.get(name) for name in _BLAS_THREAD_VARS}
     os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
@@ -491,20 +492,35 @@ def _single_threaded_blas():
 _TrainJob = tuple[str, Seq2SeqModel, WindowSet, WindowSet | None, TrainConfig]
 
 
-def _train_all(jobs: list[_TrainJob]) -> list[Seq2SeqModel]:
-    """`lstm.train` on every job in spawned workers, one per usable core.
+def _pool_size(jobs: int, cores: int) -> int:
+    """Workers for `jobs` training jobs on `cores` usable cores.
 
-    Models come back in job order. Jobs are handed out in order as
-    workers free up; after the first failure no further job starts, the
-    running ones finish, and the earliest job's failure is raised, as a
-    serial loop would raise it, wrapped in a StageError naming its stage.
+    One worker per core leaves cores idle while the `jobs % cores` jobs of
+    a partial last round train. One extra worker per such job lets them
+    time-share the cores with a full round instead, so every core stays
+    busy until the end (McNaughton 1959: preemption reaches
+    max(p_max, sum(p) / m)). With no partial round the pool stays at one
+    worker per core, since time-sharing there only adds switching cost.
+    """
+    return min(jobs, cores + jobs % cores)
+
+
+def _train_all(jobs: list[_TrainJob]) -> list[Seq2SeqModel]:
+    """`lstm.train` on every job in spawned workers, `_pool_size` of them.
+
+    The pool has one worker per usable core, plus one per job of a partial
+    last round, so no core idles while the last jobs train. Models come
+    back in job order. Jobs are handed out in order as workers free up;
+    after the first failure no further job starts, the running ones
+    finish, and the earliest job's failure is raised, as a serial loop
+    would raise it, wrapped in a StageError naming its stage.
     """
     if not jobs:
         return []
     import multiprocessing
     from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 
-    workers = min(len(jobs), _usable_cores())
+    workers = _pool_size(len(jobs), _usable_cores())
     spawn = multiprocessing.get_context("spawn")
     futures = []
     with _single_threaded_blas(), ProcessPoolExecutor(workers, mp_context=spawn) as pool:

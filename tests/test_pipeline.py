@@ -377,9 +377,30 @@ def test_soil_worker_divergence_stays_typed(tiny_dir: Path, tmp_path: Path, monk
     assert "non-finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    ("jobs", "cores", "workers"),
+    [
+        (3, 1, 1),  # one core: never time-share
+        (4, 1, 1),
+        (1, 2, 1),  # jobs <= cores: one worker per job
+        (2, 2, 2),
+        (3, 4, 3),
+        (4, 2, 2),  # whole rounds: one worker per core
+        (8, 4, 4),
+        (3, 2, 3),  # a partial last round starts beside a full one
+        (5, 2, 3),
+        (9, 4, 5),
+        (7, 3, 4),
+    ],
+)
+def test_pool_size_adds_a_worker_per_leftover_job(jobs, cores, workers):
+    assert pipeline._pool_size(jobs, cores) == workers
+
+
 def test_run_trains_every_model_in_one_pool(tiny_dir: Path, tmp_path: Path, monkeypatch, soil_pools):
     # each run opens one pool for every depth and the index model, and its
-    # whole output tree, index.ckpt included, does not depend on the pool size
+    # whole output tree, index.ckpt included, does not depend on the pool
+    # size: 3 jobs on 2 cores start 3 time-shared workers
     config = parse_config(tiny_dir / "config.json")
     trees = []
     for cores in (1, 2):
@@ -387,7 +408,8 @@ def test_run_trains_every_model_in_one_pool(tiny_dir: Path, tmp_path: Path, monk
         report, out_dir = run_forecast(config, out_dir=tmp_path / f"cores{cores}")
         trees.append(file_tree(out_dir))
     jobs = len(report.depths) + 1
-    assert soil_pools == [{"workers": 1, "jobs": jobs}, {"workers": 2, "jobs": jobs}]
+    assert jobs == 3
+    assert soil_pools == [{"workers": 1, "jobs": jobs}, {"workers": 3, "jobs": jobs}]
     assert "checkpoints/index.ckpt" in trees[0]
     assert trees[0] == trees[1]
 

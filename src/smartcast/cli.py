@@ -36,11 +36,7 @@ def _load_config(args: argparse.Namespace) -> pipeline.RunConfig:
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
     if args.out is not None:
-        out = Path(args.out)
-        config = dataclasses.replace(
-            config,
-            output_dir=str(out if out.is_absolute() else Path.cwd() / out),
-        )
+        config = dataclasses.replace(config, output_dir=Path.cwd() / args.out)
     return config
 
 
@@ -55,9 +51,9 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 def cmd_train_soil(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    table = timeseries.load_sensor_csv(config.sensor_csv_path)
+    table = timeseries.load_sensor_csv(config.sensor_csv)
     results, models, _ = pipeline.run_soil_stage(table, config)
-    out_dir = config.output_path
+    out_dir = config.output_dir
     with pipeline.staged(out_dir) as partial:
         pipeline.write_soil(partial, results, models)
     for r in results:
@@ -68,11 +64,11 @@ def cmd_train_soil(args: argparse.Namespace) -> int:
 
 def cmd_train_index(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    if config.image_manifest_path is None:
+    if config.image_manifest is None:
         raise ConfigError("config has no image_manifest; nothing to train on")
-    stack = vegindex.load_index_stack(config.image_manifest_path, config.index_kind, config.band_mapping)
+    stack = vegindex.load_index_stack(config.image_manifest, config.index_kind, config.band_mapping)
     result, model, image = pipeline.run_index_stage(stack, config)
-    out_dir = config.output_path
+    out_dir = config.output_dir
     with pipeline.staged(out_dir) as partial:
         pipeline.write_index(partial, result, model, image)
     print(f"index test RMSE {result.test_rmse:.4f} MAE {result.test_mae:.4f} vs persistence {result.persistence_rmse:.4f}")
@@ -82,7 +78,7 @@ def cmd_train_index(args: argparse.Namespace) -> int:
 
 def cmd_forecast(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    out_dir = config.output_path
+    out_dir = config.output_dir
     table = pipeline.forecast_from_checkpoints(config, out_dir / "checkpoints")
     with pipeline.staged(out_dir) as partial:
         pipeline.write_forecasts(partial, table)
@@ -92,7 +88,7 @@ def cmd_forecast(args: argparse.Namespace) -> int:
 
 def cmd_interpolate(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    out_dir = config.output_path
+    out_dir = config.output_dir
     day = pipeline.check_forecast_day(config, args.day)
     table = pipeline.read_forecasts(out_dir / "forecasts.json", day)
     volume, stats = pipeline.run_kriging_stage(table, config, day)
@@ -108,7 +104,7 @@ def cmd_interpolate(args: argparse.Namespace) -> int:
 
 def cmd_run(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    report, out_dir = pipeline.run_forecast(config, forecast_day=args.day)
+    report = pipeline.run_forecast(config, forecast_day=args.day)
     for d in report.depths:
         shown = "n/a" if d.loo_score is None else f"{d.loo_score:.4f}"
         print(
@@ -120,7 +116,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             f"index: test RMSE {report.index.test_rmse:.4f} MAE {report.index.test_mae:.4f} "
             f"vs persistence {report.index.persistence_rmse:.4f}"
         )
-    print(f"report: {out_dir / 'report.json'}")
+    print(f"report: {config.output_dir / 'report.json'}")
     return 0
 
 

@@ -26,7 +26,7 @@ from .errors import (
     ShapeError,
     UndefinedScoreError,
 )
-from .vegindex import DEFAULT_NODATA, BandGrid, IndexImage, write_bandgrid, write_pgm
+from .vegindex import DEFAULT_NODATA, BandGrid, write_bandgrid, write_pgm
 
 _JITTER_START = 1e-10
 _JITTER_STOP = 1e-6
@@ -352,37 +352,17 @@ def predict_point(model: KrigingModel, x: float, y: float) -> tuple[float, float
     return float(w @ model.values), float(w @ rhs[:-1, 0] + sol[-1, 0])
 
 
-def interpolate_grid(
-    model: KrigingModel, geometry: GridGeometry, mask: np.ndarray | IndexImage | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Kriged value and variance at every cell center of a grid.
-
-    `mask` (bool array or IndexImage valid mask) restricts evaluation;
-    skipped cells hold NaN. Results are independent of evaluation
-    order: all right-hand sides are solved in one call.
+def interpolate_grid(model: KrigingModel, geometry: GridGeometry) -> tuple[np.ndarray, np.ndarray]:
+    """Kriged value and variance at every cell center of a grid, (ny, nx)
+    each. Results are independent of evaluation order: all right-hand
+    sides are solved in one call.
     """
     xs, ys = geometry.cell_centers()
     gx, gy = np.meshgrid(xs, ys)
-    queries = np.column_stack([gx.ravel(), gy.ravel()])
-    if mask is None:
-        active = np.ones(queries.shape[0], dtype=bool)
-    elif isinstance(mask, IndexImage):
-        if (mask.height, mask.width) != (geometry.ny, geometry.nx):
-            raise ShapeError("mask image dimensions must match the grid")
-        active = mask.valid_mask().ravel()
-    else:
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != (geometry.ny, geometry.nx):
-            raise ShapeError("mask shape must match the grid")
-        active = mask.ravel()
-
-    values = np.full(queries.shape[0], np.nan)
-    variances = np.full(queries.shape[0], np.nan)
-    if active.any():
-        rhs, sol = _query_system(model, queries[active])
-        w = sol[:-1]
-        values[active] = w.T @ model.values
-        variances[active] = np.sum(w * rhs[:-1], axis=0) + sol[-1]
+    rhs, sol = _query_system(model, np.column_stack([gx.ravel(), gy.ravel()]))
+    w = sol[:-1]
+    values = w.T @ model.values
+    variances = np.sum(w * rhs[:-1], axis=0) + sol[-1]
     return values.reshape(geometry.ny, geometry.nx), variances.reshape(geometry.ny, geometry.nx)
 
 
@@ -424,7 +404,7 @@ def stack_depths(layers: list[DepthLayer]) -> MoistureVolume:
 # -- exports ----------------------------------------------------------------------
 
 def export_grid_csv(volume: MoistureVolume, path: str | Path) -> None:
-    """Write `x,y,depth_cm,value,variance` rows for every evaluated cell."""
+    """Write `x,y,depth_cm,value,variance` rows for every non-NaN cell."""
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["x", "y", "depth_cm", "value", "variance"])
@@ -441,7 +421,7 @@ def export_grid_csv(volume: MoistureVolume, path: str | Path) -> None:
 def export_volume(volume: MoistureVolume, out_dir: str | Path) -> Path:
     """Write one 2-band BandGrid (+ PGM heatmap) per depth and a manifest.
 
-    Returns the manifest path; masked cells become the nodata sentinel.
+    Returns the manifest path; NaN cells become the nodata sentinel.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

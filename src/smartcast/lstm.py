@@ -350,15 +350,6 @@ def forward_batch(
     return _forward(model, x, cache), cache
 
 
-def seq2seq_forward(model: Seq2SeqModel, x: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
-    """Single-sample forward: x (L, d) -> (H,) prediction plus cache."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2:
-        raise ShapeError(f"expected a (L, d) input, got shape {x.shape}")
-    preds, cache = forward_batch(model, x[None, :, :])
-    return preds[0], cache
-
-
 # -- loss ----------------------------------------------------------------------
 
 def _loss_and_grad(preds: np.ndarray, targets: np.ndarray, kind: str) -> tuple[float, np.ndarray]:
@@ -669,7 +660,6 @@ def train(
         history.append(entry)
 
     if best_params is not None:
-        best_params.scaler = model.scaler
         model = best_params
     return model, history
 

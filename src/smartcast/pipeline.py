@@ -73,13 +73,17 @@ class IndexModelSpec:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated run configuration; raw path strings resolve against base_dir."""
+    """Validated run configuration.
 
-    base_dir: Path
+    `sensor_csv`, `image_manifest` and `output_dir` are resolved once, by
+    `parse_config`: a relative path in the file is relative to the
+    config file's directory, an absolute one is kept.
+    """
+
     seed: int
-    sensor_csv: str
-    image_manifest: str | None
-    output_dir: str
+    sensor_csv: Path
+    image_manifest: Path | None
+    output_dir: Path
     sensor_locations: dict[str, tuple[float, float]]
     depths_cm: tuple[int, ...] | None
     horizon_days: int
@@ -94,22 +98,6 @@ class RunConfig:
     index_train: TrainConfig
     grid: GridGeometry
     variogram: Variogram | None
-
-    def resolve(self, raw: str) -> Path:
-        p = Path(raw)
-        return p if p.is_absolute() else self.base_dir / p
-
-    @property
-    def sensor_csv_path(self) -> Path:
-        return self.resolve(self.sensor_csv)
-
-    @property
-    def image_manifest_path(self) -> Path | None:
-        return self.resolve(self.image_manifest) if self.image_manifest else None
-
-    @property
-    def output_path(self) -> Path:
-        return self.resolve(self.output_dir)
 
 
 @dataclass(frozen=True)
@@ -267,19 +255,16 @@ def parse_config(path: str | Path) -> RunConfig:
         "index_train", "grid", "variogram",
     }
     _reject_unknown("config", raw, allowed)
-    base_dir = path.parent
-
     seed = int(_require(raw, "seed", int, "config"))
     if seed < 0:
         raise ConfigError("seed must be nonnegative")
-    sensor_csv = str(_require(raw, "sensor_csv", str, "config"))
-    if not (base_dir / sensor_csv if not Path(sensor_csv).is_absolute() else Path(sensor_csv)).is_file():
+    # Joining an absolute path keeps it as it is.
+    sensor_csv = _require(raw, "sensor_csv", str, "config")
+    if not (path.parent / sensor_csv).is_file():
         raise ConfigError(f"sensor_csv does not exist: {sensor_csv}")
     image_manifest = _optional(raw, "image_manifest", str, "config", None)
-    if image_manifest is not None:
-        p = Path(image_manifest)
-        if not (p if p.is_absolute() else base_dir / p).is_file():
-            raise ConfigError(f"image_manifest does not exist: {image_manifest}")
+    if image_manifest is not None and not (path.parent / image_manifest).is_file():
+        raise ConfigError(f"image_manifest does not exist: {image_manifest}")
 
     locations_raw = _optional(raw, "sensor_locations", dict, "config", {})
     locations: dict[str, tuple[float, float]] = {}
@@ -323,11 +308,10 @@ def parse_config(path: str | Path) -> RunConfig:
         sections[section] = default if given is None else _parse_section(section, given, cls, default)
 
     return RunConfig(
-        base_dir=base_dir,
         seed=seed,
-        sensor_csv=sensor_csv,
-        image_manifest=image_manifest,
-        output_dir=str(_optional(raw, "output_dir", str, "config", "out")),
+        sensor_csv=path.parent / sensor_csv,
+        image_manifest=None if image_manifest is None else path.parent / image_manifest,
+        output_dir=path.parent / _optional(raw, "output_dir", str, "config", "out"),
         sensor_locations=locations,
         depths_cm=depths,
         horizon_days=horizon,
@@ -338,31 +322,6 @@ def parse_config(path: str | Path) -> RunConfig:
         band_mapping=band_mapping,
         **sections,
     )
-
-
-def serialize_config(config: RunConfig) -> dict:
-    """Canonical JSON-ready form; parse(serialize(c)) reproduces c."""
-    payload: dict = {
-        "seed": config.seed,
-        "sensor_csv": config.sensor_csv,
-        "output_dir": config.output_dir,
-        "sensor_locations": {k: [x, y] for k, (x, y) in sorted(config.sensor_locations.items())},
-        "horizon_days": config.horizon_days,
-        "test_fraction": config.test_fraction,
-        "max_gap_days": config.max_gap_days,
-        "forecast_day": config.forecast_day,
-        "index_kind": config.index_kind,
-        "band_mapping": dict(sorted(config.band_mapping.items())),
-    }
-    if config.image_manifest is not None:
-        payload["image_manifest"] = config.image_manifest
-    if config.depths_cm is not None:
-        payload["depths_cm"] = list(config.depths_cm)
-    for section, (cls, _) in _SECTIONS.items():
-        value = getattr(config, section)
-        if value is not None:
-            payload[section] = {f.name: getattr(value, f.name) for f in _section_fields(cls)}
-    return payload
 
 
 def _derive_seed(master: int, *parts: int) -> int:
@@ -626,7 +585,7 @@ def forecast_from_checkpoints(config: RunConfig, ckpt_dir: Path) -> dict[int, di
     checkpoints = sorted(ckpt_dir.glob("soil_depth_*.ckpt"))
     if not checkpoints:
         raise DataError(f"no soil checkpoints under {ckpt_dir}; run train-soil first")
-    groups = timeseries.group_records(timeseries.load_sensor_csv(config.sensor_csv_path))
+    groups = timeseries.group_records(timeseries.load_sensor_csv(config.sensor_csv))
     sensor_ids = sorted({sid for sid, _ in groups})
     length = config.soil_model.input_length
     table: dict[int, dict[str, tuple[float, ...]]] = {}
@@ -892,12 +851,9 @@ def write_volume(root: Path, volume: kriging.MoistureVolume) -> dict[str, str]:
 
 # -- orchestration ----------------------------------------------------------------
 
-def run_forecast(
-    config: RunConfig,
-    out_dir: str | Path | None = None,
-    forecast_day: int | None = None,
-) -> tuple[ForecastReport, Path]:
-    """Execute every stage and write its outputs plus report.json.
+def run_forecast(config: RunConfig, forecast_day: int | None = None) -> ForecastReport:
+    """Execute every stage and write its outputs plus report.json under
+    `config.output_dir`.
 
     The outputs are those of the four stage commands, written by the
     same writers inside one `staged` block, so a failed run leaves no
@@ -905,7 +861,6 @@ def run_forecast(
     models train in one `_train_all` pool. Identical (config, seed,
     inputs) produce byte-identical outputs.
     """
-    out_dir = Path(out_dir) if out_dir is not None else config.output_path
     day = check_forecast_day(config, forecast_day)
 
     def stage(name, fn, *args, **kwargs):
@@ -916,12 +871,12 @@ def run_forecast(
         except Exception as e:
             raise StageError(name, e) from e
 
-    with staged(out_dir) as partial:
-        table = stage("load", timeseries.load_sensor_csv, config.sensor_csv_path)
+    with staged(config.output_dir) as partial:
+        table = stage("load", timeseries.load_sensor_csv, config.sensor_csv)
         stack = None
-        if config.image_manifest_path is not None:
+        if config.image_manifest is not None:
             stack = stage(
-                "load", vegindex.load_index_stack, config.image_manifest_path, config.index_kind, config.band_mapping
+                "load", vegindex.load_index_stack, config.image_manifest, config.index_kind, config.band_mapping
             )
         # One pool trains every model: the soil depths, then the index model.
         soil_jobs, finish_soil = stage("soil", _soil_stage, table, config)
@@ -958,7 +913,7 @@ def run_forecast(
             artifacts=artifacts,
         )
         stage("export", lambda: _write_json(partial, "report.json", report.to_dict()))
-    return report, out_dir
+    return report
 
 
 # -- gradient-check command ---------------------------------------------------------

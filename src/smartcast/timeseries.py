@@ -113,9 +113,6 @@ class Scaler:
         """Standardize; last axis must match the feature count."""
         return (np.asarray(x, dtype=np.float64) - self.mean) / self.std
 
-    def invert(self, z: np.ndarray) -> np.ndarray:
-        return np.asarray(z, dtype=np.float64) * self.std + self.mean
-
     def apply_feature(self, x: np.ndarray | float, index: int) -> np.ndarray | float:
         return (x - self.mean[index]) / self.std[index]
 

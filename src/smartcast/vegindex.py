@@ -222,11 +222,6 @@ def predict_pixels(
     return out
 
 
-def flatten_image(image: IndexImage) -> np.ndarray:
-    """Row-major pixel vector of an index image."""
-    return image.values.reshape(-1).copy()
-
-
 def reshape_to_image(
     flat: np.ndarray, width: int, height: int, index_kind: str = "NDVI", nodata: float = DEFAULT_NODATA
 ) -> IndexImage:

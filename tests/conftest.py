@@ -1,7 +1,10 @@
-"""Shared fixtures: synthetic datasets generated once per session."""
+"""Shared fixtures (synthetic datasets generated once per session) and
+the single-sample forward helper of the LSTM tests."""
 
+import numpy as np
 import pytest
 
+from smartcast.lstm import ForwardCache, Seq2SeqModel, forward_batch
 from smartcast.pipeline import parse_config
 from smartcast.synth import SynthSpec, generate_dataset
 
@@ -36,3 +39,9 @@ def tiny_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("synth_tiny")
     generate_dataset(out, seed=3, spec=TINY_SPEC)
     return out
+
+
+def seq2seq_forward(model: Seq2SeqModel, x: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
+    """Single-sample forward: x (L, d) -> (H,) prediction plus cache."""
+    preds, cache = forward_batch(model, np.asarray(x, dtype=np.float64)[None, :, :])
+    return preds[0], cache

@@ -37,7 +37,7 @@ from smartcast.kriging import (
     solve_weights,
     stack_depths,
 )
-from smartcast.vegindex import DEFAULT_NODATA, IndexImage, read_bandgrid
+from smartcast.vegindex import DEFAULT_NODATA, read_bandgrid
 
 
 def oracle_predict(samples, v, jitter, x, y):
@@ -348,29 +348,6 @@ def test_grid_matches_per_point_predictions():
             pv, pvar = predict_point(model, float(x), float(y))
             assert abs(values[i, j] - pv) <= 1e-9
             assert abs(variances[i, j] - pvar) <= 1e-9
-
-
-def test_grid_mask_variants():
-    _, samples, v = random_case(12)
-    model = build_model(samples, v)
-    geom = GridGeometry(nx=3, ny=2, cell_size=30.0)
-    mask = np.array([[True, False, True], [False, True, False]])
-    values, variances = interpolate_grid(model, geom, mask=mask)
-    assert np.isnan(values[0, 1]) and np.isnan(variances[0, 1])
-    assert np.isfinite(values[0, 0])
-    full, _ = interpolate_grid(model, geom)
-    assert values[0, 0] == full[0, 0]
-
-    img_vals = np.full((2, 3), 0.5)
-    img_vals[1, 2] = DEFAULT_NODATA
-    img = IndexImage(3, 2, "NDVI", DEFAULT_NODATA, img_vals)
-    masked, _ = interpolate_grid(model, geom, mask=img)
-    assert np.isnan(masked[1, 2]) and np.isfinite(masked[0, 0])
-
-    with pytest.raises(ShapeError):
-        interpolate_grid(model, geom, mask=np.ones((3, 3), dtype=bool))
-    with pytest.raises(ShapeError):
-        interpolate_grid(model, GridGeometry(nx=4, ny=2, cell_size=30.0), mask=img)
 
 
 def test_grid_geometry_validation():

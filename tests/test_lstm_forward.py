@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import seq2seq_forward
 from scipy.special import expit
 
 import smartcast
@@ -27,7 +28,6 @@ from smartcast.lstm import (
     _sigmoid_,
     forward_batch,
     init_params,
-    seq2seq_forward,
 )
 
 SOIL_TOY = ModelShape(input_dim=4, encoder_hidden=8, decoder_hidden=8, dense_hidden=6, horizon=3)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from conftest import seq2seq_forward
 
 from smartcast.errors import DataError, StaleCacheError
 from smartcast.lstm import (
@@ -12,7 +13,6 @@ from smartcast.lstm import (
     init_params,
     mae,
     rmse,
-    seq2seq_forward,
 )
 
 SOIL_TOY = ModelShape(input_dim=4, encoder_hidden=8, decoder_hidden=8, dense_hidden=6, horizon=3)

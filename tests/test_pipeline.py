@@ -24,7 +24,6 @@ from smartcast.pipeline import (
     cmd_gradcheck,
     parse_config,
     run_forecast,
-    serialize_config,
 )
 from smartcast.timeseries import Scaler, WindowSet, load_sensor_csv
 from smartcast.vegindex import read_bandgrid
@@ -65,8 +64,7 @@ def test_parse_minimal_config_fills_defaults(minimal_dir: Path):
     assert (config.grid.nx, config.grid.ny, config.grid.cell_size) == (16, 16, 10.0)
     assert config.depths_cm is None and config.variogram is None
     assert config.image_manifest is None
-    assert config.output_dir == "out"
-    assert config.output_path == minimal_dir / "out"
+    assert config.output_dir == minimal_dir / "out"
 
 
 def test_parse_rejects_unknown_keys_by_name(minimal_dir: Path):
@@ -125,20 +123,48 @@ def test_parse_validation_errors(minimal_dir: Path):
         parse_config(root)
 
 
-def test_parse_serialize_roundtrip(tiny_dir: Path):
-    first = parse_config(tiny_dir / "config.json")
-    path = tiny_dir / "config_roundtrip.json"
-    path.write_text(json.dumps(serialize_config(first)), encoding="utf-8")
-    second = parse_config(path)
-    assert second == first
-    assert serialize_config(second) == serialize_config(first)
-
-
 def test_parse_normalizes_depths(minimal_dir: Path):
     path = write_config(
         minimal_dir, {"seed": 1, "sensor_csv": "sensors.csv", "depths_cm": [60, 10, 60, 30]}
     )
     assert parse_config(path).depths_cm == (10, 30, 60)
+
+
+def test_config_paths_resolve_against_config_dir(minimal_dir: Path, tmp_path_factory, monkeypatch):
+    import argparse
+
+    from smartcast.cli import _load_config
+
+    elsewhere = tmp_path_factory.mktemp("elsewhere").resolve()
+    (minimal_dir / "images").mkdir()
+    (minimal_dir / "images" / "manifest.csv").write_text("date,path\n", encoding="utf-8")
+    (elsewhere / "sensors.csv").write_bytes((minimal_dir / "sensors.csv").read_bytes())
+    (elsewhere / "manifest.csv").write_text("date,path\n", encoding="utf-8")
+    monkeypatch.chdir(elsewhere)  # relative paths in the file must not follow the working directory
+
+    relative = write_config(
+        minimal_dir,
+        {"seed": 1, "sensor_csv": "sensors.csv", "image_manifest": "images/manifest.csv", "output_dir": "runs/a"},
+    )
+    config = parse_config(relative)
+    assert config.sensor_csv == minimal_dir / "sensors.csv"
+    assert config.image_manifest == minimal_dir / "images" / "manifest.csv"
+    assert config.output_dir == minimal_dir / "runs" / "a"
+
+    payload = {
+        "seed": 1,
+        "sensor_csv": str(elsewhere / "sensors.csv"),
+        "image_manifest": str(elsewhere / "manifest.csv"),
+        "output_dir": str(elsewhere / "out"),
+    }
+    config = parse_config(write_config(minimal_dir, payload, name="absolute.json"))
+    assert config.sensor_csv == elsewhere / "sensors.csv"
+    assert config.image_manifest == elsewhere / "manifest.csv"
+    assert config.output_dir == elsewhere / "out"
+
+    # --out is a command-line path: a relative one follows the working directory.
+    args = argparse.Namespace(config=str(relative), seed=None, out="runs/b")
+    assert _load_config(args).output_dir == elsewhere / "runs" / "b"
 
 
 # -- index train/test splitting ------------------------------------------------------
@@ -183,8 +209,8 @@ def test_split_by_run_rejects_degenerate_splits():
 @pytest.fixture(scope="module")
 def tiny_run(tiny_dir: Path, tmp_path_factory: pytest.TempPathFactory):
     config = parse_config(tiny_dir / "config.json")
-    out = tmp_path_factory.mktemp("tiny_run")
-    report, out_dir = run_forecast(config, out_dir=out)
+    out_dir = tmp_path_factory.mktemp("tiny_run")
+    report = run_forecast(dataclasses.replace(config, output_dir=out_dir))
     return config, report, out_dir
 
 
@@ -235,7 +261,7 @@ def test_run_forecast_artifacts_on_disk(tiny_run):
 def test_run_forecast_index_targets_forecast_day(tiny_run):
     config, report, _ = tiny_run
     target = date.fromisoformat(report.index.forecast_target)
-    manifest = (Path(config.base_dir) / "images" / "manifest.csv").read_text(encoding="utf-8")
+    manifest = config.image_manifest.read_text(encoding="utf-8")
     last_date = date.fromisoformat(manifest.strip().splitlines()[-1].split(",")[0])
     assert target == last_date + timedelta(days=config.forecast_day)
 
@@ -245,7 +271,7 @@ def test_run_forecast_stage_failure_is_quarantined(tiny_dir: Path, tmp_path: Pat
     broken = dataclasses.replace(config, test_fraction=0.99)
     out = tmp_path / "out"
     with pytest.raises(StageError) as info:
-        run_forecast(broken, out_dir=out)
+        run_forecast(dataclasses.replace(broken, output_dir=out))
     assert info.value.stage == "soil"
     assert isinstance(info.value.cause, EmptySplitError)
     assert (out / ".partial").exists()
@@ -328,7 +354,7 @@ def soil_pools(monkeypatch):
 def test_soil_stage_bytes_do_not_depend_on_worker_count(tiny_dir: Path, tmp_path: Path, monkeypatch, soil_pools):
     config = parse_config(tiny_dir / "config.json")
     config = dataclasses.replace(config, soil_train=dataclasses.replace(config.soil_train, epochs=3))
-    records = load_sensor_csv(config.sensor_csv_path)
+    records = load_sensor_csv(config.sensor_csv)
     outcomes = []
     for cores in (1, 2):
         monkeypatch.setattr(pipeline, "_usable_cores", lambda n=cores: n)
@@ -362,7 +388,7 @@ def test_soil_worker_divergence_stays_typed(tiny_dir: Path, tmp_path: Path, monk
 
     out = tmp_path / "run"
     with pytest.raises(StageError) as info:
-        run_forecast(parse_config(config_path), out_dir=out)
+        run_forecast(dataclasses.replace(parse_config(config_path), output_dir=out))
     assert info.value.stage == "soil"
     assert isinstance(info.value.cause, DivergenceError)
     assert soil_pools[-1]["jobs"] == 1  # the second depth never started
@@ -405,7 +431,8 @@ def test_run_trains_every_model_in_one_pool(tiny_dir: Path, tmp_path: Path, monk
     trees = []
     for cores in (1, 2):
         monkeypatch.setattr(pipeline, "_usable_cores", lambda n=cores: n)
-        report, out_dir = run_forecast(config, out_dir=tmp_path / f"cores{cores}")
+        out_dir = tmp_path / f"cores{cores}"
+        report = run_forecast(dataclasses.replace(config, output_dir=out_dir))
         trees.append(file_tree(out_dir))
     jobs = len(report.depths) + 1
     assert jobs == 3
@@ -424,7 +451,7 @@ def test_index_worker_divergence_stays_typed(tiny_dir: Path, tmp_path: Path, mon
 
     out = tmp_path / "run"
     with pytest.raises(StageError) as info:
-        run_forecast(parse_config(config_path), out_dir=out)
+        run_forecast(dataclasses.replace(parse_config(config_path), output_dir=out))
     assert info.value.stage == "index"
     assert isinstance(info.value.cause, DivergenceError)
     assert [p for p in out.rglob("*") if p.is_file()] == []
@@ -441,7 +468,7 @@ def test_index_worker_divergence_stays_typed(tiny_dir: Path, tmp_path: Path, mon
 def test_run_forecast_rejects_bad_day(tiny_dir: Path, tmp_path: Path):
     config = parse_config(tiny_dir / "config.json")
     with pytest.raises(ConfigError, match="1..14"):
-        run_forecast(config, out_dir=tmp_path / "o", forecast_day=15)
+        run_forecast(dataclasses.replace(config, output_dir=tmp_path / "o"), forecast_day=15)
 
 
 # -- kriging stage ------------------------------------------------------------------
@@ -564,8 +591,8 @@ def test_cli_synth_writes_runnable_scenario(tmp_path: Path, capsys):
     capsys.readouterr()
     config = parse_config(out / "config.json")
     assert config.seed == 5
-    assert config.sensor_csv_path.is_file()
-    assert config.image_manifest_path.is_file()
+    assert config.sensor_csv.is_file()
+    assert config.image_manifest.is_file()
 
 
 def test_cli_stage_chain(tiny_dir: Path, tmp_path: Path, capsys):
@@ -603,4 +630,4 @@ def test_cli_flag_overrides(tiny_dir: Path, tmp_path: Path):
     )
     config = _load_config(args)
     assert config.seed == 9
-    assert config.output_path == tmp_path / "elsewhere"
+    assert config.output_dir == tmp_path / "elsewhere"

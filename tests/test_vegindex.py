@@ -19,7 +19,6 @@ from smartcast.vegindex import (
     ImageStack,
     IndexImage,
     compute_index,
-    flatten_image,
     flatten_stack,
     predict_pixels,
     read_bandgrid,
@@ -233,7 +232,7 @@ def test_flatten_reshape_roundtrip_exact():
     vals = rng.uniform(-1.0, 1.0, (4, 3))
     vals[2, 1] = DEFAULT_NODATA
     img = IndexImage(3, 4, "NDWI", DEFAULT_NODATA, vals)
-    flat = flatten_image(img)
+    flat = img.values.reshape(-1).copy()
     assert flat.shape == (12,)
     assert flat[2 * 3 + 1] == DEFAULT_NODATA
     back = reshape_to_image(flat, 3, 4, index_kind="NDWI")

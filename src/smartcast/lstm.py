@@ -5,8 +5,15 @@ LSTM -> per-step dense head (hidden then scalar output, both linear).
 Backpropagation through time is exact and verified against central
 finite differences; optimization is Adam with bias correction.
 
-All math is 64-bit; a single parameterization covers both the
-4-feature/14-day soil configuration and the 2-feature/1-step
+Training is float32; everything else is float64. The engine runs in the
+dtype of its parameters: `train` trains a float32 copy of the model and
+returns float64 parameters whose values are float32-exact, while the
+validation loss, evaluation, prediction and `gradient_check` run the same
+code in float64. A layer's steps are bound by `tanh` and memory traffic
+more than by numpy call overhead: in float32 a forward pass takes
+0.39-0.49x and a backward pass 0.44-0.70x the float64 time (README,
+"Performance and determinism"). A single parameterization covers both
+the 4-feature/14-day soil configuration and the 2-feature/1-step
 vegetation-index configuration.
 
 Each LSTM layer stores its gates fused (the cuDNN RNN layout, Appleyard,
@@ -168,6 +175,11 @@ class Seq2SeqModel:
         parts = ("encoder", "decoder", "head_hidden", "head_out")
         return [(f"{part}.{k}", a) for part in parts for k, a in getattr(self, part).tensors()]
 
+    @property
+    def dtype(self) -> np.dtype:
+        """The dtype every forward and backward pass of this model runs in."""
+        return self.encoder.u.dtype
+
     def bump_rev(self) -> None:
         self.rev += 1
 
@@ -224,11 +236,11 @@ def init_params(shape: ModelShape, seed: int, scaler: Scaler | None = None) -> S
     return Seq2SeqModel(encoder, decoder, head_hidden, head_out, horizon=shape.horizon, scaler=scaler)
 
 
-def copy_model(model: Seq2SeqModel) -> Seq2SeqModel:
-    """Deep copy of all parameter arrays (scaler is shared, it is frozen)."""
+def copy_model(model: Seq2SeqModel, dtype: type = np.float64) -> Seq2SeqModel:
+    """Deep copy of all parameter arrays, cast to `dtype` (scaler is shared, it is frozen)."""
 
     def copy(part):
-        return type(part)(*(a.copy() for _, a in part.tensors()))
+        return type(part)(*(a.astype(dtype) for _, a in part.tensors()))
 
     parts = (model.encoder, model.decoder, model.head_hidden, model.head_out)
     return Seq2SeqModel(*map(copy, parts), horizon=model.horizon, scaler=model.scaler)
@@ -253,10 +265,11 @@ class _LayerTrace:
     xw: np.ndarray
 
     @classmethod
-    def empty(cls, n: int, batch: int, steps: int) -> "_LayerTrace":
+    def empty(cls, n: int, batch: int, steps: int, dtype: np.dtype) -> "_LayerTrace":
         state = (steps + 1, n, batch)
-        gates = np.empty((steps, 4 * n, batch))
-        return cls(gates, np.zeros(state), np.zeros(state), np.empty((steps, n, batch)), np.empty_like(gates[0]))
+        gates = np.empty((steps, 4 * n, batch), dtype)
+        tanh_c = np.empty((steps, n, batch), dtype)
+        return cls(gates, np.zeros(state, dtype), np.zeros(state, dtype), tanh_c, np.empty_like(gates[0]))
 
 
 @dataclass
@@ -272,12 +285,13 @@ class ForwardCache:
 
     @classmethod
     def empty(cls, model: Seq2SeqModel, x: np.ndarray) -> "ForwardCache":
-        """Buffers for a forward pass over `x`, which the cache keeps."""
+        """Buffers in the model's dtype for a forward pass over `x`, which the cache keeps."""
         b, seq_len, _ = x.shape
-        enc = _LayerTrace.empty(model.encoder.hidden_dim, b, seq_len)
-        dec = _LayerTrace.empty(model.decoder.hidden_dim, b, model.horizon)
-        z = np.empty((model.horizon, model.head_hidden.weight.shape[0], b))
-        return cls(x, enc, dec, z, np.empty((b, model.horizon)))
+        dtype = model.dtype
+        enc = _LayerTrace.empty(model.encoder.hidden_dim, b, seq_len, dtype)
+        dec = _LayerTrace.empty(model.decoder.hidden_dim, b, model.horizon, dtype)
+        z = np.empty((model.horizon, model.head_hidden.weight.shape[0], b), dtype)
+        return cls(x, enc, dec, z, np.empty((b, model.horizon), dtype))
 
 
 def _sigmoid_(a: np.ndarray) -> np.ndarray:
@@ -310,7 +324,7 @@ def _forward(model: Seq2SeqModel, x: np.ndarray, cache: ForwardCache | None) -> 
     """Forward pass over x (B, L, d) into `cache`, or in rolling state when it is None."""
     enc, dec, head_hidden, head_out = model.encoder, model.decoder, model.head_hidden, model.head_out
     b = x.shape[0]
-    tr = cache.enc if cache is not None else _LayerTrace.empty(enc.hidden_dim, b, 1)
+    tr = cache.enc if cache is not None else _LayerTrace.empty(enc.hidden_dim, b, 1, model.dtype)
     for t, xt in enumerate(x.transpose(1, 2, 0)):  # xt (d, B), a view
         np.matmul(enc.w, xt, out=tr.xw)
         tr.xw += enc.b[:, None]
@@ -318,11 +332,11 @@ def _forward(model: Seq2SeqModel, x: np.ndarray, cache: ForwardCache | None) -> 
     h_enc = tr.h[x.shape[1] % len(tr.h)]
     del tr  # a rolling encoder trace is freed before the decoder's is made
 
-    tr = cache.dec if cache is not None else _LayerTrace.empty(dec.hidden_dim, b, 1)
+    tr = cache.dec if cache is not None else _LayerTrace.empty(dec.hidden_dim, b, 1, model.dtype)
     np.matmul(dec.w, h_enc, out=tr.xw)  # the decoder reads h_enc at every step
     tr.xw += dec.b[:, None]
-    zs = cache.z if cache is not None else np.empty((1, head_hidden.weight.shape[0], b))
-    preds = cache.predictions if cache is not None else np.empty((b, model.horizon))
+    zs = cache.z if cache is not None else np.empty((1, head_hidden.weight.shape[0], b), model.dtype)
+    preds = cache.predictions if cache is not None else np.empty((b, model.horizon), model.dtype)
     for k in range(model.horizon):
         z = np.matmul(head_hidden.weight, _step(dec, tr, k), out=zs[k % len(zs)])
         z += head_hidden.bias[:, None]
@@ -332,20 +346,31 @@ def _forward(model: Seq2SeqModel, x: np.ndarray, cache: ForwardCache | None) -> 
     return preds
 
 
+def _cast(a: np.ndarray, dtype: np.dtype, what: str) -> np.ndarray:
+    """`a` in `dtype`; DataError when a value is not finite or lies past `dtype`'s range."""
+    a = np.asarray(a, dtype=np.float64)
+    if not np.all(np.isfinite(a)):
+        raise DataError(f"non-finite values in {what}")
+    limit = np.finfo(dtype).max
+    if a.size and (a.max() > limit or a.min() < -limit):
+        raise DataError(f"{what} exceeds the {np.dtype(dtype).name} range")
+    return a.astype(dtype, copy=False)
+
+
 def forward_batch(
     model: Seq2SeqModel, x: np.ndarray, keep_cache: bool = True
 ) -> tuple[np.ndarray, ForwardCache | None]:
     """Batched forward pass: x (B, L, d) -> predictions (B, H) plus cache.
 
-    Every call returns new arrays. With `keep_cache=False` the
-    recurrence runs in rolling two-slot state and the cache comes back
-    as None; the predictions are bit-identical either way.
+    Runs in the model's dtype. Every call returns new arrays. With
+    `keep_cache=False` the recurrence runs in rolling two-slot state and
+    the cache comes back as None; the predictions are bit-identical
+    either way.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 3 or x.shape[2] != model.input_dim:
         raise ShapeError(f"input shape {x.shape} incompatible with input_dim={model.input_dim}")
-    if not np.all(np.isfinite(x)):
-        raise DataError("non-finite values in model input")
+    x = _cast(x, model.dtype, "model input")
     cache = ForwardCache.empty(model, x) if keep_cache else None
     return _forward(model, x, cache), cache
 
@@ -353,7 +378,7 @@ def forward_batch(
 # -- loss ----------------------------------------------------------------------
 
 def _loss_and_grad(preds: np.ndarray, targets: np.ndarray, kind: str) -> tuple[float, np.ndarray]:
-    """Batch-mean loss and dLoss/dpreds; per-sample loss is a mean over H."""
+    """Batch-mean loss and dLoss/dpreds, in the dtype of `preds`; per-sample loss is a mean over H."""
     err = preds - targets
     b, horizon = preds.shape
     if kind == "mse":
@@ -446,7 +471,7 @@ def backward_batch(
     """Exact BPTT gradients of the batch-mean loss w.r.t. every parameter."""
     if cache.model_rev != model.rev:
         raise StaleCacheError("forward cache predates a parameter update; rerun the forward pass")
-    targets = np.asarray(targets, dtype=np.float64)
+    targets = np.asarray(targets, dtype=cache.predictions.dtype)
     if targets.shape != cache.predictions.shape:
         raise ShapeError(f"targets shape {targets.shape} != predictions shape {cache.predictions.shape}")
 
@@ -609,22 +634,23 @@ def train(
     val_windows: WindowSet | None,
     config: TrainConfig,
 ) -> tuple[Seq2SeqModel, list[dict]]:
-    """Mini-batch Adam training; deterministic for a fixed (seed, data, config).
+    """Mini-batch Adam training in float32; deterministic for a fixed (seed, data, config).
 
-    The input model is not mutated. With a validation set, the
-    parameters from the best-validation epoch are returned; otherwise
-    the final parameters. History records one entry per epoch.
+    The input model is not mutated. Inputs, targets and a copy of the
+    model are cast to float32 once, and the Adam state is built from that
+    copy. Each epoch's validation loss is computed in float64 on a
+    float64 snapshot of the parameters. With a validation set, the
+    best-validation epoch's snapshot is returned; otherwise a float64 copy
+    of the final parameters. History records one entry per epoch.
     """
     if train_windows.n_samples < 1:
         raise DataError("training set is empty")
     if train_windows.input_dim != model.input_dim or train_windows.horizon != model.horizon:
         raise ShapeError("window set incompatible with model architecture")
 
-    inputs = np.asarray(train_windows.inputs, dtype=np.float64)
-    if not np.all(np.isfinite(inputs)):
-        raise DataError("non-finite values in model input")
-
-    model = copy_model(model)
+    inputs = _cast(train_windows.inputs, np.float32, "model input")
+    targets = _cast(train_windows.targets[:, :, 0], np.float32, "training targets")
+    model = copy_model(model, np.float32)
     state = init_adam_state(model)
     rng = np.random.default_rng(config.seed)
     history: list[dict] = []
@@ -639,29 +665,28 @@ def train(
         for start in range(0, n, config.batch_size):
             idx = order[start : start + config.batch_size]
             if len(idx) not in caches:
-                caches[len(idx)] = ForwardCache.empty(model, np.empty((len(idx), *inputs.shape[1:])))
+                caches[len(idx)] = ForwardCache.empty(model, np.empty((len(idx), *inputs.shape[1:]), inputs.dtype))
             cache = caches[len(idx)]
             np.take(inputs, idx, axis=0, out=cache.x)
             _forward(model, cache.x, cache)
-            value, grads = backward_batch(model, cache, train_windows.targets[idx, :, 0], config.loss)
+            value, grads = backward_batch(model, cache, targets[idx], config.loss)
             if not np.isfinite(value):
                 raise DivergenceError(f"training loss became non-finite at epoch {epoch}")
             epoch_loss += value * len(idx)
             adam_step(model, grads, state, config)
         entry = {"epoch": epoch, "train_loss": epoch_loss / n, "val_loss": None}
         if val_windows is not None and val_windows.n_samples > 0:
-            val_loss = evaluate_loss(model, val_windows, config.loss)
+            snapshot = copy_model(model)
+            val_loss = evaluate_loss(snapshot, val_windows, config.loss)
             if not np.isfinite(val_loss):
                 raise DivergenceError(f"validation loss became non-finite at epoch {epoch}")
             entry["val_loss"] = val_loss
             if val_loss < best_val:
                 best_val = val_loss
-                best_params = copy_model(model)
+                best_params = snapshot
         history.append(entry)
 
-    if best_params is not None:
-        model = best_params
-    return model, history
+    return best_params if best_params is not None else copy_model(model), history
 
 
 def predict(model: Seq2SeqModel, x: np.ndarray) -> np.ndarray:

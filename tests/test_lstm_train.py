@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import json
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -159,7 +160,8 @@ def test_train_reuses_buffers_as_fresh_ones_would(tmp_path):
     config = TrainConfig(learning_rate=0.01, epochs=3, batch_size=4, seed=18)
     trained, _ = train(model, windows, None, config)
 
-    ref, state, rng = copy_model(model), init_adam_state(model), np.random.default_rng(config.seed)
+    ref = copy_model(model, np.float32)
+    state, rng = init_adam_state(ref), np.random.default_rng(config.seed)
     for _ in range(config.epochs):
         order = rng.permutation(windows.n_samples)
         for start in range(0, windows.n_samples, config.batch_size):
@@ -370,3 +372,60 @@ def test_copy_model_isolated():
     clone = copy_model(model)
     clone.encoder.w_i[0, 0] += 1.0
     assert model.encoder.w_i[0, 0] != clone.encoder.w_i[0, 0]
+
+
+# -- precision -------------------------------------------------------------------
+
+@pytest.mark.parametrize("field", ["inputs", "targets"])
+def test_train_refuses_values_beyond_float32(field):
+    """Finite in float64 but past float32's range: a DataError, not a cast to inf."""
+    windows = toy_windows(n=4, seed=20)
+    getattr(windows, field)[1, 0, 0] = 1e39
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match="float32 range"):
+            train(init_params(TOY, seed=20), windows, None, TrainConfig(epochs=1, batch_size=4))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_forward_and_backward_run_in_the_model_dtype(dtype):
+    model = copy_model(init_params(TOY, seed=21), dtype)
+    rng = np.random.default_rng(21)
+    x, targets = rng.normal(size=(3, 5, 2)), rng.normal(size=(3, TOY.horizon))
+    preds, cache = forward_batch(model, x)
+    arrays = {"predictions": preds, **cache_arrays(cache)}
+    _, grads = backward_batch(model, cache, targets)
+    arrays.update(grads)
+    assert {name: a.dtype for name, a in arrays.items()} == {name: np.dtype(dtype) for name in arrays}
+    lean, _ = forward_batch(model, x, keep_cache=False)
+    assert lean.dtype == dtype
+
+
+def test_train_returns_float32_exact_float64_params(tmp_path):
+    model = init_params(TOY, seed=22)
+    trained, _ = train(model, toy_windows(n=10, seed=22), toy_windows(n=4, seed=23), TrainConfig(epochs=3, batch_size=4, seed=22))
+    for name, a in trained.param_items():
+        assert a.dtype == np.float64, name
+        np.testing.assert_array_equal(a.astype(np.float32).astype(np.float64), a, err_msg=name)
+    save_model(trained, tmp_path / "m.ckpt")
+    assert params_bytes(load_model(tmp_path / "m.ckpt")) == params_bytes(trained)
+
+
+def test_float32_training_tracks_a_float64_reference_loop():
+    windows = toy_windows(n=12, seed=24)
+    model = init_params(TOY, seed=24)
+    config = TrainConfig(learning_rate=0.01, epochs=4, batch_size=4, seed=24)
+    trained, _ = train(model, windows, None, config)
+
+    ref, state, rng = copy_model(model), init_adam_state(model), np.random.default_rng(config.seed)
+    for _ in range(config.epochs):
+        order = rng.permutation(windows.n_samples)
+        for start in range(0, windows.n_samples, config.batch_size):
+            idx = order[start : start + config.batch_size]
+            _, cache = forward_batch(ref, windows.inputs[idx])
+            _, grads = backward_batch(ref, cache, windows.targets[idx, :, 0], config.loss)
+            adam_step(ref, grads, state, config)
+    assert ref.dtype == np.float64
+    got, want = predict_batch(trained, windows.inputs), predict_batch(ref, windows.inputs)
+    assert np.max(np.abs(got - want)) <= 1e-4 * np.max(np.abs(want))
+    assert params_bytes(trained) != params_bytes(ref)

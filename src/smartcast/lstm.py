@@ -18,8 +18,11 @@ vegetation-index configuration.
 
 Each LSTM layer stores its gates fused (the cuDNN RNN layout, Appleyard,
 Kumar & Sharma, arXiv 1604.01946): one W (4n, d), U (4n, n) and b (4n,),
-gate blocks i, f, o, g; `w_i` ... `b_g` are row-slice views, and the
-checkpoint holds the per-gate tensors in gate order. Samples are columns:
+gate blocks i, f, o, g; `w_i` ... `b_g` are row-slice views. A model's
+parameters are one vector in `ModelShape.layout()` order, the checkpoint's
+per-gate order, and every tensor is a view into it; a gradient and Adam's
+moments share that layout, so a cast, a copy, an Adam step or a checkpoint
+is one pass over one vector. Samples are columns:
 h and c are (n, B), the gates (4n, B), so each gate is a contiguous row
 block and a step, W x_t + b + U h, is written into preallocated buffers
 that `train` reuses per batch size. The decoder's input is always h_enc,
@@ -32,6 +35,7 @@ GEMM needs a (T, 4n, B) block and was slower at n = 32. numpy only.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -72,15 +76,6 @@ class LstmLayerParams:
     u: np.ndarray
     b: np.ndarray
 
-    def __post_init__(self):
-        if self.w.ndim != 2 or self.w.shape[0] % 4 or self.w.shape[0] == 0:
-            raise ShapeError(f"W shape {self.w.shape} is not (4n, d)")
-        n = self.hidden_dim
-        if self.u.shape != (4 * n, n):
-            raise ShapeError(f"U shape {self.u.shape} != {(4 * n, n)}")
-        if self.b.shape != (4 * n,):
-            raise ShapeError(f"b shape {self.b.shape} != {(4 * n,)}")
-
     w_i, w_f, w_o, w_g = (_gate_view("w", k) for k in range(4))
     u_i, u_f, u_o, u_g = (_gate_view("u", k) for k in range(4))
     b_i, b_f, b_o, b_g = (_gate_view("b", k) for k in range(4))
@@ -93,10 +88,6 @@ class LstmLayerParams:
     def hidden_dim(self) -> int:
         return self.w.shape[0] // 4
 
-    def tensors(self) -> list[tuple[str, np.ndarray]]:
-        """Tensors in checkpoint order: W, U, b."""
-        return [("w", self.w), ("u", self.u), ("b", self.b)]
-
 
 @dataclass
 class DenseParams:
@@ -104,13 +95,6 @@ class DenseParams:
 
     weight: np.ndarray
     bias: np.ndarray
-
-    def __post_init__(self):
-        if self.weight.ndim != 2 or self.bias.shape != (self.weight.shape[0],):
-            raise ShapeError("dense weight/bias shapes inconsistent")
-
-    def tensors(self) -> list[tuple[str, np.ndarray]]:
-        return [("weight", self.weight), ("bias", self.bias)]
 
 
 @dataclass(frozen=True)
@@ -128,57 +112,80 @@ class ModelShape:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
 
+    def layout(self) -> list[tuple[str, tuple[int, ...]]]:
+        """Every parameter tensor's name and shape, in flat-vector and checkpoint order."""
+        d, ne, nd, m = self.input_dim, self.encoder_hidden, self.decoder_hidden, self.dense_hidden
+        return [
+            ("encoder.w", (4 * ne, d)), ("encoder.u", (4 * ne, ne)), ("encoder.b", (4 * ne,)),
+            ("decoder.w", (4 * nd, ne)), ("decoder.u", (4 * nd, nd)), ("decoder.b", (4 * nd,)),
+            ("head_hidden.weight", (m, nd)), ("head_hidden.bias", (m,)),
+            ("head_out.weight", (1, m)), ("head_out.bias", (1,)),
+        ]
+
+    @property
+    def n_params(self) -> int:
+        return sum(math.prod(dims) for _, dims in self.layout())
+
+    def locate(self, j: int) -> tuple[str, int, str | None]:
+        """The tensor holding flat[j], j's index within it and, in a fused LSTM tensor, its gate."""
+        for name, dims in self.layout():
+            size = math.prod(dims)
+            if j < size:
+                fused = name.startswith(("encoder.", "decoder."))
+                return name, j, _GATES[j // math.prod(dims[1:]) // (dims[0] // 4)] if fused else None
+            j -= size
+        raise IndexError(f"parameter {j} lies past the layout")
+
 
 @dataclass
 class Seq2SeqModel:
     """Encoder/decoder LSTM with a per-step two-layer linear head.
 
-    `scaler` (optional) describes the standardization of the input
-    features; channel 0 is the target channel, so predictions are
-    mapped back to original units with mean[0]/std[0].
+    Every parameter lives in `flat`, laid out by `shape.layout()`;
+    `tensors` (name -> array), `encoder`, `decoder`, `head_hidden` and
+    `head_out` are views into it. A gradient is a model of the same shape
+    over its own vector. `scaler` (optional) standardizes the input
+    features; channel 0 is the target, so predictions map back to
+    original units with mean[0]/std[0].
     """
 
-    encoder: LstmLayerParams
-    decoder: LstmLayerParams
-    head_hidden: DenseParams
-    head_out: DenseParams
-    horizon: int
+    shape: ModelShape
+    flat: np.ndarray
     scaler: Scaler | None = None
     rev: int = field(default=0, compare=False)
+    tensors: dict[str, np.ndarray] = field(init=False, repr=False, compare=False)
+    encoder: LstmLayerParams = field(init=False, repr=False, compare=False)
+    decoder: LstmLayerParams = field(init=False, repr=False, compare=False)
+    head_hidden: DenseParams = field(init=False, repr=False, compare=False)
+    head_out: DenseParams = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.decoder.input_dim != self.encoder.hidden_dim:
-            raise ShapeError("decoder input_dim must equal encoder hidden_dim")
-        if self.head_hidden.weight.shape[1] != self.decoder.hidden_dim:
-            raise ShapeError("head_hidden input must equal decoder hidden_dim")
-        if self.head_out.weight.shape != (1, self.head_hidden.weight.shape[0]):
-            raise ShapeError("head_out must map dense_hidden -> 1")
-        if self.horizon < 1:
-            raise ValueError("horizon must be positive")
+        layout = self.shape.layout()
+        if self.flat.shape != (self.shape.n_params,):
+            raise ShapeError(f"parameter vector shape {self.flat.shape} != ({self.shape.n_params},)")
+        parts = np.split(self.flat, np.cumsum([math.prod(dims) for _, dims in layout])[:-1])
+        self.tensors = t = {name: part.reshape(dims) for (name, dims), part in zip(layout, parts)}
+        self.encoder = LstmLayerParams(t["encoder.w"], t["encoder.u"], t["encoder.b"])
+        self.decoder = LstmLayerParams(t["decoder.w"], t["decoder.u"], t["decoder.b"])
+        self.head_hidden = DenseParams(t["head_hidden.weight"], t["head_hidden.bias"])
+        self.head_out = DenseParams(t["head_out.weight"], t["head_out.bias"])
+
+    def __reduce__(self):
+        # Pickle `flat` once; the views are rebuilt over the unpickled copy.
+        return type(self), (self.shape, self.flat, self.scaler)
 
     @property
     def input_dim(self) -> int:
-        return self.encoder.input_dim
+        return self.shape.input_dim
 
     @property
-    def shape(self) -> ModelShape:
-        return ModelShape(
-            input_dim=self.encoder.input_dim,
-            encoder_hidden=self.encoder.hidden_dim,
-            decoder_hidden=self.decoder.hidden_dim,
-            dense_hidden=self.head_hidden.weight.shape[0],
-            horizon=self.horizon,
-        )
-
-    def param_items(self) -> list[tuple[str, np.ndarray]]:
-        """All parameter tensors in checkpoint order, with dotted names."""
-        parts = ("encoder", "decoder", "head_hidden", "head_out")
-        return [(f"{part}.{k}", a) for part in parts for k, a in getattr(self, part).tensors()]
+    def horizon(self) -> int:
+        return self.shape.horizon
 
     @property
     def dtype(self) -> np.dtype:
         """The dtype every forward and backward pass of this model runs in."""
-        return self.encoder.u.dtype
+        return self.flat.dtype
 
     def bump_rev(self) -> None:
         self.rev += 1
@@ -217,33 +224,27 @@ def _glorot(rng: np.random.Generator, out_dim: int, in_dim: int) -> np.ndarray:
     return rng.uniform(-limit, limit, size=(out_dim, in_dim))
 
 
-def _init_layer(rng: np.random.Generator, d: int, n: int) -> LstmLayerParams:
-    """Per-gate Glorot blocks drawn in gate order, W blocks before U blocks."""
-    w = np.concatenate([_glorot(rng, n, d) for _ in _GATES])
-    u = np.concatenate([_glorot(rng, n, n) for _ in _GATES])
-    b = np.zeros(4 * n)
-    b[n : 2 * n] = 1.0  # forget-gate bias starts open
-    return LstmLayerParams(w, u, b)
-
-
 def init_params(shape: ModelShape, seed: int, scaler: Scaler | None = None) -> Seq2SeqModel:
-    """Glorot-uniform initialization, forget bias 1, deterministic per seed."""
+    """Glorot-uniform initialization, forget bias 1, deterministic per seed.
+
+    Per-gate blocks are drawn in gate order, each layer's W blocks before
+    its U blocks, the encoder before the decoder, then the head.
+    """
     rng = np.random.default_rng(seed)
-    encoder = _init_layer(rng, shape.input_dim, shape.encoder_hidden)
-    decoder = _init_layer(rng, shape.encoder_hidden, shape.decoder_hidden)
-    head_hidden = DenseParams(_glorot(rng, shape.dense_hidden, shape.decoder_hidden), np.zeros(shape.dense_hidden))
-    head_out = DenseParams(_glorot(rng, 1, shape.dense_hidden), np.zeros(1))
-    return Seq2SeqModel(encoder, decoder, head_hidden, head_out, horizon=shape.horizon, scaler=scaler)
+    model = Seq2SeqModel(shape, np.zeros(shape.n_params), scaler)
+    for layer in (model.encoder, model.decoder):
+        n, d = layer.hidden_dim, layer.input_dim
+        layer.w[...] = np.concatenate([_glorot(rng, n, d) for _ in _GATES])
+        layer.u[...] = np.concatenate([_glorot(rng, n, n) for _ in _GATES])
+        layer.b_f[...] = 1.0  # forget-gate bias starts open
+    model.head_hidden.weight[...] = _glorot(rng, shape.dense_hidden, shape.decoder_hidden)
+    model.head_out.weight[...] = _glorot(rng, 1, shape.dense_hidden)
+    return model
 
 
 def copy_model(model: Seq2SeqModel, dtype: type = np.float64) -> Seq2SeqModel:
-    """Deep copy of all parameter arrays, cast to `dtype` (scaler is shared, it is frozen)."""
-
-    def copy(part):
-        return type(part)(*(a.astype(dtype) for _, a in part.tensors()))
-
-    parts = (model.encoder, model.decoder, model.head_hidden, model.head_out)
-    return Seq2SeqModel(*map(copy, parts), horizon=model.horizon, scaler=model.scaler)
+    """Copy of the parameter vector, cast to `dtype` (scaler is shared, it is frozen)."""
+    return Seq2SeqModel(model.shape, model.flat.astype(dtype), model.scaler)
 
 
 # -- forward -------------------------------------------------------------------
@@ -412,15 +413,11 @@ def mae(pred: np.ndarray, target: np.ndarray) -> float:
 
 # -- backward ------------------------------------------------------------------
 
-def zero_grads(model: Seq2SeqModel) -> dict[str, np.ndarray]:
-    return {name: np.zeros_like(a) for name, a in model.param_items()}
-
-
 def _layer_backward(
     p: LstmLayerParams, tr: _LayerTrace, xs: np.ndarray, dh: np.ndarray, dh_ext: np.ndarray | None,
-    grads: dict[str, np.ndarray], prefix: str,
+    grad: LstmLayerParams,
 ) -> np.ndarray:
-    """BPTT through the steps kept in `tr`; returns the summed gate gradients.
+    """BPTT through the steps kept in `tr`, adding into `grad`; returns the summed gate gradients.
 
     `xs` is (T, d, B), one input per step, or (d, B), the input read at
     every step, whose weight gradient is then taken once from the sum.
@@ -454,21 +451,25 @@ def _layer_backward(
         da[: 3 * n] *= sig_grad
 
         da_sum += da
-        grads[f"{prefix}.u"] += da @ tr.h[t].T
+        grad.u += da @ tr.h[t].T
         if xs.ndim == 3:
-            grads[f"{prefix}.w"] += da @ xs[t].T
+            grad.w += da @ xs[t].T
         np.matmul(p.u.T, da, out=dh)
         dc *= f
-    grads[f"{prefix}.b"] += da_sum.sum(axis=1)
+    grad.b += da_sum.sum(axis=1)
     if xs.ndim == 2:
-        grads[f"{prefix}.w"] += da_sum @ xs.T
+        grad.w += da_sum @ xs.T
     return da_sum
 
 
 def backward_batch(
     model: Seq2SeqModel, cache: ForwardCache, targets: np.ndarray, loss: str = "mse"
-) -> tuple[float, dict[str, np.ndarray]]:
-    """Exact BPTT gradients of the batch-mean loss w.r.t. every parameter."""
+) -> tuple[float, Seq2SeqModel]:
+    """Exact BPTT gradients of the batch-mean loss w.r.t. every parameter.
+
+    The gradient comes back as a model of the same shape and dtype whose
+    parameter vector holds dLoss/dflat.
+    """
     if cache.model_rev != model.rev:
         raise StaleCacheError("forward cache predates a parameter update; rerun the forward pass")
     targets = np.asarray(targets, dtype=cache.predictions.dtype)
@@ -476,27 +477,31 @@ def backward_batch(
         raise ShapeError(f"targets shape {targets.shape} != predictions shape {cache.predictions.shape}")
 
     value, d_preds = _loss_and_grad(cache.predictions, targets, loss)
-    grads = zero_grads(model)
+    grad = Seq2SeqModel(model.shape, np.zeros_like(model.flat))
     head_hidden, head_out = model.head_hidden, model.head_out
     dh_head = np.empty_like(cache.dec.h[1:])
     for k, dy in enumerate(d_preds.T[:, None, :]):  # dy (1, B)
         z = cache.z[k]
-        grads["head_out.weight"] += dy @ z.T
-        grads["head_out.bias"] += dy.sum(axis=1)
+        grad.head_out.weight += dy @ z.T
+        grad.head_out.bias += dy.sum(axis=1)
         dz = head_out.weight.T @ dy
-        grads["head_hidden.weight"] += dz @ cache.dec.h[k + 1].T
-        grads["head_hidden.bias"] += dz.sum(axis=1)
+        grad.head_hidden.weight += dz @ cache.dec.h[k + 1].T
+        grad.head_hidden.bias += dz.sum(axis=1)
         np.matmul(head_hidden.weight.T, dz, out=dh_head[k])
 
     h_enc = cache.enc.h[-1]
     dh = np.zeros_like(cache.dec.h[0])
-    da_dec = _layer_backward(model.decoder, cache.dec, h_enc, dh, dh_head, grads, "decoder")
+    da_dec = _layer_backward(model.decoder, cache.dec, h_enc, dh, dh_head, grad.decoder)
     dh_enc = model.decoder.w.T @ da_dec  # every decoder step reads h_enc
-    _layer_backward(model.encoder, cache.enc, cache.x.transpose(1, 2, 0), dh_enc, None, grads, "encoder")
-    return value, grads
+    _layer_backward(model.encoder, cache.enc, cache.x.transpose(1, 2, 0), dh_enc, None, grad.encoder)
+    return value, grad
 
 
 # -- gradient verification --------------------------------------------------------
+
+GRADCHECK_STEP = 1e-5
+GRADCHECK_TOLERANCE = 1e-4
+
 
 @dataclass(frozen=True)
 class GradCheckReport:
@@ -505,6 +510,7 @@ class GradCheckReport:
     max_rel_error: float
     worst_param: str
     worst_index: int
+    worst_gate: str | None
     n_checked: int
     tolerance: float
     passed: bool
@@ -513,101 +519,91 @@ class GradCheckReport:
 def gradient_check(
     model: Seq2SeqModel,
     sample: tuple[np.ndarray, np.ndarray],
-    epsilon: float = 1e-5,
-    tolerance: float = 1e-4,
     loss: str = "mse",
     corrupt: str | None = None,
 ) -> GradCheckReport:
     """Compare BPTT gradients with central finite differences.
 
-    Sweeps every parameter coordinate. `corrupt` names a tensor whose
-    first analytic entry is doubled, a fault injector used to prove the
-    check can fail.
+    Sweeps every coordinate of the parameter vector with a step of
+    `GRADCHECK_STEP` and passes below `GRADCHECK_TOLERANCE`. The worst
+    coordinate is reported by tensor, index within it and, in a fused
+    LSTM tensor, gate. `corrupt` names a tensor whose first analytic
+    entry is doubled, a fault injector used to prove the check can fail.
     Failures are reported, never raised.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
     x, target = sample
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x, dtype=np.float64)[None, :, :]
     target = np.asarray(target, dtype=np.float64).reshape(1, -1)
 
-    _, cache = forward_batch(model, x[None, :, :])
-    _, grads = backward_batch(model, cache, target, loss)
+    _, cache = forward_batch(model, x)
+    _, grad = backward_batch(model, cache, target, loss)
     if corrupt is not None:
-        if corrupt not in grads:
+        if corrupt not in grad.tensors:
             raise ValueError(f"unknown tensor {corrupt!r}")
-        grads[corrupt].flat[0] *= 2.0
+        grad.tensors[corrupt].flat[0] *= 2.0
 
-    items = model.param_items()
-    coords = [(name, j) for name, a in items for j in range(a.size)]
-
-    arrays = dict(items)
-    max_rel = 0.0
-    worst = (coords[0][0], 0) if coords else ("", -1)
-    for name, j in coords:
-        a = arrays[name]
-        orig = a.flat[j]
-        a.flat[j] = orig + epsilon
-        preds_p, _ = forward_batch(model, x[None, :, :], keep_cache=False)
-        loss_p, _ = _loss_and_grad(preds_p, target, loss)
-        a.flat[j] = orig - epsilon
-        preds_m, _ = forward_batch(model, x[None, :, :], keep_cache=False)
-        loss_m, _ = _loss_and_grad(preds_m, target, loss)
-        a.flat[j] = orig
-        numeric = (loss_p - loss_m) / (2.0 * epsilon)
-        analytic = grads[name].flat[j]
+    flat, max_rel, worst = model.flat, 0.0, 0
+    for j in range(flat.size):
+        orig = flat[j]
+        flat[j] = orig + GRADCHECK_STEP
+        loss_p, _ = _loss_and_grad(forward_batch(model, x, keep_cache=False)[0], target, loss)
+        flat[j] = orig - GRADCHECK_STEP
+        loss_m, _ = _loss_and_grad(forward_batch(model, x, keep_cache=False)[0], target, loss)
+        flat[j] = orig
+        numeric = (loss_p - loss_m) / (2.0 * GRADCHECK_STEP)
+        analytic = grad.flat[j]
         rel = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-8)
         if rel > max_rel:
-            max_rel = rel
-            worst = (name, j)
-    return GradCheckReport(
-        max_rel_error=max_rel,
-        worst_param=worst[0],
-        worst_index=worst[1],
-        n_checked=len(coords),
-        tolerance=tolerance,
-        passed=max_rel < tolerance,
-    )
+            max_rel, worst = rel, j
+    name, index, gate = model.shape.locate(worst)
+    return GradCheckReport(max_rel, name, index, gate, flat.size, GRADCHECK_TOLERANCE, max_rel < GRADCHECK_TOLERANCE)
 
 
 # -- Adam -----------------------------------------------------------------------
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators plus the step counter."""
+    """First/second moment vectors, laid out as the parameter vector, plus the step counter."""
 
     step: int
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
 
 
 def init_adam_state(model: Seq2SeqModel) -> AdamState:
-    return AdamState(
-        step=0,
-        m={name: np.zeros_like(a) for name, a in model.param_items()},
-        v={name: np.zeros_like(a) for name, a in model.param_items()},
-    )
+    return AdamState(step=0, m=np.zeros_like(model.flat), v=np.zeros_like(model.flat))
 
 
 def adam_step(
-    model: Seq2SeqModel, grads: dict[str, np.ndarray], state: AdamState, config: TrainConfig
+    model: Seq2SeqModel, grad: Seq2SeqModel, state: AdamState, config: TrainConfig
 ) -> tuple[Seq2SeqModel, AdamState]:
-    """One bias-corrected Adam update, applied in place to the model."""
+    """One bias-corrected Adam update of the whole parameter vector, in place.
+
+    `grad` is spent: its vector serves as scratch, so the step allocates
+    one transient vector and keeps nothing beyond `m` and `v`. Each entry
+    sees the operations of a per-tensor update in the same order, so the
+    result is the same to the bit.
+    """
     t = state.step + 1
     b1, b2 = config.adam_beta1, config.adam_beta2
-    for name, param in model.param_items():
-        g = grads[name]
-        if not np.all(np.isfinite(g)):
-            raise GradientError(f"non-finite gradient in {name} at step {t}")
-        m = state.m[name]
-        v = state.v[name]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
-        m_hat = m / (1.0 - b1**t)
-        v_hat = v / (1.0 - b2**t)
-        param -= config.learning_rate * m_hat / (np.sqrt(v_hat) + config.adam_epsilon)
+    g, m, v = grad.flat, state.m, state.v
+    if not np.isfinite(g).all():
+        name, index, _ = model.shape.locate(int(np.argmin(np.isfinite(g))))
+        raise GradientError(f"non-finite gradient in {name} (index {index}) at step {t}")
+    scratch = np.multiply(g, 1.0 - b1)
+    m *= b1
+    m += scratch
+    np.multiply(g, 1.0 - b2, out=scratch)
+    scratch *= g
+    v *= b2
+    v += scratch
+    np.divide(m, 1.0 - b1**t, out=g)  # m_hat
+    np.divide(v, 1.0 - b2**t, out=scratch)  # v_hat
+    np.sqrt(scratch, out=scratch)
+    scratch += config.adam_epsilon
+    g *= config.learning_rate
+    g /= scratch
+    model.flat -= g
     state.step = t
     model.bump_rev()
     return model, state
@@ -615,13 +611,16 @@ def adam_step(
 
 # -- training loop ------------------------------------------------------------------
 
-def evaluate_loss(model: Seq2SeqModel, windows: WindowSet, loss: str = "mse", batch_size: int = 256) -> float:
-    """Mean loss over a window set (original per-sample normalization)."""
+EVAL_BATCH = 256
+
+
+def evaluate_loss(model: Seq2SeqModel, windows: WindowSet, loss: str = "mse") -> float:
+    """Mean loss over a window set (original per-sample normalization), `EVAL_BATCH` samples at a time."""
     total = 0.0
     n = windows.n_samples
-    for start in range(0, n, batch_size):
-        xb = windows.inputs[start : start + batch_size]
-        tb = windows.targets[start : start + batch_size, :, 0]
+    for start in range(0, n, EVAL_BATCH):
+        xb = windows.inputs[start : start + EVAL_BATCH]
+        tb = windows.targets[start : start + EVAL_BATCH, :, 0]
         preds, _ = forward_batch(model, xb, keep_cache=False)
         value, _ = _loss_and_grad(preds, tb, loss)
         total += value * xb.shape[0]
@@ -669,11 +668,11 @@ def train(
             cache = caches[len(idx)]
             np.take(inputs, idx, axis=0, out=cache.x)
             _forward(model, cache.x, cache)
-            value, grads = backward_batch(model, cache, targets[idx], config.loss)
+            value, grad = backward_batch(model, cache, targets[idx], config.loss)
             if not np.isfinite(value):
                 raise DivergenceError(f"training loss became non-finite at epoch {epoch}")
             epoch_loss += value * len(idx)
-            adam_step(model, grads, state, config)
+            adam_step(model, grad, state, config)
         entry = {"epoch": epoch, "train_loss": epoch_loss / n, "val_loss": None}
         if val_windows is not None and val_windows.n_samples > 0:
             snapshot = copy_model(model)
@@ -712,7 +711,7 @@ def predict_batch(model: Seq2SeqModel, x: np.ndarray) -> np.ndarray:
 # -- checkpoint I/O --------------------------------------------------------------
 
 def save_model(model: Seq2SeqModel, path: str | Path, config_echo: dict | None = None) -> None:
-    """Write magic + one-line JSON header + float64-LE tensors in fixed order."""
+    """Write magic + one-line JSON header + the parameter vector as float64-LE."""
     header = {
         **asdict(model.shape),
         "scaler": None
@@ -723,35 +722,43 @@ def save_model(model: Seq2SeqModel, path: str | Path, config_echo: dict | None =
     with Path(path).open("wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
-        for _, a in model.param_items():
-            fh.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
+        fh.write(model.flat.astype("<f8", copy=False).tobytes())
+
+
+def _read_header(path: str | Path, line: bytes) -> tuple[ModelShape, Scaler | None]:
+    """The header's shape (positive int dimensions, no bools) and scaler; DataError naming `path`."""
+    try:
+        header = json.loads(line.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise DataError(f"{path}: corrupt checkpoint header: {exc}") from None
+    if not isinstance(header, dict):
+        raise DataError(f"{path}: checkpoint header is not a JSON object")
+    dims = {f.name: header.get(f.name) for f in fields(ModelShape)}
+    for name, value in dims.items():
+        if type(value) is not int or value < 1:
+            raise DataError(f"{path}: checkpoint header needs a positive integer {name}, got {value!r}")
+    shape = ModelShape(**dims)
+    if header.get("scaler") is None:
+        return shape, None
+    try:
+        mean, std = (np.asarray(header["scaler"][k], dtype=np.float64) for k in ("mean", "std"))
+        if mean.shape != (shape.input_dim,) or std.shape != mean.shape or not np.all(np.isfinite([mean, std])):
+            raise ValueError(f"it needs {shape.input_dim} finite means and stds")
+        return shape, Scaler(mean, std)
+    except (KeyError, TypeError, ValueError, DataError) as exc:
+        raise DataError(f"{path}: bad scaler in checkpoint header: {exc}") from None
 
 
 def load_model(path: str | Path) -> Seq2SeqModel:
-    """Read a checkpoint written by save_model."""
+    """Read a checkpoint written by save_model; DataError naming `path` if any part is malformed."""
     with Path(path).open("rb") as fh:
-        magic = fh.read(len(CHECKPOINT_MAGIC))
-        if magic != CHECKPOINT_MAGIC:
+        if fh.read(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
             raise DataError(f"{path}: not a model checkpoint (bad magic)")
-        header_line = fh.readline()
-        try:
-            header = json.loads(header_line.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise DataError(f"{path}: corrupt checkpoint header: {exc}") from None
-        shape = ModelShape(*(header[f.name] for f in fields(ModelShape)))
-        scaler = None
-        if header.get("scaler") is not None:
-            scaler = Scaler(
-                mean=np.asarray(header["scaler"]["mean"], dtype=np.float64),
-                std=np.asarray(header["scaler"]["std"], dtype=np.float64),
-            )
-        model = init_params(shape, seed=0, scaler=scaler)
-        for name, a in model.param_items():
-            raw = fh.read(a.size * 8)
-            if len(raw) != a.size * 8:
-                raise DataError(f"{path}: checkpoint truncated at tensor {name}")
-            a[...] = np.frombuffer(raw, dtype="<f8").reshape(a.shape)
-        trailing = fh.read(1)
-        if trailing:
-            raise DataError(f"{path}: trailing bytes after final tensor")
-    return model
+        shape, scaler = _read_header(path, fh.readline())
+        raw = fh.read()
+    size = 8 * shape.n_params
+    if len(raw) < size:
+        raise DataError(f"{path}: checkpoint truncated at tensor {shape.locate(len(raw) // 8)[0]}")
+    if len(raw) > size:
+        raise DataError(f"{path}: trailing bytes after final tensor")
+    return Seq2SeqModel(shape, np.frombuffer(raw, dtype="<f8").astype(np.float64), scaler)

@@ -933,7 +933,7 @@ def cmd_gradcheck(
     near the model's own predictions so central differences stay clear
     of cancellation noise. `corrupt` doubles one analytic gradient
     entry to prove the check can fail. The worst coordinate is reported
-    by tensor, flat index and, in a fused LSTM tensor, gate.
+    by tensor, index within it and, in a fused LSTM tensor, gate.
     """
     reports = {}
     configs = {
@@ -947,16 +947,7 @@ def cmd_gradcheck(
         x = rng.normal(0.0, 1.0, size=(lengths[name], shape.input_dim))
         preds, _ = lstm.forward_batch(model, x[None, :, :])
         targets = preds[0] + 0.1 * rng.normal(0.0, 1.0, size=preds[0].shape)
-        report = lstm.gradient_check(
-            model,
-            (x, targets),
-            corrupt="encoder.w" if corrupt else None,
-        )
-        layer, _, tensor = report.worst_param.partition(".")
-        gate = None
-        if layer in ("encoder", "decoder"):  # fused (4n, ...) tensor, gate blocks i, f, o, g
-            a = getattr(getattr(model, layer), tensor)
-            gate = "ifog"[report.worst_index // (a.size // a.shape[0]) // (a.shape[0] // 4)]
-        reports[name] = {**dataclasses.asdict(report), "worst_gate": gate}
+        report = lstm.gradient_check(model, (x, targets), corrupt="encoder.w" if corrupt else None)
+        reports[name] = dataclasses.asdict(report)
     reports["passed"] = all(reports[k]["passed"] for k in ("soil", "index"))
     return reports

@@ -32,6 +32,7 @@ BANDGRID_MAGIC = "BGRID 1"
 INDEX_KINDS = ("NDVI", "NDWI")
 DEFAULT_NODATA = -9999.0
 INPUT_WINDOW = 5  # prior images per pixel window
+PIXEL_BATCH = 4096  # pixels per model call in predict_pixels
 
 
 @dataclass(frozen=True)
@@ -191,16 +192,11 @@ def flatten_stack(stack: ImageStack, target_date: date) -> tuple[np.ndarray, np.
     return windows, mask
 
 
-def predict_pixels(
-    model: Seq2SeqModel,
-    windows: np.ndarray,
-    mask: np.ndarray,
-    nodata: float = DEFAULT_NODATA,
-    batch_size: int = 4096,
-) -> np.ndarray:
+def predict_pixels(model: Seq2SeqModel, windows: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """One index prediction per unmasked pixel, clamped to [-1, 1].
 
-    Masked pixels get `nodata`. The model must have input_dim=2 and
+    Pixels run through the model `PIXEL_BATCH` at a time. Masked pixels
+    get `DEFAULT_NODATA`. The model must have input_dim=2 and
     horizon=1; when it carries a scaler, inputs are standardized with
     it and the output mapped back through the channel-0 statistics.
     """
@@ -213,23 +209,21 @@ def predict_pixels(
     if mask.shape != (windows.shape[0],):
         raise ShapeError("mask length must equal the pixel count")
 
-    out = np.full(windows.shape[0], float(nodata), dtype=np.float64)
+    out = np.full(windows.shape[0], DEFAULT_NODATA, dtype=np.float64)
     active = np.flatnonzero(mask)
-    for start in range(0, active.size, batch_size):
-        idx = active[start : start + batch_size]
+    for start in range(0, active.size, PIXEL_BATCH):
+        idx = active[start : start + PIXEL_BATCH]
         xb = windows[idx] if model.scaler is None else model.scaler.apply(windows[idx])
         out[idx] = np.clip(predict_batch(model, xb)[:, 0], -1.0, 1.0)
     return out
 
 
-def reshape_to_image(
-    flat: np.ndarray, width: int, height: int, index_kind: str = "NDVI", nodata: float = DEFAULT_NODATA
-) -> IndexImage:
-    """Row-major reshape of a flat prediction vector into an IndexImage."""
+def reshape_to_image(flat: np.ndarray, width: int, height: int, index_kind: str) -> IndexImage:
+    """Row-major reshape of a flat prediction vector into an IndexImage with `DEFAULT_NODATA`."""
     flat = np.asarray(flat, dtype=np.float64)
     if flat.shape != (width * height,):
         raise ShapeError(f"flat length {flat.shape} != width*height = {width * height}")
-    return IndexImage(width, height, index_kind, float(nodata), flat.reshape(height, width).copy())
+    return IndexImage(width, height, index_kind, DEFAULT_NODATA, flat.reshape(height, width).copy())
 
 
 def stack_windows_for_training(stack: ImageStack) -> tuple[WindowSet, np.ndarray]:

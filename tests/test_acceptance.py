@@ -46,12 +46,7 @@ def criterion(name: str, ok: bool, detail: str) -> None:
 
 
 def n_params(shape: ModelShape) -> int:
-    model = init_params(shape, seed=0)
-    return sum(
-        t.size
-        for part in (model.encoder, model.decoder, model.head_hidden, model.head_out)
-        for _, t in part.tensors()
-    )
+    return sum(t.size for t in init_params(shape, seed=0).tensors.values())
 
 
 # -- 1: gradient fidelity -------------------------------------------------------------

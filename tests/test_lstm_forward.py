@@ -22,7 +22,6 @@ from scipy.special import expit
 import smartcast
 from smartcast.errors import DataError, ShapeError
 from smartcast.lstm import (
-    LstmLayerParams,
     ModelShape,
     Seq2SeqModel,
     _sigmoid_,
@@ -163,13 +162,10 @@ def test_init_glorot_bounds_and_forget_bias():
         np.testing.assert_array_equal(layer.b_i, np.zeros(n))
     # deterministic per seed
     again = init_params(SOIL_TOY, seed=7)
-    for (name_a, a), (_, b) in zip(model.param_items(), again.param_items()):
-        np.testing.assert_array_equal(a, b, err_msg=name_a)
+    for name, a in model.tensors.items():
+        np.testing.assert_array_equal(a, again.tensors[name], err_msg=name)
     other = init_params(SOIL_TOY, seed=8)
-    assert any(
-        not np.array_equal(a, b)
-        for (_, a), (_, b) in zip(model.param_items(), other.param_items())
-    )
+    assert any(not np.array_equal(a, other.tensors[name]) for name, a in model.tensors.items())
 
 
 def test_model_shape_validation():
@@ -195,11 +191,7 @@ def test_layer_is_three_fused_tensors_with_gate_views():
     with pytest.raises(AttributeError):
         layer.w_i = np.zeros((n, d))
     with pytest.raises(ShapeError):
-        LstmLayerParams(np.zeros((6, d)), np.zeros((6, 6)), np.zeros(6))
-    with pytest.raises(ShapeError):
-        LstmLayerParams(layer.w, layer.u[:, :-1], layer.b)
-    with pytest.raises(ShapeError):
-        LstmLayerParams(layer.w, layer.u, layer.b[:-1])
+        Seq2SeqModel(SOIL_TOY, np.zeros(SOIL_TOY.n_params - 1))
 
 
 def test_sigmoid_matches_expit_and_never_warns():

@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import json
+import pickle
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -14,6 +15,7 @@ from smartcast.errors import DataError, DivergenceError, GradientError
 from smartcast.lstm import (
     ForwardCache,
     ModelShape,
+    Seq2SeqModel,
     TrainConfig,
     adam_step,
     backward_batch,
@@ -27,7 +29,6 @@ from smartcast.lstm import (
     predict_batch,
     save_model,
     train,
-    zero_grads,
     CHECKPOINT_MAGIC,
     _loss_and_grad,
 )
@@ -45,7 +46,12 @@ def toy_windows(n=8, length=5, seed=0) -> WindowSet:
 
 
 def params_bytes(model) -> bytes:
-    return b"".join(a.tobytes() for _, a in model.param_items())
+    return model.flat.tobytes()
+
+
+def gradient_of(model, value: float = 0.0) -> Seq2SeqModel:
+    """A gradient for `model` with every entry equal to `value`."""
+    return Seq2SeqModel(model.shape, np.full_like(model.flat, value))
 
 
 # -- Adam ----------------------------------------------------------------------
@@ -53,11 +59,10 @@ def params_bytes(model) -> bytes:
 def test_adam_first_step_magnitude():
     """After bias correction, step 1 moves each coordinate by ~lr."""
     model = init_params(TOY, seed=1)
-    before = {name: a.copy() for name, a in model.param_items()}
-    grads = {name: np.full_like(a, 0.5) for name, a in model.param_items()}
+    before = {name: a.copy() for name, a in model.tensors.items()}
     config = TrainConfig(learning_rate=1e-3)
-    adam_step(model, grads, init_adam_state(model), config)
-    for name, a in model.param_items():
+    adam_step(model, gradient_of(model, 0.5), init_adam_state(model), config)
+    for name, a in model.tensors.items():
         delta = np.abs(a - before[name])
         expected = config.learning_rate * 0.5 / (0.5 + config.adam_epsilon)
         np.testing.assert_allclose(delta, expected, rtol=1e-10, err_msg=name)
@@ -65,27 +70,72 @@ def test_adam_first_step_magnitude():
 
 def test_adam_zero_gradient_is_noop():
     model = init_params(TOY, seed=2)
-    before = {name: a.copy() for name, a in model.param_items()}
+    before = {name: a.copy() for name, a in model.tensors.items()}
     state = init_adam_state(model)
-    adam_step(model, zero_grads(model), state, TrainConfig())
-    for name, a in model.param_items():
+    adam_step(model, gradient_of(model), state, TrainConfig())
+    for name, a in model.tensors.items():
         np.testing.assert_array_equal(a, before[name], err_msg=name)
     assert state.step == 1
 
 
 def test_adam_rejects_non_finite_gradient():
     model = init_params(TOY, seed=3)
-    grads = zero_grads(model)
-    grads["encoder.w"][0, 0] = np.nan
-    with pytest.raises(GradientError, match="encoder.w"):
-        adam_step(model, grads, init_adam_state(model), TrainConfig())
+    grad = gradient_of(model)
+    grad.tensors["decoder.u"][1, 2] = np.nan
+    grad.tensors["head_out.bias"][0] = np.inf
+    with pytest.raises(GradientError, match=r"decoder\.u \(index 6\)"):
+        adam_step(model, grad, init_adam_state(model), TrainConfig())
 
 
 def test_adam_step_invalidates_old_caches():
     model = init_params(TOY, seed=4)
     rev_before = model.rev
-    adam_step(model, zero_grads(model), init_adam_state(model), TrainConfig())
+    adam_step(model, gradient_of(model), init_adam_state(model), TrainConfig())
     assert model.rev == rev_before + 1
+
+
+def per_tensor_adam_step(params: dict, grads: dict, m: dict, v: dict, step: int, config: TrainConfig) -> None:
+    """The Adam update as it ran on one tensor at a time, kept as the reference."""
+    b1, b2 = config.adam_beta1, config.adam_beta2
+    for name, param in params.items():
+        g = grads[name]
+        m[name] *= b1
+        m[name] += (1.0 - b1) * g
+        v[name] *= b2
+        v[name] += (1.0 - b2) * g * g
+        m_hat = m[name] / (1.0 - b1**step)
+        v_hat = v[name] / (1.0 - b2**step)
+        param -= config.learning_rate * m_hat / (np.sqrt(v_hat) + config.adam_epsilon)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_flat_adam_step_matches_the_per_tensor_update_bytewise(dtype):
+    model = copy_model(init_params(TOY, seed=26), dtype)
+    ref = {name: a.copy() for name, a in model.tensors.items()}
+    m = {name: np.zeros_like(a) for name, a in ref.items()}
+    v = {name: np.zeros_like(a) for name, a in ref.items()}
+    state, config = init_adam_state(model), TrainConfig(learning_rate=0.01)
+    rng = np.random.default_rng(26)
+    for step in range(1, 6):
+        grad = gradient_of(model)
+        grad.flat[...] = rng.normal(scale=10.0 ** rng.uniform(-6, 1), size=grad.flat.size)
+        grads = {name: a.copy() for name, a in grad.tensors.items()}
+        adam_step(model, grad, state, config)
+        per_tensor_adam_step(ref, grads, m, v, step, config)
+        for name, a in model.tensors.items():
+            assert a.tobytes() == ref[name].tobytes(), (step, name)
+        assert state.m.tobytes() == b"".join(a.tobytes() for a in m.values())
+        assert state.v.tobytes() == b"".join(a.tobytes() for a in v.values())
+
+
+def test_adam_step_peak_memory_is_one_vector():
+    """At the paper's widths the per-tensor step peaked at 3.05 MiB over a 1.93 MiB float32 vector."""
+    paper = ModelShape(input_dim=4, encoder_hidden=200, decoder_hidden=200, dense_hidden=100, horizon=14)
+    model = copy_model(init_params(paper, seed=27), np.float32)
+    state, config = init_adam_state(model), TrainConfig()
+    grad = gradient_of(model)
+    grad.flat[...] = np.random.default_rng(27).normal(size=grad.flat.size)
+    assert traced_peak(lambda: adam_step(model, grad, state, config)) <= model.flat.nbytes + 64 * 1024
 
 
 # -- train loop -------------------------------------------------------------------
@@ -246,7 +296,7 @@ def test_prediction_paths_keep_no_cache_and_match_forward_batch():
     np.testing.assert_array_equal(predict_batch(model, x), full)
     np.testing.assert_array_equal(predict(model, x[2]), forward_batch(model, x[2:3])[0][0])
     expected, _ = _loss_and_grad(full, targets[:, :, 0], "mse")
-    assert evaluate_loss(model, WindowSet(x, targets), batch_size=6) == expected
+    assert evaluate_loss(model, WindowSet(x, targets)) == expected
 
 
 # -- checkpoints -----------------------------------------------------------------
@@ -360,6 +410,38 @@ def test_checkpoint_trailing_bytes(tmp_path):
         load_model(p)
 
 
+def rewrite_header(path: Path, edit) -> None:
+    """Replace a checkpoint's JSON header with `edit(header)`, keeping its tensors."""
+    header_line, _, body = path.read_bytes()[len(CHECKPOINT_MAGIC) :].partition(b"\n")
+    new = edit(json.loads(header_line))
+    path.write_bytes(CHECKPOINT_MAGIC + json.dumps(new).encode("utf-8") + b"\n" + body)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda h: {k: v for k, v in h.items() if k != "horizon"},
+        lambda h: {**h, "horizon": 0},
+        lambda h: {**h, "horizon": 1.5},
+        lambda h: {**h, "horizon": True},
+        lambda h: {**h, "encoder_hidden": "4"},
+        lambda h: [h],
+        lambda h: {**h, "scaler": {"mean": [1.0], "std": [1.0]}},
+        lambda h: {**h, "scaler": {"mean": [1.0, 2.0]}},
+        lambda h: {**h, "scaler": [1.0, 2.0]},
+        lambda h: {**h, "scaler": {"mean": [1.0, 2.0], "std": [1.0, 0.0]}},
+    ],
+    ids=["no-horizon", "zero", "float", "bool", "string", "list", "scaler-length", "scaler-std", "scaler-list", "scaler-zero-std"],
+)
+def test_checkpoint_malformed_header_is_a_data_error(tmp_path, edit):
+    scaler = Scaler(mean=np.array([1.0, 2.0]), std=np.array([3.0, 4.0]))
+    p = tmp_path / "m.ckpt"
+    save_model(init_params(TOY, seed=25, scaler=scaler), p)
+    rewrite_header(p, edit)
+    with pytest.raises(DataError, match="m.ckpt"):
+        load_model(p)
+
+
 def test_checkpoint_starts_with_magic(tmp_path):
     model = init_params(TOY, seed=16)
     p = tmp_path / "m.ckpt"
@@ -372,6 +454,32 @@ def test_copy_model_isolated():
     clone = copy_model(model)
     clone.encoder.w_i[0, 0] += 1.0
     assert model.encoder.w_i[0, 0] != clone.encoder.w_i[0, 0]
+    assert not np.shares_memory(clone.flat, model.flat)
+
+
+def parameter_views(model) -> dict[str, np.ndarray]:
+    """Every tensor view, by its name in `tensors` and by attribute."""
+    views = {f"tensors[{name}]": a for name, a in model.tensors.items()}
+    for part in ("encoder", "decoder"):
+        views.update({f"{part}.{k}": getattr(getattr(model, part), k) for k in ("w", "u", "b", "w_f", "b_g")})
+    for part in ("head_hidden", "head_out"):
+        views.update({f"{part}.{k}": getattr(getattr(model, part), k) for k in ("weight", "bias")})
+    return views
+
+
+def test_unpickled_model_views_share_its_vector():
+    scaler = Scaler(mean=np.array([1.0, 2.0]), std=np.array([3.0, 4.0]))
+    model = init_params(TOY, seed=17, scaler=scaler)
+    data = pickle.dumps(model)
+    assert len(data) < model.flat.nbytes + 1024  # the vector is pickled once
+    back = pickle.loads(data)
+    assert back.flat.tobytes() == model.flat.tobytes()
+    np.testing.assert_array_equal(back.scaler.mean, scaler.mean)
+    for name, a in parameter_views(back).items():
+        assert np.shares_memory(a, back.flat), name
+        assert not np.shares_memory(a, model.flat), name
+    back.tensors["head_out.bias"][0] = 5.0
+    assert back.head_out.bias[0] == 5.0 and back.flat[-1] == 5.0
 
 
 # -- precision -------------------------------------------------------------------
@@ -394,8 +502,8 @@ def test_forward_and_backward_run_in_the_model_dtype(dtype):
     x, targets = rng.normal(size=(3, 5, 2)), rng.normal(size=(3, TOY.horizon))
     preds, cache = forward_batch(model, x)
     arrays = {"predictions": preds, **cache_arrays(cache)}
-    _, grads = backward_batch(model, cache, targets)
-    arrays.update(grads)
+    _, grad = backward_batch(model, cache, targets)
+    arrays.update(grad.tensors)
     assert {name: a.dtype for name, a in arrays.items()} == {name: np.dtype(dtype) for name in arrays}
     lean, _ = forward_batch(model, x, keep_cache=False)
     assert lean.dtype == dtype
@@ -404,7 +512,7 @@ def test_forward_and_backward_run_in_the_model_dtype(dtype):
 def test_train_returns_float32_exact_float64_params(tmp_path):
     model = init_params(TOY, seed=22)
     trained, _ = train(model, toy_windows(n=10, seed=22), toy_windows(n=4, seed=23), TrainConfig(epochs=3, batch_size=4, seed=22))
-    for name, a in trained.param_items():
+    for name, a in trained.tensors.items():
         assert a.dtype == np.float64, name
         np.testing.assert_array_equal(a.astype(np.float32).astype(np.float64), a, err_msg=name)
     save_model(trained, tmp_path / "m.ckpt")

@@ -17,7 +17,7 @@ import pytest
 from smartcast import kriging, pipeline
 from smartcast.cli import main
 from smartcast.errors import ConfigError, DataError, DivergenceError, EmptySplitError, StageError
-from smartcast.lstm import GradCheckReport, ModelShape, init_params, load_model, predict, save_model
+from smartcast.lstm import ModelShape, init_params, load_model, predict, save_model
 from smartcast.pipeline import (
     RunConfig,
     _split_by_run,
@@ -501,12 +501,7 @@ def test_cmd_gradcheck_passes_and_honors_dims():
     assert report["passed"] is True
     assert report["soil"]["passed"] and report["index"]["passed"]
     model = init_params(ModelShape(4, 4, 4, 3, horizon=2), seed=0)
-    expected = sum(
-        t.size
-        for part in (model.encoder, model.decoder, model.head_hidden, model.head_out)
-        for _, t in part.tensors()
-    )
-    assert report["soil"]["n_checked"] == expected
+    assert report["soil"]["n_checked"] == sum(t.size for t in model.tensors.values())
 
 
 def test_cmd_gradcheck_detects_corruption():
@@ -535,13 +530,14 @@ def test_gradcheck_names_the_corrupted_gate(capsys):
         ("head_out.weight", 2, None),  # not an LSTM tensor
     ],
 )
-def test_gradcheck_gate_of_worst_coordinate(monkeypatch, param, index, gate):
-    report = GradCheckReport(
-        max_rel_error=1.0, worst_param=param, worst_index=index, n_checked=1, tolerance=1e-4, passed=False
-    )
-    monkeypatch.setattr(pipeline.lstm, "gradient_check", lambda *args, **kwargs: report)
-    got = cmd_gradcheck(seed=0, hidden=4, dense=3, length=4, horizon=2)["soil"]
-    assert (got["worst_param"], got["worst_index"], got["worst_gate"]) == (param, index, gate)
+def test_gradcheck_gate_of_worst_coordinate(param, index, gate):
+    shape = ModelShape(4, 4, 4, 3, horizon=2)
+    offset = 0
+    for name, dims in shape.layout():
+        if name == param:
+            break
+        offset += int(np.prod(dims))
+    assert shape.locate(offset + index) == (param, index, gate)
 
 
 # -- CLI ----------------------------------------------------------------------------
@@ -557,6 +553,18 @@ def test_cli_exit_codes(tmp_path: Path, capsys):
     path = write_config(tmp_path, {"seed": 1, "sensor_csv": "sensors.csv", "soil_train": {"learning_rate": -1}})
     assert main(["train-soil", "--config", str(path)]) == 2
     assert "soil_train" in capsys.readouterr().err
+
+
+def test_cli_forecast_refuses_a_malformed_checkpoint(tiny_dir: Path, tiny_chain: Path, tmp_path: Path, capsys):
+    out = tmp_path / "out"
+    shutil.copytree(tiny_chain, out)
+    ckpt = out / "checkpoints" / "soil_depth_030.ckpt"
+    magic, header, body = ckpt.read_bytes().split(b"\n", 2)
+    header = json.loads(header)
+    del header["horizon"]
+    ckpt.write_bytes(magic + b"\n" + json.dumps(header).encode("utf-8") + b"\n" + body)
+    assert main(["forecast", "--config", str(tiny_dir / "config.json"), "--out", str(out)]) == 3
+    assert "soil_depth_030.ckpt" in capsys.readouterr().err
 
 
 def test_cli_forecast_requires_checkpoints(tiny_dir: Path, tmp_path: Path, capsys):

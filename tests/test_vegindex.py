@@ -12,9 +12,10 @@ from smartcast.errors import (
     InsufficientHistoryError,
     ShapeError,
 )
-from smartcast.lstm import ModelShape, init_params
+from smartcast.lstm import ModelShape, init_params, predict_batch
 from smartcast.vegindex import (
     DEFAULT_NODATA,
+    PIXEL_BATCH,
     BandGrid,
     ImageStack,
     IndexImage,
@@ -239,7 +240,7 @@ def test_flatten_reshape_roundtrip_exact():
     assert back.values.tobytes() == img.values.tobytes()
     assert back.index_kind == "NDWI"
     with pytest.raises(ShapeError):
-        reshape_to_image(flat, 4, 4)
+        reshape_to_image(flat, 4, 4, index_kind="NDWI")
 
 
 def step10_stack(n_images, width=2, height=2, bad=None):
@@ -355,15 +356,18 @@ def test_predict_pixels_clamps_to_index_range():
 
 
 def test_predict_pixels_batch_size_agreement():
-    # different batch splits hit different BLAS kernels; require closeness,
-    # not byte equality
+    # more active pixels than one PIXEL_BATCH, so two batches run; different
+    # batch splits hit different BLAS kernels, so require closeness to one
+    # batch over every active pixel, not byte equality
     rng = np.random.default_rng(3)
     model = init_params(PIXEL_SHAPE, seed=3)
-    windows = rng.uniform(-1.0, 1.0, (37, 5, 2))
+    windows = rng.uniform(-1.0, 1.0, (6000, 5, 2))
     windows[:, :, 1] = np.array([50.0, 40.0, 30.0, 20.0, 10.0])
-    mask = rng.uniform(size=37) > 0.2
-    full = predict_pixels(model, windows, mask, batch_size=4096)
-    small = predict_pixels(model, windows, mask, batch_size=5)
-    assert np.allclose(full, small, rtol=0.0, atol=1e-9)
-    again = predict_pixels(model, windows, mask, batch_size=4096)
+    mask = rng.uniform(size=6000) > 0.2
+    assert mask.sum() > PIXEL_BATCH
+    full = predict_pixels(model, windows, mask)
+    one_batch = np.clip(predict_batch(model, windows[mask])[:, 0], -1.0, 1.0)
+    assert np.allclose(full[mask], one_batch, rtol=0.0, atol=1e-9)
+    assert np.all(full[~mask] == DEFAULT_NODATA)
+    again = predict_pixels(model, windows, mask)
     assert again.tobytes() == full.tobytes()

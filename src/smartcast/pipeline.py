@@ -451,26 +451,41 @@ def _single_threaded_blas():
 _TrainJob = tuple[str, Seq2SeqModel, WindowSet, WindowSet | None, TrainConfig]
 
 
-def _pool_size(jobs: int, cores: int) -> int:
-    """Workers for `jobs` training jobs on `cores` usable cores.
+def _job_cost(job: _TrainJob) -> int:
+    """A job's training work from its shapes: fit windows x epochs x the
+    gate GEMM work of one window, L encoder steps of 4ne(ne + d) and H
+    decoder steps of 4nd(nd + ne)."""
+    _, model, fit, _, train_config = job
+    s = model.shape
+    encoder = fit.input_length * 4 * s.encoder_hidden * (s.encoder_hidden + s.input_dim)
+    decoder = s.horizon * 4 * s.decoder_hidden * (s.decoder_hidden + s.encoder_hidden)
+    return fit.n_samples * train_config.epochs * (encoder + decoder)
 
-    One worker per core leaves cores idle while the `jobs % cores` jobs of
-    a partial last round train. One extra worker per such job lets them
-    time-share the cores with a full round instead, so every core stays
-    busy until the end (McNaughton 1959: preemption reaches
-    max(p_max, sum(p) / m)). With no partial round the pool stays at one
-    worker per core, since time-sharing there only adds switching cost.
+
+def _pool_size(costs: list[float], cores: int) -> int:
+    """Workers for training jobs of estimated `costs` on `cores` usable cores.
+
+    A job is big when it costs at least half the largest job. The big jobs
+    get one worker per core, plus one per big job of a partial last round:
+    those time-share the cores with a full round, so no core idles until
+    the end (McNaughton 1959: preemption reaches max(p_max, sum(p) / m)).
+    Whole rounds stay at one worker per core, since time-sharing there
+    only adds switching cost. Small jobs start no worker of their own;
+    they queue behind the big ones, and the pool never has fewer than
+    min(jobs, cores) workers. On 2 cores, 3 soil depths and the index
+    model (0.16 of a depth) start 3 workers; 4 equal jobs start 2.
     """
-    return min(jobs, cores + jobs % cores)
+    big = sum(cost >= max(costs) / 2 for cost in costs)
+    return max(min(len(costs), cores), min(big, cores + big % cores))
 
 
 def _train_all(jobs: list[_TrainJob]) -> list[Seq2SeqModel]:
     """`lstm.train` on every job in spawned workers, `_pool_size` of them.
 
-    The pool has one worker per usable core, plus one per job of a partial
-    last round, so no core idles while the last jobs train. Models come
-    back in job order. Jobs are handed out in order as workers free up;
-    after the first failure no further job starts, the running ones
+    The pool is sized from the jobs' estimated costs (`_job_cost`): the
+    big jobs share the cores and the small ones queue behind them. Models
+    come back in job order. Jobs are handed out in order as workers free
+    up; after the first failure no further job starts, the running ones
     finish, and the earliest job's failure is raised, as a serial loop
     would raise it, wrapped in a StageError naming its stage.
     """
@@ -479,7 +494,7 @@ def _train_all(jobs: list[_TrainJob]) -> list[Seq2SeqModel]:
     import multiprocessing
     from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 
-    workers = _pool_size(len(jobs), _usable_cores())
+    workers = _pool_size([_job_cost(job) for job in jobs], _usable_cores())
     spawn = multiprocessing.get_context("spawn")
     futures = []
     with _single_threaded_blas(), ProcessPoolExecutor(workers, mp_context=spawn) as pool:
@@ -513,6 +528,13 @@ def forecast_sensors(model: Seq2SeqModel, tails: dict[str, np.ndarray]) -> dict[
     return {sid: tuple(float(v) for v in row) for sid, row in zip(sensor_ids, preds)}
 
 
+def _soil_shape(config: RunConfig) -> ModelShape:
+    """The shape of every soil model the config trains or forecasts with."""
+    m = config.soil_model
+    n_features = len(timeseries.FEATURE_NAMES)
+    return ModelShape(n_features, m.encoder_hidden, m.decoder_hidden, m.dense_hidden, config.horizon_days)
+
+
 _SoilOutcome = tuple[list[DepthResult], dict[int, Seq2SeqModel], dict[int, dict[str, tuple[float, ...]]]]
 
 
@@ -524,8 +546,7 @@ def _soil_stage(
     groups = timeseries.group_records(table)
     sensor_ids = sorted({sid for sid, _ in groups})
     depths = config.depths_cm or tuple(sorted({depth for _, depth in groups}))
-    m, n_features = config.soil_model, len(timeseries.FEATURE_NAMES)
-    shape = ModelShape(n_features, m.encoder_hidden, m.decoder_hidden, m.dense_hidden, config.horizon_days)
+    shape = _soil_shape(config)
     prepared = [_prepare_depth(groups, sensor_ids, depth, config) for depth in depths]
     jobs: list[_TrainJob] = []
     for data in prepared:
@@ -580,7 +601,8 @@ def forecast_from_checkpoints(config: RunConfig, ckpt_dir: Path) -> dict[int, di
     """Forecasts at every sensor from the soil checkpoints under `ckpt_dir`.
 
     Each checkpoint carries its depth's scaler; sensors without a usable
-    series at a depth are skipped, as in training.
+    series at a depth are skipped, as in training. A checkpoint whose shape
+    is not the config's soil shape is refused as bad data.
     """
     checkpoints = sorted(ckpt_dir.glob("soil_depth_*.ckpt"))
     if not checkpoints:
@@ -588,10 +610,13 @@ def forecast_from_checkpoints(config: RunConfig, ckpt_dir: Path) -> dict[int, di
     groups = timeseries.group_records(timeseries.load_sensor_csv(config.sensor_csv))
     sensor_ids = sorted({sid for sid, _ in groups})
     length = config.soil_model.input_length
+    shape = _soil_shape(config)
     table: dict[int, dict[str, tuple[float, ...]]] = {}
     for ckpt in checkpoints:
         depth = int(ckpt.stem.rsplit("_", 1)[1])
         model = lstm.load_model(ckpt)
+        if model.shape != shape:
+            raise DataError(f"checkpoint {ckpt.name} has {model.shape}, but the config gives {shape}")
         if model.scaler is None:
             raise DataError(f"checkpoint {ckpt.name} carries no scaler")
         tails: dict[str, np.ndarray] = {}

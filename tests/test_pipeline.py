@@ -26,7 +26,7 @@ from smartcast.pipeline import (
     run_forecast,
 )
 from smartcast.timeseries import Scaler, WindowSet, load_sensor_csv
-from smartcast.vegindex import read_bandgrid
+from smartcast.vegindex import load_index_stack, read_bandgrid
 
 
 def write_config(directory: Path, payload: dict, name: str = "config.json") -> Path:
@@ -369,6 +369,24 @@ def test_soil_stage_bytes_do_not_depend_on_worker_count(tiny_dir: Path, tmp_path
     assert outcomes[0] == outcomes[1]
 
 
+def diverging_config(tiny_dir: Path, tmp_path: Path, section: str) -> Path:
+    """The tiny scenario's config with one Adam step that sends `section`'s
+    model weights to +-1e200."""
+    payload = json.loads((tiny_dir / "config.json").read_text(encoding="utf-8"))
+    payload[section]["learning_rate"] = 1e200
+    for key in ("sensor_csv", "image_manifest"):
+        payload[key] = str(tiny_dir / payload[key])
+    return write_config(tmp_path, payload, "diverge.json")
+
+
+def demo_jobs(config: RunConfig) -> list:
+    """`run`'s training jobs for `config`: every soil depth, then the index model."""
+    soil_jobs, _ = pipeline._soil_stage(load_sensor_csv(config.sensor_csv), config)
+    stack = load_index_stack(config.image_manifest, config.index_kind, config.band_mapping)
+    index_job, _ = pipeline._index_stage(stack, config)
+    return soil_jobs + [index_job]
+
+
 def test_single_threaded_blas_is_scoped(monkeypatch):
     monkeypatch.setenv("OMP_NUM_THREADS", "3")
     monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
@@ -379,11 +397,7 @@ def test_single_threaded_blas_is_scoped(monkeypatch):
 
 
 def test_soil_worker_divergence_stays_typed(tiny_dir: Path, tmp_path: Path, monkeypatch, soil_pools, capsys):
-    payload = json.loads((tiny_dir / "config.json").read_text(encoding="utf-8"))
-    payload["soil_train"]["learning_rate"] = 1e200  # one Adam step sends the weights to +-1e200
-    for key in ("sensor_csv", "image_manifest"):
-        payload[key] = str(tiny_dir / payload[key])
-    config_path = write_config(tmp_path, payload, "diverge.json")
+    config_path = diverging_config(tiny_dir, tmp_path, "soil_train")
     monkeypatch.setattr(pipeline, "_usable_cores", lambda: 1)
 
     out = tmp_path / "run"
@@ -420,13 +434,47 @@ def test_soil_worker_divergence_stays_typed(tiny_dir: Path, tmp_path: Path, monk
     ],
 )
 def test_pool_size_adds_a_worker_per_leftover_job(jobs, cores, workers):
-    assert pipeline._pool_size(jobs, cores) == workers
+    # equal jobs are all big, so the leftover rule applies to every one
+    assert pipeline._pool_size([1.0] * jobs, cores) == workers
+
+
+DEMO_MIX = [1.0, 1.0, 1.0, 0.155]  # synth --seed 7: three soil depths, then the index model
+
+
+@pytest.mark.parametrize(
+    ("costs", "cores", "workers"),
+    [
+        (DEMO_MIX, 2, 3),  # the third depth time-shares; the index job queues
+        (DEMO_MIX, 4, 4),  # every job on its own core
+        (DEMO_MIX, 1, 1),  # one core: never time-share
+        ([1.0, 1.0, 1.0], 2, 3),  # paper_soil
+        ([2.5] * 4, 2, 2),  # whole rounds of equal jobs: one worker per core
+        ([2.5] * 5, 2, 3),
+        ([1.0, 1.0, 0.0074], 2, 2),  # the tiny scenario's run: 2 depths fill 2 cores
+        ([1.0, 0.2, 0.2], 2, 2),  # one big job: small jobs still fill the cores
+        ([1.0, 0.5, 0.5], 2, 3),  # half the largest cost is big
+        ([1.0, 0.49, 0.49], 2, 2),
+        ([0.155, 1.0, 1.0, 1.0], 2, 3),  # job order does not size the pool
+        ([7.0], 4, 1),
+    ],
+)
+def test_pool_size_counts_only_big_jobs(costs, cores, workers):
+    assert pipeline._pool_size(costs, cores) == workers
+
+
+def test_job_cost_of_the_demo_mix(synth_config):
+    # the shape-only estimate puts the index model at 0.16 of a soil depth
+    costs = [pipeline._job_cost(job) for job in demo_jobs(synth_config)]
+    assert costs[0] == costs[1] == costs[2]
+    assert costs[3] / costs[0] == pytest.approx(0.155, abs=0.005)
+    assert pipeline._pool_size(costs, 2) == 3
 
 
 def test_run_trains_every_model_in_one_pool(tiny_dir: Path, tmp_path: Path, monkeypatch, soil_pools):
     # each run opens one pool for every depth and the index model, and its
     # whole output tree, index.ckpt included, does not depend on the pool
-    # size: 3 jobs on 2 cores start 3 time-shared workers
+    # size: on 2 cores the 2 depths start 2 workers and the small index
+    # job queues behind them
     config = parse_config(tiny_dir / "config.json")
     trees = []
     for cores in (1, 2):
@@ -436,17 +484,53 @@ def test_run_trains_every_model_in_one_pool(tiny_dir: Path, tmp_path: Path, monk
         trees.append(file_tree(out_dir))
     jobs = len(report.depths) + 1
     assert jobs == 3
-    assert soil_pools == [{"workers": 1, "jobs": jobs}, {"workers": 3, "jobs": jobs}]
+    assert soil_pools == [{"workers": 1, "jobs": jobs}, {"workers": 2, "jobs": jobs}]
     assert "checkpoints/index.ckpt" in trees[0]
     assert trees[0] == trees[1]
 
 
+def test_big_job_divergence_never_starts_the_queued_small_job(
+    tiny_dir: Path, tmp_path: Path, monkeypatch, soil_pools
+):
+    # on 2 cores both depths train and the index job waits for a free
+    # worker; the depths diverge, so it never starts
+    config_path = diverging_config(tiny_dir, tmp_path, "soil_train")
+    monkeypatch.setattr(pipeline, "_usable_cores", lambda: 2)
+
+    out = tmp_path / "run"
+    with pytest.raises(StageError) as info:
+        run_forecast(dataclasses.replace(parse_config(config_path), output_dir=out))
+    assert info.value.stage == "soil"
+    assert isinstance(info.value.cause, DivergenceError)
+    assert soil_pools == [{"workers": 2, "jobs": 2}]
+    assert [p for p in out.rglob("*") if p.is_file()] == []
+    assert multiprocessing.active_children() == []
+
+
+def test_trained_bytes_do_not_depend_on_the_pool_size(synth_config, tmp_path: Path, monkeypatch, soil_pools):
+    # the demo mix of three soil depths and the small index model, at 2
+    # epochs each, trained by 1, 2, 3 and 4 workers
+    config = dataclasses.replace(
+        synth_config,
+        soil_train=dataclasses.replace(synth_config.soil_train, epochs=2),
+        index_train=dataclasses.replace(synth_config.index_train, epochs=2),
+    )
+    jobs = demo_jobs(config)
+    checkpoints = []
+    for workers in (1, 2, 3, 4):
+        monkeypatch.setattr(pipeline, "_pool_size", lambda costs, cores, w=workers: w)
+        paths = []
+        for k, model in enumerate(pipeline._train_all(jobs)):
+            paths.append(tmp_path / f"{workers}-{k}.ckpt")
+            save_model(model, paths[-1])
+        checkpoints.append([path.read_bytes() for path in paths])
+    assert [pool["workers"] for pool in soil_pools] == [1, 2, 3, 4]
+    assert all(pool["jobs"] == 4 for pool in soil_pools)
+    assert checkpoints[1:] == [checkpoints[0]] * 3
+
+
 def test_index_worker_divergence_stays_typed(tiny_dir: Path, tmp_path: Path, monkeypatch, soil_pools, capsys):
-    payload = json.loads((tiny_dir / "config.json").read_text(encoding="utf-8"))
-    payload["index_train"]["learning_rate"] = 1e200
-    for key in ("sensor_csv", "image_manifest"):
-        payload[key] = str(tiny_dir / payload[key])
-    config_path = write_config(tmp_path, payload, "diverge.json")
+    config_path = diverging_config(tiny_dir, tmp_path, "index_train")
     monkeypatch.setattr(pipeline, "_usable_cores", lambda: 2)
 
     out = tmp_path / "run"
@@ -565,6 +649,27 @@ def test_cli_forecast_refuses_a_malformed_checkpoint(tiny_dir: Path, tiny_chain:
     ckpt.write_bytes(magic + b"\n" + json.dumps(header).encode("utf-8") + b"\n" + body)
     assert main(["forecast", "--config", str(tiny_dir / "config.json"), "--out", str(out)]) == 3
     assert "soil_depth_030.ckpt" in capsys.readouterr().err
+
+
+def test_cli_forecast_refuses_a_checkpoint_of_another_shape(
+    tiny_dir: Path, tiny_chain: Path, tmp_path: Path, capsys
+):
+    # a valid header whose horizon is not the config's: the tensors load,
+    # so only a comparison with the config's soil shape can refuse it
+    out = tmp_path / "out"
+    shutil.copytree(tiny_chain, out)
+    ckpt = out / "checkpoints" / "soil_depth_030.ckpt"
+    magic, header, body = ckpt.read_bytes().split(b"\n", 2)
+    header = json.loads(header)
+    header["horizon"] = 3
+    ckpt.write_bytes(magic + b"\n" + json.dumps(header).encode("utf-8") + b"\n" + body)
+    assert load_model(ckpt).horizon == 3
+    before = file_tree(out)
+    assert main(["forecast", "--config", str(tiny_dir / "config.json"), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "soil_depth_030.ckpt" in err and "horizon=3" in err and "horizon=14" in err
+    assert file_tree(out) == before
+    assert not (out / ".partial").exists()
 
 
 def test_cli_forecast_requires_checkpoints(tiny_dir: Path, tmp_path: Path, capsys):

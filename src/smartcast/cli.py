@@ -143,52 +143,35 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="path to a JSON run config")
-    parser.add_argument("--seed", type=int, help="override the config seed")
-    parser.add_argument("--out", help="override the output directory")
-    parser.add_argument("--day", type=int, help="forecast day used for interpolation (1..horizon)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="smartcast",
         description="Soil-moisture forecasting, vegetation-index prediction, and kriged moisture volumes.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("synth", help="generate a synthetic scenario with a ready-to-run config")
-    _add_common(p)
-    p.set_defaults(fn=cmd_synth)
-
-    p = sub.add_parser("train-soil", help="train per-depth soil models and save checkpoints")
-    _add_common(p)
-    p.set_defaults(fn=cmd_train_soil)
-
-    p = sub.add_parser("train-index", help="train the vegetation-index pixel model")
-    _add_common(p)
-    p.set_defaults(fn=cmd_train_index)
-
-    p = sub.add_parser("forecast", help="14-day forecasts at every sensor from saved checkpoints")
-    _add_common(p)
-    p.set_defaults(fn=cmd_forecast)
-
-    p = sub.add_parser("interpolate", help="krige saved forecasts into per-depth grids")
-    _add_common(p)
-    p.set_defaults(fn=cmd_interpolate)
-
-    p = sub.add_parser("run", help="end-to-end: train, forecast, interpolate, export")
-    _add_common(p)
-    p.set_defaults(fn=cmd_run)
-
-    p = sub.add_parser("gradcheck", help="finite-difference audit of both architectures")
-    _add_common(p)
+    # A subcommand takes only the shared flags it reads; argparse refuses the others.
+    flags = {name: argparse.ArgumentParser(add_help=False) for name in ("config", "seed", "out", "day")}
+    flags["config"].add_argument("--config", help="path to a JSON run config")
+    flags["seed"].add_argument("--seed", type=int, help="seed; overrides the config's, if any")
+    flags["out"].add_argument("--out", help="output directory; overrides the config's, if any")
+    flags["day"].add_argument("--day", type=int, help="forecast day used for interpolation (1..horizon)")
+    commands = [
+        ("synth", cmd_synth, "seed out", "generate a synthetic scenario with a ready-to-run config"),
+        ("train-soil", cmd_train_soil, "config seed out", "train per-depth soil models and save checkpoints"),
+        ("train-index", cmd_train_index, "config seed out", "train the vegetation-index pixel model"),
+        ("forecast", cmd_forecast, "config seed out", "14-day forecasts at every sensor from saved checkpoints"),
+        ("interpolate", cmd_interpolate, "config seed out day", "krige saved forecasts into per-depth grids"),
+        ("run", cmd_run, "config seed out day", "end-to-end: train, forecast, interpolate, export"),
+        ("gradcheck", cmd_gradcheck, "seed", "finite-difference audit of both architectures"),
+    ]
+    for name, fn, shared, text in commands:
+        sub.add_parser(name, help=text, parents=[flags[f] for f in shared.split()]).set_defaults(fn=fn)
+    p = sub.choices["gradcheck"]
     p.add_argument("--corrupt", action="store_true", help="inject a gradient fault; the check must fail")
     p.add_argument("--hidden", type=int, default=8, help="toy hidden width (soil-shaped model)")
     p.add_argument("--dense", type=int, default=6, help="toy dense width (soil-shaped model)")
     p.add_argument("--length", type=int, default=6, help="toy input length (soil-shaped model)")
     p.add_argument("--horizon", type=int, default=3, help="toy horizon (soil-shaped model)")
-    p.set_defaults(fn=cmd_gradcheck)
     return parser
 
 

@@ -1,10 +1,13 @@
-"""Ordinary kriging with a Gaussian variogram.
+"""Ordinary kriging with a Gaussian variogram, on numpy arrays.
 
-Empirical variogram estimation, weighted least-squares model fitting,
-ordinary-kriging solves with nugget escalation, leave-one-out scoring,
-dense grid interpolation, and stacking of per-depth grids into a
-moisture volume with file exports. numpy only: every solve goes through
-`np.linalg.solve` on the model's bordered matrix.
+Samples are an (n, 2) coordinate array and an (n,) value array. The
+module estimates an empirical variogram (mean lags, semivariances and
+pair counts per bin), fits a Gaussian model to it by weighted least
+squares, assembles the bordered ordinary-kriging system with nugget
+escalation, scores it by leave-one-out, and kriges query points, a grid's
+cell centres among them, with `krige`. Per-depth grids stack into a
+moisture volume with file exports. Every solve is one `np.linalg.solve`
+on the model's bordered matrix.
 
 The Gaussian model uses the practical-range convention
 gamma(h) = nugget + sill * (1 - exp(-3 h^2 / a^2)) with gamma(0) = 0.
@@ -30,19 +33,7 @@ from .vegindex import DEFAULT_NODATA, BandGrid, write_bandgrid, write_pgm
 
 _JITTER_START = 1e-10
 _JITTER_STOP = 1e-6
-
-
-@dataclass(frozen=True)
-class SamplePoint:
-    """One located measurement (coordinates in grid units or meters)."""
-
-    x: float
-    y: float
-    value: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.x) and np.isfinite(self.y) and np.isfinite(self.value)):
-            raise DataError("sample coordinates and value must be finite")
+VARIOGRAM_BINS = 15
 
 
 @dataclass(frozen=True)
@@ -58,15 +49,6 @@ class Variogram:
             raise DataError(
                 f"need nugget >= 0, sill > 0, range > 0; got ({self.nugget}, {self.sill}, {self.range_a})"
             )
-
-
-@dataclass(frozen=True)
-class VariogramBin:
-    """One empirical-variogram bin."""
-
-    lag: float
-    semivariance: float
-    pair_count: int
 
 
 @dataclass(frozen=True)
@@ -146,49 +128,42 @@ def gaussian_variogram(h: np.ndarray | float, v: Variogram) -> np.ndarray | floa
     return float(gamma) if np.isscalar(h) else gamma
 
 
-def empirical_variogram(
-    samples: list[SamplePoint], n_bins: int = 15, max_lag: float | None = None
-) -> list[VariogramBin]:
+def _samples(points, values) -> tuple[np.ndarray, np.ndarray]:
+    """Sample coordinates (n, 2) and values (n,) as float64 arrays, all finite."""
+    points = np.asarray(points, dtype=np.float64)
+    values = np.asarray(values, dtype=np.float64)
+    if values.ndim != 1 or points.shape != (values.size, 2):
+        raise ShapeError(f"need points (n, 2) and values (n,); got {points.shape} and {values.shape}")
+    if not (np.isfinite(points).all() and np.isfinite(values).all()):
+        raise DataError("sample coordinates and values must be finite")
+    return points, values
+
+
+def empirical_variogram(points: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Binned empirical semivariances: (1/2N_b) * sum of squared value diffs.
 
-    Pairs at lag <= max_lag (default: half the maximum pairwise
-    distance) are assigned to n_bins uniform bins; empty bins are
-    omitted. Raises DataError when no pair falls inside max_lag.
+    Pairs at lag up to half the largest pairwise distance are assigned to
+    VARIOGRAM_BINS uniform bins. Returns the nonempty bins' mean lags,
+    semivariances and pair counts. Raises DataError when no pair falls
+    inside that lag.
     """
-    if len(samples) < 2:
+    points, values = _samples(points, values)
+    if values.size < 2:
         raise InsufficientDataError("empirical variogram needs at least 2 samples")
-    if n_bins < 1:
-        raise DataError("n_bins must be positive")
-    pts = np.array([(s.x, s.y) for s in samples])
-    vals = np.array([s.value for s in samples])
-    dist = _distances(pts, pts)
-    iu, ju = np.triu_indices(len(samples), k=1)
-    lags = dist[iu, ju]
-    sqdiff = (vals[iu] - vals[ju]) ** 2
-    if max_lag is None:
-        max_lag = float(lags.max()) / 2.0
-    if max_lag <= 0:
-        raise DataError("max_lag must be positive")
+    iu, ju = np.triu_indices(values.size, k=1)
+    lags = _distances(points, points)[iu, ju]
+    sqdiff = (values[iu] - values[ju]) ** 2
+    max_lag = float(lags.max()) / 2.0
     keep = (lags > 0) & (lags <= max_lag)
     if not keep.any():
-        raise DataError(f"no sample pair within max_lag={max_lag}")
+        raise DataError(f"no sample pair within half the largest pairwise distance ({max_lag})")
     lags, sqdiff = lags[keep], sqdiff[keep]
-    edges = np.linspace(0.0, max_lag, n_bins + 1)
-    which = np.minimum(np.digitize(lags, edges) - 1, n_bins - 1)
-    bins: list[VariogramBin] = []
-    for b in range(n_bins):
-        sel = which == b
-        count = int(sel.sum())
-        if count == 0:
-            continue
-        bins.append(
-            VariogramBin(
-                lag=float(lags[sel].mean()),
-                semivariance=float(sqdiff[sel].sum() / (2.0 * count)),
-                pair_count=count,
-            )
-        )
-    return bins
+    edges = np.linspace(0.0, max_lag, VARIOGRAM_BINS + 1)
+    which = np.minimum(np.digitize(lags, edges) - 1, VARIOGRAM_BINS - 1)
+    bins = [sel for sel in (which == b for b in range(VARIOGRAM_BINS)) if sel.any()]
+    counts = np.array([int(sel.sum()) for sel in bins])
+    semivariances = np.array([sqdiff[sel].sum() for sel in bins]) / (2.0 * counts)
+    return np.array([lags[sel].mean() for sel in bins]), semivariances, counts
 
 
 def _wls_nugget_sill(f: np.ndarray, gamma: np.ndarray, w: np.ndarray) -> tuple[float, float, float]:
@@ -216,18 +191,19 @@ def _wls_nugget_sill(f: np.ndarray, gamma: np.ndarray, w: np.ndarray) -> tuple[f
     return nugget, sill, float((w * resid * resid).sum())
 
 
-def fit_variogram(bins: list[VariogramBin]) -> Variogram:
-    """Weighted least-squares Gaussian fit over (nugget, sill, range).
+def fit_variogram(lags: np.ndarray, semivariances: np.ndarray, counts: np.ndarray) -> Variogram:
+    """Weighted least-squares Gaussian fit over (nugget, sill, range) to
+    empirical-variogram bins.
 
     Weights are pair counts. The range is located by a log-spaced grid
     search and refined by golden-section descent; (nugget, sill) are
     re-solved in closed form at every candidate range.
     """
-    if len(bins) < 3:
-        raise InsufficientDataError(f"variogram fit needs >= 3 nonempty bins, have {len(bins)}")
-    h = np.array([b.lag for b in bins])
-    gamma = np.array([b.semivariance for b in bins])
-    w = np.array([b.pair_count for b in bins], dtype=np.float64)
+    h = np.asarray(lags, dtype=np.float64)
+    gamma = np.asarray(semivariances, dtype=np.float64)
+    w = np.asarray(counts, dtype=np.float64)
+    if h.size < 3:
+        raise InsufficientDataError(f"variogram fit needs >= 3 nonempty bins, have {h.size}")
     if np.all(gamma <= 0.0):
         raise FlatFieldError("all semivariances are zero; the field is flat")
 
@@ -275,11 +251,6 @@ def _distances(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.sqrt(dx * dx + dy * dy)
 
 
-def _solve(system: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """The module's one linear solve; LinAlgError on an exactly zero pivot."""
-    return np.linalg.solve(system, rhs)
-
-
 def _assemble(points: np.ndarray, v: Variogram) -> np.ndarray:
     n = points.shape[0]
     a = np.zeros((n + 1, n + 1))
@@ -289,20 +260,21 @@ def _assemble(points: np.ndarray, v: Variogram) -> np.ndarray:
     return a
 
 
-def build_model(samples: list[SamplePoint], variogram: Variogram) -> KrigingModel:
-    """Assemble the bordered ordinary-kriging system and probe-solve it.
+def build_model(points: np.ndarray, values: np.ndarray, variogram: Variogram) -> KrigingModel:
+    """Assemble the bordered ordinary-kriging system over samples at
+    `points` (n, 2) with `values` (n,), and probe-solve it.
 
-    Exact duplicate coordinates are rejected. If the probe solve hits a
-    zero pivot or fails its residual check, the variogram's nugget is raised
-    by a jitter escalating from 1e-10*sill to 1e-6*sill by factors of 10
-    before giving up; in variogram form a nugget adds to the off-diagonal
+    Coordinates and values must be finite; exact duplicate coordinates
+    are rejected. If the probe solve hits a zero pivot or fails its
+    residual check, the variogram's nugget is raised by a jitter
+    escalating from 1e-10*sill to 1e-6*sill by factors of 10 before
+    giving up; in variogram form a nugget adds to the off-diagonal
     entries, never the diagonal. The model carries the raised variogram.
     """
-    if not samples:
+    points, values = _samples(points, values)
+    n = values.size
+    if n == 0:
         raise InsufficientDataError("kriging needs at least one sample")
-    points = np.array([(s.x, s.y) for s in samples], dtype=np.float64)
-    values = np.array([s.value for s in samples], dtype=np.float64)
-    n = len(samples)
     same = (points[:, None, 0] == points[None, :, 0]) & (points[:, None, 1] == points[None, :, 1])
     pairs = np.argwhere(np.triu(same, k=1))  # row-major: the first pair a nested i < j loop meets
     if pairs.size:
@@ -318,7 +290,7 @@ def build_model(samples: list[SamplePoint], variogram: Variogram) -> KrigingMode
         a = _assemble(points, v)
         b = a @ np.ones(n + 1)
         try:
-            solved = _solve(a, b)
+            solved = np.linalg.solve(a, b)  # LinAlgError on an exactly zero pivot
         except np.linalg.LinAlgError:
             continue
         resid = np.abs(a @ solved - b).max()
@@ -328,41 +300,26 @@ def build_model(samples: list[SamplePoint], variogram: Variogram) -> KrigingMode
     raise FactorizationError(f"kriging system singular even with jitter {jitters[-1]:.3e}")
 
 
-def _query_system(model: KrigingModel, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(n+1, k) right-hand sides (gamma_1..gamma_n, 1) for query points q (k, 2), and their solutions."""
-    rhs = np.ones((model.n_samples + 1, q.shape[0]))
-    rhs[:-1] = gaussian_variogram(_distances(model.points, q), model.variogram)
-    return rhs, _solve(model.system, rhs)
+def krige(model: KrigingModel, points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Kriged values (k,), variances (k,) and weights (n, k) at query
+    points (k, 2).
 
-
-def solve_weights(model: KrigingModel, x: float, y: float) -> tuple[np.ndarray, float]:
-    """Ordinary-kriging weights and Lagrange multiplier for one query point."""
-    _, sol = _query_system(model, np.array([[x, y]], dtype=np.float64))
-    return sol[:-1, 0], float(sol[-1, 0])
-
-
-def predict_point(model: KrigingModel, x: float, y: float) -> tuple[float, float]:
-    """Kriged (value, variance) at one point.
-
-    Weights solve the bordered system and sum to 1; the variance is
-    sum(w_i * gamma_i) + mu, nonnegative up to round-off.
+    One solve of the bordered system against all k right-hand sides
+    (gamma_1..gamma_n, 1), so results do not depend on the order or
+    grouping of the queries. Each weight column sums to 1; the variance
+    is sum(w_i * gamma_i) + mu, nonnegative up to round-off.
     """
-    rhs, sol = _query_system(model, np.array([[x, y]], dtype=np.float64))
-    w = sol[:-1, 0]
-    return float(w @ model.values), float(w @ rhs[:-1, 0] + sol[-1, 0])
+    rhs = np.ones((model.n_samples + 1, points.shape[0]))
+    rhs[:-1] = gaussian_variogram(_distances(model.points, points), model.variogram)
+    sol = np.linalg.solve(model.system, rhs)
+    w = sol[:-1]
+    return w.T @ model.values, np.sum(w * rhs[:-1], axis=0) + sol[-1], w
 
 
 def interpolate_grid(model: KrigingModel, geometry: GridGeometry) -> tuple[np.ndarray, np.ndarray]:
-    """Kriged value and variance at every cell center of a grid, (ny, nx)
-    each. Results are independent of evaluation order: all right-hand
-    sides are solved in one call.
-    """
-    xs, ys = geometry.cell_centers()
-    gx, gy = np.meshgrid(xs, ys)
-    rhs, sol = _query_system(model, np.column_stack([gx.ravel(), gy.ravel()]))
-    w = sol[:-1]
-    values = w.T @ model.values
-    variances = np.sum(w * rhs[:-1], axis=0) + sol[-1]
+    """Kriged value and variance at every cell center of a grid, (ny, nx) each."""
+    gx, gy = np.meshgrid(*geometry.cell_centers())
+    values, variances, _ = krige(model, np.column_stack([gx.ravel(), gy.ravel()]))
     return values.reshape(geometry.ny, geometry.nx), variances.reshape(geometry.ny, geometry.nx)
 
 
@@ -384,7 +341,7 @@ def loo_score(model: KrigingModel) -> float:
     ss_tot = float(((model.values - model.values.mean()) ** 2).sum())
     if ss_tot == 0.0:
         raise UndefinedScoreError("sample values are constant; the score is undefined")
-    sol = _solve(model.system, np.column_stack([np.append(model.values, 0.0), np.eye(n + 1)]))
+    sol = np.linalg.solve(model.system, np.column_stack([np.append(model.values, 0.0), np.eye(n + 1)]))
     residuals = sol[:n, 0] / np.diag(sol[:n, 1 : n + 1])
     ss_res = float((residuals**2).sum())
     return 1.0 - ss_res / ss_tot

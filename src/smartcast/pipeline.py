@@ -19,6 +19,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import json
+import math
 import os
 import shutil
 from collections.abc import Callable
@@ -36,7 +37,7 @@ from .errors import (
     NumericError,
     StageError,
 )
-from .kriging import GridGeometry, SamplePoint, Variogram
+from .kriging import GridGeometry, Variogram
 from .lstm import ModelShape, Seq2SeqModel, TrainConfig
 from .timeseries import DEFAULT_HORIZON, DEFAULT_MAX_GAP, Scaler, WindowSet
 
@@ -233,17 +234,28 @@ def _parse_section(section: str, raw: dict, cls, default):
         raise ConfigError(f"invalid {section}: {e}") from e
 
 
+def _finite_number(text: str) -> float | int:
+    """JSON number hook: refuses NaN, Infinity, -Infinity and literals past
+    the float range. An integer literal stays an int."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ConfigError(f"config holds the non-finite number {text}; every number must be finite")
+    return int(text) if text.lstrip("-").isdigit() else value
+
+
 def parse_config(path: str | Path) -> RunConfig:
     """Load and validate a JSON run config; defaults fill absent keys.
 
     Unknown keys anywhere are rejected by name; referenced input paths
-    must exist when the file is parsed. The seed is mandatory.
+    must exist when the file is parsed. The seed is mandatory, and every
+    number must be finite.
     """
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
+        text = path.read_text(encoding="utf-8")
+        raw = json.loads(text, parse_float=_finite_number, parse_int=_finite_number, parse_constant=_finite_number)
     except json.JSONDecodeError as e:
         raise ConfigError(f"config is not valid JSON: {e}") from e
     if not isinstance(raw, dict):
@@ -749,29 +761,26 @@ def run_kriging_stage(
     stats: dict[int, tuple[float | None, Variogram, int]] = {}
     for depth in sorted(forecast_table):
         forecasts = forecast_table[depth]
-        samples = []
-        for sid, values in sorted(forecasts.items()):
-            if sid not in config.sensor_locations:
-                continue
-            x, y = config.sensor_locations[sid]
-            samples.append(SamplePoint(x=x, y=y, value=values[forecast_day - 1]))
-        if not samples:
+        located = [sid for sid in sorted(forecasts) if sid in config.sensor_locations]
+        if not located:
             known = ", ".join(sorted(config.sensor_locations)) or "(none)"
             raise DataError(
                 f"no sensor at depth {depth} has a configured location; locations exist for: {known}"
             )
+        points = np.array([config.sensor_locations[sid] for sid in located], dtype=np.float64)
+        values = np.array([forecasts[sid][forecast_day - 1] for sid in located])
         if config.variogram is not None:
             variogram = config.variogram
         else:
-            variogram = kriging.fit_variogram(kriging.empirical_variogram(samples))
-        model = kriging.build_model(samples, variogram)
+            variogram = kriging.fit_variogram(*kriging.empirical_variogram(points, values))
+        model = kriging.build_model(points, values, variogram)
         try:
             score = kriging.loo_score(model)
         except DataError:  # fewer than 3 samples, or constant values
             score = None
-        values, variance = kriging.interpolate_grid(model, config.grid)
-        layers.append(kriging.DepthLayer(depth_cm=depth, geometry=config.grid, values=values, variance=variance))
-        stats[depth] = (score, variogram, len(samples))
+        mapped, variance = kriging.interpolate_grid(model, config.grid)
+        layers.append(kriging.DepthLayer(depth_cm=depth, geometry=config.grid, values=mapped, variance=variance))
+        stats[depth] = (score, variogram, len(located))
     return kriging.stack_depths(layers), stats
 
 

@@ -19,14 +19,12 @@ from conftest import seq2seq_forward
 from smartcast import lstm, pipeline, timeseries, vegindex
 from smartcast.cli import main
 from smartcast.kriging import (
-    SamplePoint,
     Variogram,
     build_model,
     empirical_variogram,
     fit_variogram,
+    krige,
     loo_score,
-    predict_point,
-    solve_weights,
 )
 from smartcast.lstm import ModelShape, init_params
 from smartcast.pipeline import SoilModelSpec, parse_config
@@ -193,12 +191,12 @@ def test_index_beats_persistence(synth_dir: Path):
 # -- 5: kriging brute-force oracle --------------------------------------------------------
 
 
-def _dense_oracle(samples, v, jitter, x, y):
-    n = len(samples)
+def _dense_oracle(points, values, v, jitter, x, y):
+    n = len(values)
     a = np.zeros((n + 1, n + 1))
     for i in range(n):
         for j in range(n):
-            h = math.hypot(samples[i].x - samples[j].x, samples[i].y - samples[j].y)
+            h = math.hypot(points[i, 0] - points[j, 0], points[i, 1] - points[j, 1])
             if h > 0.0:
                 a[i, j] = v.nugget + v.sill * (1.0 - math.exp(-3.0 * h * h / v.range_a**2))
         a[i, i] += jitter
@@ -206,12 +204,12 @@ def _dense_oracle(samples, v, jitter, x, y):
         a[n, i] = 1.0
     rhs = np.zeros(n + 1)
     for i in range(n):
-        h = math.hypot(samples[i].x - x, samples[i].y - y)
+        h = math.hypot(points[i, 0] - x, points[i, 1] - y)
         if h > 0.0:
             rhs[i] = v.nugget + v.sill * (1.0 - math.exp(-3.0 * h * h / v.range_a**2))
     rhs[n] = 1.0
     sol = np.linalg.solve(a, rhs)
-    value = float(sol[:n] @ np.array([s.value for s in samples]))
+    value = float(sol[:n] @ values)
     return value, float(sol[:n] @ rhs[:n] + sol[n])
 
 
@@ -220,29 +218,24 @@ def test_kriging_oracle():
     for seed in range(100):
         rng = np.random.default_rng(1000 + seed)
         n = int(rng.integers(2, 11))
-        samples = [
-            SamplePoint(float(x), float(y), float(v))
-            for (x, y), v in zip(rng.uniform(0.0, 100.0, (n, 2)), rng.uniform(0.0, 10.0, n))
-        ]
+        points = rng.uniform(0.0, 100.0, (n, 2))
+        values = rng.uniform(0.0, 10.0, n)
         v = Variogram(
             nugget=float(rng.uniform(0.0, 0.5)),
             sill=float(rng.uniform(0.5, 5.0)),
             range_a=float(rng.uniform(5.0, 80.0)),
         )
-        model = build_model(samples, v)
-        for _ in range(5):
-            x, y = (float(c) for c in rng.uniform(-20.0, 120.0, 2))
-            value, variance = predict_point(model, x, y)
-            ov, ovar = _dense_oracle(samples, model.variogram, 0.0, x, y)
+        model = build_model(points, values, v)
+        queries = rng.uniform(-20.0, 120.0, (5, 2))
+        kriged, variances, weights = krige(model, queries)
+        for (x, y), value, variance, w in zip(queries, kriged, variances, weights.T):
+            ov, ovar = _dense_oracle(points, values, model.variogram, 0.0, x, y)
             max_err = max(max_err, abs(value - ov), abs(variance - ovar))
-            w, _ = solve_weights(model, x, y)
             max_wsum = max(max_wsum, abs(float(w.sum()) - 1.0))
-        exact = build_model(samples, Variogram(nugget=0.0, sill=v.sill, range_a=v.range_a))
-        for s in samples:
-            value, _ = predict_point(exact, s.x, s.y)
-            max_exact = max(max_exact, abs(value - s.value))
-            w, _ = solve_weights(exact, s.x, s.y)
-            max_wsum = max(max_wsum, abs(float(w.sum()) - 1.0))
+        exact = build_model(points, values, Variogram(nugget=0.0, sill=v.sill, range_a=v.range_a))
+        kriged, _, weights = krige(exact, points)
+        max_exact = max(max_exact, float(np.abs(kriged - values).max()))
+        max_wsum = max(max_wsum, float(np.abs(weights.sum(axis=0) - 1.0).max()))
     ok = max_err <= 1e-8 and max_exact <= 1e-8 and max_wsum <= 1e-10
     criterion(
         "kriging-oracle",
@@ -258,9 +251,9 @@ def test_kriging_oracle():
 def test_kriging_loo_score():
     rng = np.random.default_rng(123)
     pts = rng.uniform(0.0, 100.0, (25, 2))
-    samples = [SamplePoint(float(x), float(y), 0.03 * x + 0.02 * y) for x, y in pts]
-    variogram = fit_variogram(empirical_variogram(samples))
-    score = loo_score(build_model(samples, variogram))
+    values = 0.03 * pts[:, 0] + 0.02 * pts[:, 1]
+    variogram = fit_variogram(*empirical_variogram(pts, values))
+    score = loo_score(build_model(pts, values, variogram))
     criterion(
         "kriging-loo",
         score >= 0.9,

@@ -13,10 +13,6 @@ from smartcast.kriging import KrigingModel
 SRC = Path(smartcast.__file__).resolve().parent
 BENCH = SRC.parents[1] / "bench"
 
-# The acceptance oracle asserts on the weights these return, and the one
-# kriging solve path is to be rebuilt around them; they have no caller yet.
-NO_CALLER_YET = {"solve_weights", "predict_point"}
-
 
 def _definitions(tree: ast.Module):
     """Top-level functions and classes, and the methods of those classes."""
@@ -35,7 +31,7 @@ def test_every_definition_has_a_caller():
         lines = texts[path].splitlines()
         for node in _definitions(ast.parse(texts[path])):
             name = node.name
-            if (name.startswith("__") and name.endswith("__")) or name in NO_CALLER_YET:
+            if name.startswith("__") and name.endswith("__"):
                 continue
             # The file without the definition's own lines, decorators included.
             first = min([node.lineno, *(d.lineno for d in node.decorator_list)])

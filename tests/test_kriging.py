@@ -22,9 +22,7 @@ from smartcast.kriging import (
     DepthLayer,
     GridGeometry,
     MoistureVolume,
-    SamplePoint,
     Variogram,
-    VariogramBin,
     build_model,
     empirical_variogram,
     export_grid_csv,
@@ -32,25 +30,24 @@ from smartcast.kriging import (
     fit_variogram,
     gaussian_variogram,
     interpolate_grid,
+    krige,
     loo_score,
-    predict_point,
-    solve_weights,
     stack_depths,
 )
 from smartcast.vegindex import DEFAULT_NODATA, read_bandgrid
 
 
-def oracle_predict(samples, v, jitter, x, y):
+def oracle_predict(points, values, v, jitter, x, y):
     """Dense bordered-system solve, written independently of the module.
 
     Builds the (n+1)x(n+1) ordinary-kriging matrix with scalar loops and
     solves it with np.linalg.solve.
     """
-    n = len(samples)
+    n = len(values)
     a = np.zeros((n + 1, n + 1))
     for i in range(n):
         for j in range(n):
-            h = math.hypot(samples[i].x - samples[j].x, samples[i].y - samples[j].y)
+            h = math.hypot(points[i, 0] - points[j, 0], points[i, 1] - points[j, 1])
             if h > 0.0:
                 a[i, j] = v.nugget + v.sill * (1.0 - math.exp(-3.0 * h * h / v.range_a**2))
         a[i, i] += jitter
@@ -58,13 +55,13 @@ def oracle_predict(samples, v, jitter, x, y):
         a[n, i] = 1.0
     rhs = np.zeros(n + 1)
     for i in range(n):
-        h = math.hypot(samples[i].x - x, samples[i].y - y)
+        h = math.hypot(points[i, 0] - x, points[i, 1] - y)
         if h > 0.0:
             rhs[i] = v.nugget + v.sill * (1.0 - math.exp(-3.0 * h * h / v.range_a**2))
     rhs[n] = 1.0
     sol = np.linalg.solve(a, rhs)
     w, mu = sol[:n], sol[n]
-    value = float(w @ np.array([s.value for s in samples]))
+    value = float(w @ values)
     variance = float(w @ rhs[:n] + mu)
     return value, variance, w
 
@@ -95,58 +92,73 @@ def test_variogram_parameter_validation():
         Variogram(nugget=0.0, sill=0.0, range_a=1.0)
     with pytest.raises(DataError):
         Variogram(nugget=0.0, sill=1.0, range_a=0.0)
-    with pytest.raises(DataError):
-        SamplePoint(x=0.0, y=float("nan"), value=1.0)
+
+
+def test_build_model_rejects_non_finite_samples():
+    v = Variogram(nugget=0.0, sill=1.0, range_a=10.0)
+    points = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
+    values = np.array([1.0, 2.0, 3.0])
+    with pytest.raises(DataError, match="finite"):
+        build_model(np.array([[0.0, float("nan")]]), np.array([1.0]), v)
+    with pytest.raises(DataError, match="finite"):
+        build_model(points, np.array([1.0, float("nan"), 3.0]), v)
+    with pytest.raises(DataError, match="finite"):
+        build_model(np.array([[0.0, 0.0], [float("inf"), 0.0], [2.0, 0.0]]), values, v)
+    with pytest.raises(ShapeError):
+        build_model(points, values[:2], v)
+
+
+# Three samples on a line: the lag-1 pairs (0, 1) and (1, 2) and the lag-2 pair (0, 2).
+LINE_POINTS = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
+LINE_VALUES = np.array([0.0, 2.0, 1.0])
 
 
 def test_empirical_variogram_hand_check():
-    samples = [SamplePoint(0.0, 0.0, 0.0), SamplePoint(1.0, 0.0, 2.0), SamplePoint(2.0, 0.0, 1.0)]
-    # default max_lag = max distance / 2 = 1.0 keeps only the two lag-1 pairs
-    bins = empirical_variogram(samples, n_bins=1)
-    assert len(bins) == 1
-    assert bins[0].lag == 1.0
-    assert bins[0].semivariance == (4.0 + 1.0) / (2.0 * 2)
-    assert bins[0].pair_count == 2
+    # max lag = largest distance / 2 = 1.0 keeps only the two lag-1 pairs
+    lags, semivariances, counts = empirical_variogram(LINE_POINTS, LINE_VALUES)
+    assert len(lags) == 1
+    assert lags[0] == 1.0
+    assert semivariances[0] == (4.0 + 1.0) / (2.0 * 2)
+    assert counts[0] == 2
 
-    bins = empirical_variogram(samples, n_bins=2, max_lag=2.5)
-    assert [(b.lag, b.semivariance, b.pair_count) for b in bins] == [
+    # a fourth sample at x = 5 raises the max lag to 2.5; its own pairs lie beyond it
+    lags, semivariances, counts = empirical_variogram(
+        np.vstack([LINE_POINTS, [[5.0, 0.0]]]), np.append(LINE_VALUES, 7.0)
+    )
+    assert list(zip(lags.tolist(), semivariances.tolist(), counts.tolist())) == [
         (1.0, 1.25, 2),
         (2.0, 0.5, 1),
     ]
 
 
 def test_empirical_variogram_omits_empty_bins_and_validates():
-    samples = [SamplePoint(0.0, 0.0, 0.0), SamplePoint(1.0, 0.0, 2.0), SamplePoint(2.0, 0.0, 1.0)]
-    bins = empirical_variogram(samples, n_bins=50, max_lag=2.5)
-    assert len(bins) == 2  # only two distinct lags exist
-    assert all(b.pair_count >= 1 for b in bins)
+    lags, _, counts = empirical_variogram(np.vstack([LINE_POINTS, [[5.0, 0.0]]]), np.append(LINE_VALUES, 7.0))
+    assert len(lags) == 2  # only two distinct lags exist within the max lag
+    assert all(c >= 1 for c in counts)
     with pytest.raises(InsufficientDataError):
-        empirical_variogram(samples[:1])
+        empirical_variogram(LINE_POINTS[:1], LINE_VALUES[:1])
     with pytest.raises(DataError):
-        empirical_variogram(samples, n_bins=0)
+        empirical_variogram(LINE_POINTS[[0, 2]], LINE_VALUES[[0, 2]])  # one pair at 2.0, max lag 1.0
     with pytest.raises(DataError):
-        empirical_variogram(samples, max_lag=0.4)  # no pair that close
+        empirical_variogram(np.zeros((3, 2)), LINE_VALUES)  # all pairs at lag 0
+    with pytest.raises(DataError, match="finite"):
+        empirical_variogram(LINE_POINTS, np.array([0.0, float("nan"), 1.0]))
 
 
 def test_empirical_variogram_white_noise_level():
     rng = np.random.default_rng(0)
-    samples = [
-        SamplePoint(float(x), float(y), float(rng.standard_normal()))
-        for x, y in rng.uniform(0.0, 100.0, (80, 2))
-    ]
-    bins = empirical_variogram(samples, n_bins=8)
+    points = rng.uniform(0.0, 100.0, (80, 2))
+    values = np.array([rng.standard_normal() for _ in points])
+    _, semivariances, _ = empirical_variogram(points, values)
     # iid unit-variance noise has semivariance ~= 1 at every lag
-    assert all(0.4 < b.semivariance < 2.0 for b in bins)
+    assert all(0.4 < g < 2.0 for g in semivariances)
 
 
 def test_fit_recovers_exact_bins():
     truth = Variogram(nugget=0.5, sill=2.0, range_a=30.0)
     lags = np.linspace(2.0, 60.0, 12)
-    bins = [
-        VariogramBin(lag=float(h), semivariance=float(gaussian_variogram(float(h), truth)), pair_count=10)
-        for h in lags
-    ]
-    fit = fit_variogram(bins)
+    semivariances = np.array([gaussian_variogram(float(h), truth) for h in lags])
+    fit = fit_variogram(lags, semivariances, np.full(len(lags), 10))
     assert abs(fit.nugget - truth.nugget) <= 1e-6
     assert abs(fit.sill - truth.sill) / truth.sill <= 1e-6
     assert abs(fit.range_a - truth.range_a) / truth.range_a <= 1e-6
@@ -157,31 +169,26 @@ def test_fit_is_optimal_on_noisy_bins():
     truth = Variogram(nugget=0.3, sill=1.5, range_a=25.0)
     rng = np.random.default_rng(7)
     lags = np.linspace(2.0, 70.0, 14)
-    bins = [
-        VariogramBin(
-            lag=float(h),
-            semivariance=float(gaussian_variogram(float(h), truth)) * float(rng.uniform(0.85, 1.15)),
-            pair_count=int(rng.integers(5, 40)),
-        )
-        for h in lags
-    ]
+    draws = [(float(rng.uniform(0.85, 1.15)), int(rng.integers(5, 40))) for _ in lags]
+    semivariances = np.array([gaussian_variogram(float(h), truth) * f for h, (f, _) in zip(lags, draws)])
+    counts = np.array([c for _, c in draws])
 
     def sse(v: Variogram) -> float:
         total = 0.0
-        for b in bins:
-            total += b.pair_count * (b.semivariance - gaussian_variogram(b.lag, v)) ** 2
+        for h, g, c in zip(lags, semivariances, counts):
+            total += c * (g - gaussian_variogram(float(h), v)) ** 2
         return total
 
-    fit = fit_variogram(bins)
+    fit = fit_variogram(lags, semivariances, counts)
     assert sse(fit) <= sse(truth) + 1e-12
 
 
 def test_fit_rejects_flat_or_thin_input():
-    flat = [VariogramBin(lag=float(h), semivariance=0.0, pair_count=3) for h in (1.0, 2.0, 3.0)]
+    lags, flat, counts = np.array([1.0, 2.0, 3.0]), np.zeros(3), np.full(3, 3)
     with pytest.raises(FlatFieldError):
-        fit_variogram(flat)
+        fit_variogram(lags, flat, counts)
     with pytest.raises(InsufficientDataError):
-        fit_variogram(flat[:2])
+        fit_variogram(lags[:2], flat[:2], counts[:2])
 
 
 # -- kriging solves ------------------------------------------------------------------
@@ -190,97 +197,84 @@ def test_fit_rejects_flat_or_thin_input():
 def random_case(seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, 11))
-    samples = [
-        SamplePoint(float(x), float(y), float(v))
-        for (x, y), v in zip(rng.uniform(0.0, 100.0, (n, 2)), rng.uniform(0.0, 10.0, n))
-    ]
+    points = rng.uniform(0.0, 100.0, (n, 2))
+    values = rng.uniform(0.0, 10.0, n)
     v = Variogram(
         nugget=float(rng.uniform(0.0, 0.5)),
         sill=float(rng.uniform(0.5, 5.0)),
         range_a=float(rng.uniform(5.0, 80.0)),
     )
-    return rng, samples, v
+    return rng, points, values, v
 
 
 def test_predictions_match_dense_solve_oracle():
     for seed in range(40):
-        rng, samples, v = random_case(seed)
-        model = build_model(samples, v)
-        for _ in range(5):
-            x, y = rng.uniform(-20.0, 120.0, 2)
-            value, variance = predict_point(model, float(x), float(y))
-            ov, ovar, _ = oracle_predict(samples, model.variogram, 0.0, float(x), float(y))
+        rng, points, values, v = random_case(seed)
+        model = build_model(points, values, v)
+        queries = rng.uniform(-20.0, 120.0, (5, 2))
+        kriged, variances, weights = krige(model, queries)
+        for (x, y), value, variance, w in zip(queries, kriged, variances, weights.T):
+            ov, ovar, _ = oracle_predict(points, values, model.variogram, 0.0, float(x), float(y))
             assert abs(value - ov) <= 1e-8
             assert abs(variance - ovar) <= 1e-8
-            w, _ = solve_weights(model, float(x), float(y))
             assert abs(w.sum() - 1.0) <= 1e-10
             assert variance >= -1e-9
 
 
 def test_zero_nugget_is_exact_at_samples():
     for seed in (3, 17):
-        _, samples, _ = random_case(seed)
+        _, points, values, _ = random_case(seed)
         v = Variogram(nugget=0.0, sill=2.0, range_a=40.0)
-        model = build_model(samples, v)
-        for s in samples:
-            value, variance = predict_point(model, s.x, s.y)
-            assert abs(value - s.value) <= 1e-8
-            assert abs(variance) <= 1e-8
+        kriged, variances, _ = krige(build_model(points, values, v), points)
+        assert np.abs(kriged - values).max() <= 1e-8
+        assert np.abs(variances).max() <= 1e-8
 
 
 def test_symmetric_pair_weights():
     v = Variogram(nugget=0.0, sill=1.0, range_a=20.0)
-    model = build_model([SamplePoint(0.0, 0.0, 4.0), SamplePoint(10.0, 0.0, 8.0)], v)
-    w, _ = solve_weights(model, 5.0, 0.0)
-    assert np.allclose(w, [0.5, 0.5], atol=1e-12)
-    value, _ = predict_point(model, 5.0, 0.0)
-    assert abs(value - 6.0) <= 1e-12
+    model = build_model(np.array([[0.0, 0.0], [10.0, 0.0]]), np.array([4.0, 8.0]), v)
+    value, _, w = krige(model, np.array([[5.0, 0.0]]))
+    assert np.allclose(w[:, 0], [0.5, 0.5], atol=1e-12)
+    assert abs(value[0] - 6.0) <= 1e-12
 
 
 def test_sample_order_is_irrelevant():
-    rng, samples, v = random_case(23)
-    a = build_model(samples, v)
-    b = build_model(list(reversed(samples)), v)
-    for _ in range(4):
-        x, y = (float(c) for c in rng.uniform(0.0, 100.0, 2))
-        assert abs(predict_point(a, x, y)[0] - predict_point(b, x, y)[0]) <= 1e-10
+    rng, points, values, v = random_case(23)
+    a = build_model(points, values, v)
+    b = build_model(points[::-1], values[::-1], v)
+    queries = rng.uniform(0.0, 100.0, (4, 2))
+    assert np.abs(krige(a, queries)[0] - krige(b, queries)[0]).max() <= 1e-10
 
 
 def test_translation_invariance():
-    rng, samples, v = random_case(5)
-    dx, dy = 1234.5, -987.25
-    shifted = [SamplePoint(s.x + dx, s.y + dy, s.value) for s in samples]
-    a = build_model(samples, v)
-    b = build_model(shifted, v)
-    for _ in range(4):
-        x, y = (float(c) for c in rng.uniform(0.0, 100.0, 2))
-        va = predict_point(a, x, y)[0]
-        vb = predict_point(b, x + dx, y + dy)[0]
+    rng, points, values, v = random_case(5)
+    shift = np.array([1234.5, -987.25])
+    a = build_model(points, values, v)
+    b = build_model(points + shift, values, v)
+    queries = rng.uniform(0.0, 100.0, (4, 2))
+    for va, vb in zip(krige(a, queries)[0], krige(b, queries + shift)[0]):
         assert abs(va - vb) <= 1e-7 * max(1.0, abs(va))
 
 
 def test_duplicate_coordinates_rejected_by_name():
     v = Variogram(nugget=0.1, sill=1.0, range_a=10.0)
-    samples = [SamplePoint(1.0, 2.0, 0.0), SamplePoint(5.0, 5.0, 1.0), SamplePoint(1.0, 2.0, 3.0)]
+    points = np.array([[1.0, 2.0], [5.0, 5.0], [1.0, 2.0]])
     with pytest.raises(DataError, match=r"samples 0 and 2 share coordinates \(1\.0, 2\.0\)"):
-        build_model(samples, v)
+        build_model(points, np.array([0.0, 1.0, 3.0]), v)
     # samples 1, 5 and 6 share one location and 2, 3 another: the error
     # names the first pair a nested i < j loop meets, (1, 5)
-    coords = [(0.0, 0.0), (2.0, 3.0), (7.0, 7.0), (7.0, 7.0), (9.0, 1.0), (2.0, 3.0), (2.0, 3.0)]
-    samples = [SamplePoint(x, y, float(k)) for k, (x, y) in enumerate(coords)]
+    points = np.array([(0.0, 0.0), (2.0, 3.0), (7.0, 7.0), (7.0, 7.0), (9.0, 1.0), (2.0, 3.0), (2.0, 3.0)])
     with pytest.raises(DataError, match=r"^samples 1 and 5 share coordinates \(2\.0, 3\.0\)$"):
-        build_model(samples, v)
+        build_model(points, np.arange(7.0), v)
 
 
 def test_near_duplicates_still_solve():
     # 1e-9 apart: condition ~1e10, so the solve stays finite but the
     # weight-sum constraint is only accurate to round-off * condition
     v = Variogram(nugget=0.0, sill=1.0, range_a=10.0)
-    samples = [SamplePoint(0.0, 0.0, 1.0), SamplePoint(1e-9, 0.0, 2.0), SamplePoint(5.0, 0.0, 3.0)]
-    model = build_model(samples, v)
-    value, variance = predict_point(model, 2.5, 0.0)
-    assert np.isfinite(value) and np.isfinite(variance)
-    w, _ = solve_weights(model, 2.5, 0.0)
+    model = build_model(np.array([[0.0, 0.0], [1e-9, 0.0], [5.0, 0.0]]), np.array([1.0, 2.0, 3.0]), v)
+    value, variance, w = krige(model, np.array([[2.5, 0.0]]))
+    assert np.isfinite(value[0]) and np.isfinite(variance[0])
     assert abs(w.sum() - 1.0) <= 1e-5
 
 
@@ -290,18 +284,17 @@ def test_exactly_singular_system_engages_jitter():
     # the probe solve forces the first escalation step
     v = Variogram(nugget=0.0, sill=1.0, range_a=10.0)
     h = 1e-9
-    samples = [SamplePoint(0.0, 0.0, 1.0), SamplePoint(0.0, h, 2.0), SamplePoint(5.0, h / 2, 3.0)]
+    points, values = np.array([[0.0, 0.0], [0.0, h], [5.0, h / 2]]), np.array([1.0, 2.0, 3.0])
     # np.linalg.solve raises LinAlgError on the zero pivot, which
     # build_model catches; with numpy 2.4 it raises no warning and sets no
     # floating-point flag, so these filters suppress nothing today
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         with np.errstate(all="ignore"):
-            model = build_model(samples, v)
+            model = build_model(points, values, v)
     assert model.jitter == pytest.approx(1e-10 * v.sill)
-    value, variance = predict_point(model, 2.5, 0.0)
-    assert np.isfinite(value) and np.isfinite(variance)
-    w, _ = solve_weights(model, 2.5, 0.0)
+    value, variance, w = krige(model, np.array([[2.5, 0.0]]))
+    assert np.isfinite(value[0]) and np.isfinite(variance[0])
     assert abs(w.sum() - 1.0) <= 1e-10
 
 
@@ -311,43 +304,54 @@ def test_jitter_escalation_raises_the_nugget():
     # negative nugget that leaves the implied covariance indefinite.
     v = Variogram(nugget=0.0, sill=1.0, range_a=10.0)
     h = 1e-9
-    samples = [SamplePoint(0.0, 0.0, 1.0), SamplePoint(0.0, h, 2.0), SamplePoint(5.0, h / 2, 3.0)]
+    points, values = np.array([[0.0, 0.0], [0.0, h], [5.0, h / 2]]), np.array([1.0, 2.0, 3.0])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         with np.errstate(all="ignore"):
-            model = build_model(samples, v)
+            model = build_model(points, values, v)
     assert model.jitter > 0.0
     assert model.variogram == Variogram(nugget=v.nugget + model.jitter, sill=v.sill, range_a=v.range_a)
-    pts = np.array([(s.x, s.y) for s in samples])
-    dist = np.linalg.norm(pts[:, None] - pts[None], axis=-1)
+    dist = np.linalg.norm(points[:, None] - points[None], axis=-1)
     cov = model.variogram.nugget + model.variogram.sill - gaussian_variogram(dist, model.variogram)
     assert np.linalg.eigvalsh(cov).min() > 0.0
-    for x, y in [(2.5, 0.0), (1.0, 3.0), (-4.0, 7.5)]:
-        w, _ = solve_weights(model, x, y)
-        _, _, want = oracle_predict(samples, model.variogram, 0.0, x, y)
+    queries = np.array([(2.5, 0.0), (1.0, 3.0), (-4.0, 7.5)])
+    for (x, y), w in zip(queries, krige(model, queries)[2].T):
+        _, _, want = oracle_predict(points, values, model.variogram, 0.0, x, y)
         np.testing.assert_allclose(w, want, rtol=0.0, atol=1e-6)
 
 
 def test_empty_sample_list_rejected():
     with pytest.raises(InsufficientDataError):
-        build_model([], Variogram(nugget=0.0, sill=1.0, range_a=1.0))
+        build_model(np.empty((0, 2)), np.empty(0), Variogram(nugget=0.0, sill=1.0, range_a=1.0))
 
 
 # -- grid interpolation ----------------------------------------------------------------
 
 
 def test_grid_matches_per_point_predictions():
-    _, samples, v = random_case(9)
-    model = build_model(samples, v)
+    _, points, values, v = random_case(9)
+    model = build_model(points, values, v)
     geom = GridGeometry(nx=5, ny=4, cell_size=7.3, x0=2.0, y0=-3.0)
-    values, variances = interpolate_grid(model, geom)
+    grid, variances = interpolate_grid(model, geom)
     xs, ys = geom.cell_centers()
     assert xs.tolist() == [2.0 + (i + 0.5) * 7.3 for i in range(5)]
     for i, y in enumerate(ys):
         for j, x in enumerate(xs):
-            pv, pvar = predict_point(model, float(x), float(y))
-            assert abs(values[i, j] - pv) <= 1e-9
-            assert abs(variances[i, j] - pvar) <= 1e-9
+            pv, pvar, _ = krige(model, np.array([[x, y]]))
+            assert abs(grid[i, j] - pv[0]) <= 1e-9
+            assert abs(variances[i, j] - pvar[0]) <= 1e-9
+
+
+def test_grid_is_krige_at_cell_centers_bitwise():
+    _, points, values, v = random_case(9)
+    model = build_model(points, values, v)
+    geom = GridGeometry(nx=5, ny=4, cell_size=7.3, x0=2.0, y0=-3.0)
+    xs, ys = geom.cell_centers()
+    centers = np.array([(x, y) for y in ys for x in xs])  # row-major, row 0 southmost
+    kriged, variances, _ = krige(model, centers)
+    grid, grid_variances = interpolate_grid(model, geom)
+    assert np.array_equal(grid, kriged.reshape(geom.ny, geom.nx))
+    assert np.array_equal(grid_variances, variances.reshape(geom.ny, geom.nx))
 
 
 def test_grid_geometry_validation():
@@ -364,19 +368,17 @@ def test_loo_high_on_smooth_field():
     # fit-then-score, the same flow the pipeline uses
     rng = np.random.default_rng(31)
     pts = rng.uniform(0.0, 100.0, (15, 2))
-    samples = [SamplePoint(float(x), float(y), 0.03 * x + 0.02 * y) for x, y in pts]
-    fit = fit_variogram(empirical_variogram(samples))
-    assert loo_score(build_model(samples, fit)) > 0.9
+    values = 0.03 * pts[:, 0] + 0.02 * pts[:, 1]
+    fit = fit_variogram(*empirical_variogram(pts, values))
+    assert loo_score(build_model(pts, values, fit)) > 0.9
 
 
-def refit_loo_score(samples, variogram):
+def refit_loo_score(points, values, variogram):
     """Leave-one-out by brute force: refit without each sample, predict it."""
-    values = np.array([s.value for s in samples])
-    preds = np.empty(len(samples))
-    for i in range(len(samples)):
-        rest = samples[:i] + samples[i + 1 :]
-        model = build_model(rest, variogram)
-        preds[i], _ = predict_point(model, samples[i].x, samples[i].y)
+    preds = np.empty(len(values))
+    for i in range(len(values)):
+        model = build_model(np.delete(points, i, axis=0), np.delete(values, i), variogram)
+        preds[i] = krige(model, points[i : i + 1])[0][0]
     return 1.0 - float(((values - preds) ** 2).sum()) / float(((values - values.mean()) ** 2).sum())
 
 
@@ -386,12 +388,12 @@ def test_loo_matches_refit_oracle():
         rng = np.random.default_rng(seed)
         n = int(rng.integers(3, 40))
         pts = rng.uniform(0.0, 100.0, (n, 2))
-        samples = [SamplePoint(float(x), float(y), float(val)) for (x, y), val in zip(pts, rng.normal(0.0, 3.0, n))]
+        values = rng.normal(0.0, 3.0, n)
         sill = float(rng.uniform(0.5, 5.0))
         v = Variogram(nugget=float(rng.uniform(0.1, 1.0)) * sill, sill=sill, range_a=float(rng.uniform(10.0, 60.0)))
-        model = build_model(samples, v)
+        model = build_model(pts, values, v)
         assert model.jitter == 0.0
-        want = refit_loo_score(samples, v)
+        want = refit_loo_score(pts, values, v)
         got = loo_score(model)
         assert abs(got - want) <= 1e-10 * max(1.0, abs(want)), (seed, got, want)
 
@@ -399,10 +401,10 @@ def test_loo_matches_refit_oracle():
 def test_loo_guard_rails():
     v = Variogram(nugget=0.0, sill=1.0, range_a=10.0)
     with pytest.raises(InsufficientDataError):
-        loo_score(build_model([SamplePoint(0.0, 0.0, 1.0), SamplePoint(1.0, 0.0, 2.0)], v))
-    constant = [SamplePoint(float(i), 0.0, 5.0) for i in range(4)]
+        loo_score(build_model(np.array([[0.0, 0.0], [1.0, 0.0]]), np.array([1.0, 2.0]), v))
+    line = np.column_stack([np.arange(4.0), np.zeros(4)])
     with pytest.raises(UndefinedScoreError):
-        loo_score(build_model(constant, v))
+        loo_score(build_model(line, np.full(4, 5.0), v))
 
 
 # -- scipy oracles ------------------------------------------------------------------------
@@ -446,19 +448,22 @@ def test_solves_match_lu_oracle():
         rng = np.random.default_rng(500 + seed)
         n = int(rng.integers(3, 60))
         pts = rng.uniform(0.0, 100.0, (n, 2))
-        samples = [SamplePoint(float(x), float(y), float(val)) for (x, y), val in zip(pts, rng.uniform(10.0, 50.0, n))]
+        values = rng.uniform(10.0, 50.0, n)
         sill = float(rng.uniform(0.5, 5.0))
         v = Variogram(nugget=float(rng.uniform(0.05, 1.0)) * sill, sill=sill, range_a=float(rng.uniform(10.0, 60.0)))
-        model = build_model(samples, v)
+        model = build_model(pts, values, v)
         assert model.jitter == 0.0
         want_values, want_var, _ = lu_oracle(model, v, cells)
-        values, variances = interpolate_grid(model, geom)
-        np.testing.assert_allclose(values.ravel(), want_values, rtol=1e-12, atol=0.0)
+        grid, variances = interpolate_grid(model, geom)
+        np.testing.assert_allclose(grid.ravel(), want_values, rtol=1e-12, atol=0.0)
         assert np.abs(variances.ravel() - want_var).max() <= 1e-12 * np.abs(want_var).max()
         queries = rng.uniform(-20.0, 120.0, (4, 2))
         _, _, want_sol = lu_oracle(model, v, queries)
-        for k, (x, y) in enumerate(queries):
-            w, mu = solve_weights(model, float(x), float(y))
+        _, query_var, weights = krige(model, queries)
+        gammas = gaussian_variogram(cdist(pts, queries), v)
+        for k in range(len(queries)):
+            w = weights[:, k]
+            mu = query_var[k] - w @ gammas[:, k]  # the variance is w . gamma + mu
             assert np.abs(w - want_sol[:n, k]).max() <= 1e-12 * np.abs(want_sol[:n, k]).max()
             assert abs(mu - want_sol[n, k]) <= 1e-12 * max(abs(want_sol[n, k]), np.abs(w).max())
 

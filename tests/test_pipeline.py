@@ -123,6 +123,31 @@ def test_parse_validation_errors(minimal_dir: Path):
         parse_config(root)
 
 
+def test_parse_rejects_non_finite_numbers(minimal_dir: Path, capsys):
+    # Python's json reads NaN, Infinity and -Infinity, and an overflowing
+    # literal such as 1e400 becomes inf; a config may hold none of them.
+    base = {"seed": 1, "sensor_csv": "sensors.csv"}
+    nan, inf = float("nan"), float("inf")
+    cases = [
+        ({**base, "variogram": {"nugget": 0.0, "sill": 1.0, "range_a": nan}}, "NaN"),
+        ({**base, "sensor_locations": {"s1": [inf, 0.0]}}, "Infinity"),
+        ({**base, "soil_train": {"learning_rate": nan}}, "NaN"),
+        ({**base, "grid": {"nx": 4, "ny": 4, "cell_size": inf}}, "Infinity"),
+        ({**base, "test_fraction": -inf}, "-Infinity"),
+    ]
+    for payload, constant in cases:
+        with pytest.raises(ConfigError, match=f"non-finite number {constant}"):
+            parse_config(write_config(minimal_dir, payload))
+    overflow = minimal_dir / "overflow.json"
+    for literal in ("1e400", "1" + "0" * 400):
+        overflow.write_text(f'{{"seed": 1, "sensor_csv": "sensors.csv", "test_fraction": {literal}}}', encoding="utf-8")
+        with pytest.raises(ConfigError, match=f"non-finite number {literal}"):
+            parse_config(overflow)
+    # The CLI refuses the config before any stage runs.
+    assert main(["run", "--config", str(write_config(minimal_dir, cases[0][0]))]) == 2
+    assert "NaN" in capsys.readouterr().err
+
+
 def test_parse_normalizes_depths(minimal_dir: Path):
     path = write_config(
         minimal_dir, {"seed": 1, "sensor_csv": "sensors.csv", "depths_cm": [60, 10, 60, 30]}
@@ -564,9 +589,9 @@ def test_kriging_stage_builds_one_model_per_depth(tiny_dir: Path, monkeypatch):
     calls = []
     real = kriging.build_model
 
-    def counting(samples, variogram):
-        calls.append(len(samples))
-        return real(samples, variogram)
+    def counting(points, values, variogram):
+        calls.append(len(values))
+        return real(points, values, variogram)
 
     monkeypatch.setattr(kriging, "build_model", counting)
     rng = np.random.default_rng(8)
@@ -731,6 +756,27 @@ def test_cli_stage_chain(tiny_dir: Path, tmp_path: Path, capsys):
 
     bad = main(["interpolate", "--config", config, "--out", out, "--day", "99"])
     assert bad == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["forecast", "--config", "c.json", "--day", "3"],
+        ["train-soil", "--config", "c.json", "--day", "3"],
+        ["train-index", "--config", "c.json", "--day", "3"],
+        ["synth", "--config", "c.json"],
+        ["synth", "--day", "3"],
+        ["gradcheck", "--config", "nowhere.json"],
+        ["gradcheck", "--out", "x"],
+        ["gradcheck", "--day", "99"],
+    ],
+)
+def test_cli_subcommands_refuse_flags_they_do_not_read(argv, tmp_path: Path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # a command that ran anyway would write here
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_cli_flag_overrides(tiny_dir: Path, tmp_path: Path):

@@ -16,6 +16,7 @@ gamma(h) = nugget + sill * (1 - exp(-3 h^2 / a^2)) with gamma(0) = 0.
 from __future__ import annotations
 
 import csv
+import itertools
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -361,18 +362,16 @@ def stack_depths(layers: list[DepthLayer]) -> MoistureVolume:
 # -- exports ----------------------------------------------------------------------
 
 def export_grid_csv(volume: MoistureVolume, path: str | Path) -> None:
-    """Write `x,y,depth_cm,value,variance` rows for every non-NaN cell."""
+    """Write `x,y,depth_cm,value,variance` rows for every non-NaN cell,
+    depth by depth, row-major within a depth."""
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["x", "y", "depth_cm", "value", "variance"])
         for layer in volume.layers:
-            xs, ys = layer.geometry.cell_centers()
-            for i, y in enumerate(ys):
-                for j, x in enumerate(xs):
-                    v = layer.values[i, j]
-                    if np.isnan(v):
-                        continue
-                    writer.writerow([repr(float(x)), repr(float(y)), layer.depth_cm, repr(float(v)), repr(float(layer.variance[i, j]))])
+            x, y = np.meshgrid(*layer.geometry.cell_centers())
+            kept = ~np.isnan(layer.values)
+            x, y, values, variance = (a[kept].tolist() for a in (x, y, layer.values, layer.variance))
+            writer.writerows(zip(x, y, itertools.repeat(layer.depth_cm), values, variance))
 
 
 def export_volume(volume: MoistureVolume, out_dir: str | Path) -> Path:

@@ -356,62 +356,72 @@ class _DepthData:
 
 def _usable_series(
     groups: dict[tuple[str, int], timeseries.SensorTable], sensor_ids: list[str], depth: int, max_gap: int
-) -> list[timeseries.SensorSeries]:
-    """Each sensor's series at `depth`, skipping sensors whose rows build none."""
-    series_list = []
+) -> dict[str, np.ndarray]:
+    """Each sensor's (T, 4) daily features at `depth`, in `sensor_ids`
+    order, skipping sensors whose rows build no series."""
+    series = {}
     for sid in sensor_ids:
         group = groups.get((sid, depth))
         if group is None:
             continue
         try:
-            series_list.append(timeseries.build_series(group, sid, depth, max_gap=max_gap))
+            series[sid] = timeseries.build_series(group, sid, depth, max_gap=max_gap)
         except DataError:
             continue
-    return series_list
+    return series
 
 
 def _prepare_depth(
     groups: dict[tuple[str, int], timeseries.SensorTable], sensor_ids: list[str], depth: int, config: RunConfig
 ) -> _DepthData:
+    """Each sensor's windows split in time order, first n_fit fit, then
+    n_val val, then the rest test, and the splits joined across sensors
+    in sensor order. The scaler is fitted on the days the train windows
+    (fit and val) cover."""
     length = config.soil_model.input_length
     horizon = config.horizon_days
-    series_list = _usable_series(groups, sensor_ids, depth, config.max_gap_days)
-    if not series_list:
+    series = _usable_series(groups, sensor_ids, depth, config.max_gap_days)
+    if not series:
         raise DataError(f"no usable sensor series at depth {depth}")
 
-    blocks = []
-    for series in series_list:
-        n_windows = series.length - length - horizon + 1
+    splits = {}  # per sensor: (n_fit, n_train); windows n_fit..n_train are val
+    for sid, features in series.items():
+        n_windows = len(features) - length - horizon + 1
         if n_windows < 2:
             raise EmptySplitError(
-                f"sensor {series.sensor_id} depth {depth}: {series.length} days give {max(n_windows, 0)} windows; need >= 2"
+                f"sensor {sid} depth {depth}: {len(features)} days give {max(n_windows, 0)} windows; need >= 2"
             )
         n_train = int(np.floor(n_windows * (1.0 - config.test_fraction)))
         if n_train < 1 or n_train >= n_windows:
             raise EmptySplitError(f"test_fraction {config.test_fraction} leaves an empty split at depth {depth}")
-        blocks.append(series.features[: n_train + length + horizon - 1])
-    scaler = timeseries.fit_scaler_pooled(blocks)
+        n_val = max(1, int(np.floor(n_train * _VAL_FRACTION))) if n_train > 1 else 0  # a single train window fits, none validates
+        splits[sid] = (n_train - n_val, n_train)
+    scaler = timeseries.fit_scaler_pooled(
+        [features[: splits[sid][1] + length + horizon - 1] for sid, features in series.items()]
+    )
 
-    fit_parts, val_parts, test_parts = [], [], []
+    fit, val, test = [], [], []
     last_inputs: dict[str, np.ndarray] = {}
-    for series in series_list:
-        scaled = series.with_features(scaler.apply(series.features))
-        windows = timeseries.make_windows(scaled, input_length=length, horizon=horizon)
-        train_ws, test_ws = timeseries.chrono_split(windows, config.test_fraction)
-        n_val = max(1, int(np.floor(train_ws.n_samples * _VAL_FRACTION)))
-        if train_ws.n_samples - n_val >= 1:
-            fit_parts.append(WindowSet(train_ws.inputs[:-n_val], train_ws.targets[:-n_val]))
-            val_parts.append(WindowSet(train_ws.inputs[-n_val:], train_ws.targets[-n_val:]))
-        else:
-            fit_parts.append(train_ws)
-        test_parts.append(test_ws)
-        last_inputs[series.sensor_id] = scaled.features[-length:]
+    for sid, features in series.items():
+        scaled = scaler.apply(features)
+        inputs, targets = timeseries.make_windows(scaled, input_length=length, horizon=horizon)
+        n_fit, n_train = splits[sid]
+        fit.append((inputs[:n_fit], targets[:n_fit]))
+        val.append((inputs[n_fit:n_train], targets[n_fit:n_train]))
+        test.append((inputs[n_train:], targets[n_train:]))
+        last_inputs[sid] = scaled[-length:]
+
+    def joined(parts: list[tuple[np.ndarray, np.ndarray]]) -> WindowSet:
+        inputs, targets = zip(*parts)
+        return WindowSet(np.concatenate(inputs), np.concatenate(targets))
+
+    fit, val, test = joined(fit), joined(val), joined(test)
     return _DepthData(
         depth_cm=depth,
         scaler=scaler,
-        fit=timeseries.concat_windows(fit_parts),
-        val=timeseries.concat_windows(val_parts) if val_parts else None,
-        test=timeseries.concat_windows(test_parts),
+        fit=fit,
+        val=val if val.n_samples else None,
+        test=test,
         last_inputs=last_inputs,
     )
 
@@ -632,12 +642,10 @@ def forecast_from_checkpoints(config: RunConfig, ckpt_dir: Path) -> dict[int, di
         if model.scaler is None:
             raise DataError(f"checkpoint {ckpt.name} carries no scaler")
         tails: dict[str, np.ndarray] = {}
-        for series in _usable_series(groups, sensor_ids, depth, config.max_gap_days):
-            if series.length < length:
-                raise DataError(
-                    f"sensor {series.sensor_id} depth {depth}: {series.length} days < input window {length}"
-                )
-            tails[series.sensor_id] = model.scaler.apply(series.features[-length:])
+        for sid, features in _usable_series(groups, sensor_ids, depth, config.max_gap_days).items():
+            if len(features) < length:
+                raise DataError(f"sensor {sid} depth {depth}: {len(features)} days < input window {length}")
+            tails[sid] = model.scaler.apply(features[-length:])
         if not tails:
             raise DataError(f"no sensor has data at depth {depth}")
         table[depth] = forecast_sensors(model, tails)
@@ -653,15 +661,14 @@ def _split_by_run(windows: WindowSet, run_ids: np.ndarray, test_fraction: float)
         raise EmptySplitError(
             f"{len(runs)} window runs cannot split with test_fraction {test_fraction}"
         )
-    train_runs = set(runs[:n_train_runs].tolist())
-    train_mask = np.array([r in train_runs for r in run_ids])
+    train_mask = np.isin(run_ids, runs[:n_train_runs])
     train = WindowSet(windows.inputs[train_mask], windows.targets[train_mask])
     test = WindowSet(windows.inputs[~train_mask], windows.targets[~train_mask])
     val = None
     if n_train_runs >= 2:
-        last_run = max(train_runs)
-        val_mask = train_mask & (run_ids == last_run)
-        fit_mask = train_mask & (run_ids != last_run)
+        last_run = runs[n_train_runs - 1]
+        val_mask = run_ids == last_run
+        fit_mask = train_mask & ~val_mask
         val = WindowSet(windows.inputs[val_mask], windows.targets[val_mask])
         train = WindowSet(windows.inputs[fit_mask], windows.targets[fit_mask])
     return train, val, test

@@ -4,9 +4,11 @@ Reads per-sensor/per-depth daily records from CSV into one columnar
 `SensorTable` (day ordinals, sensor codes, depths, an (N, 4) feature
 matrix), converting and validating the rows in bounded chunks; groups
 the table by (sensor, depth) with one stable sort; aligns each group to
-a consecutive daily grid (linear gap fill up to a configurable maximum);
-normalizes features; and slices the result into (input window, 14-day
-target) training pairs with a chronological train/test split.
+a consecutive daily grid as a (T, 4) feature array (linear gap fill up
+to a configurable maximum); fits pooled normalization statistics; and
+cuts a feature array into (input window, 14-day target) array pairs.
+The chronological train/val/test split of those windows is the
+pipeline's.
 
 Feature column order is fixed everywhere: moisture, soil_temp,
 salinity, rainfall. Moisture (column 0) is the forecast target.
@@ -17,7 +19,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
 
@@ -27,7 +29,6 @@ from .errors import (
     CsvFormatError,
     DegenerateScalerError,
     DuplicateKeyError,
-    EmptySplitError,
     EmptyWindowError,
     InsufficientDataError,
     MissingKeyError,
@@ -63,37 +64,6 @@ class SensorTable:
     def __getitem__(self, rows) -> "SensorTable":
         """The rows that a slice, an index array or a boolean mask selects."""
         return SensorTable(self.sensor_names, self.sensor[rows], self.depth_cm[rows], self.day[rows], self.features[rows])
-
-
-@dataclass(frozen=True)
-class SensorSeries:
-    """Daily, gap-filled feature series for one (sensor, depth) pair.
-
-    `features` is a (T, 4) float64 matrix in FEATURE_NAMES order with no
-    NaN entries; `filled` flags days where at least one value was
-    interpolated rather than observed.
-    """
-
-    sensor_id: str
-    depth_cm: int
-    dates: tuple[date, ...]
-    features: np.ndarray
-    filled: np.ndarray
-
-    def __post_init__(self):
-        t = len(self.dates)
-        if self.features.shape != (t, 4):
-            raise ValueError(f"features shape {self.features.shape} != ({t}, 4)")
-        if self.filled.shape != (t,):
-            raise ValueError("filled mask length mismatch")
-
-    @property
-    def length(self) -> int:
-        return len(self.dates)
-
-    def with_features(self, features: np.ndarray) -> "SensorSeries":
-        """Copy of this series with the feature matrix replaced (same dates)."""
-        return replace(self, features=np.asarray(features, dtype=np.float64))
 
 
 @dataclass(frozen=True)
@@ -154,19 +124,6 @@ class WindowSet:
     @property
     def input_dim(self) -> int:
         return self.inputs.shape[2]
-
-
-def concat_windows(parts: list[WindowSet]) -> WindowSet:
-    """Concatenate window sets with identical (L, H, d) along the sample axis."""
-    if not parts:
-        raise InsufficientDataError("no window sets to concatenate")
-    shapes = {(p.input_length, p.horizon, p.input_dim) for p in parts}
-    if len(shapes) != 1:
-        raise ValueError(f"incompatible window shapes: {sorted(shapes)}")
-    return WindowSet(
-        inputs=np.concatenate([p.inputs for p in parts], axis=0),
-        targets=np.concatenate([p.targets for p in parts], axis=0),
-    )
 
 
 # -- CSV ingestion -------------------------------------------------------------
@@ -340,35 +297,21 @@ def load_sensor_csv(path: str | Path) -> SensorTable:
 
 # -- daily alignment and gap fill ----------------------------------------------
 
-def _fill_column(values: np.ndarray, dates: list[date], max_gap: int, key: str, name: str) -> np.ndarray:
-    """Linearly interpolate NaN runs of length <= max_gap; reject the rest."""
-    out = values.copy()
-    missing = np.isnan(out)
-    if not missing.any():
-        return out
-    t = len(out)
-    idx = 0
-    while idx < t:
-        if not missing[idx]:
-            idx += 1
-            continue
-        start = idx
-        while idx < t and missing[idx]:
-            idx += 1
-        end = idx  # [start, end) is one NaN run
+def _fill_gaps(column: np.ndarray, first_day: int, max_gap: int, key: str, name: str) -> None:
+    """Linearly interpolate the column's NaN runs of length <= max_gap in
+    place; reject the rest. Day i of the column is ordinal first_day + i."""
+    missing = np.concatenate(([False], np.isnan(column), [False]))
+    edges = np.flatnonzero(missing[1:] != missing[:-1]).tolist()  # [start, end) of each NaN run, in order
+    for start, end in zip(edges[0::2], edges[1::2]):
         run = end - start
-        if start == 0 or end == t:
-            raise UnfillableGapError(
-                f"{key}: {name} missing at the series boundary ({dates[start].isoformat()}..{dates[end - 1].isoformat()})"
-            )
-        if run > max_gap:
-            raise UnfillableGapError(
-                f"{key}: {name} gap of {run} days ({dates[start].isoformat()}..{dates[end - 1].isoformat()}) exceeds max_gap={max_gap}"
-            )
-        left, right = out[start - 1], out[end]
-        for j in range(run):
-            out[start + j] = left + (right - left) * (j + 1) / (run + 1)
-    return out
+        if 0 < start and end < len(column) and run <= max_gap:
+            left, right = column[start - 1], column[end]
+            column[start:end] = left + (right - left) * np.arange(1, run + 1) / (run + 1)
+            continue
+        span = f"{date.fromordinal(first_day + start).isoformat()}..{date.fromordinal(first_day + end - 1).isoformat()}"
+        if start == 0 or end == len(column):
+            raise UnfillableGapError(f"{key}: {name} missing at the series boundary ({span})")
+        raise UnfillableGapError(f"{key}: {name} gap of {run} days ({span}) exceeds max_gap={max_gap}")
 
 
 def group_records(table: SensorTable) -> dict[tuple[str, int], SensorTable]:
@@ -392,8 +335,9 @@ def build_series(
     sensor_id: str,
     depth_cm: int,
     max_gap: int = DEFAULT_MAX_GAP,
-) -> SensorSeries:
-    """Assemble the daily series for one (sensor, depth) key.
+) -> np.ndarray:
+    """The daily (T, 4) feature array of one (sensor, depth) key, from its
+    first observed day to its last, in FEATURE_NAMES order with no NaN.
 
     Missing days and missing per-feature values are linearly
     interpolated when the gap is at most `max_gap` days; observed
@@ -420,19 +364,12 @@ def build_series(
         raise DuplicateKeyError(f"duplicate record for {sensor_id}/{depth_cm}cm/{day.isoformat()}")
 
     first = int(days[0])
-    t = int(days[-1]) - first + 1
-    dates = [date.fromordinal(first + i) for i in range(t)]
-    offset = days - first
-    features = np.full((t, 4), np.nan, dtype=np.float64)
-    features[offset] = table.features[rows]
-    observed_day = np.zeros(t, dtype=bool)
-    observed_day[offset] = True
-
+    features = np.full((int(days[-1]) - first + 1, len(FEATURE_NAMES)), np.nan)
+    features[days - first] = table.features[rows]
     key = f"{sensor_id}/{depth_cm}cm"
-    filled = ~observed_day | np.isnan(features).any(axis=1)
     for col, name in enumerate(FEATURE_NAMES):
-        features[:, col] = _fill_column(features[:, col], dates, max_gap, key, name)
-    return SensorSeries(sensor_id, depth_cm, tuple(dates), features, filled)
+        _fill_gaps(features[:, col], first, max_gap, key, name)
+    return features
 
 
 # -- normalization ---------------------------------------------------------------
@@ -455,41 +392,24 @@ def fit_scaler_pooled(blocks: list[np.ndarray]) -> Scaler:
 
 # -- windowing -------------------------------------------------------------------
 
-def make_windows(series: SensorSeries, input_length: int, horizon: int = DEFAULT_HORIZON) -> WindowSet:
-    """Slice a series into stride-1 (L-day input, H-day moisture target) pairs.
+def make_windows(
+    features: np.ndarray, input_length: int, horizon: int = DEFAULT_HORIZON
+) -> tuple[np.ndarray, np.ndarray]:
+    """Cut a (T, d) feature array into stride-1 (L-day input, H-day moisture target) pairs.
 
-    N = T - L - H + 1 samples; targets are the moisture column only.
+    Returns inputs (N, L, d) and targets (N, H, 1), N = T - L - H + 1, in
+    order of window start; targets are the moisture column only. Both
+    are C-contiguous copies that own their data, not views of `features`.
     Raises EmptyWindowError when the series is too short.
     """
     if input_length < 1 or horizon < 1:
         raise ValueError("input_length and horizon must be positive")
-    t = series.length
-    n = t - input_length - horizon + 1
-    if n < 1:
+    t = len(features)
+    if t - input_length - horizon + 1 < 1:
         raise EmptyWindowError(
             f"series of {t} days yields no windows for L={input_length}, H={horizon} (need T >= {input_length + horizon})"
         )
-    inputs = np.empty((n, input_length, 4), dtype=np.float64)
-    targets = np.empty((n, horizon, 1), dtype=np.float64)
-    for i in range(n):
-        inputs[i] = series.features[i : i + input_length]
-        targets[i, :, 0] = series.features[i + input_length : i + input_length + horizon, 0]
-    return WindowSet(inputs=inputs, targets=targets)
-
-
-def chrono_split(windows: WindowSet, test_fraction: float) -> tuple[WindowSet, WindowSet]:
-    """Chronological split: first floor(N*(1-f)) samples train, rest test.
-
-    Deterministic and order-preserving; every test sample starts later
-    than every train sample. Raises EmptySplitError if a side is empty.
-    """
-    if not 0.0 < test_fraction < 1.0:
-        raise ValueError(f"test_fraction must be in (0, 1), got {test_fraction}")
-    n = windows.n_samples
-    n_train = math.floor(n * (1.0 - test_fraction))
-    n_test = n - n_train
-    if n_train < 1 or n_test < 1:
-        raise EmptySplitError(f"split of {n} samples at test_fraction={test_fraction} leaves an empty side")
-    train = WindowSet(inputs=windows.inputs[:n_train].copy(), targets=windows.targets[:n_train].copy())
-    test = WindowSet(inputs=windows.inputs[n_train:].copy(), targets=windows.targets[n_train:].copy())
-    return train, test
+    windows = np.lib.stride_tricks.sliding_window_view(features, input_length + horizon, axis=0)  # (N, d, L + H)
+    inputs = windows[:, :, :input_length].transpose(0, 2, 1).copy()
+    targets = windows[:, 0, input_length:, None].copy()
+    return inputs, targets

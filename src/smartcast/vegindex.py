@@ -12,6 +12,7 @@ nodata sentinel, never 0 or infinity.
 from __future__ import annotations
 
 import csv
+from collections.abc import Sequence
 from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
@@ -162,24 +163,9 @@ def compute_index(grid: BandGrid, kind: str, band_mapping: dict[str, str]) -> In
 
 # -- stack flattening -----------------------------------------------------------
 
-def _window_images(stack: ImageStack, target_date: date) -> list[tuple[date, IndexImage]]:
-    prior = [(d, img) for d, img in stack.entries if d < target_date]
-    if len(prior) < INPUT_WINDOW:
-        raise InsufficientHistoryError(
-            f"need {INPUT_WINDOW} images before {target_date.isoformat()}, have {len(prior)}"
-        )
-    return prior[-INPUT_WINDOW:]
-
-
-def flatten_stack(stack: ImageStack, target_date: date) -> tuple[np.ndarray, np.ndarray]:
-    """Per-pixel windows from the 5 most recent images before target_date.
-
-    Returns (windows, mask): windows is (P, 5, 2) with columns (index
-    value, days-to-target) and P = width*height in row-major pixel
-    order; mask flags pixels valid in all 5 images.
-    """
-    chosen = _window_images(stack, target_date)
-    p = stack.width * stack.height
+def _pixel_windows(chosen: Sequence[tuple[date, IndexImage]], target_date: date) -> tuple[np.ndarray, np.ndarray]:
+    """(windows, mask) of `flatten_stack` from the window's images, oldest first."""
+    p = chosen[0][1].values.size
     windows = np.zeros((p, INPUT_WINDOW, 2), dtype=np.float64)
     mask = np.ones(p, dtype=bool)
     for j, (d, img) in enumerate(chosen):
@@ -190,6 +176,21 @@ def flatten_stack(stack: ImageStack, target_date: date) -> tuple[np.ndarray, np.
         windows[:, j, 1] = float((target_date - d).days)
     windows[~mask, :, 0] = 0.0
     return windows, mask
+
+
+def flatten_stack(stack: ImageStack, target_date: date) -> tuple[np.ndarray, np.ndarray]:
+    """Per-pixel windows from the 5 most recent images before target_date.
+
+    Returns (windows, mask): windows is (P, 5, 2) with columns (index
+    value, days-to-target) and P = width*height in row-major pixel
+    order; mask flags pixels valid in all 5 images.
+    """
+    prior = [(d, img) for d, img in stack.entries if d < target_date]
+    if len(prior) < INPUT_WINDOW:
+        raise InsufficientHistoryError(
+            f"need {INPUT_WINDOW} images before {target_date.isoformat()}, have {len(prior)}"
+        )
+    return _pixel_windows(prior[-INPUT_WINDOW:], target_date)
 
 
 def predict_pixels(model: Seq2SeqModel, windows: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -240,8 +241,7 @@ def stack_windows_for_training(stack: ImageStack) -> tuple[WindowSet, np.ndarray
     inputs, targets, run_ids = [], [], []
     for r in range(n_runs):
         target_date, target_img = stack.entries[r + INPUT_WINDOW]
-        sub = ImageStack(entries=stack.entries[r : r + INPUT_WINDOW + 1])
-        windows, mask = flatten_stack(sub, target_date)
+        windows, mask = _pixel_windows(stack.entries[r : r + INPUT_WINDOW], target_date)
         mask &= target_img.valid_mask().reshape(-1)
         if not mask.any():
             continue

@@ -509,6 +509,41 @@ def test_export_grid_csv_roundtrip(tmp_path: Path):
     assert all(float(r[3]) == 33.125 and r[2] == "10" for r in rows[1:])
 
 
+def test_export_grid_csv_matches_row_loop(tmp_path: Path):
+    # the per-cell csv.writer loop the export replaced, kept as the oracle
+    def row_loop(volume, path):
+        with path.open("w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["x", "y", "depth_cm", "value", "variance"])
+            for layer in volume.layers:
+                xs, ys = layer.geometry.cell_centers()
+                for i, y in enumerate(ys):
+                    for j, x in enumerate(xs):
+                        v = layer.values[i, j]
+                        if np.isnan(v):
+                            continue
+                        writer.writerow(
+                            [repr(float(x)), repr(float(y)), layer.depth_cm, repr(float(v)), repr(float(layer.variance[i, j]))]
+                        )
+
+    rng = np.random.default_rng(17)
+    geom = GridGeometry(nx=7, ny=5, cell_size=2.7, x0=-13.1, y0=1e-3)
+    layers = []
+    for depth in (10, 40, 120):
+        values = rng.normal(30.0, 12.0, size=(5, 7)) * 10.0 ** rng.integers(-6, 6, size=(5, 7))
+        variance = rng.random((5, 7)) * 1e-4
+        values[rng.random((5, 7)) < 0.3] = np.nan
+        variance[np.isnan(values)] = np.nan
+        variance[0, 0] = np.nan  # a NaN variance beside a kept value is written as nan
+        layers.append(DepthLayer(depth_cm=depth, geometry=geom, values=values, variance=variance))
+    layers.append(layer(60, geom, np.nan))  # a depth with no kept cell writes no row
+    vol = stack_depths(layers)
+    export_grid_csv(vol, tmp_path / "grid.csv")
+    row_loop(vol, tmp_path / "oracle.csv")
+    assert (tmp_path / "grid.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+    assert b"nan" in (tmp_path / "grid.csv").read_bytes()
+
+
 def test_export_volume_files(tmp_path: Path):
     geom = GridGeometry(nx=3, ny=2, cell_size=10.0)
     vol = stack_depths([layer(10, geom, 20.5, nan_at=(1, 2)), layer(30, geom, 40.25)])

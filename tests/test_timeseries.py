@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from smartcast.errors import (
+    ConfigError,
     CsvFormatError,
     DegenerateScalerError,
     DuplicateKeyError,
@@ -27,12 +28,9 @@ from smartcast.timeseries import (
     CSV_HEADER,
     FEATURE_NAMES,
     VALID_DEPTHS_CM,
-    SensorSeries,
     Scaler,
     SensorTable,
     build_series,
-    chrono_split,
-    concat_windows,
     fit_scaler_pooled,
     group_records,
     load_sensor_csv,
@@ -48,10 +46,36 @@ def write_csv(tmp_path, body: str):
     return p
 
 
-def series_from(features: np.ndarray, sensor_id="s1", depth=10) -> SensorSeries:
-    t = features.shape[0]
-    dates = tuple(date(2024, 1, 1) + timedelta(days=i) for i in range(t))
-    return SensorSeries(sensor_id, depth, dates, features.astype(np.float64), np.zeros(t, dtype=bool))
+def soil_config(tmp_path, input_length: int, horizon: int, test_fraction: float):
+    """A parsed config with the given soil window and split; its sensor CSV is empty."""
+    (tmp_path / "sensors.csv").write_text(HEADER + "\n", encoding="utf-8")
+    config_path = tmp_path / "config.json"
+    config_path.write_text(
+        json.dumps(
+            {
+                "seed": 1,
+                "sensor_csv": "sensors.csv",
+                "horizon_days": horizon,
+                "test_fraction": test_fraction,
+                "soil_model": {"input_length": input_length},
+            }
+        ),
+        encoding="utf-8",
+    )
+    return parse_config(config_path)
+
+
+def depth_table(*series: np.ndarray) -> SensorTable:
+    """Sensors s1, s2, ... at 10 cm, sensor k's daily rows from 2024-01-01 taken
+    from series[k]. Built directly: the loader would refuse values out of range."""
+    first = date(2024, 1, 1).toordinal()
+    return SensorTable(
+        tuple(f"s{k + 1}" for k in range(len(series))),
+        np.concatenate([np.full(len(f), k) for k, f in enumerate(series)]),
+        np.full(sum(map(len, series)), 10),
+        np.concatenate([first + np.arange(len(f)) for f in series]),
+        np.concatenate(series),
+    )
 
 
 def table_rows(table: SensorTable) -> list[tuple]:
@@ -310,31 +334,29 @@ def rows(days_values, sensor="s1", depth=10):
 def test_series_interior_gap_linear(tmp_path):
     p = write_csv(tmp_path, rows([(1, 30.0), (2, None), (3, None), (4, 36.0), (5, 35.0)]))
     series = build_series(load_sensor_csv(p), "s1", 10)
-    np.testing.assert_allclose(series.features[:, 0], [30.0, 32.0, 34.0, 36.0, 35.0])
-    assert series.filled.tolist() == [False, True, True, False, False]
+    np.testing.assert_allclose(series[:, 0], [30.0, 32.0, 34.0, 36.0, 35.0])
 
 
 def test_series_missing_days_are_filled(tmp_path):
     # day 2 absent entirely: daily grid inserts and interpolates it
     p = write_csv(tmp_path, rows([(1, 30.0), (3, 34.0)]))
     series = build_series(load_sensor_csv(p), "s1", 10)
-    assert series.length == 3
-    assert series.features[1, 0] == 32.0
-    assert series.filled[1]
+    assert series.shape == (3, 4)
+    assert series[1, 0] == 32.0
 
 
 def test_series_gap_too_long(tmp_path):
     p = write_csv(tmp_path, rows([(1, 30.0), (6, 35.0)]))
-    with pytest.raises(UnfillableGapError, match="gap of 4"):
+    with pytest.raises(UnfillableGapError, match=r"s1/10cm: moisture gap of 4 days \(2024-01-02\.\.2024-01-05\) exceeds max_gap=3"):
         build_series(load_sensor_csv(p), "s1", 10, max_gap=3)
     # the same gap is fine with a larger allowance
     series = build_series(load_sensor_csv(p), "s1", 10, max_gap=4)
-    np.testing.assert_allclose(series.features[:, 0], [30.0, 31.0, 32.0, 33.0, 34.0, 35.0])
+    np.testing.assert_allclose(series[:, 0], [30.0, 31.0, 32.0, 33.0, 34.0, 35.0])
 
 
 def test_series_boundary_gap_rejected(tmp_path):
     p = write_csv(tmp_path, rows([(1, None), (2, 31.0), (3, 32.0)]))
-    with pytest.raises(UnfillableGapError, match="boundary"):
+    with pytest.raises(UnfillableGapError, match=r"s1/10cm: moisture missing at the series boundary \(2024-01-01\.\.2024-01-01\)"):
         build_series(load_sensor_csv(p), "s1", 10)
 
 
@@ -349,12 +371,6 @@ def test_series_key_errors(tmp_path):
         build_series(table[:0], "s1", 10)
     with pytest.raises(InsufficientDataError):
         build_series(table[:1], "s1", 10)
-
-
-def assert_same_series(a: SensorSeries, b: SensorSeries):
-    assert (a.sensor_id, a.depth_cm, a.dates) == (b.sensor_id, b.depth_cm, b.dates)
-    np.testing.assert_array_equal(a.features, b.features)
-    np.testing.assert_array_equal(a.filled, b.filled)
 
 
 def test_grouped_series_equal_full_scan(tmp_path, synth_dir):
@@ -372,7 +388,7 @@ def test_grouped_series_equal_full_scan(tmp_path, synth_dir):
         for (sid, depth), group in groups.items():
             # group rows equal the full scan's rows in file order
             assert table_rows(group) == [row for row in rows_in_file if row[:2] == (sid, depth)]
-            assert_same_series(build_series(group, sid, depth), build_series(table, sid, depth))
+            np.testing.assert_array_equal(build_series(group, sid, depth), build_series(table, sid, depth))
         with pytest.raises(MissingKeyError):
             build_series(table, "nope", 10)
 
@@ -416,31 +432,12 @@ def test_scaler_stats_match_numpy():
 def test_scaler_train_range_only(tmp_path):
     # 40 days, L=5, H=2: 34 windows, the first 25 train, and the training
     # windows cover days 0..30. Days 31..39 reach only test windows.
-    (tmp_path / "sensors.csv").write_text(HEADER + "\n", encoding="utf-8")
-    config_path = tmp_path / "config.json"
-    config_path.write_text(
-        json.dumps(
-            {
-                "seed": 1,
-                "sensor_csv": "sensors.csv",
-                "horizon_days": 2,
-                "test_fraction": 0.25,
-                "soil_model": {"input_length": 5},
-            }
-        ),
-        encoding="utf-8",
-    )
-    config = parse_config(config_path)
+    config = soil_config(tmp_path, input_length=5, horizon=2, test_fraction=0.25)
     rng = np.random.default_rng(3)
     base = rng.normal(20.0, 2.0, size=(40, 4))
 
     def scaler_for(features: np.ndarray) -> Scaler:
-        # built directly: the shifted moisture lies outside what the loader accepts
-        t = len(features)
-        table = SensorTable(
-            ("s1",), np.zeros(t, dtype=np.int64), np.full(t, 10), date(2024, 1, 1).toordinal() + np.arange(t), features
-        )
-        return _prepare_depth(group_records(table), ["s1"], 10, config).scaler
+        return _prepare_depth(group_records(depth_table(features)), ["s1"], 10, config).scaler
 
     reference = scaler_for(base)
     np.testing.assert_allclose(reference.mean, base[:31].mean(axis=0), rtol=1e-12)
@@ -477,30 +474,38 @@ def test_scaler_rejects_zero_std():
         Scaler(mean=np.zeros(2), std=np.array([1.0, 0.0]))
 
 
-# -- windowing ----------------------------------------------------------------------
+# -- windowing and the per-depth split ------------------------------------------------
 
 def test_make_windows_shapes_and_content():
     t, length, horizon = 12, 4, 2
     features = np.zeros((t, 4))
     features[:, 0] = np.arange(t, dtype=np.float64)
     features[:, 1] = 100 + np.arange(t)
-    series = series_from(features)
-    ws = make_windows(series, input_length=length, horizon=horizon)
-    assert ws.n_samples == t - length - horizon + 1 == 7
-    assert ws.inputs.shape == (7, 4, 4)
-    assert ws.targets.shape == (7, 2, 1)
-    np.testing.assert_array_equal(ws.inputs[0, :, 0], [0, 1, 2, 3])
-    np.testing.assert_array_equal(ws.targets[0, :, 0], [4, 5])
-    np.testing.assert_array_equal(ws.inputs[6, :, 0], [6, 7, 8, 9])
-    np.testing.assert_array_equal(ws.targets[6, :, 0], [10, 11])
+    inputs, targets = make_windows(features, input_length=length, horizon=horizon)
+    assert len(inputs) == len(targets) == t - length - horizon + 1 == 7
+    assert inputs.shape == (7, 4, 4)
+    assert targets.shape == (7, 2, 1)
+    np.testing.assert_array_equal(inputs[0, :, 0], [0, 1, 2, 3])
+    np.testing.assert_array_equal(targets[0, :, 0], [4, 5])
+    np.testing.assert_array_equal(inputs[6, :, 0], [6, 7, 8, 9])
+    np.testing.assert_array_equal(targets[6, :, 0], [10, 11])
     # targets are the moisture column only
-    np.testing.assert_array_equal(ws.inputs[0, :, 1], [100, 101, 102, 103])
+    np.testing.assert_array_equal(inputs[0, :, 1], [100, 101, 102, 103])
 
 
 def test_make_windows_too_short():
-    series = series_from(np.random.default_rng(1).normal(size=(5, 4)))
+    features = np.random.default_rng(1).normal(size=(5, 4))
     with pytest.raises(EmptyWindowError):
-        make_windows(series, input_length=4, horizon=2)
+        make_windows(features, input_length=4, horizon=2)
+
+
+def test_make_windows_returns_owned_contiguous_arrays():
+    # copies, never views of the series: a pickled job carries its windows only
+    features = np.random.default_rng(2).normal(size=(20, 4))
+    for length, horizon in ((5, 3), (1, 1), (19, 1)):
+        for windows in make_windows(features, input_length=length, horizon=horizon):
+            assert windows.flags.c_contiguous and windows.flags.owndata
+            assert not np.shares_memory(windows, features)
 
 
 def test_windows_match_naive_oracle():
@@ -512,46 +517,67 @@ def test_windows_match_naive_oracle():
         if t < length + horizon:
             continue
         features = rng.normal(size=(t, 4))
-        ws = make_windows(series_from(features), input_length=length, horizon=horizon)
+        inputs, targets = make_windows(features, input_length=length, horizon=horizon)
         n = t - length - horizon + 1
-        assert ws.n_samples == n
+        assert len(inputs) == len(targets) == n
         for i in range(n):
-            np.testing.assert_array_equal(ws.inputs[i], features[i : i + length])
-            np.testing.assert_array_equal(ws.targets[i, :, 0], features[i + length : i + length + horizon, 0])
+            np.testing.assert_array_equal(inputs[i], features[i : i + length])
+            np.testing.assert_array_equal(targets[i, :, 0], features[i + length : i + length + horizon, 0])
 
 
-def test_chrono_split_pinned_example():
-    features = np.zeros((15, 4))
-    features[:, 0] = np.arange(15.0)
-    ws = make_windows(series_from(features), input_length=4, horizon=2)  # N = 10
-    train, test = chrono_split(ws, test_fraction=0.2)
-    assert train.n_samples == 8
-    assert test.n_samples == 2
-    # order preserved, test strictly later
-    np.testing.assert_array_equal(train.inputs[0, :, 0], [0, 1, 2, 3])
-    np.testing.assert_array_equal(test.inputs[0, :, 0], [8, 9, 10, 11])
-    assert test.inputs[0, 0, 0] > train.inputs[-1, 0, 0]
+def ramp(t: int) -> np.ndarray:
+    """t days whose moisture is the day number; no column is constant."""
+    return np.arange(float(t))[:, None] * [1.0, 2.0, 3.0, 5.0] + [0.0, 10.0, 1.0, 0.0]
+
+
+def test_depth_split_pinned_example(tmp_path):
+    # 15 days, L=4, H=2: N = 10 windows. Test fraction 0.2 leaves 8 train
+    # windows, the last of them val: 7 fit, 1 val, 2 test, in time order.
+    config = soil_config(tmp_path, input_length=4, horizon=2, test_fraction=0.2)
+    features = ramp(15)
+    data = _prepare_depth(group_records(depth_table(features)), ["s1"], 10, config)
+    assert (data.fit.n_samples, data.val.n_samples, data.test.n_samples) == (7, 1, 2)
+    # the scaler sees the days of the 8 train windows: 8 + 4 + 2 - 1 = 13
+    np.testing.assert_array_equal(data.scaler.mean, features[:13].mean(axis=0))
+    z = data.scaler.apply(features)
+    # order preserved, val after fit, test strictly later
+    np.testing.assert_array_equal(data.fit.inputs[0], z[0:4])
+    np.testing.assert_array_equal(data.fit.targets[-1, :, 0], z[10:12, 0])
+    np.testing.assert_array_equal(data.val.inputs[0], z[7:11])
+    np.testing.assert_array_equal(data.test.inputs[0], z[8:12])
+    np.testing.assert_array_equal(data.test.targets[-1, :, 0], z[13:15, 0])
+    assert data.test.inputs[0, 0, 0] > data.val.inputs[-1, 0, 0] > data.fit.inputs[-1, 0, 0]
+    np.testing.assert_array_equal(data.last_inputs["s1"], z[-4:])
     # deterministic
-    train2, test2 = chrono_split(ws, test_fraction=0.2)
-    np.testing.assert_array_equal(train.inputs, train2.inputs)
-    np.testing.assert_array_equal(test.targets, test2.targets)
+    again = _prepare_depth(group_records(depth_table(features)), ["s1"], 10, config)
+    np.testing.assert_array_equal(data.fit.inputs, again.fit.inputs)
+    np.testing.assert_array_equal(data.test.targets, again.test.targets)
 
 
-def test_chrono_split_empty_sides():
-    features = np.zeros((8, 4))
-    features[:, 0] = np.arange(8.0)
-    ws = make_windows(series_from(features), input_length=4, horizon=2)  # N = 3
-    with pytest.raises(EmptySplitError):
-        chrono_split(ws, test_fraction=0.9)  # floor(3 * 0.1) = 0 train samples
-    with pytest.raises(ValueError):
-        chrono_split(ws, test_fraction=1.0)
+def test_depth_split_empty_sides(tmp_path):
+    groups = group_records(depth_table(ramp(8)))  # L=4, H=2: N = 3
+    with pytest.raises(EmptySplitError, match="empty split"):
+        _prepare_depth(groups, ["s1"], 10, soil_config(tmp_path, 4, 2, test_fraction=0.9))  # floor(3 * 0.1) = 0 train
+    with pytest.raises(EmptySplitError, match="empty split"):
+        _prepare_depth(groups, ["s1"], 10, soil_config(tmp_path, 4, 2, test_fraction=1e-17))  # 1 - f rounds to 1: 0 test
+    with pytest.raises(EmptySplitError, match="6 days give 1 windows; need >= 2"):
+        _prepare_depth(group_records(depth_table(ramp(6))), ["s1"], 10, soil_config(tmp_path, 4, 2, test_fraction=0.2))
+    with pytest.raises(ConfigError):
+        soil_config(tmp_path, 4, 2, test_fraction=1.0)
+    # 7 days: N = 2, one train window; it fits and no val side exists
+    data = _prepare_depth(group_records(depth_table(ramp(7))), ["s1"], 10, soil_config(tmp_path, 4, 2, 0.2))
+    assert (data.fit.n_samples, data.val, data.test.n_samples) == (1, None, 1)
 
 
-def test_concat_windows_roundtrip():
-    rng = np.random.default_rng(5)
-    a = make_windows(series_from(rng.normal(size=(10, 4))), input_length=3, horizon=2)
-    b = make_windows(series_from(rng.normal(size=(9, 4))), input_length=3, horizon=2)
-    both = concat_windows([a, b])
-    assert both.n_samples == a.n_samples + b.n_samples
-    np.testing.assert_array_equal(both.inputs[: a.n_samples], a.inputs)
-    np.testing.assert_array_equal(both.targets[a.n_samples :], b.targets)
+def test_depth_split_joins_sensors_in_order(tmp_path):
+    # L=3, H=2. s1: 15 days, 11 windows -> 7 fit, 1 val, 3 test;
+    # s2: 12 days, 8 windows -> 5 fit, 1 val, 2 test. A sensor listed
+    # before s1 but without rows is skipped.
+    config = soil_config(tmp_path, input_length=3, horizon=2, test_fraction=0.2)
+    s1, s2 = ramp(15), np.random.default_rng(5).normal(30.0, 3.0, size=(12, 4))
+    data = _prepare_depth(group_records(depth_table(s1, s2)), ["s0", "s1", "s2"], 10, config)
+    w1, w2 = (make_windows(data.scaler.apply(f), input_length=3, horizon=2) for f in (s1, s2))
+    for part, cuts in ((data.fit, (0, 7, 0, 5)), (data.val, (7, 8, 5, 6)), (data.test, (8, 11, 6, 8))):
+        for got, one, two in zip((part.inputs, part.targets), w1, w2):
+            np.testing.assert_array_equal(got, np.concatenate([one[cuts[0] : cuts[1]], two[cuts[2] : cuts[3]]]))
+    assert list(data.last_inputs) == ["s1", "s2"]

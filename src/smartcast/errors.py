@@ -66,7 +66,7 @@ class InsufficientHistoryError(DataError):
 
 
 class FlatFieldError(DataError):
-    """All semivariances are zero; no variogram can be fitted."""
+    """The sample values are all equal; no variogram can be fitted."""
 
 
 class UndefinedScoreError(DataError):

@@ -1,13 +1,13 @@
 """Ordinary kriging with a Gaussian variogram, on numpy arrays.
 
 Samples are an (n, 2) coordinate array and an (n,) value array. The
-module estimates an empirical variogram (mean lags, semivariances and
-pair counts per bin), fits a Gaussian model to it by weighted least
-squares, assembles the bordered ordinary-kriging system with nugget
-escalation, scores it by leave-one-out, and kriges query points, a grid's
-cell centres among them, with `krige`. Per-depth grids stack into a
-moisture volume with file exports. Every solve is one `np.linalg.solve`
-on the model's bordered matrix.
+module fits a Gaussian variogram to them by closed-form leave-one-out over
+a fixed grid of ranges and nugget/sill ratios, assembles the bordered
+ordinary-kriging system with nugget escalation, scores it by leave-one-out,
+and kriges query points, a grid's cell centres among them, with `krige`.
+Per-depth grids stack into a moisture volume with file exports. Every
+kriging solve is one `np.linalg.solve` on the model's bordered matrix. The
+fit does not use `empirical_variogram`; `bench/tracing.py` times it.
 
 The Gaussian model uses the practical-range convention
 gamma(h) = nugget + sill * (1 - exp(-3 h^2 / a^2)) with gamma(0) = 0.
@@ -35,6 +35,10 @@ from .vegindex import DEFAULT_NODATA, BandGrid, write_bandgrid, write_pgm
 _JITTER_START = 1e-10
 _JITTER_STOP = 1e-6
 VARIOGRAM_BINS = 15
+# fit_variogram's candidates: ranges from 1/8 to ~1.83 times half the largest
+# sample distance, a sixth of a decade apart, and nugget/sill ratios.
+RANGE_FACTORS = 10 ** (np.arange(8) / 6) / 8
+NUGGET_RATIOS = (1e-3, 3e-3, 1e-2, 3e-2, 0.1, 0.3)
 
 
 @dataclass(frozen=True)
@@ -82,10 +86,6 @@ class KrigingModel:
     system: np.ndarray          # (n+1, n+1) bordered matrix, probe-solved by build_model
     jitter: float               # nugget added to make the system solvable
 
-    @property
-    def n_samples(self) -> int:
-        return self.points.shape[0]
-
 
 @dataclass(frozen=True)
 class DepthLayer:
@@ -130,13 +130,18 @@ def gaussian_variogram(h: np.ndarray | float, v: Variogram) -> np.ndarray | floa
 
 
 def _samples(points, values) -> tuple[np.ndarray, np.ndarray]:
-    """Sample coordinates (n, 2) and values (n,) as float64 arrays, all finite."""
+    """Finite float64 sample coordinates (n, 2) and values (n,), no two at one location."""
     points = np.asarray(points, dtype=np.float64)
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 1 or points.shape != (values.size, 2):
         raise ShapeError(f"need points (n, 2) and values (n,); got {points.shape} and {values.shape}")
     if not (np.isfinite(points).all() and np.isfinite(values).all()):
         raise DataError("sample coordinates and values must be finite")
+    same = (points[:, None, 0] == points[None, :, 0]) & (points[:, None, 1] == points[None, :, 1])
+    pairs = np.argwhere(np.triu(same, k=1))  # row-major: the first pair a nested i < j loop meets
+    if pairs.size:
+        i, j = pairs[0]
+        raise DataError(f"samples {i} and {j} share coordinates ({points[i, 0]}, {points[i, 1]})")
     return points, values
 
 
@@ -167,80 +172,46 @@ def empirical_variogram(points: np.ndarray, values: np.ndarray) -> tuple[np.ndar
     return np.array([lags[sel].mean() for sel in bins]), semivariances, counts
 
 
-def _wls_nugget_sill(f: np.ndarray, gamma: np.ndarray, w: np.ndarray) -> tuple[float, float, float]:
-    """Weighted LLS for gamma ~ nugget + sill*f with nugget >= 0, sill > 0.
+def _loo_grid(points: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Candidate ranges (R,), and each (range, ratio) candidate's LOO
+    score and calibrated sill, (R, K) each. At unit sill the covariance
+    is C = R + r I, R the Gaussian correlation: one eigh of R per range
+    makes each ratio r a diagonal shift, so the Dubrule residuals
+    Qz / diag(Q), Q = C^-1 - C^-1 11' C^-1 / 1'C^-1 1, and the LOO
+    variances sill / diag(Q) cost O(n^2) per candidate."""
+    h2 = _distances(points, points) ** 2
+    ranges = RANGE_FACTORS * np.sqrt(h2.max()) / 2.0
+    ss_tot = ((values - values.mean()) ** 2).sum()
+    scores = np.empty((ranges.size, len(NUGGET_RATIOS)))
+    sills = np.empty_like(scores)
+    for k, a in enumerate(ranges):
+        lam, vec = np.linalg.eigh(np.exp(-3.0 * h2 / a**2))
+        d = 1.0 / (lam[:, None] + NUGGET_RATIOS)  # (n, K): eigenvalues of C^-1
+        vz, v1 = values @ vec, vec.sum(axis=0)
+        cz, c1 = vec @ (d * vz[:, None]), vec @ (d * v1[:, None])
+        s11 = v1**2 @ d
+        qz = cz - c1 * ((v1 * vz) @ d / s11)
+        resid = qz / (vec**2 @ d - c1**2 / s11)
+        scores[k] = 1.0 - (resid**2).sum(axis=0) / ss_tot
+        sills[k] = (qz * resid).mean(axis=0)  # mean(e^2 / var) = 1
+    return ranges, scores, sills
 
-    Returns (nugget, sill, weighted SSE); sill <= 0 solutions are
-    replaced by an infinite-SSE marker.
-    """
-    sw = w.sum()
-    swf = (w * f).sum()
-    swff = (w * f * f).sum()
-    swg = (w * gamma).sum()
-    swfg = (w * f * gamma).sum()
-    det = sw * swff - swf * swf
-    nugget, sill = 0.0, 0.0
-    if det > 1e-300:
-        nugget = (swff * swg - swf * swfg) / det
-        sill = (sw * swfg - swf * swg) / det
-    if det <= 1e-300 or nugget < 0.0:
-        nugget = 0.0
-        sill = swfg / swff if swff > 0 else 0.0
-    if sill <= 0.0:
-        return 0.0, 0.0, np.inf
-    resid = gamma - (nugget + sill * f)
-    return nugget, sill, float((w * resid * resid).sum())
 
-
-def fit_variogram(lags: np.ndarray, semivariances: np.ndarray, counts: np.ndarray) -> Variogram:
-    """Weighted least-squares Gaussian fit over (nugget, sill, range) to
-    empirical-variogram bins.
-
-    Weights are pair counts. The range is located by a log-spaced grid
-    search and refined by golden-section descent; (nugget, sill) are
-    re-solved in closed form at every candidate range.
-    """
-    h = np.asarray(lags, dtype=np.float64)
-    gamma = np.asarray(semivariances, dtype=np.float64)
-    w = np.asarray(counts, dtype=np.float64)
-    if h.size < 3:
-        raise InsufficientDataError(f"variogram fit needs >= 3 nonempty bins, have {h.size}")
-    if np.all(gamma <= 0.0):
-        raise FlatFieldError("all semivariances are zero; the field is flat")
-
-    def sse_at(a: float) -> tuple[float, float, float]:
-        f = 1.0 - np.exp(-3.0 * h**2 / a**2)
-        nugget, sill, sse = _wls_nugget_sill(f, gamma, w)
-        return sse, nugget, sill
-
-    lo = max(h.min() * 0.25, 1e-9)
-    hi = h.max() * 4.0
-    candidates = np.geomspace(lo, hi, 80)
-    scores = [sse_at(a)[0] for a in candidates]
-    k = int(np.argmin(scores))
-
-    # golden-section refinement between the neighbors of the grid optimum
-    left = candidates[max(k - 1, 0)]
-    right = candidates[min(k + 1, len(candidates) - 1)]
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a_l, a_r = left, right
-    x1 = a_r - invphi * (a_r - a_l)
-    x2 = a_l + invphi * (a_r - a_l)
-    f1, f2 = sse_at(x1)[0], sse_at(x2)[0]
-    for _ in range(100):
-        if f1 <= f2:
-            a_r, x2, f2 = x2, x1, f1
-            x1 = a_r - invphi * (a_r - a_l)
-            f1 = sse_at(x1)[0]
-        else:
-            a_l, x1, f1 = x1, x2, f2
-            x2 = a_l + invphi * (a_r - a_l)
-            f2 = sse_at(x2)[0]
-    best_a = (a_l + a_r) / 2.0
-    sse, nugget, sill = sse_at(best_a)
-    if not np.isfinite(sse) or sill <= 0.0:
-        raise FlatFieldError("variogram fit failed to find a positive sill")
-    return Variogram(nugget=float(nugget), sill=float(sill), range_a=float(best_a))
+def fit_variogram(points: np.ndarray, values: np.ndarray) -> Variogram:
+    """The Gaussian variogram whose range and nugget/sill ratio score the
+    highest leave-one-out R^2 among RANGE_FACTORS x NUGGET_RATIOS (Cressie
+    1993, section 2.6.4; the first wins a tie, ranges outermost). Kriging
+    weights do not depend on the sill; it is set so the LOO standardized
+    errors have mean square 1. Needs 3 samples not all equal in value."""
+    points, values = _samples(points, values)
+    if values.size < 3:
+        raise InsufficientDataError(f"variogram fit needs >= 3 samples, have {values.size}")
+    if np.ptp(values) == 0.0:
+        raise FlatFieldError("sample values are constant; the field is flat")
+    ranges, scores, sills = _loo_grid(points, values)
+    k, j = np.unravel_index(np.argmax(scores), scores.shape)
+    sill = float(sills[k, j])
+    return Variogram(nugget=NUGGET_RATIOS[j] * sill, sill=sill, range_a=float(ranges[k]))
 
 
 # -- kriging system --------------------------------------------------------------
@@ -276,11 +247,6 @@ def build_model(points: np.ndarray, values: np.ndarray, variogram: Variogram) ->
     n = values.size
     if n == 0:
         raise InsufficientDataError("kriging needs at least one sample")
-    same = (points[:, None, 0] == points[None, :, 0]) & (points[:, None, 1] == points[None, :, 1])
-    pairs = np.argwhere(np.triu(same, k=1))  # row-major: the first pair a nested i < j loop meets
-    if pairs.size:
-        i, j = pairs[0]
-        raise DataError(f"samples {i} and {j} share coordinates ({points[i, 0]}, {points[i, 1]})")
 
     jitters = [0.0] + [
         variogram.sill * _JITTER_START * 10**k
@@ -310,7 +276,7 @@ def krige(model: KrigingModel, points: np.ndarray) -> tuple[np.ndarray, np.ndarr
     grouping of the queries. Each weight column sums to 1; the variance
     is sum(w_i * gamma_i) + mu, nonnegative up to round-off.
     """
-    rhs = np.ones((model.n_samples + 1, points.shape[0]))
+    rhs = np.ones((model.values.size + 1, points.shape[0]))
     rhs[:-1] = gaussian_variogram(_distances(model.points, points), model.variogram)
     sol = np.linalg.solve(model.system, rhs)
     w = sol[:-1]
@@ -336,7 +302,7 @@ def loo_score(model: KrigingModel) -> float:
     1983), which equals refitting without sample i under the same
     jitter.
     """
-    n = model.n_samples
+    n = model.values.size
     if n < 3:
         raise InsufficientDataError("leave-one-out scoring needs at least 3 samples")
     ss_tot = float(((model.values - model.values.mean()) ** 2).sum())

@@ -739,17 +739,19 @@ def check_forecast_day(config: RunConfig, day: int | None) -> int:
 
 
 def read_forecasts(path: Path, day: int) -> dict[int, dict[str, tuple[float, ...]]]:
-    """The forecast table `write_forecasts` saved; every curve must reach `day`."""
+    """The forecast table `write_forecasts` saved: per depth, per sensor, a
+    list of at least `day` numbers. Anything else is refused by file name."""
     if not path.is_file():
         raise DataError(f"{path} not found; run forecast first")
-    table: dict[int, dict[str, tuple[float, ...]]] = {}
-    for depth_str, per_sensor in json.loads(path.read_text(encoding="utf-8")).items():
-        depth = int(depth_str)
-        table[depth] = {}
-        for sid, values in per_sensor.items():
-            if len(values) < day:
-                raise DataError(f"forecast for {sid} at depth {depth} has {len(values)} < {day} days")
-            table[depth][sid] = tuple(float(v) for v in values)
+    try:
+        table = {int(depth): per_sensor for depth, per_sensor in json.loads(path.read_text(encoding="utf-8")).items()}
+        for depth, per_sensor in table.items():
+            for sid, curve in per_sensor.items():
+                if not isinstance(curve, list) or len(curve) < day:
+                    raise DataError(f"{path}: forecast for {sid} at depth {depth} is not a list of >= {day} days")
+                per_sensor[sid] = tuple(float(v) for v in curve)
+    except (ValueError, TypeError, AttributeError) as exc:  # JSONDecodeError is a ValueError
+        raise DataError(f"{path} is not a forecast table: {exc}") from None
     return table
 
 
@@ -762,7 +764,9 @@ def run_kriging_stage(
 
     Sensors without a configured location are skipped by name in the
     error message when none remain. A configured variogram override is
-    used verbatim; otherwise one is fitted from the forecast samples.
+    used verbatim; otherwise `kriging.fit_variogram` chooses one by LOO
+    from the depth's samples, which needs 3 located sensors not all equal
+    in value. Each depth builds one model for its LOO score and its grid.
     """
     layers: list[kriging.DepthLayer] = []
     stats: dict[int, tuple[float | None, Variogram, int]] = {}
@@ -779,7 +783,7 @@ def run_kriging_stage(
         if config.variogram is not None:
             variogram = config.variogram
         else:
-            variogram = kriging.fit_variogram(*kriging.empirical_variogram(points, values))
+            variogram = kriging.fit_variogram(points, values)
         model = kriging.build_model(points, values, variogram)
         try:
             score = kriging.loo_score(model)

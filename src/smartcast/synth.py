@@ -224,9 +224,9 @@ def generate_dataset(out_dir: str | Path, seed: int, spec: SynthSpec | None = No
     """Write sensors.csv, images/, and config.json; returns the config path.
 
     The emitted config is sized for a desk-scale end-to-end run:
-    small hidden layers and few epochs, an explicit variogram (four
-    sensors give too few pairs to fit one), and the scenario's sensor
-    locations.
+    small hidden layers and few epochs, an explicit variogram (so the
+    demo map stays fixed rather than following a fit to four samples),
+    and the scenario's sensor locations.
     """
     spec = spec or SynthSpec()
     out_dir = Path(out_dir)

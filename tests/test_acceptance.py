@@ -21,7 +21,6 @@ from smartcast.cli import main
 from smartcast.kriging import (
     Variogram,
     build_model,
-    empirical_variogram,
     fit_variogram,
     krige,
     loo_score,
@@ -252,7 +251,7 @@ def test_kriging_loo_score():
     rng = np.random.default_rng(123)
     pts = rng.uniform(0.0, 100.0, (25, 2))
     values = 0.03 * pts[:, 0] + 0.02 * pts[:, 1]
-    variogram = fit_variogram(*empirical_variogram(pts, values))
+    variogram = fit_variogram(pts, values)
     score = loo_score(build_model(pts, values, variogram))
     criterion(
         "kriging-loo",

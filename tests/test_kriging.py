@@ -34,6 +34,7 @@ from smartcast.kriging import (
     loo_score,
     stack_depths,
 )
+from smartcast.synth import SynthSpec, moisture_formula
 from smartcast.vegindex import DEFAULT_NODATA, read_bandgrid
 
 
@@ -154,41 +155,58 @@ def test_empirical_variogram_white_noise_level():
     assert all(0.4 < g < 2.0 for g in semivariances)
 
 
-def test_fit_recovers_exact_bins():
-    truth = Variogram(nugget=0.5, sill=2.0, range_a=30.0)
-    lags = np.linspace(2.0, 60.0, 12)
-    semivariances = np.array([gaussian_variogram(float(h), truth) for h in lags])
-    fit = fit_variogram(lags, semivariances, np.full(len(lags), 10))
-    assert abs(fit.nugget - truth.nugget) <= 1e-6
-    assert abs(fit.sill - truth.sill) / truth.sill <= 1e-6
-    assert abs(fit.range_a - truth.range_a) / truth.range_a <= 1e-6
-
-
-def test_fit_is_optimal_on_noisy_bins():
-    # truth lies in the fitted family, so the WLS minimum can never score worse
-    truth = Variogram(nugget=0.3, sill=1.5, range_a=25.0)
-    rng = np.random.default_rng(7)
-    lags = np.linspace(2.0, 70.0, 14)
-    draws = [(float(rng.uniform(0.85, 1.15)), int(rng.integers(5, 40))) for _ in lags]
-    semivariances = np.array([gaussian_variogram(float(h), truth) * f for h, (f, _) in zip(lags, draws)])
-    counts = np.array([c for _, c in draws])
-
-    def sse(v: Variogram) -> float:
-        total = 0.0
-        for h, g, c in zip(lags, semivariances, counts):
-            total += c * (g - gaussian_variogram(float(h), v)) ** 2
-        return total
-
-    fit = fit_variogram(lags, semivariances, counts)
-    assert sse(fit) <= sse(truth) + 1e-12
-
-
 def test_fit_rejects_flat_or_thin_input():
-    lags, flat, counts = np.array([1.0, 2.0, 3.0]), np.zeros(3), np.full(3, 3)
     with pytest.raises(FlatFieldError):
-        fit_variogram(lags, flat, counts)
+        fit_variogram(LINE_POINTS, np.full(3, 4.0))
     with pytest.raises(InsufficientDataError):
-        fit_variogram(lags[:2], flat[:2], counts[:2])
+        fit_variogram(LINE_POINTS[:2], LINE_VALUES[:2])
+    with pytest.raises(DataError, match="share coordinates"):
+        fit_variogram(np.zeros((3, 2)), LINE_VALUES)
+
+
+def test_fitted_map_tracks_a_noisy_field():
+    # Noisy samples of the scenario's clean field at the 200 positions
+    # bench/workloads.py gives field_remap's sensors at seed 5: the fitted
+    # map must follow the field, not amplify the noise.
+    rng = np.random.default_rng(np.random.SeedSequence((5, 7001)))
+    spec = SynthSpec(sensor_fractions=tuple(map(tuple, rng.random((200, 2)))), grid_nx=64, grid_ny=64, n_images=0)
+    points = np.array(list(spec.sensor_locations().values()))
+    geometry = GridGeometry(nx=spec.grid_nx, ny=spec.grid_ny, cell_size=spec.cell_size)
+    xs, ys = geometry.cell_centers()
+    day = spec.n_days + 13  # field_remap maps forecast day 14 past the last record
+    rng = np.random.default_rng(19)
+    for depth in spec.depths_cm:
+        clean = np.array([moisture_formula(spec, x, y, depth, day) for x, y in points])
+        values = clean + rng.normal(0.0, 0.3, clean.size)
+        model = build_model(points, values, fit_variogram(points, values))
+        grid, _ = interpolate_grid(model, geometry)
+        truth = np.array([[moisture_formula(spec, x, y, depth, day) for x in xs] for y in ys])
+        rmse = float(np.sqrt(((grid - truth) ** 2).mean()))
+        assert rmse < 1.0, (depth, rmse)
+        assert values.min() - 5.0 <= grid.min() and grid.max() <= values.max() + 5.0, (depth, grid.min(), grid.max())
+
+
+def test_fit_is_the_brute_force_loo_optimum():
+    rng = np.random.default_rng(4)
+    points = rng.uniform(0.0, 100.0, (14, 2))
+    values = 3.0 * np.sin(points[:, 0] / 20.0) + np.cos(points[:, 1] / 30.0) + rng.normal(0.0, 0.3, 14)
+    ranges = kriging.RANGE_FACTORS * cdist(points, points).max() / 2.0
+    brute = np.array(
+        [[loo_score(build_model(points, values, Variogram(r, 1.0, a))) for r in kriging.NUGGET_RATIOS] for a in ranges]
+    )
+    k, j = np.unravel_index(np.argmax(brute), brute.shape)
+    fit = fit_variogram(points, values)
+    assert fit.range_a == pytest.approx(ranges[k], rel=1e-12)
+    assert fit.nugget / fit.sill == pytest.approx(kriging.NUGGET_RATIOS[j], rel=1e-12)
+    model = build_model(points, values, fit)
+    assert model.jitter == 0.0
+    _, scores, _ = kriging._loo_grid(points, values)
+    assert abs(scores.max() - loo_score(model)) <= 1e-9
+    # the sill gives the LOO standardized errors mean square 1; in
+    # variogram form the LOO variance is -1 / (A^-1)_ii
+    inv = np.linalg.inv(model.system)[:-1, :-1]
+    residuals = inv @ values / np.diag(inv)
+    assert np.mean(residuals**2 * -np.diag(inv)) == pytest.approx(1.0, rel=1e-9)
 
 
 # -- kriging solves ------------------------------------------------------------------
@@ -369,7 +387,7 @@ def test_loo_high_on_smooth_field():
     rng = np.random.default_rng(31)
     pts = rng.uniform(0.0, 100.0, (15, 2))
     values = 0.03 * pts[:, 0] + 0.02 * pts[:, 1]
-    fit = fit_variogram(*empirical_variogram(pts, values))
+    fit = fit_variogram(pts, values)
     assert loo_score(build_model(pts, values, fit)) > 0.9
 
 
@@ -429,7 +447,7 @@ def test_distances_match_cdist_bitwise():
 
 def lu_oracle(model, v, queries):
     """Kriged values, variances and solutions from scipy's LU, assembled with cdist."""
-    n = model.n_samples
+    n = model.values.size
     a = np.ones((n + 1, n + 1))
     a[:n, :n] = gaussian_variogram(cdist(model.points, model.points), v)
     a[n, n] = 0.0

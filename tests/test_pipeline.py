@@ -584,7 +584,9 @@ def test_run_forecast_rejects_bad_day(tiny_dir: Path, tmp_path: Path):
 
 
 def test_kriging_stage_builds_one_model_per_depth(tiny_dir: Path, monkeypatch):
-    # one model per depth serves both the LOO score and the grid
+    # one model per depth serves both the LOO score and the grid, with the
+    # configured variogram and with one fitted by LOO, whose search builds
+    # no model of its own
     config = parse_config(tiny_dir / "config.json")
     calls = []
     real = kriging.build_model
@@ -596,10 +598,16 @@ def test_kriging_stage_builds_one_model_per_depth(tiny_dir: Path, monkeypatch):
     monkeypatch.setattr(kriging, "build_model", counting)
     rng = np.random.default_rng(8)
     table = {depth: {sid: tuple(rng.uniform(10.0, 60.0, 3)) for sid in config.sensor_locations} for depth in (10, 30, 60)}
-    volume, stats = pipeline.run_kriging_stage(table, config, 2)
-    assert calls == [4, 4, 4]
-    assert [layer.depth_cm for layer in volume.layers] == [10, 30, 60]
-    assert all(stats[depth][0] is not None for depth in (10, 30, 60))
+    points = np.array([config.sensor_locations[sid] for sid in sorted(config.sensor_locations)])
+    for variogram in (config.variogram, None):
+        calls.clear()
+        volume, stats = pipeline.run_kriging_stage(table, dataclasses.replace(config, variogram=variogram), 2)
+        assert calls == [4, 4, 4]
+        assert [layer.depth_cm for layer in volume.layers] == [10, 30, 60]
+        for depth in (10, 30, 60):
+            values = np.array([table[depth][sid][1] for sid in sorted(config.sensor_locations)])
+            want = variogram if variogram is not None else kriging.fit_variogram(points, values)
+            assert stats[depth][0] is not None and stats[depth][1] == want
 
 
 # -- gradcheck command ----------------------------------------------------------------
@@ -695,6 +703,25 @@ def test_cli_forecast_refuses_a_checkpoint_of_another_shape(
     assert "soil_depth_030.ckpt" in err and "horizon=3" in err and "horizon=14" in err
     assert file_tree(out) == before
     assert not (out / ".partial").exists()
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        '{"10": {"s1": [1.0,',  # not JSON
+        "[[10, 20.0]]",  # a list, not a depth table
+        '{"10": {"s1": "a curve that is a string"}}',
+        '{"ten": {"s1": [20.0, 21.0, 22.0, 23.0, 24.0, 25.0, 26.0, 27.0, 28.0, 29.0, 30.0, 31.0, 32.0, 33.0]}}',
+    ],
+    ids=["not-json", "list", "string-curve", "word-depth"],
+)
+def test_cli_interpolate_refuses_a_malformed_forecast_table(payload, tiny_dir: Path, tmp_path: Path, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "forecasts.json").write_text(payload, encoding="utf-8")
+    assert main(["interpolate", "--config", str(tiny_dir / "config.json"), "--out", str(out)]) == 3
+    assert "forecasts.json" in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == ["forecasts.json"]
 
 
 def test_cli_forecast_requires_checkpoints(tiny_dir: Path, tmp_path: Path, capsys):

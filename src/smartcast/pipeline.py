@@ -7,8 +7,9 @@ forecast day into a per-depth grid stack, and writes all artifacts plus
 a JSON report.
 
 Each training stage builds its jobs and a function that finishes the
-stage with the trained models. Every model trains in `_train_all`'s
-spawned workers; `run` trains the soil and index models in one pool.
+stage with the trained models. A job is a recipe, not a model: every
+model is built and trained in `_train_all`'s spawned workers, and `run`
+trains the soil and index models in one pool.
 
 Every stage failure is wrapped in a StageError naming the stage, and
 artifacts are staged under `<out>/.partial` until the run succeeds.
@@ -469,16 +470,21 @@ def _single_threaded_blas():
                 os.environ[name] = value
 
 
-# One `lstm.train` call: the stage that owns it, then train's arguments.
-_TrainJob = tuple[str, Seq2SeqModel, WindowSet, WindowSet | None, TrainConfig]
+# A recipe for one model: its stage, the initial model's shape, init seed and
+# scaler, then `lstm.train`'s other arguments. The worker builds the model.
+_TrainJob = tuple[str, ModelShape, int, Scaler, WindowSet, WindowSet | None, TrainConfig]
+
+
+def _train_job(shape, init_seed, scaler, fit, val, train_config) -> Seq2SeqModel:
+    """One job's model, built and trained in the worker."""
+    return lstm.train(lstm.init_params(shape, init_seed, scaler), fit, val, train_config)[0]
 
 
 def _job_cost(job: _TrainJob) -> int:
     """A job's training work from its shapes: fit windows x epochs x the
     gate GEMM work of one window, L encoder steps of 4ne(ne + d) and H
     decoder steps of 4nd(nd + ne)."""
-    _, model, fit, _, train_config = job
-    s = model.shape
+    _, s, _, _, fit, _, train_config = job
     encoder = fit.input_length * 4 * s.encoder_hidden * (s.encoder_hidden + s.input_dim)
     decoder = s.horizon * 4 * s.decoder_hidden * (s.decoder_hidden + s.encoder_hidden)
     return fit.n_samples * train_config.epochs * (encoder + decoder)
@@ -502,14 +508,17 @@ def _pool_size(costs: list[float], cores: int) -> int:
 
 
 def _train_all(jobs: list[_TrainJob]) -> list[Seq2SeqModel]:
-    """`lstm.train` on every job in spawned workers, `_pool_size` of them.
+    """`_train_job` on every job in spawned workers, `_pool_size` of them.
 
     The pool is sized from the jobs' estimated costs (`_job_cost`): the
-    big jobs share the cores and the small ones queue behind them. Models
-    come back in job order. Jobs are handed out in order as workers free
-    up; after the first failure no further job starts, the running ones
-    finish, and the earliest job's failure is raised, as a serial loop
-    would raise it, wrapped in a StageError naming its stage.
+    big jobs share the cores and the small ones queue behind them. Each
+    worker builds its job's float64 initial model, which dies once
+    `lstm.train` has made its float32 copy, so neither the parent nor a
+    pickled job holds one. Trained models come back in job order. Jobs
+    are handed out in order as workers free up; after the first failure
+    no further job starts, the running ones finish, and the earliest
+    job's failure is raised, as a serial loop would raise it, wrapped in
+    a StageError naming its stage.
     """
     if not jobs:
         return []
@@ -526,14 +535,14 @@ def _train_all(jobs: list[_TrainJob]) -> list[Seq2SeqModel]:
                 done, running = wait(running, return_when=FIRST_COMPLETED)
                 if any(future.exception() is not None for future in done):
                     break
-            futures.append(pool.submit(lstm.train, *job[1:]))
+            futures.append(pool.submit(_train_job, *job[1:]))
             running.add(futures[-1])
     # Leaving the pool waited for every started job; the started ones are
     # a prefix of `jobs`, so the first failure met here is the earliest.
     models = []
     for (stage, *_), future in zip(jobs, futures):
         try:
-            models.append(future.result()[0])
+            models.append(future.result())
         except Exception as e:
             raise StageError(stage, e) from e
     return models
@@ -572,9 +581,9 @@ def _soil_stage(
     prepared = [_prepare_depth(groups, sensor_ids, depth, config) for depth in depths]
     jobs: list[_TrainJob] = []
     for data in prepared:
-        model = lstm.init_params(shape, seed=_derive_seed(config.seed, 11, data.depth_cm, 0), scaler=data.scaler)
+        init_seed = _derive_seed(config.seed, 11, data.depth_cm, 0)
         train_config = dataclasses.replace(config.soil_train, seed=_derive_seed(config.seed, 11, data.depth_cm, 1))
-        jobs.append(("soil", model, data.fit, data.val, train_config))
+        jobs.append(("soil", shape, init_seed, data.scaler, data.fit, data.val, train_config))
 
     def finish(trained: list[Seq2SeqModel]) -> _SoilOutcome:
         results: list[DepthResult] = []
@@ -692,9 +701,8 @@ def _index_stage(
 
     m = config.index_model
     shape = ModelShape(2, m.encoder_hidden, m.decoder_hidden, m.dense_hidden, horizon=1)
-    model = lstm.init_params(shape, seed=_derive_seed(config.seed, 22, 0), scaler=scaler)
     train_config = dataclasses.replace(config.index_train, seed=_derive_seed(config.seed, 22, 1))
-    job: _TrainJob = ("index", model, fit, val, train_config)
+    job: _TrainJob = ("index", shape, _derive_seed(config.seed, 22, 0), scaler, fit, val, train_config)
 
     def finish(model: Seq2SeqModel) -> _IndexOutcome:
         preds = np.clip(lstm.predict_batch(model, scaler.apply(test.inputs))[:, 0], -1.0, 1.0)
@@ -780,10 +788,12 @@ def run_kriging_stage(
             )
         points = np.array([config.sensor_locations[sid] for sid in located], dtype=np.float64)
         values = np.array([forecasts[sid][forecast_day - 1] for sid in located])
-        if config.variogram is not None:
-            variogram = config.variogram
-        else:
-            variogram = kriging.fit_variogram(points, values)
+        variogram = config.variogram
+        if variogram is None:
+            try:
+                variogram = kriging.fit_variogram(points, values)
+            except DataError as e:  # fewer than 3 samples, or constant values
+                raise type(e)(f"depth {depth} cm: {e}") from e
         model = kriging.build_model(points, values, variogram)
         try:
             score = kriging.loo_score(model)

@@ -158,7 +158,7 @@ def _feature_column(texts: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray, np.
     n = len(texts)
     not_number = np.zeros(n, dtype=bool)
     try:
-        values = np.fromiter((float(t) if t else math.nan for t in texts), dtype=np.float64, count=n)
+        values = np.fromiter(map(float, texts), dtype=np.float64, count=n)
     except ValueError:
         values = np.full(n, math.nan)
         for i, text in enumerate(texts):

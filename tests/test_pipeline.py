@@ -5,6 +5,7 @@ import dataclasses
 import json
 import multiprocessing
 import os
+import pickle
 import shutil
 import subprocess
 import sys
@@ -17,7 +18,7 @@ import pytest
 from smartcast import kriging, pipeline
 from smartcast.cli import main
 from smartcast.errors import ConfigError, DataError, DivergenceError, EmptySplitError, StageError
-from smartcast.lstm import ModelShape, init_params, load_model, predict, save_model
+from smartcast.lstm import ModelShape, Seq2SeqModel, init_params, load_model, predict, save_model
 from smartcast.pipeline import (
     RunConfig,
     _split_by_run,
@@ -495,6 +496,22 @@ def test_job_cost_of_the_demo_mix(synth_config):
     assert pipeline._pool_size(costs, 2) == 3
 
 
+def test_jobs_carry_no_model(tiny_dir: Path):
+    # a job is a recipe the worker builds its initial model from: at the
+    # paper's widths each pickles to less than that model's float64 parameters
+    config = dataclasses.replace(
+        parse_config(tiny_dir / "config.json"),
+        soil_model=pipeline.SoilModelSpec(),
+        index_model=pipeline.IndexModelSpec(),
+    )
+    jobs = demo_jobs(config)
+    assert [job[0] for job in jobs] == ["soil", "soil", "index"]
+    for job in jobs:
+        assert not any(isinstance(part, Seq2SeqModel) for part in job)
+        shape = job[1]
+        assert len(pickle.dumps(job[1:])) < 8 * shape.n_params
+
+
 def test_run_trains_every_model_in_one_pool(tiny_dir: Path, tmp_path: Path, monkeypatch, soil_pools):
     # each run opens one pool for every depth and the index model, and its
     # whole output tree, index.ckpt included, does not depend on the pool
@@ -721,6 +738,39 @@ def test_cli_interpolate_refuses_a_malformed_forecast_table(payload, tiny_dir: P
     (out / "forecasts.json").write_text(payload, encoding="utf-8")
     assert main(["interpolate", "--config", str(tiny_dir / "config.json"), "--out", str(out)]) == 3
     assert "forecasts.json" in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == ["forecasts.json"]
+
+
+@pytest.mark.parametrize(
+    ("depth_30", "message"),
+    [
+        ({"s1": 20.0, "s2": 25.0}, "variogram fit needs >= 3 samples, have 2"),
+        ({"s1": 20.0, "s2": 20.0, "s3": 20.0}, "sample values are constant"),
+    ],
+    ids=["two-sensors", "constant"],
+)
+def test_cli_interpolate_names_the_depth_a_variogram_fit_refuses(
+    depth_30, message, tiny_dir: Path, tmp_path: Path, capsys
+):
+    # with no configured variogram each depth fits its own; a depth that
+    # cannot fit one is refused as bad data under its own name
+    payload = json.loads((tiny_dir / "config.json").read_text(encoding="utf-8"))
+    del payload["variogram"]
+    for key in ("sensor_csv", "image_manifest"):
+        payload[key] = str(tiny_dir / payload[key])
+    config_path = write_config(tmp_path, payload, "fitted.json")
+    located = sorted(payload["sensor_locations"])
+    assert set(depth_30) <= set(located)
+    table = {
+        "10": {sid: [20.0 + 3.0 * k] * 14 for k, sid in enumerate(located)},
+        "30": {sid: [value] * 14 for sid, value in depth_30.items()},
+    }
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "forecasts.json").write_text(json.dumps(table), encoding="utf-8")
+    assert main(["interpolate", "--config", str(config_path), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert f"depth 30 cm: {message}" in err
     assert sorted(p.name for p in out.iterdir()) == ["forecasts.json"]
 
 

@@ -76,7 +76,7 @@ class UndefinedScoreError(DataError):
 # -- numeric errors ------------------------------------------------------------
 
 class FactorizationError(NumericError):
-    """Kriging system could not be factorized even after jitter escalation."""
+    """Kriging covariance too ill-conditioned to krige with (see kriging.COND_BOUND)."""
 
 
 class DivergenceError(NumericError):

@@ -1,23 +1,26 @@
 """Ordinary kriging with a Gaussian variogram, on numpy arrays.
 
 Samples are an (n, 2) coordinate array and an (n,) value array. The
-module fits a Gaussian variogram to them by closed-form leave-one-out over
-a fixed grid of ranges and nugget/sill ratios, assembles the bordered
-ordinary-kriging system with nugget escalation, scores it by leave-one-out,
-and kriges query points, a grid's cell centres among them, with `krige`.
-Per-depth grids stack into a moisture volume with file exports. Every
-kriging solve is one `np.linalg.solve` on the model's bordered matrix. The
-fit does not use `empirical_variogram`; `bench/tracing.py` times it.
+module works in covariance form, C = sill * (R + r I), with R the
+samples' Gaussian correlation and r = nugget/sill. One `np.linalg.eigh`
+of R per range gives every kriging quantity as GEMMs and elementwise work
+with the diagonal 1/(lambda + r): the variogram fit scores a grid of
+ranges and ratios by closed-form leave-one-out, `build_model` keeps the
+eigenpairs of one variogram, and `krige` and `loo_score` use them. A
+covariance whose condition number exceeds COND_BOUND is refused. The
+per-depth grids form a moisture volume with file exports. The fit does
+not use `empirical_variogram`; `bench/tracing.py` times it.
 
 The Gaussian model uses the practical-range convention
-gamma(h) = nugget + sill * (1 - exp(-3 h^2 / a^2)) with gamma(0) = 0.
+gamma(h) = nugget + sill * (1 - exp(-3 h^2 / a^2)) with gamma(0) = 0, so
+C(h) = sill * exp(-3 h^2 / a^2) for h > 0 and C(0) = nugget + sill.
 """
 
 from __future__ import annotations
 
 import csv
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -32,13 +35,13 @@ from .errors import (
 )
 from .vegindex import DEFAULT_NODATA, BandGrid, write_bandgrid, write_pgm
 
-_JITTER_START = 1e-10
-_JITTER_STOP = 1e-6
 VARIOGRAM_BINS = 15
 # fit_variogram's candidates: ranges from 1/8 to ~1.83 times half the largest
 # sample distance, a sixth of a decade apart, and nugget/sill ratios.
 RANGE_FACTORS = 10 ** (np.arange(8) / 6) / 8
 NUGGET_RATIOS = (1e-3, 3e-3, 1e-2, 3e-2, 0.1, 0.3)
+# build_model refuses a covariance R + r I with a larger condition number.
+COND_BOUND = 1e10
 
 
 @dataclass(frozen=True)
@@ -78,56 +81,30 @@ class GridGeometry:
 
 @dataclass(frozen=True)
 class KrigingModel:
-    """Assembled ordinary-kriging system over a fixed sample set."""
+    """Ordinary-kriging model over a fixed sample set: the eigenpairs of
+    the samples' Gaussian correlation matrix R under `variogram`."""
 
     points: np.ndarray          # (n, 2)
     values: np.ndarray          # (n,)
-    variogram: Variogram        # as solved: the requested nugget plus `jitter`
-    system: np.ndarray          # (n+1, n+1) bordered matrix, probe-solved by build_model
-    jitter: float               # nugget added to make the system solvable
-
-
-@dataclass(frozen=True)
-class DepthLayer:
-    """Interpolated grid (values + kriging variance) at one depth."""
-
-    depth_cm: int
-    geometry: GridGeometry
-    values: np.ndarray
-    variance: np.ndarray
-
-    def __post_init__(self):
-        shape = (self.geometry.ny, self.geometry.nx)
-        if self.values.shape != shape or self.variance.shape != shape:
-            raise ShapeError(f"layer arrays must be {shape}")
+    variogram: Variogram
+    eigenvalues: np.ndarray     # (n,) of R, ascending
+    eigenvectors: np.ndarray    # (n, n), one per column
+    # Always 0.0: an ill-conditioned covariance is refused, never nudged.
+    # Kept because the benchmark's tracer counts models with jitter > 0.
+    jitter: float = 0.0
 
 
 @dataclass(frozen=True)
 class MoistureVolume:
-    """Depth-sorted stack of interpolated layers sharing one geometry."""
+    """Kriged values and variances at each depth on one grid."""
 
-    layers: tuple[DepthLayer, ...]
-
-    def __post_init__(self):
-        if not self.layers:
-            raise DataError("volume needs at least one layer")
-        depths = [l.depth_cm for l in self.layers]
-        if any(b <= a for a, b in zip(depths, depths[1:])):
-            raise DataError("layers must be sorted by strictly increasing depth")
-        if len({l.geometry for l in self.layers}) != 1:
-            raise DataError("all layers must share one grid geometry")
+    depths: tuple[int, ...]     # increasing
+    geometry: GridGeometry
+    values: np.ndarray          # (D, ny, nx)
+    variance: np.ndarray        # (D, ny, nx)
 
 
 # -- variogram -----------------------------------------------------------------
-
-def gaussian_variogram(h: np.ndarray | float, v: Variogram) -> np.ndarray | float:
-    """Semivariance at lag h: 0 at h=0, else nugget + sill*(1 - exp(-3h^2/a^2))."""
-    h_arr = np.asarray(h, dtype=np.float64)
-    if np.any(h_arr < 0):
-        raise DataError("lag distance must be nonnegative")
-    gamma = np.where(h_arr > 0.0, v.nugget + v.sill * (1.0 - np.exp(-3.0 * h_arr**2 / v.range_a**2)), 0.0)
-    return float(gamma) if np.isscalar(h) else gamma
-
 
 def _samples(points, values) -> tuple[np.ndarray, np.ndarray]:
     """Finite float64 sample coordinates (n, 2) and values (n,), no two at one location."""
@@ -172,28 +149,39 @@ def empirical_variogram(points: np.ndarray, values: np.ndarray) -> tuple[np.ndar
     return np.array([lags[sel].mean() for sel in bins]), semivariances, counts
 
 
+def _correlation_eigh(h2: np.ndarray, range_a: float) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues and eigenvectors of the Gaussian correlation
+    exp(-3 h^2 / a^2) at squared sample distances h2 (n, n)."""
+    return np.linalg.eigh(np.exp(-3.0 * h2 / range_a**2))
+
+
+def _dubrule(
+    lam: np.ndarray, vec: np.ndarray, values: np.ndarray, ratios: tuple[float, ...]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Leave-one-out R^2 and calibrated sill (K,) at each nugget/sill ratio
+    (K,), from the eigenpairs of R. At unit sill C = R + r I, so the
+    Dubrule (1983) residuals are Qz / diag(Q), Q = C^-1 - C^-1 11' C^-1 /
+    1'C^-1 1, and the LOO variances sill / diag(Q): O(n^2) per ratio."""
+    d = 1.0 / (lam[:, None] + ratios)  # (n, K): eigenvalues of C^-1
+    vz, v1 = values @ vec, vec.sum(axis=0)
+    cz, c1 = vec @ (d * vz[:, None]), vec @ (d * v1[:, None])
+    s11 = v1**2 @ d
+    qz = cz - c1 * ((v1 * vz) @ d / s11)
+    resid = qz / (vec**2 @ d - c1**2 / s11)
+    ss_tot = ((values - values.mean()) ** 2).sum()
+    return 1.0 - (resid**2).sum(axis=0) / ss_tot, (qz * resid).mean(axis=0)  # sill: mean(e^2 / var) = 1
+
+
 def _loo_grid(points: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Candidate ranges (R,), and each (range, ratio) candidate's LOO
-    score and calibrated sill, (R, K) each. At unit sill the covariance
-    is C = R + r I, R the Gaussian correlation: one eigh of R per range
-    makes each ratio r a diagonal shift, so the Dubrule residuals
-    Qz / diag(Q), Q = C^-1 - C^-1 11' C^-1 / 1'C^-1 1, and the LOO
-    variances sill / diag(Q) cost O(n^2) per candidate."""
+    score and calibrated sill, (R, K) each: one eigh of R per range
+    makes every ratio a diagonal shift."""
     h2 = _distances(points, points) ** 2
     ranges = RANGE_FACTORS * np.sqrt(h2.max()) / 2.0
-    ss_tot = ((values - values.mean()) ** 2).sum()
     scores = np.empty((ranges.size, len(NUGGET_RATIOS)))
     sills = np.empty_like(scores)
     for k, a in enumerate(ranges):
-        lam, vec = np.linalg.eigh(np.exp(-3.0 * h2 / a**2))
-        d = 1.0 / (lam[:, None] + NUGGET_RATIOS)  # (n, K): eigenvalues of C^-1
-        vz, v1 = values @ vec, vec.sum(axis=0)
-        cz, c1 = vec @ (d * vz[:, None]), vec @ (d * v1[:, None])
-        s11 = v1**2 @ d
-        qz = cz - c1 * ((v1 * vz) @ d / s11)
-        resid = qz / (vec**2 @ d - c1**2 / s11)
-        scores[k] = 1.0 - (resid**2).sum(axis=0) / ss_tot
-        sills[k] = (qz * resid).mean(axis=0)  # mean(e^2 / var) = 1
+        scores[k], sills[k] = _dubrule(*_correlation_eigh(h2, a), values, NUGGET_RATIOS)
     return ranges, scores, sills
 
 
@@ -214,7 +202,7 @@ def fit_variogram(points: np.ndarray, values: np.ndarray) -> Variogram:
     return Variogram(nugget=NUGGET_RATIOS[j] * sill, sill=sill, range_a=float(ranges[k]))
 
 
-# -- kriging system --------------------------------------------------------------
+# -- kriging -------------------------------------------------------------------------
 
 def _distances(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """(m, k) Euclidean distances between the rows of p (m, 2) and q (k, 2)."""
@@ -223,64 +211,53 @@ def _distances(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.sqrt(dx * dx + dy * dy)
 
 
-def _assemble(points: np.ndarray, v: Variogram) -> np.ndarray:
-    n = points.shape[0]
-    a = np.zeros((n + 1, n + 1))
-    a[:n, :n] = gaussian_variogram(_distances(points, points), v)
-    a[:n, n] = 1.0
-    a[n, :n] = 1.0
-    return a
-
-
 def build_model(points: np.ndarray, values: np.ndarray, variogram: Variogram) -> KrigingModel:
-    """Assemble the bordered ordinary-kriging system over samples at
-    `points` (n, 2) with `values` (n,), and probe-solve it.
+    """The kriging model of samples at `points` (n, 2) with `values` (n,)
+    under `variogram`: one eigendecomposition of their correlation R.
 
     Coordinates and values must be finite; exact duplicate coordinates
-    are rejected. If the probe solve hits a zero pivot or fails its
-    residual check, the variogram's nugget is raised by a jitter
-    escalating from 1e-10*sill to 1e-6*sill by factors of 10 before
-    giving up; in variogram form a nugget adds to the off-diagonal
-    entries, never the diagonal. The model carries the raised variogram.
+    are rejected. Raises FactorizationError when cond(R + r I) =
+    (lambda_max + r) / (lambda_min + r) exceeds COND_BOUND, counted as
+    infinite when lambda_min + r <= 0; only a tiny nugget on nearly
+    coincident samples gets there.
     """
     points, values = _samples(points, values)
-    n = values.size
-    if n == 0:
+    if values.size == 0:
         raise InsufficientDataError("kriging needs at least one sample")
-
-    jitters = [0.0] + [
-        variogram.sill * _JITTER_START * 10**k
-        for k in range(int(np.log10(_JITTER_STOP / _JITTER_START)) + 1)
-    ]
-    for jitter in jitters:
-        v = replace(variogram, nugget=variogram.nugget + jitter)
-        a = _assemble(points, v)
-        b = a @ np.ones(n + 1)
-        try:
-            solved = np.linalg.solve(a, b)  # LinAlgError on an exactly zero pivot
-        except np.linalg.LinAlgError:
-            continue
-        resid = np.abs(a @ solved - b).max()
-        scale = max(1.0, np.abs(a).max())
-        if np.isfinite(resid) and resid <= 1e-9 * scale:
-            return KrigingModel(points=points, values=values, variogram=v, system=a, jitter=jitter)
-    raise FactorizationError(f"kriging system singular even with jitter {jitters[-1]:.3e}")
+    lam, vec = _correlation_eigh(_distances(points, points) ** 2, variogram.range_a)
+    r = variogram.nugget / variogram.sill
+    cond = (lam[-1] + r) / (lam[0] + r) if lam[0] + r > 0.0 else np.inf
+    if cond > COND_BOUND:
+        raise FactorizationError(
+            f"kriging covariance too ill-conditioned: cond(R + rI) = {cond:.3g} > {COND_BOUND:.0e} "
+            f"at nugget/sill ratio r = {r:.3g}"
+        )
+    return KrigingModel(points=points, values=values, variogram=variogram, eigenvalues=lam, eigenvectors=vec)
 
 
 def krige(model: KrigingModel, points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Kriged values (k,), variances (k,) and weights (n, k) at query
     points (k, 2).
 
-    One solve of the bordered system against all k right-hand sides
-    (gamma_1..gamma_n, 1), so results do not depend on the order or
-    grouping of the queries. Each weight column sums to 1; the variance
-    is sum(w_i * gamma_i) + mu, nonnegative up to round-off.
+    With c the queries' unit-sill covariances to the samples (1 + r at a
+    sample) and A = (R + r I)^-1, the weights are A (c + 1 t), t = (1 -
+    1'A c) / 1'A 1, so each column sums to 1, and the variance is sill *
+    (1 + r - c'A c + t^2 1'A 1), nonnegative up to round-off. Every term is
+    V'c weighted by 1/(lambda + r), so results do not depend on the order
+    or grouping of the queries.
     """
-    rhs = np.ones((model.values.size + 1, points.shape[0]))
-    rhs[:-1] = gaussian_variogram(_distances(model.points, points), model.variogram)
-    sol = np.linalg.solve(model.system, rhs)
-    w = sol[:-1]
-    return w.T @ model.values, np.sum(w * rhs[:-1], axis=0) + sol[-1], w
+    v = model.variogram
+    r = v.nugget / v.sill
+    vec = model.eigenvectors
+    d = 1.0 / (model.eigenvalues + r)
+    h = _distances(model.points, points)
+    vc = vec.T @ np.where(h > 0.0, np.exp(-3.0 * h**2 / v.range_a**2), 1.0 + r)
+    v1 = vec.sum(axis=0)
+    s11 = v1**2 @ d
+    t = (1.0 - (d * v1) @ vc) / s11
+    weights = vec @ (d[:, None] * (vc + v1[:, None] * t))
+    variances = v.sill * ((1.0 + r) - d @ vc**2 + t**2 * s11)
+    return weights.T @ model.values, variances, weights
 
 
 def interpolate_grid(model: KrigingModel, geometry: GridGeometry) -> tuple[np.ndarray, np.ndarray]:
@@ -294,35 +271,18 @@ def loo_score(model: KrigingModel) -> float:
     """Leave-one-out coefficient of determination in (-inf, 1].
 
     Each sample is predicted from the remaining ones under the model's
-    variogram; the score is 1 - SS_res/SS_tot. Raises
-    UndefinedScoreError when the sample values have zero variance.
-
-    All n residuals come from one solve of the model's bordered system
-    A: with z = (values, 0), e_i = (A^-1 z)_i / (A^-1)_ii (Dubrule
-    1983), which equals refitting without sample i under the same
-    jitter.
+    variogram; the score is 1 - SS_res/SS_tot, by the closed form the
+    variogram fit scores its candidates with, so a fitted model scores
+    what its fit did. Raises UndefinedScoreError when the sample values
+    are constant.
     """
-    n = model.values.size
-    if n < 3:
+    if model.values.size < 3:
         raise InsufficientDataError("leave-one-out scoring needs at least 3 samples")
-    ss_tot = float(((model.values - model.values.mean()) ** 2).sum())
-    if ss_tot == 0.0:
+    if np.ptp(model.values) == 0.0:
         raise UndefinedScoreError("sample values are constant; the score is undefined")
-    sol = np.linalg.solve(model.system, np.column_stack([np.append(model.values, 0.0), np.eye(n + 1)]))
-    residuals = sol[:n, 0] / np.diag(sol[:n, 1 : n + 1])
-    ss_res = float((residuals**2).sum())
-    return 1.0 - ss_res / ss_tot
-
-
-def stack_depths(layers: list[DepthLayer]) -> MoistureVolume:
-    """Sort per-depth layers into a volume; geometry must be uniform."""
-    if not layers:
-        raise InsufficientDataError("no layers to stack")
-    depths = [l.depth_cm for l in layers]
-    if len(set(depths)) != len(depths):
-        raise DataError(f"duplicate depths in {sorted(depths)}")
-    ordered = tuple(sorted(layers, key=lambda l: l.depth_cm))
-    return MoistureVolume(layers=ordered)
+    r = model.variogram.nugget / model.variogram.sill
+    scores, _ = _dubrule(model.eigenvalues, model.eigenvectors, model.values, (r,))
+    return float(scores[0])
 
 
 # -- exports ----------------------------------------------------------------------
@@ -330,14 +290,14 @@ def stack_depths(layers: list[DepthLayer]) -> MoistureVolume:
 def export_grid_csv(volume: MoistureVolume, path: str | Path) -> None:
     """Write `x,y,depth_cm,value,variance` rows for every non-NaN cell,
     depth by depth, row-major within a depth."""
+    x, y = np.meshgrid(*volume.geometry.cell_centers())
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["x", "y", "depth_cm", "value", "variance"])
-        for layer in volume.layers:
-            x, y = np.meshgrid(*layer.geometry.cell_centers())
-            kept = ~np.isnan(layer.values)
-            x, y, values, variance = (a[kept].tolist() for a in (x, y, layer.values, layer.variance))
-            writer.writerows(zip(x, y, itertools.repeat(layer.depth_cm), values, variance))
+        for depth, values, variance in zip(volume.depths, volume.values, volume.variance):
+            kept = ~np.isnan(values)
+            xs, ys, kept_values, kept_variance = (a[kept].tolist() for a in (x, y, values, variance))
+            writer.writerows(zip(xs, ys, itertools.repeat(depth), kept_values, kept_variance))
 
 
 def export_volume(volume: MoistureVolume, out_dir: str | Path) -> Path:
@@ -351,18 +311,18 @@ def export_volume(volume: MoistureVolume, out_dir: str | Path) -> Path:
     with manifest.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["depth_cm", "path"])
-        for layer in volume.layers:
-            name = f"depth_{layer.depth_cm:03d}.bgrid"
-            values = np.where(np.isnan(layer.values), DEFAULT_NODATA, layer.values)
-            variance = np.where(np.isnan(layer.variance), DEFAULT_NODATA, layer.variance)
+        for depth, values, variance in zip(volume.depths, volume.values, volume.variance):
+            name = f"depth_{depth:03d}.bgrid"
+            values = np.where(np.isnan(values), DEFAULT_NODATA, values)
+            variance = np.where(np.isnan(variance), DEFAULT_NODATA, variance)
             grid = BandGrid(
-                width=layer.geometry.nx,
-                height=layer.geometry.ny,
+                width=volume.geometry.nx,
+                height=volume.geometry.ny,
                 nodata=DEFAULT_NODATA,
                 band_names=("moisture", "variance"),
                 data=np.stack([values, variance]).astype(np.float32),
             )
             write_bandgrid(grid, out_dir / name)
-            write_pgm(values, out_dir / f"depth_{layer.depth_cm:03d}.pgm", nodata=DEFAULT_NODATA)
-            writer.writerow([layer.depth_cm, name])
+            write_pgm(values, out_dir / f"depth_{depth:03d}.pgm", nodata=DEFAULT_NODATA)
+            writer.writerow([depth, name])
     return manifest

@@ -35,6 +35,7 @@ from .errors import (
     ConfigError,
     DataError,
     EmptySplitError,
+    FactorizationError,
     NumericError,
     StageError,
 )
@@ -747,8 +748,9 @@ def check_forecast_day(config: RunConfig, day: int | None) -> int:
 
 
 def read_forecasts(path: Path, day: int) -> dict[int, dict[str, tuple[float, ...]]]:
-    """The forecast table `write_forecasts` saved: per depth, per sensor, a
-    list of at least `day` numbers. Anything else is refused by file name."""
+    """The forecast table `write_forecasts` saved: per depth (at least
+    one), per sensor, a list of at least `day` numbers. Anything else is
+    refused by file name."""
     if not path.is_file():
         raise DataError(f"{path} not found; run forecast first")
     try:
@@ -760,6 +762,8 @@ def read_forecasts(path: Path, day: int) -> dict[int, dict[str, tuple[float, ...
                 per_sensor[sid] = tuple(float(v) for v in curve)
     except (ValueError, TypeError, AttributeError) as exc:  # JSONDecodeError is a ValueError
         raise DataError(f"{path} is not a forecast table: {exc}") from None
+    if not table:
+        raise DataError(f"{path} holds no depth")
     return table
 
 
@@ -772,13 +776,16 @@ def run_kriging_stage(
 
     Sensors without a configured location are skipped by name in the
     error message when none remain. A configured variogram override is
-    used verbatim; otherwise `kriging.fit_variogram` chooses one by LOO
-    from the depth's samples, which needs 3 located sensors not all equal
-    in value. Each depth builds one model for its LOO score and its grid.
+    used verbatim, and maps a depth with 2 located sensors or constant
+    forecasts with LOO score None; otherwise `kriging.fit_variogram`
+    chooses one by LOO from the depth's samples, which needs 3 located
+    sensors not all equal in value. Each depth builds one model for its
+    LOO score and its grid. A refusal names its depth.
     """
-    layers: list[kriging.DepthLayer] = []
+    depths = tuple(sorted(forecast_table))
+    values_by_depth, variance_by_depth = [], []
     stats: dict[int, tuple[float | None, Variogram, int]] = {}
-    for depth in sorted(forecast_table):
+    for depth in depths:
         forecasts = forecast_table[depth]
         located = [sid for sid in sorted(forecasts) if sid in config.sensor_locations]
         if not located:
@@ -789,20 +796,22 @@ def run_kriging_stage(
         points = np.array([config.sensor_locations[sid] for sid in located], dtype=np.float64)
         values = np.array([forecasts[sid][forecast_day - 1] for sid in located])
         variogram = config.variogram
-        if variogram is None:
-            try:
+        try:
+            if variogram is None:
                 variogram = kriging.fit_variogram(points, values)
-            except DataError as e:  # fewer than 3 samples, or constant values
-                raise type(e)(f"depth {depth} cm: {e}") from e
-        model = kriging.build_model(points, values, variogram)
+            model = kriging.build_model(points, values, variogram)
+        except (DataError, FactorizationError) as e:  # too few or constant samples, or ill-conditioned
+            raise type(e)(f"depth {depth} cm: {e}") from e
         try:
             score = kriging.loo_score(model)
         except DataError:  # fewer than 3 samples, or constant values
             score = None
         mapped, variance = kriging.interpolate_grid(model, config.grid)
-        layers.append(kriging.DepthLayer(depth_cm=depth, geometry=config.grid, values=mapped, variance=variance))
+        values_by_depth.append(mapped)
+        variance_by_depth.append(variance)
         stats[depth] = (score, variogram, len(located))
-    return kriging.stack_depths(layers), stats
+    volume = kriging.MoistureVolume(depths, config.grid, np.stack(values_by_depth), np.stack(variance_by_depth))
+    return volume, stats
 
 
 # -- staged outputs ---------------------------------------------------------------

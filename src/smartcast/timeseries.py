@@ -160,13 +160,16 @@ def _feature_column(texts: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray, np.
     try:
         values = np.fromiter(map(float, texts), dtype=np.float64, count=n)
     except ValueError:
-        values = np.full(n, math.nan)
-        for i, text in enumerate(texts):
-            if text:
-                try:
-                    values[i] = float(text)
-                except ValueError:
-                    not_number[i] = True
+        try:  # scattered empty texts, read as NaN in one pass
+            values = np.fromiter(map(float, [text or "nan" for text in texts]), dtype=np.float64, count=n)
+        except ValueError:  # a text that is not a number: mark each one
+            values = np.full(n, math.nan)
+            for i, text in enumerate(texts):
+                if text:
+                    try:
+                        values[i] = float(text)
+                    except ValueError:
+                        not_number[i] = True
     non_finite = ~np.isfinite(values) & ~not_number
     for i in np.flatnonzero(non_finite):
         non_finite[i] = texts[i] != ""  # a literal nan or inf, not a missing value

@@ -2,7 +2,6 @@
 
 import csv
 import math
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,13 +12,13 @@ from scipy.spatial.distance import cdist
 from smartcast import kriging
 from smartcast.errors import (
     DataError,
+    FactorizationError,
     FlatFieldError,
     InsufficientDataError,
     ShapeError,
     UndefinedScoreError,
 )
 from smartcast.kriging import (
-    DepthLayer,
     GridGeometry,
     MoistureVolume,
     Variogram,
@@ -28,14 +27,30 @@ from smartcast.kriging import (
     export_grid_csv,
     export_volume,
     fit_variogram,
-    gaussian_variogram,
     interpolate_grid,
     krige,
     loo_score,
-    stack_depths,
 )
 from smartcast.synth import SynthSpec, moisture_formula
 from smartcast.vegindex import DEFAULT_NODATA, read_bandgrid
+
+
+def gaussian_variogram(h, v):
+    """Semivariance at lag h: 0 at h=0, else nugget + sill*(1 - exp(-3h^2/a^2))."""
+    h_arr = np.asarray(h, dtype=np.float64)
+    if np.any(h_arr < 0):
+        raise DataError("lag distance must be nonnegative")
+    gamma = np.where(h_arr > 0.0, v.nugget + v.sill * (1.0 - np.exp(-3.0 * h_arr**2 / v.range_a**2)), 0.0)
+    return float(gamma) if np.isscalar(h) else gamma
+
+
+def bordered(points, v):
+    """The (n+1)x(n+1) ordinary-kriging matrix in variogram form, from cdist."""
+    n = len(points)
+    a = np.ones((n + 1, n + 1))
+    a[:n, :n] = gaussian_variogram(cdist(points, points), v)
+    a[n, n] = 0.0
+    return a
 
 
 def oracle_predict(points, values, v, jitter, x, y):
@@ -204,7 +219,7 @@ def test_fit_is_the_brute_force_loo_optimum():
     assert abs(scores.max() - loo_score(model)) <= 1e-9
     # the sill gives the LOO standardized errors mean square 1; in
     # variogram form the LOO variance is -1 / (A^-1)_ii
-    inv = np.linalg.inv(model.system)[:-1, :-1]
+    inv = np.linalg.inv(bordered(points, fit))[:-1, :-1]
     residuals = inv @ values / np.diag(inv)
     assert np.mean(residuals**2 * -np.diag(inv)) == pytest.approx(1.0, rel=1e-9)
 
@@ -286,52 +301,46 @@ def test_duplicate_coordinates_rejected_by_name():
         build_model(points, np.arange(7.0), v)
 
 
-def test_near_duplicates_still_solve():
-    # 1e-9 apart: condition ~1e10, so the solve stays finite but the
-    # weight-sum constraint is only accurate to round-off * condition
+def refused(points, values, v, ratio="0"):
+    """The condition number build_model refuses these samples with; its
+    message names the condition number, the bound and the ratio."""
+    with pytest.raises(FactorizationError) as info:
+        build_model(points, values, v)
+    message = str(info.value)
+    assert "> 1e+10" in message and f"r = {ratio}" in message, message
+    return float(message.split("cond(R + rI) = ")[1].split()[0])
+
+
+def test_near_duplicates_are_refused():
+    # 1e-9 apart with no nugget: cond(R) ~1e16, past the 1e10 bound, so
+    # any solve would be accurate only to round-off * condition
     v = Variogram(nugget=0.0, sill=1.0, range_a=10.0)
-    model = build_model(np.array([[0.0, 0.0], [1e-9, 0.0], [5.0, 0.0]]), np.array([1.0, 2.0, 3.0]), v)
-    value, variance, w = krige(model, np.array([[2.5, 0.0]]))
-    assert np.isfinite(value[0]) and np.isfinite(variance[0])
-    assert abs(w.sum() - 1.0) <= 1e-5
+    assert refused(np.array([[0.0, 0.0], [1e-9, 0.0], [5.0, 0.0]]), np.array([1.0, 2.0, 3.0]), v) > 1e10
 
 
-def test_exactly_singular_system_engages_jitter():
-    # two samples 1e-9 apart, the third equidistant from both: their gamma
-    # rows are bit-identical, the zero-jitter system has a zero pivot, and
-    # the probe solve forces the first escalation step
-    v = Variogram(nugget=0.0, sill=1.0, range_a=10.0)
-    h = 1e-9
-    points, values = np.array([[0.0, 0.0], [0.0, h], [5.0, h / 2]]), np.array([1.0, 2.0, 3.0])
-    # np.linalg.solve raises LinAlgError on the zero pivot, which
-    # build_model catches; with numpy 2.4 it raises no warning and sets no
-    # floating-point flag, so these filters suppress nothing today
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        with np.errstate(all="ignore"):
-            model = build_model(points, values, v)
-    assert model.jitter == pytest.approx(1e-10 * v.sill)
-    value, variance, w = krige(model, np.array([[2.5, 0.0]]))
-    assert np.isfinite(value[0]) and np.isfinite(variance[0])
-    assert abs(w.sum() - 1.0) <= 1e-10
-
-
-def test_jitter_escalation_raises_the_nugget():
-    # In variogram form a nugget t is -t on the sample-block diagonal (its
-    # t * 11^T part goes into the Lagrange multiplier); +t there would be a
-    # negative nugget that leaves the implied covariance indefinite.
+def test_exactly_singular_system_is_refused():
+    # two samples 1e-9 apart, the third equidistant from both: their
+    # correlation rows are bit-identical, so R is exactly singular and its
+    # smallest eigenvalue is zero up to round-off
     v = Variogram(nugget=0.0, sill=1.0, range_a=10.0)
     h = 1e-9
     points, values = np.array([[0.0, 0.0], [0.0, h], [5.0, h / 2]]), np.array([1.0, 2.0, 3.0])
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        with np.errstate(all="ignore"):
-            model = build_model(points, values, v)
-    assert model.jitter > 0.0
-    assert model.variogram == Variogram(nugget=v.nugget + model.jitter, sill=v.sill, range_a=v.range_a)
-    dist = np.linalg.norm(points[:, None] - points[None], axis=-1)
-    cov = model.variogram.nugget + model.variogram.sill - gaussian_variogram(dist, model.variogram)
-    assert np.linalg.eigvalsh(cov).min() > 0.0
+    assert refused(points, values, v) > 1e10
+
+
+def test_refusal_keeps_the_configured_nugget():
+    # The exactly singular case with a nugget of 1e-10 * sill: cond(R + rI)
+    # ~ lambda_max / r is still past the bound, so it is refused too, and
+    # no model is built with a larger nugget than configured. The smallest
+    # fitted ratio, 1e-3, is well conditioned and kriges as the dense solve.
+    h = 1e-9
+    points, values = np.array([[0.0, 0.0], [0.0, h], [5.0, h / 2]]), np.array([1.0, 2.0, 3.0])
+    assert refused(points, values, Variogram(nugget=0.0, sill=1.0, range_a=10.0)) > 1e10
+    cond = refused(points, values, Variogram(nugget=1e-10, sill=1.0, range_a=10.0), ratio="1e-10")
+    assert 1e10 < cond < 3e10
+    model = build_model(points, values, Variogram(nugget=1e-3, sill=1.0, range_a=10.0))
+    assert model.variogram == Variogram(nugget=1e-3, sill=1.0, range_a=10.0)
+    assert model.jitter == 0.0
     queries = np.array([(2.5, 0.0), (1.0, 3.0), (-4.0, 7.5)])
     for (x, y), w in zip(queries, krige(model, queries)[2].T):
         _, _, want = oracle_predict(points, values, model.variogram, 0.0, x, y)
@@ -486,37 +495,23 @@ def test_solves_match_lu_oracle():
             assert abs(mu - want_sol[n, k]) <= 1e-12 * max(abs(want_sol[n, k]), np.abs(w).max())
 
 
-# -- stacking and exports ------------------------------------------------------------------
+# -- exports ---------------------------------------------------------------------------------
 
 
-def layer(depth, geom, fill, nan_at=None):
-    values = np.full((geom.ny, geom.nx), float(fill))
+def volume(geom, fills, nan_at=None):
+    """A volume with one constant layer per (depth, fill), variance 0.25,
+    and NaN value and variance at `nan_at` in the first layer."""
+    depths = tuple(fills)
+    values = np.stack([np.full((geom.ny, geom.nx), float(fills[d])) for d in depths])
+    variance = np.full(values.shape, 0.25)
     if nan_at:
-        values[nan_at] = np.nan
-    variance = np.full((geom.ny, geom.nx), 0.25)
-    if nan_at:
-        variance[nan_at] = np.nan
-    return DepthLayer(depth_cm=depth, geometry=geom, values=values, variance=variance)
-
-
-def test_stack_depths_sorts_and_validates():
-    geom = GridGeometry(nx=2, ny=2, cell_size=1.0)
-    vol = stack_depths([layer(60, geom, 2.0), layer(10, geom, 1.0)])
-    assert [l.depth_cm for l in vol.layers] == [10, 60]
-    with pytest.raises(DataError, match="duplicate"):
-        stack_depths([layer(10, geom, 1.0), layer(10, geom, 2.0)])
-    with pytest.raises(InsufficientDataError):
-        stack_depths([])
-    other = GridGeometry(nx=3, ny=2, cell_size=1.0)
-    with pytest.raises(DataError, match="geometry"):
-        MoistureVolume(layers=(layer(10, geom, 1.0), layer(20, other, 2.0)))
-    with pytest.raises(ShapeError):
-        DepthLayer(depth_cm=10, geometry=geom, values=np.zeros((3, 2)), variance=np.zeros((2, 2)))
+        values[(0, *nan_at)] = variance[(0, *nan_at)] = np.nan
+    return MoistureVolume(depths, geom, values, variance)
 
 
 def test_export_grid_csv_roundtrip(tmp_path: Path):
     geom = GridGeometry(nx=3, ny=2, cell_size=10.0)
-    vol = stack_depths([layer(10, geom, 33.125, nan_at=(0, 1))])
+    vol = volume(geom, {10: 33.125}, nan_at=(0, 1))
     path = tmp_path / "grid.csv"
     export_grid_csv(vol, path)
     with path.open(newline="", encoding="utf-8") as fh:
@@ -533,29 +528,29 @@ def test_export_grid_csv_matches_row_loop(tmp_path: Path):
         with path.open("w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["x", "y", "depth_cm", "value", "variance"])
-            for layer in volume.layers:
-                xs, ys = layer.geometry.cell_centers()
+            xs, ys = volume.geometry.cell_centers()
+            for k, depth in enumerate(volume.depths):
                 for i, y in enumerate(ys):
                     for j, x in enumerate(xs):
-                        v = layer.values[i, j]
+                        v = volume.values[k, i, j]
                         if np.isnan(v):
                             continue
                         writer.writerow(
-                            [repr(float(x)), repr(float(y)), layer.depth_cm, repr(float(v)), repr(float(layer.variance[i, j]))]
+                            [repr(float(x)), repr(float(y)), depth, repr(float(v)), repr(float(volume.variance[k, i, j]))]
                         )
 
     rng = np.random.default_rng(17)
     geom = GridGeometry(nx=7, ny=5, cell_size=2.7, x0=-13.1, y0=1e-3)
-    layers = []
+    values, variances = [], []
     for depth in (10, 40, 120):
-        values = rng.normal(30.0, 12.0, size=(5, 7)) * 10.0 ** rng.integers(-6, 6, size=(5, 7))
-        variance = rng.random((5, 7)) * 1e-4
-        values[rng.random((5, 7)) < 0.3] = np.nan
-        variance[np.isnan(values)] = np.nan
-        variance[0, 0] = np.nan  # a NaN variance beside a kept value is written as nan
-        layers.append(DepthLayer(depth_cm=depth, geometry=geom, values=values, variance=variance))
-    layers.append(layer(60, geom, np.nan))  # a depth with no kept cell writes no row
-    vol = stack_depths(layers)
+        values.append(rng.normal(30.0, 12.0, size=(5, 7)) * 10.0 ** rng.integers(-6, 6, size=(5, 7)))
+        variances.append(rng.random((5, 7)) * 1e-4)
+        values[-1][rng.random((5, 7)) < 0.3] = np.nan
+        variances[-1][np.isnan(values[-1])] = np.nan
+        variances[-1][0, 0] = np.nan  # a NaN variance beside a kept value is written as nan
+    values.insert(2, np.full((5, 7), np.nan))  # a depth with no kept cell writes no row
+    variances.insert(2, np.full((5, 7), 0.25))
+    vol = MoistureVolume((10, 40, 60, 120), geom, np.stack(values), np.stack(variances))
     export_grid_csv(vol, tmp_path / "grid.csv")
     row_loop(vol, tmp_path / "oracle.csv")
     assert (tmp_path / "grid.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
@@ -564,7 +559,7 @@ def test_export_grid_csv_matches_row_loop(tmp_path: Path):
 
 def test_export_volume_files(tmp_path: Path):
     geom = GridGeometry(nx=3, ny=2, cell_size=10.0)
-    vol = stack_depths([layer(10, geom, 20.5, nan_at=(1, 2)), layer(30, geom, 40.25)])
+    vol = volume(geom, {10: 20.5, 30: 40.25}, nan_at=(1, 2))
     manifest = export_volume(vol, tmp_path / "volume")
     rows = manifest.read_text(encoding="utf-8").strip().splitlines()
     assert rows[0] == "depth_cm,path"

@@ -17,7 +17,14 @@ import pytest
 
 from smartcast import kriging, pipeline
 from smartcast.cli import main
-from smartcast.errors import ConfigError, DataError, DivergenceError, EmptySplitError, StageError
+from smartcast.errors import (
+    ConfigError,
+    DataError,
+    DivergenceError,
+    EmptySplitError,
+    FactorizationError,
+    StageError,
+)
 from smartcast.lstm import ModelShape, Seq2SeqModel, init_params, load_model, predict, save_model
 from smartcast.pipeline import (
     RunConfig,
@@ -620,11 +627,63 @@ def test_kriging_stage_builds_one_model_per_depth(tiny_dir: Path, monkeypatch):
         calls.clear()
         volume, stats = pipeline.run_kriging_stage(table, dataclasses.replace(config, variogram=variogram), 2)
         assert calls == [4, 4, 4]
-        assert [layer.depth_cm for layer in volume.layers] == [10, 30, 60]
+        assert volume.depths == (10, 30, 60)
         for depth in (10, 30, 60):
             values = np.array([table[depth][sid][1] for sid in sorted(config.sensor_locations)])
             want = variogram if variogram is not None else kriging.fit_variogram(points, values)
             assert stats[depth][0] is not None and stats[depth][1] == want
+
+
+def thin_table(located: list[str], depth_30: dict[str, float]) -> dict[int, dict[str, tuple[float, ...]]]:
+    """A 14-day forecast table: every located sensor at 10 cm, `depth_30` at 30 cm."""
+    return {
+        10: {sid: (20.0 + 3.0 * k,) * 14 for k, sid in enumerate(located)},
+        30: {sid: (value,) * 14 for sid, value in depth_30.items()},
+    }
+
+
+def test_kriging_stage_maps_thin_and_flat_depths_with_a_configured_variogram(tiny_dir: Path):
+    # The rule: a configured variogram maps a 2-sensor or constant depth
+    # and reports LOO None; only a fitted one refuses it (the CLI test
+    # below). Forecasts are clipped to [0, 100], so a saturated depth can
+    # be constant, and a refusal would abort every depth's map.
+    config = parse_config(tiny_dir / "config.json")
+    located = sorted(config.sensor_locations)
+    volume, stats = pipeline.run_kriging_stage(thin_table(located, {"s1": 20.0, "s2": 25.0}), config, 2)
+    assert stats[30] == (None, config.variogram, 2)
+    mapped = volume.values[1]
+    # Within the samples' range, but for the Gaussian model's smooth
+    # overshoot past the outer sensor: 25.0308 on this grid.
+    assert 20.0 <= mapped.min() and mapped.max() <= 25.0 + 0.01 * (25.0 - 20.0)
+    assert (volume.variance[1] > 0.0).all()
+    for constant in (20.0, 100.0):
+        volume, stats = pipeline.run_kriging_stage(thin_table(located, dict.fromkeys(located[:3], constant)), config, 2)
+        assert stats[30] == (None, config.variogram, 3)
+        np.testing.assert_allclose(volume.values[1], constant, rtol=1e-14, atol=0.0)
+
+
+def test_kriging_stage_names_the_depth_it_refuses(tiny_dir: Path, tmp_path: Path, capsys):
+    # A configured zero nugget with s2 1e-9 from s1 at 30 cm: cond(R) is
+    # ~1e16, past the 1e10 bound, so the stage refuses and names the
+    # depth; interpolate exits 4 and writes nothing.
+    payload = json.loads((tiny_dir / "config.json").read_text(encoding="utf-8"))
+    payload["variogram"]["nugget"] = 0.0
+    x, y = payload["sensor_locations"]["s1"]
+    payload["sensor_locations"]["s2"] = [x + 1e-9, y]
+    for key in ("sensor_csv", "image_manifest"):
+        payload[key] = str(tiny_dir / payload[key])
+    config_path = write_config(tmp_path, payload, "refused.json")
+    located = sorted(payload["sensor_locations"])
+    table = thin_table([sid for sid in located if sid != "s2"], {sid: 20.0 + k for k, sid in enumerate(located)})
+    with pytest.raises(FactorizationError, match=r"^depth 30 cm: .*cond\(R \+ rI\) = \S+ > 1e\+10") as info:
+        pipeline.run_kriging_stage(table, parse_config(config_path), 2)
+    assert float(str(info.value).split("= ")[1].split()[0]) > 1e10
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "forecasts.json").write_text(json.dumps({str(d): t for d, t in table.items()}), encoding="utf-8")
+    assert main(["interpolate", "--config", str(config_path), "--out", str(out)]) == 4
+    assert "depth 30 cm: " in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == ["forecasts.json"]
 
 
 # -- gradcheck command ----------------------------------------------------------------
@@ -729,8 +788,9 @@ def test_cli_forecast_refuses_a_checkpoint_of_another_shape(
         "[[10, 20.0]]",  # a list, not a depth table
         '{"10": {"s1": "a curve that is a string"}}',
         '{"ten": {"s1": [20.0, 21.0, 22.0, 23.0, 24.0, 25.0, 26.0, 27.0, 28.0, 29.0, 30.0, 31.0, 32.0, 33.0]}}',
+        "{}",  # no depth, so no volume
     ],
-    ids=["not-json", "list", "string-curve", "word-depth"],
+    ids=["not-json", "list", "string-curve", "word-depth", "no-depth"],
 )
 def test_cli_interpolate_refuses_a_malformed_forecast_table(payload, tiny_dir: Path, tmp_path: Path, capsys):
     out = tmp_path / "out"

@@ -290,10 +290,12 @@ def test_loader_matches_row_loop_oracle(tmp_path, monkeypatch):
     outcomes = set()
     for case in range(300):
         rows = []
+        empties = 0.2 if rng.random() < 0.3 else 0.0  # scattered missing values beside good numbers
         for k in range(int(rng.integers(1, 14))):
             day = date(2024, 1, 1) + timedelta(days=int(rng.integers(0, 6)))
             row = [day.isoformat(), f"s{rng.integers(1, 3)}", str(10 * int(rng.integers(1, 3)))]
             row += [f"{rng.uniform(0, 100):.2f}", "18.2", "1.1", f"{rng.uniform(0, 5):.1f}"]
+            row[3:] = ["" if rng.random() < empties else text for text in row[3:]]
             if rng.random() < 0.08:
                 col = int(rng.integers(0, 7))
                 row[col] = str(rng.choice(bad_fields[col]))

@@ -2,13 +2,14 @@
 
 Reads per-sensor/per-depth daily records from CSV into one columnar
 `SensorTable` (day ordinals, sensor codes, depths, an (N, 4) feature
-matrix), converting and validating the rows in bounded chunks; groups
-the table by (sensor, depth) with one stable sort; aligns each group to
-a consecutive daily grid as a (T, 4) feature array (linear gap fill up
-to a configurable maximum); fits pooled normalization statistics; and
-cuts a feature array into (input window, 14-day target) array pairs.
-The chronological train/val/test split of those windows is the
-pipeline's.
+matrix), parsing, converting and validating the rows in bounded chunks:
+through numpy's C parser while the chunks are clean, through csv.reader
+from the first chunk that is not. Groups the table by (sensor, depth)
+with one stable sort; aligns each group to a consecutive daily grid as
+a (T, 4) feature array (linear gap fill up to a configurable maximum);
+fits pooled normalization statistics; and cuts a feature array into
+(input window, 14-day target) array pairs. The chronological
+train/val/test split of those windows is the pipeline's.
 
 Feature column order is fixed everywhere: moisture, soil_temp,
 salinity, rainfall. Moisture (column 0) is the forecast target.
@@ -19,6 +20,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+import re
 from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
@@ -128,9 +130,10 @@ class WindowSet:
 
 # -- CSV ingestion -------------------------------------------------------------
 
-# Data rows are converted to columns this many at a time, so the loader holds
-# one chunk of parsed rows (~0.7 KB each) beside the columns built so far,
-# never the file. Larger chunks load no faster.
+# Data lines are read, parsed and converted to columns this many at a time, by
+# either parser, so the loader holds one chunk of lines and parsed rows
+# (~0.7 KB a row at most) beside the columns built so far, never the file.
+# Larger chunks load no faster.
 _CHUNK_ROWS = 1024
 # Memoised key values that fail a check; valid ordinals, codes and depths are >= 0.
 _BAD = -1
@@ -138,6 +141,9 @@ _NOT_A_DEPTH = -2
 
 
 def _parse_day(text: str) -> int:
+    # the form first: from Python 3.11 on, fromisoformat also reads 20240105 and 2023-W01-2
+    if not re.fullmatch(r"[0-9]{4}-[0-9]{2}-[0-9]{2}", text):
+        return _BAD
     try:
         return date.fromisoformat(text).toordinal()
     except ValueError:
@@ -179,9 +185,11 @@ def _feature_column(texts: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray, np.
 class _ChunkConverter:
     """Validates chunks of CSV data rows and collects them as table columns.
 
-    Date, depth and sensor-id texts are parsed once per distinct text.
-    Every check runs on whole columns; the error raised is the one the
-    earliest bad line would give, checks taken in row order.
+    `add_lines` takes a chunk of raw lines through numpy's loadtxt, or
+    declines it; `add` takes csv.reader rows. Date, depth and sensor-id
+    texts are parsed once per distinct text. Every check runs on whole
+    columns; the error raised is the one the earliest bad line would
+    give, checks taken in row order.
     """
 
     def __init__(self):
@@ -189,18 +197,69 @@ class _ChunkConverter:
         self.depths: dict[str, int] = {}    # depth text -> cm, _BAD or _NOT_A_DEPTH
         self.sensors: dict[str, int] = {}   # sensor_id text -> code or _BAD
         self.codes: dict[str, int] = {}     # stripped sensor_id -> code
-        self.parts: list[tuple[np.ndarray, ...]] = []  # (line, sensor, depth, day, features) per chunk
+        # line, sensor, depth, day, features; the first `rows` rows are filled. Five blocks resized
+        # in place hold every row: per-chunk blocks end up fenced by small freed blocks the allocator
+        # keeps, so their memory is not reused. No view of them outlives a method call.
+        self.columns = [np.empty(0, dtype=np.int64) for _ in range(4)] + [np.empty((0, len(FEATURE_NAMES)))]
+        self.rows = 0
+        self.sid_width = 0  # of add_lines' sensor-id field; 0 until a chunk is taken
 
     def _sensor_code(self, text: str) -> int:
         sensor_id = text.strip()
         return self.codes.setdefault(sensor_id, len(self.codes)) if sensor_id else _BAD
 
     @staticmethod
-    def _lookup(memo: dict[str, int], texts: tuple[str, ...], parse) -> np.ndarray:
+    def _lookup(memo: dict[str, int], texts: tuple[str, ...] | list[str], parse) -> np.ndarray:
         for text in dict.fromkeys(texts):  # first-appearance order keeps sensor codes deterministic
             if text not in memo:
                 memo[text] = parse(text)
         return np.fromiter(map(memo.__getitem__, texts), dtype=np.int64, count=len(texts))
+
+    @staticmethod
+    def _distinct(texts: np.ndarray) -> tuple[list[str], np.ndarray]:
+        """A string array's distinct texts in order of first appearance, and each entry's index among them."""
+        distinct, first, inverse = np.unique(texts, return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        return distinct[order].tolist(), np.argsort(order)[inverse]
+
+    def add_lines(self, texts: list[str], line_no: int) -> bool:
+        """Append one chunk of raw data lines, the first numbered `line_no`,
+        through numpy's C parser. Return False, having appended nothing,
+        when the chunk might read otherwise than through csv.reader and
+        `add`: quotes, NUL, a blank line, a text that loadtxt refuses or
+        may have cut, or any row that fails a check."""
+        blob = "".join(texts)
+        if '"' in blob or "\0" in blob or min(map(len, texts)) <= 2:  # <= 2: a blank line, which loadtxt skips
+            return False
+        # Keys are read as texts and parsed as `add` parses them. loadtxt cuts a text to its
+        # field's width without a word, so a text that fills it is declined (an 11-character
+        # date is no date). The first chunk's sensor-id field holds 63 characters, later ones
+        # twice the longest id taken so far: sized by the data, not by a line that may be huge.
+        sid_width = self.sid_width or 64
+        dtype = [("date", "U11"), ("sid", f"U{sid_width}"), ("depth", "U11"), ("f", "f8", (len(FEATURE_NAMES),))]
+        try:
+            chunk = np.loadtxt(texts, delimiter=",", dtype=dtype, comments=None, quotechar=None, ndmin=1)
+        except ValueError:
+            return False
+        features = chunk["f"]
+        moisture, rainfall = features[:, 0], features[:, 3]
+        in_range = (moisture >= 0.0) & (moisture <= 100.0) & (rainfall >= 0.0)
+        if len(chunk) != len(texts) or not (np.isfinite(features).all() and in_range.all()):
+            return False
+        dates, date_at = self._distinct(chunk["date"])
+        sids, sid_at = self._distinct(chunk["sid"])
+        depths, depth_at = self._distinct(chunk["depth"])
+        longest_sid = max(map(len, sids))
+        if longest_sid == sid_width or max(map(len, depths)) == 11:
+            return False
+        day = self._lookup(self.days, dates, _parse_day)[date_at]
+        sensor = self._lookup(self.sensors, sids, self._sensor_code)[sid_at]
+        depth = self._lookup(self.depths, depths, _parse_depth)[depth_at]
+        if min(day.min(), sensor.min(), depth.min()) < 0:  # _BAD or _NOT_A_DEPTH
+            return False
+        self._append(np.arange(line_no, line_no + len(texts)), sensor, depth, day, features)
+        self.sid_width = max(self.sid_width, 2 * longest_sid + 1)
+        return True
 
     def add(self, rows: list[list[str]], lines: np.ndarray) -> None:
         """Append one chunk; raise the error of its earliest bad line."""
@@ -230,23 +289,26 @@ class _ChunkConverter:
         if wrong_width.size:
             hits.append((n, lambda i: f"expected {width} fields, got {len(rows[i])}"))
         if not hits:
-            self.parts.append((lines, sensor, depth, day, features))
+            self._append(lines, sensor, depth, day, features)
             return
         i, message = min(hits, key=lambda hit: hit[0])  # the first check that fails on the earliest bad row
-        self.parts.append((lines[:i], sensor[:i], depth[:i], day[:i], features[:i]))
-        self._check_duplicates(*self._columns()[:4])  # a repeated key on an earlier line is reported first
+        self._append(lines[:i], sensor[:i], depth[:i], day[:i], features[:i])
+        self._check_duplicates()  # a repeated key on an earlier line is reported first
         raise CsvFormatError(f"line {lines[i]}: {message(i)}")
 
-    def _columns(self) -> list[np.ndarray]:
-        """The columns collected so far, joined into one part."""
-        if not self.parts:
-            return [np.zeros(0, dtype=np.int64)] * 4 + [np.zeros((0, len(FEATURE_NAMES)))]
-        columns = [np.concatenate(column) for column in zip(*self.parts)]
-        self.parts = [tuple(columns)]
-        return columns
+    def _append(self, *values: np.ndarray) -> None:
+        """Copy rows into the columns, doubling their capacity when full."""
+        rows = self.rows + len(values[0])
+        if rows > len(self.columns[0]):
+            for column in self.columns:
+                column.resize((max(rows, 2 * len(column)), *column.shape[1:]), refcheck=False)
+        for column, value in zip(self.columns, values):
+            column[self.rows : rows] = value
+        self.rows = rows
 
-    def _check_duplicates(self, line: np.ndarray, sensor: np.ndarray, depth: np.ndarray, day: np.ndarray) -> None:
+    def _check_duplicates(self) -> None:
         """Raise at the earliest line whose (sensor, depth, date) an earlier line holds."""
+        line, sensor, depth, day = (column[: self.rows] for column in self.columns[:4])
         # One int64 key per row: ordinals fit 22 bits, depth // 10 (1..12) 4 bits.
         key = (sensor << 26) | ((depth // 10) << 22) | day
         order = np.argsort(key, kind="stable")
@@ -260,9 +322,10 @@ class _ChunkConverter:
             )
 
     def table(self) -> SensorTable:
-        _, sensor, depth, day, features = columns = self._columns()
-        self._check_duplicates(*columns[:4])
-        return SensorTable(tuple(self.codes), sensor, depth, day, features)
+        self._check_duplicates()
+        for column in self.columns:
+            column.resize((self.rows, *column.shape[1:]), refcheck=False)
+        return SensorTable(tuple(self.codes), *self.columns[1:])
 
 
 def load_sensor_csv(path: str | Path) -> SensorTable:
@@ -270,7 +333,11 @@ def load_sensor_csv(path: str | Path) -> SensorTable:
 
     The header must be exactly `date,sensor_id,depth_cm,moisture,
     soil_temp,salinity,rainfall`, optionally after a UTF-8 byte-order
-    mark; empty feature fields mean "missing"; blank lines are skipped.
+    mark; dates are `YYYY-MM-DD`; empty feature fields mean "missing";
+    blank lines are skipped.
+
+    Chunks of lines go through numpy's C parser until one is declined;
+    csv.reader reads that chunk and the rest, and finds any error.
 
     Raises:
         CsvFormatError: malformed header/row (message names the line).
@@ -279,14 +346,18 @@ def load_sensor_csv(path: str | Path) -> SensorTable:
     path = Path(path)
     converter = _ChunkConverter()
     with path.open(newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
         try:
-            header = next(reader)
+            header = next(csv.reader(fh))
         except StopIteration:
             raise CsvFormatError("line 1: empty file, header required") from None
         if header != CSV_HEADER:
             raise CsvFormatError(f"line 1: header must be {','.join(CSV_HEADER)!r}, got {','.join(header)!r}")
         line_no = 2
+        while texts := list(itertools.islice(fh, _CHUNK_ROWS)):
+            if not converter.add_lines(texts, line_no):
+                break
+            line_no += len(texts)
+        reader = csv.reader(itertools.chain(texts, fh))  # a declined chunk and all after it
         while rows := list(itertools.islice(reader, _CHUNK_ROWS)):
             lines = np.arange(line_no, line_no + len(rows))
             line_no += len(rows)

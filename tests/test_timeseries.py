@@ -4,6 +4,7 @@ import codecs
 import csv
 import json
 import math
+import re
 import tracemalloc
 from datetime import date, timedelta
 
@@ -131,6 +132,14 @@ def test_load_rejects_bad_rows(tmp_path):
         assert hint.lower() in str(exc.value).lower() or hint in str(exc.value)
 
 
+def test_dates_are_yyyy_mm_dd_only(tmp_path):
+    # Python 3.11's date.fromisoformat also reads the basic and week forms; 3.10 does not
+    for text in ["20240105", "2023-W01-2", "2024-01-5", "2024-01-05T00"]:
+        p = write_csv(tmp_path, f"{text},s1,10,35.5,18.2,1.1,0.0\n")
+        with pytest.raises(CsvFormatError, match=rf"^line 2: bad date '{text}' \(want YYYY-MM-DD\)$"):
+            load_sensor_csv(p)
+
+
 def test_load_duplicate_key(tmp_path):
     p = write_csv(
         tmp_path,
@@ -250,6 +259,8 @@ def row_loop_load(path) -> list[tuple]:
             if len(row) != len(CSV_HEADER):
                 raise CsvFormatError(f"line {line_no}: expected {len(CSV_HEADER)} fields, got {len(row)}")
             try:
+                if not re.fullmatch(r"[0-9]{4}-[0-9]{2}-[0-9]{2}", row[0]):
+                    raise ValueError(row[0])
                 day = date.fromisoformat(row[0])
             except ValueError:
                 raise CsvFormatError(f"line {line_no}: bad date {row[0]!r} (want YYYY-MM-DD)") from None
@@ -321,6 +332,120 @@ def test_loader_matches_row_loop_oracle(tmp_path, monkeypatch):
             outcomes.add("ok")
     # the cases reach the success path, every key check and a duplicate
     assert {"ok", "bad", "sensor_id", "depth_cm", "duplicate", "expected", "moisture"} <= outcomes
+
+
+def load_or_error(path, loader):
+    """What the loader returns, or the type and text of the error it raises."""
+    try:
+        return loader(path)
+    except (CsvFormatError, DuplicateKeyError, csv.Error) as e:
+        return type(e), str(e)
+
+
+def rows_and_ids(path):
+    """The loaded rows and the table's sensor ids, whose order gives the sensor codes."""
+    table = load_sensor_csv(path)
+    return table_rows(table), table.sensor_names
+
+
+def oracle_rows_and_ids(path):
+    """The reference rows, and the sensor ids in order of first appearance."""
+    rows = row_loop_load(path)
+    return rows, tuple(dict.fromkeys(row[0] for row in rows))
+
+
+def test_fast_path_hazards_match_row_loop(tmp_path, monkeypatch):
+    # Each case is a chunk's worth of text that numpy's loadtxt would read
+    # otherwise than csv.reader (a cut text, a quote, a line end, a skipped
+    # line, a number form only one of them takes) after clean lines that
+    # the fast path takes. Chunks of 2 and 3 lines put each hazard at a
+    # chunk start, in a chunk and across a chunk boundary.
+    good = ["2024-01-01,s1,10,35.5,18.2,1.1,0.0", "2024-01-02,s1,10,34.0,18.0,1.2,4.5"]
+    later = ["2024-01-03,s2,20,30.0,17.0,1.0,0.0", "2024-01-04,s2,20,31.0,17.5,1.0,2.0"]
+    hazards = {
+        # after chunks of "s1" the sensor-id field holds 4 characters: "abcde" is one past it
+        "sensor id at the width": ["2024-01-03,abcd,10,35.5,18.2,1.1,0.0"],
+        "sensor id past the width": ["2024-01-03,abcde,10,35.5,18.2,1.1,0.0", "2024-01-03,abcdefghij,20,1,1,1,1"],
+        "sensor id past the first width": [f"2024-01-03,{'x' * 64},10,35.5,18.2,1.1,0.0"],
+        "depth past the width": ["2024-01-03,s1,000000000100,35.5,18.2,1.1,0.0"],  # 100 cm, not 10 cut short
+        "date at the width": ["2024-01-031,s1,10,35.5,18.2,1.1,0.0"],
+        "date past the width": ["2024-01-0312,s1,10,35.5,18.2,1.1,0.0"],
+        "quoted field": ['2024-01-03,"s1",10,35.5,18.2,1.1,0.0'],
+        "quoted comma": ['2024-01-03,"s,1",10,35.5,18.2,1.1,0.0'],
+        "quote across lines": ['2024-01-03,"s', '1",10,35.5,18.2,1.1,0.0', "2024-01-04,s1,15,1,1,1,1"],
+        "blank line": ["", "2024-01-03,s1,10,35.5,18.2,1.1,0.0", "2024-01-04,s1,15,1,1,1,1"],
+        "whitespace-only line": ["  ", "2024-01-03,s1,10,35.5,18.2,1.1,0.0"],
+        "hash in sensor id": ["2024-01-03,s#1,10,35.5,18.2,1.1,0.0", "2024-01-03,#,10,1,1,1,1"],
+        "underscore number": ["2024-01-03,s1,10,1_0,18.2,1.1,0.0"],
+        "underscore depth": ["2024-01-03,s1,1_0,10,18.2,1.1,0.0"],
+        "nan": ["2024-01-03,s1,10,nan,18.2,1.1,0.0"],
+        "Infinity": ["2024-01-03,s1,10,35.5,18.2,1.1,Infinity"],
+        "padded and signed depths": ["2024-01-03,s1, 20 ,35.5,18.2,1.1,0.0", "2024-01-03,s1,+30,1,1,1,1"],
+        "non-ASCII digits": ["2024-01-03,s1,٣٠,35.5,18.2,1.1,0.0", "2024-01-04,s1,10,٣,18.2,1.1,0.0"],
+        "odd whitespace": ["2024-01-03,s1\x85,10,35.5\x0c,18.2,1.1,0.0\x0b", "2024-01-04, s1 ,10,1,1,1,1"],
+        "empty field": ["2024-01-03,s1,10,,18.2,1.1,0.0"],
+        "bad date form": ["20240103,s1,10,35.5,18.2,1.1,0.0"],
+        "NUL": ["2024-01-03,s1\0,10,35.5,18.2,1.1,0.0"],  # an id on Python 3.11, a csv.Error before
+        "duplicate": ["2024-01-02,s1,10,1,1,1,1"],
+    }
+    endings = {"LF": "\n", "CRLF": "\r\n", "CR": "\r"}
+    outcomes = set()
+    for chunk_rows in (2, 3):
+        monkeypatch.setattr(timeseries, "_CHUNK_ROWS", chunk_rows)
+        for name, lines in hazards.items():
+            for ending, eol in endings.items():
+                for body in (good + lines + later, lines + good + later):
+                    path = tmp_path / "case.csv"
+                    path.write_bytes(eol.join([HEADER, *body, ""]).encode("utf-8"))
+                    expected = load_or_error(path, oracle_rows_and_ids)
+                    assert load_or_error(path, rows_and_ids) == expected, (chunk_rows, name, ending, body)
+                    outcomes.add("ok" if isinstance(expected[0], list) else expected[1].split(":")[1].split()[0])
+    assert {"ok", "bad", "depth_cm", "moisture", "rainfall", "expected", "duplicate"} <= outcomes
+
+
+def test_clean_csv_takes_the_fast_path(tmp_path, monkeypatch):
+    # The fast path must not go dead: a clean synth CSV, with CRLF or LF
+    # line ends, loads without the csv.reader path at any chunk size.
+    def no_csv_rows(self, rows, lines):
+        raise AssertionError("a clean chunk went to the csv.reader path")
+
+    spec = SynthSpec(sensor_fractions=tuple(((k % 4 + 0.5) / 4, (k // 4 + 0.5) / 3) for k in range(12)), n_days=60, n_images=0)
+    crlf = generate_sensor_csv(spec, tmp_path / "crlf.csv", seed=3)
+    lf = tmp_path / "lf.csv"
+    lf.write_bytes(crlf.read_bytes().replace(b"\r\n", b"\n"))
+    long_ids = tmp_path / "long_ids.csv"  # ids of 13 and 14 characters from the first line on
+    long_ids.write_bytes(re.sub(rb",s([0-9])", rb",probe-north-\1", crlf.read_bytes()))
+    expected = row_loop_load(crlf)
+    assert len(expected) == 12 * 3 * 60
+    monkeypatch.setattr(timeseries._ChunkConverter, "add", no_csv_rows)
+    for chunk_rows in (1, 7, 1024):
+        monkeypatch.setattr(timeseries, "_CHUNK_ROWS", chunk_rows)
+        for path in (crlf, lf):
+            assert table_rows(load_sensor_csv(path)) == expected
+        assert load_sensor_csv(long_ids).sensor_names == tuple(f"probe-north-{k + 1}" for k in range(12))
+
+
+def test_loader_keeps_no_parsed_chunk_alive(tmp_path):
+    # numpy's parser returns each chunk as one structured array. Keeping a
+    # view of one field of every chunk holds every field of every chunk to
+    # the end: the peak was ~268 B/row here, against ~114 B/row for the
+    # columns alone (~131 B/row when each chunk's columns were joined at
+    # the end).
+    day0 = date(2024, 1, 1)
+    lines = [
+        f"{day0 + timedelta(days=t)},s{k},{depth},{30 + k * 0.37 + t * 0.01},18.25,1.125,{t % 7 * 0.5}"
+        for t in range(400) for k in range(1, 41) for depth in (10, 30, 60)
+    ]
+    path = write_csv(tmp_path, "\n".join(lines) + "\n")
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        table = load_sensor_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(table) == 48_000
+    assert (peak - before) / len(table) < 200
 
 
 # -- build_series and gap fill ------------------------------------------------------

@@ -25,8 +25,8 @@ moments share that layout, so a cast, a copy, an Adam step or a checkpoint
 is one pass over one vector. Samples are columns:
 h and c are (n, B), the gates (4n, B), so each gate is a contiguous row
 block and a step, W x_t + b + U h, is written into preallocated buffers
-that `train` reuses per batch size. The decoder's input is always h_enc,
-so it is projected once. The encoder's input is projected, and weight
+of which `train` keeps one set at a time. The decoder's input is always
+h_enc, so it is projected once. The encoder's input is projected, and weight
 gradients accumulate, step by step: at n = 200, 30 per-step projections
 took 0.87 ms and one GEMM over all 30 took 1.57 ms; a time-stacked dU
 GEMM needs a (T, 4n, B) block and was slower at n = 32. numpy only.
@@ -637,10 +637,13 @@ def train(
 
     The input model is not mutated. Inputs, targets and a copy of the
     model are cast to float32 once, and the Adam state is built from that
-    copy. Each epoch's validation loss is computed in float64 on a
-    float64 snapshot of the parameters. With a validation set, the
-    best-validation epoch's snapshot is returned; otherwise a float64 copy
-    of the final parameters. History records one entry per epoch.
+    copy. One forward cache is alive at a time: a ragged last batch
+    replaces the full-size one, and it is dropped before each epoch's
+    validation loss, which is computed in float64 on a float64 snapshot
+    of the parameters. With a validation set, the best-validation epoch's
+    parameters are kept as a float32 copy and returned in float64 (the
+    same values: they are float32-exact); otherwise a float64 copy of the
+    final parameters. History records one entry per epoch.
     """
     if train_windows.n_samples < 1:
         raise DataError("training set is empty")
@@ -654,18 +657,18 @@ def train(
     rng = np.random.default_rng(config.seed)
     history: list[dict] = []
     best_val = np.inf
-    best_params: Seq2SeqModel | None = None
+    best: Seq2SeqModel | None = None
     n = train_windows.n_samples
-    caches: dict[int, ForwardCache] = {}  # one per batch size, reused by every batch
+    cache: ForwardCache | None = None  # the one alive, reused by every batch of its size
 
     for epoch in range(config.epochs):
         order = rng.permutation(n)
         epoch_loss = 0.0
         for start in range(0, n, config.batch_size):
             idx = order[start : start + config.batch_size]
-            if len(idx) not in caches:
-                caches[len(idx)] = ForwardCache.empty(model, np.empty((len(idx), *inputs.shape[1:]), inputs.dtype))
-            cache = caches[len(idx)]
+            if cache is None or len(cache.x) != len(idx):
+                cache = None  # freed before its replacement is made
+                cache = ForwardCache.empty(model, np.empty((len(idx), *inputs.shape[1:]), inputs.dtype))
             np.take(inputs, idx, axis=0, out=cache.x)
             _forward(model, cache.x, cache)
             value, grad = backward_batch(model, cache, targets[idx], config.loss)
@@ -675,17 +678,17 @@ def train(
             adam_step(model, grad, state, config)
         entry = {"epoch": epoch, "train_loss": epoch_loss / n, "val_loss": None}
         if val_windows is not None and val_windows.n_samples > 0:
-            snapshot = copy_model(model)
-            val_loss = evaluate_loss(snapshot, val_windows, config.loss)
+            cache = None
+            val_loss = evaluate_loss(copy_model(model), val_windows, config.loss)
             if not np.isfinite(val_loss):
                 raise DivergenceError(f"validation loss became non-finite at epoch {epoch}")
             entry["val_loss"] = val_loss
             if val_loss < best_val:
                 best_val = val_loss
-                best_params = snapshot
+                best = copy_model(model, np.float32)
         history.append(entry)
 
-    return best_params if best_params is not None else copy_model(model), history
+    return copy_model(best if best is not None else model), history
 
 
 def predict(model: Seq2SeqModel, x: np.ndarray) -> np.ndarray:

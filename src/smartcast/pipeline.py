@@ -6,10 +6,12 @@ forecasts at every sensor and a forecast index image, kriges the chosen
 forecast day into a per-depth grid stack, and writes all artifacts plus
 a JSON report.
 
-Each training stage builds its jobs and a function that finishes the
-stage with the trained models. A job is a recipe, not a model: every
-model is built and trained in `_train_all`'s spawned workers, and `run`
-trains the soil and index models in one pool.
+Each training stage checks and scales its data and builds its jobs. A
+job is a model's whole work, not a model: in `_train_all`'s spawned
+workers each job cuts its windows, builds and trains its model, scores
+it on the test split and forecasts with it, so the parent runs no LSTM
+pass and ships only series and cut points. `run` trains the soil and
+index models in one pool.
 
 Every stage failure is wrapped in a StageError naming the stage, and
 artifacts are staged under `<out>/.partial` until the run succeeds.
@@ -23,7 +25,7 @@ import json
 import math
 import os
 import shutil
-from collections.abc import Callable
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 from datetime import timedelta
 from pathlib import Path
@@ -344,20 +346,8 @@ def _derive_seed(master: int, *parts: int) -> int:
 
 # -- soil stage -------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _DepthData:
-    """Scaled window splits for one depth, pooled across sensors."""
-
-    depth_cm: int
-    scaler: Scaler
-    fit: WindowSet
-    val: WindowSet | None
-    test: WindowSet
-    last_inputs: dict[str, np.ndarray]   # per sensor: scaled (L, 4) tail
-
-
 def _usable_series(
-    groups: dict[tuple[str, int], timeseries.SensorTable], sensor_ids: list[str], depth: int, max_gap: int
+    groups: Mapping[tuple[str, int], timeseries.SensorTable], sensor_ids: list[str], depth: int, max_gap: int
 ) -> dict[str, np.ndarray]:
     """Each sensor's (T, 4) daily features at `depth`, in `sensor_ids`
     order, skipping sensors whose rows build no series."""
@@ -373,20 +363,82 @@ def _usable_series(
     return series
 
 
+def _eval_on_moisture_scale(
+    model: Seq2SeqModel, test: WindowSet, scaler: Scaler
+) -> tuple[float, float]:
+    """(model RMSE, persistence RMSE) on the unscaled moisture scale."""
+    preds = lstm.predict_batch(model, test.inputs)
+    targets = scaler.invert_feature(test.targets[:, :, 0], 0)
+    last = scaler.invert_feature(test.inputs[:, -1, 0], 0)
+    persistence = np.repeat(last[:, None], test.horizon, axis=1)
+    return lstm.rmse(preds, targets), lstm.rmse(persistence, targets)
+
+
+@dataclass(frozen=True)
+class _SoilTask:
+    """One depth's work in a worker, as the parent ships it.
+
+    `series` holds each usable sensor's scaled (T, 4) daily features, in
+    sensor order, and `cuts` its (n_fit, n_train): the sensor's windows
+    0..n_fit-1 fit, n_fit..n_train-1 validate and the rest test.
+    """
+
+    depth_cm: int
+    scaler: Scaler
+    input_length: int
+    horizon: int
+    series: dict[str, np.ndarray]
+    cuts: dict[str, tuple[int, int]]
+
+    @property
+    def n_fit(self) -> int:
+        return sum(n_fit for n_fit, _ in self.cuts.values())
+
+    def windows(self) -> tuple[WindowSet, WindowSet | None, WindowSet]:
+        """The fit, val (None when empty) and test windows, each split
+        joined across sensors in sensor order."""
+        parts: tuple[list, list, list] = ([], [], [])
+        for sid, scaled in self.series.items():
+            inputs, targets = timeseries.make_windows(scaled, input_length=self.input_length, horizon=self.horizon)
+            n_fit, n_train = self.cuts[sid]
+            for part, rows in zip(parts, (slice(0, n_fit), slice(n_fit, n_train), slice(n_train, None))):
+                part.append((inputs[rows], targets[rows]))
+        fit, val, test = (WindowSet(*map(np.concatenate, zip(*part))) for part in parts)
+        return fit, val if val.n_samples else None, test
+
+    def finish(self, model: Seq2SeqModel, test: WindowSet) -> tuple[Seq2SeqModel, DepthResult]:
+        """The trained model and its figures: the test split scored on the
+        moisture scale and every sensor's tail forecast."""
+        rmse, persist = _eval_on_moisture_scale(model, test, self.scaler)
+        tails = {sid: scaled[-self.input_length :] for sid, scaled in self.series.items()}
+        result = DepthResult(
+            depth_cm=self.depth_cm,
+            test_rmse=rmse,
+            persistence_rmse=persist,
+            n_train_windows=sum(n_train for _, n_train in self.cuts.values()),
+            n_test_windows=test.n_samples,
+            forecasts=forecast_sensors(model, tails),
+            loo_score=None,
+            variogram=None,
+            n_samples=0,
+        )
+        return model, result
+
+
 def _prepare_depth(
-    groups: dict[tuple[str, int], timeseries.SensorTable], sensor_ids: list[str], depth: int, config: RunConfig
-) -> _DepthData:
-    """Each sensor's windows split in time order, first n_fit fit, then
-    n_val val, then the rest test, and the splits joined across sensors
-    in sensor order. The scaler is fitted on the days the train windows
-    (fit and val) cover."""
+    groups: Mapping[tuple[str, int], timeseries.SensorTable], sensor_ids: list[str], depth: int, config: RunConfig
+) -> _SoilTask:
+    """The depth's task: each sensor's windows split in time order, first
+    n_fit fit, then n_val val, then the rest test; the splits are checked
+    here, before any worker starts. The scaler is fitted on the days the
+    train windows (fit and val) cover."""
     length = config.soil_model.input_length
     horizon = config.horizon_days
     series = _usable_series(groups, sensor_ids, depth, config.max_gap_days)
     if not series:
         raise DataError(f"no usable sensor series at depth {depth}")
 
-    splits = {}  # per sensor: (n_fit, n_train); windows n_fit..n_train are val
+    cuts = {}  # per sensor: (n_fit, n_train); windows n_fit..n_train are val
     for sid, features in series.items():
         n_windows = len(features) - length - horizon + 1
         if n_windows < 2:
@@ -397,46 +449,12 @@ def _prepare_depth(
         if n_train < 1 or n_train >= n_windows:
             raise EmptySplitError(f"test_fraction {config.test_fraction} leaves an empty split at depth {depth}")
         n_val = max(1, int(np.floor(n_train * _VAL_FRACTION))) if n_train > 1 else 0  # a single train window fits, none validates
-        splits[sid] = (n_train - n_val, n_train)
+        cuts[sid] = (n_train - n_val, n_train)
     scaler = timeseries.fit_scaler_pooled(
-        [features[: splits[sid][1] + length + horizon - 1] for sid, features in series.items()]
+        [features[: cuts[sid][1] + length + horizon - 1] for sid, features in series.items()]
     )
-
-    fit, val, test = [], [], []
-    last_inputs: dict[str, np.ndarray] = {}
-    for sid, features in series.items():
-        scaled = scaler.apply(features)
-        inputs, targets = timeseries.make_windows(scaled, input_length=length, horizon=horizon)
-        n_fit, n_train = splits[sid]
-        fit.append((inputs[:n_fit], targets[:n_fit]))
-        val.append((inputs[n_fit:n_train], targets[n_fit:n_train]))
-        test.append((inputs[n_train:], targets[n_train:]))
-        last_inputs[sid] = scaled[-length:]
-
-    def joined(parts: list[tuple[np.ndarray, np.ndarray]]) -> WindowSet:
-        inputs, targets = zip(*parts)
-        return WindowSet(np.concatenate(inputs), np.concatenate(targets))
-
-    fit, val, test = joined(fit), joined(val), joined(test)
-    return _DepthData(
-        depth_cm=depth,
-        scaler=scaler,
-        fit=fit,
-        val=val if val.n_samples else None,
-        test=test,
-        last_inputs=last_inputs,
-    )
-
-
-def _eval_on_moisture_scale(
-    model: Seq2SeqModel, test: WindowSet, scaler: Scaler
-) -> tuple[float, float]:
-    """(model RMSE, persistence RMSE) on the unscaled moisture scale."""
-    preds = lstm.predict_batch(model, test.inputs)
-    targets = scaler.invert_feature(test.targets[:, :, 0], 0)
-    last = scaler.invert_feature(test.inputs[:, -1, 0], 0)
-    persistence = np.repeat(last[:, None], test.horizon, axis=1)
-    return lstm.rmse(preds, targets), lstm.rmse(persistence, targets)
+    scaled = {sid: scaler.apply(features) for sid, features in series.items()}
+    return _SoilTask(depth, scaler, length, horizon, scaled, cuts)
 
 
 def _usable_cores() -> int:
@@ -471,24 +489,29 @@ def _single_threaded_blas():
                 os.environ[name] = value
 
 
-# A recipe for one model: its stage, the initial model's shape, init seed and
-# scaler, then `lstm.train`'s other arguments. The worker builds the model.
-_TrainJob = tuple[str, ModelShape, int, Scaler, WindowSet, WindowSet | None, TrainConfig]
+# One model's whole work: its stage, the initial model's shape and init
+# seed, the task the worker cuts its windows from and finishes with, and
+# `lstm.train`'s config. The worker builds the model.
+_TrainJob = tuple[str, ModelShape, int, "_SoilTask | _IndexTask", TrainConfig]
 
 
-def _train_job(shape, init_seed, scaler, fit, val, train_config) -> Seq2SeqModel:
-    """One job's model, built and trained in the worker."""
-    return lstm.train(lstm.init_params(shape, init_seed, scaler), fit, val, train_config)[0]
+def _run_job(shape: ModelShape, init_seed: int, task: _SoilTask | _IndexTask, train_config: TrainConfig):
+    """One job, run in the worker: the task's windows, the model built and
+    trained on them, and the task's outcome, which holds that model."""
+    fit, val, test = task.windows()
+    model = lstm.train(lstm.init_params(shape, init_seed, task.scaler), fit, val, train_config)[0]
+    del fit, val  # cut here, for a soil task: freed before scoring
+    return task.finish(model, test)
 
 
 def _job_cost(job: _TrainJob) -> int:
     """A job's training work from its shapes: fit windows x epochs x the
     gate GEMM work of one window, L encoder steps of 4ne(ne + d) and H
     decoder steps of 4nd(nd + ne)."""
-    _, s, _, _, fit, _, train_config = job
-    encoder = fit.input_length * 4 * s.encoder_hidden * (s.encoder_hidden + s.input_dim)
+    _, s, _, task, train_config = job
+    encoder = task.input_length * 4 * s.encoder_hidden * (s.encoder_hidden + s.input_dim)
     decoder = s.horizon * 4 * s.decoder_hidden * (s.decoder_hidden + s.encoder_hidden)
-    return fit.n_samples * train_config.epochs * (encoder + decoder)
+    return task.n_fit * train_config.epochs * (encoder + decoder)
 
 
 def _pool_size(costs: list[float], cores: int) -> int:
@@ -508,15 +531,16 @@ def _pool_size(costs: list[float], cores: int) -> int:
     return max(min(len(costs), cores), min(big, cores + big % cores))
 
 
-def _train_all(jobs: list[_TrainJob]) -> list[Seq2SeqModel]:
-    """`_train_job` on every job in spawned workers, `_pool_size` of them.
+def _train_all(jobs: list[_TrainJob]) -> list:
+    """`_run_job` on every job in spawned workers, `_pool_size` of them.
 
     The pool is sized from the jobs' estimated costs (`_job_cost`): the
     big jobs share the cores and the small ones queue behind them. Each
-    worker builds its job's float64 initial model, which dies once
-    `lstm.train` has made its float32 copy, so neither the parent nor a
-    pickled job holds one. Trained models come back in job order. Jobs
-    are handed out in order as workers free up; after the first failure
+    worker cuts its job's windows, builds its float64 initial model, which
+    dies once `lstm.train` has made its float32 copy, and scores and
+    forecasts with the trained model, so the parent runs no LSTM pass.
+    The outcomes, each holding its trained model, come back in job order.
+    Jobs are handed out in order as workers free up; after the first failure
     no further job starts, the running ones finish, and the earliest
     job's failure is raised, as a serial loop would raise it, wrapped in
     a StageError naming its stage.
@@ -536,17 +560,17 @@ def _train_all(jobs: list[_TrainJob]) -> list[Seq2SeqModel]:
                 done, running = wait(running, return_when=FIRST_COMPLETED)
                 if any(future.exception() is not None for future in done):
                     break
-            futures.append(pool.submit(_train_job, *job[1:]))
+            futures.append(pool.submit(_run_job, *job[1:]))
             running.add(futures[-1])
     # Leaving the pool waited for every started job; the started ones are
     # a prefix of `jobs`, so the first failure met here is the earliest.
-    models = []
+    outcomes = []
     for (stage, *_), future in zip(jobs, futures):
         try:
-            models.append(future.result())
+            outcomes.append(future.result())
         except Exception as e:
             raise StageError(stage, e) from e
-    return models
+    return outcomes
 
 
 def forecast_sensors(model: Seq2SeqModel, tails: dict[str, np.ndarray]) -> dict[str, tuple[float, ...]]:
@@ -570,63 +594,42 @@ def _soil_shape(config: RunConfig) -> ModelShape:
 _SoilOutcome = tuple[list[DepthResult], dict[int, Seq2SeqModel], dict[int, dict[str, tuple[float, ...]]]]
 
 
-def _soil_stage(
-    table: timeseries.SensorTable, config: RunConfig
-) -> tuple[list[_TrainJob], Callable[[list[Seq2SeqModel]], _SoilOutcome]]:
-    """Every depth's training job, in depth order, and the function that
-    evaluates and forecasts with the trained models."""
+def _soil_stage(table: timeseries.SensorTable, config: RunConfig) -> list[_TrainJob]:
+    """Every depth's job, in depth order; a depth whose data cannot split
+    raises here, before any worker starts."""
     groups = timeseries.group_records(table)
     sensor_ids = sorted({sid for sid, _ in groups})
     depths = config.depths_cm or tuple(sorted({depth for _, depth in groups}))
     shape = _soil_shape(config)
-    prepared = [_prepare_depth(groups, sensor_ids, depth, config) for depth in depths]
     jobs: list[_TrainJob] = []
-    for data in prepared:
-        init_seed = _derive_seed(config.seed, 11, data.depth_cm, 0)
-        train_config = dataclasses.replace(config.soil_train, seed=_derive_seed(config.seed, 11, data.depth_cm, 1))
-        jobs.append(("soil", shape, init_seed, data.scaler, data.fit, data.val, train_config))
+    for depth in depths:
+        task = _prepare_depth(groups, sensor_ids, depth, config)
+        init_seed = _derive_seed(config.seed, 11, task.depth_cm, 0)
+        train_config = dataclasses.replace(config.soil_train, seed=_derive_seed(config.seed, 11, task.depth_cm, 1))
+        jobs.append(("soil", shape, init_seed, task, train_config))
+    return jobs
 
-    def finish(trained: list[Seq2SeqModel]) -> _SoilOutcome:
-        results: list[DepthResult] = []
-        models: dict[int, Seq2SeqModel] = {}
-        forecast_table: dict[int, dict[str, tuple[float, ...]]] = {}
-        for data, model in zip(prepared, trained):
-            depth = data.depth_cm
-            rmse, persist = _eval_on_moisture_scale(model, data.test, data.scaler)
-            forecasts = forecast_sensors(model, data.last_inputs)
-            models[depth] = model
-            forecast_table[depth] = forecasts
-            results.append(
-                DepthResult(
-                    depth_cm=depth,
-                    test_rmse=rmse,
-                    persistence_rmse=persist,
-                    n_train_windows=data.fit.n_samples + (data.val.n_samples if data.val else 0),
-                    n_test_windows=data.test.n_samples,
-                    forecasts=forecasts,
-                    loo_score=None,
-                    variogram=None,
-                    n_samples=0,
-                )
-            )
-        return results, models, forecast_table
 
-    return jobs, finish
+def _soil_outcome(outcomes: list[tuple[Seq2SeqModel, DepthResult]]) -> _SoilOutcome:
+    """The soil jobs' outcomes as per-depth results, models by depth and
+    the forecast table."""
+    results = [result for _, result in outcomes]
+    models = {result.depth_cm: model for model, result in outcomes}
+    return results, models, {result.depth_cm: result.forecasts for result in results}
 
 
 def run_soil_stage(table: timeseries.SensorTable, config: RunConfig) -> _SoilOutcome:
     """Train, evaluate, and forecast one model per depth.
 
-    Windows are prepared here in depth order, the per-depth models train
-    in parallel worker processes, and evaluation and forecasting run
-    here again in depth order.
+    The splits are checked and the series scaled here in depth order;
+    each depth's worker cuts its windows, trains, scores the test split
+    and forecasts every sensor.
 
     Returns per-depth results (metrics + per-sensor 14-day forecasts,
     clipped to the physical moisture range), trained models, and the
     forecast table used by the kriging stage.
     """
-    jobs, finish = _soil_stage(table, config)
-    return finish(_train_all(jobs))
+    return _soil_outcome(_train_all(_soil_stage(table, config)))
 
 
 def forecast_from_checkpoints(config: RunConfig, ckpt_dir: Path) -> dict[int, dict[str, tuple[float, ...]]]:
@@ -684,14 +687,45 @@ def _split_by_run(windows: WindowSet, run_ids: np.ndarray, test_fraction: float)
     return train, val, test
 
 
+@dataclass(frozen=True)
+class _IndexTask:
+    """The pixel model's work in a worker: its scaled fit and val windows,
+    its unscaled test windows, and the forecast date's (P, 5, 2) pixel
+    windows with their validity mask."""
+
+    scaler: Scaler
+    fit: WindowSet
+    val: WindowSet | None
+    test: WindowSet
+    pixels: np.ndarray
+    mask: np.ndarray
+
+    @property
+    def n_fit(self) -> int:
+        return self.fit.n_samples
+
+    @property
+    def input_length(self) -> int:
+        return self.fit.input_length
+
+    def windows(self) -> tuple[WindowSet, WindowSet | None, WindowSet]:
+        return self.fit, self.val, self.test
+
+    def finish(self, model: Seq2SeqModel, test: WindowSet) -> tuple[Seq2SeqModel, np.ndarray, np.ndarray]:
+        """The trained model, its test predictions and every pixel's
+        prediction, each clipped to [-1, 1]."""
+        preds = np.clip(lstm.predict_batch(model, self.scaler.apply(test.inputs))[:, 0], -1.0, 1.0)
+        return model, preds, vegindex.predict_pixels(model, self.pixels, self.mask)
+
+
 _IndexOutcome = tuple[IndexResult, Seq2SeqModel, vegindex.IndexImage]
 
 
 def _index_stage(
     stack: vegindex.ImageStack, config: RunConfig
-) -> tuple[_TrainJob, Callable[[Seq2SeqModel], _IndexOutcome]]:
-    """The pixel model's training job and the function that tests the
-    trained model on held-out runs and forecasts the index image."""
+) -> tuple[_TrainJob, Callable[[tuple[Seq2SeqModel, np.ndarray, np.ndarray]], _IndexOutcome]]:
+    """The pixel model's job and the function that turns its outcome into
+    test metrics on held-out runs and the forecast index image."""
     windows, run_ids = vegindex.stack_windows_for_training(stack)
     fit, val, test = _split_by_run(windows, run_ids, config.test_fraction)
     n_train_windows = fit.n_samples + (val.n_samples if val is not None else 0)
@@ -699,17 +733,19 @@ def _index_stage(
     fit = WindowSet(scaler.apply(fit.inputs), scaler.apply_feature(fit.targets, 0))
     if val is not None:
         val = WindowSet(scaler.apply(val.inputs), scaler.apply_feature(val.targets, 0))
+    target_date = stack.entries[-1][0] + timedelta(days=config.forecast_day)
+    pixels, mask = vegindex.flatten_stack(stack, target_date)
 
     m = config.index_model
     shape = ModelShape(2, m.encoder_hidden, m.decoder_hidden, m.dense_hidden, horizon=1)
     train_config = dataclasses.replace(config.index_train, seed=_derive_seed(config.seed, 22, 1))
-    job: _TrainJob = ("index", shape, _derive_seed(config.seed, 22, 0), scaler, fit, val, train_config)
+    task = _IndexTask(scaler, fit, val, test, pixels, mask)
+    job: _TrainJob = ("index", shape, _derive_seed(config.seed, 22, 0), task, train_config)
 
-    def finish(model: Seq2SeqModel) -> _IndexOutcome:
-        preds = np.clip(lstm.predict_batch(model, scaler.apply(test.inputs))[:, 0], -1.0, 1.0)
+    def finish(outcome: tuple[Seq2SeqModel, np.ndarray, np.ndarray]) -> _IndexOutcome:
+        model, preds, pixel_preds = outcome
         targets = test.targets[:, 0, 0]
         persistence = test.inputs[:, -1, 0]
-        target_date = stack.entries[-1][0] + timedelta(days=config.forecast_day)
         result = IndexResult(
             test_rmse=lstm.rmse(preds, targets),
             test_mae=lstm.mae(preds, targets),
@@ -718,9 +754,7 @@ def _index_stage(
             n_test_windows=test.n_samples,
             forecast_target=target_date.isoformat(),
         )
-        flat_windows, mask = vegindex.flatten_stack(stack, target_date)
-        flat_preds = vegindex.predict_pixels(model, flat_windows, mask)
-        image = vegindex.reshape_to_image(flat_preds, stack.width, stack.height, index_kind=config.index_kind)
+        image = vegindex.reshape_to_image(pixel_preds, stack.width, stack.height, index_kind=config.index_kind)
         return result, model, image
 
     return job, finish
@@ -729,9 +763,10 @@ def _index_stage(
 def run_index_stage(stack: vegindex.ImageStack, config: RunConfig) -> _IndexOutcome:
     """Train the shared pixel model, evaluate on held-out runs, forecast.
 
-    The model trains in one spawned worker, as every model does. The
-    forecast target date is the last image date plus the configured
-    forecast day; the predicted image reuses the stack's validity mask.
+    The model trains, and predicts the test windows and the image's
+    pixels, in one spawned worker, as every model does. The forecast
+    target date is the last image date plus the configured forecast day;
+    the predicted image reuses the stack's validity mask.
     """
     job, finish = _index_stage(stack, config)
     return finish(_train_all([job])[0])
@@ -943,15 +978,14 @@ def run_forecast(config: RunConfig, forecast_day: int | None = None) -> Forecast
                 "load", vegindex.load_index_stack, config.image_manifest, config.index_kind, config.band_mapping
             )
         # One pool trains every model: the soil depths, then the index model.
-        soil_jobs, finish_soil = stage("soil", _soil_stage, table, config)
+        soil_jobs = stage("soil", _soil_stage, table, config)
         index_jobs = []
         if stack is not None:
             index_job, finish_index = stage("index", _index_stage, stack, config)
             index_jobs = [index_job]
-        trained = stage("soil", _train_all, soil_jobs + index_jobs)  # a failed job raises its own stage's error
-        depth_results, soil_models, forecast_table = stage("soil", finish_soil, trained[: len(soil_jobs)])
-        del soil_jobs, finish_soil  # frees the soil windows before the index finish's peak
-        index = None if stack is None else stage("index", finish_index, trained[-1])
+        outcomes = stage("soil", _train_all, soil_jobs + index_jobs)  # a failed job raises its own stage's error
+        depth_results, soil_models, forecast_table = _soil_outcome(outcomes[: len(soil_jobs)])
+        index = None if stack is None else stage("index", finish_index, outcomes[-1])
         volume, kriging_stats = stage("kriging", run_kriging_stage, forecast_table, config, day)
 
         artifacts = stage("export", write_soil, partial, depth_results, soil_models)

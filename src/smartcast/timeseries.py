@@ -21,6 +21,7 @@ import csv
 import itertools
 import math
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
@@ -388,20 +389,38 @@ def _fill_gaps(column: np.ndarray, first_day: int, max_gap: int, key: str, name:
         raise UnfillableGapError(f"{key}: {name} gap of {run} days ({span}) exceeds max_gap={max_gap}")
 
 
-def group_records(table: SensorTable) -> dict[tuple[str, int], SensorTable]:
+class _Groups(Mapping):
+    """A table's rows by (sensor_id, depth_cm); each group is cut from the
+    table when it is looked up, so one group at a time is held beside it."""
+
+    def __init__(self, table: SensorTable, order: np.ndarray, spans: dict[tuple[str, int], tuple[int, int]]):
+        self._table, self._order, self._spans = table, order, spans
+
+    def __getitem__(self, key: tuple[str, int]) -> SensorTable:
+        start, stop = self._spans[key]
+        return self._table[self._order[start:stop]]
+
+    def __iter__(self):
+        return iter(self._spans)
+
+    def __len__(self) -> int:
+        return len(self._spans)
+
+
+def group_records(table: SensorTable) -> Mapping[tuple[str, int], SensorTable]:
     """The table's rows keyed by (sensor_id, depth_cm), file order kept in each.
 
-    One stable sort on (sensor, depth); each group is a slice of the
-    sorted table. Passing a group to `build_series` gives the same
-    series as passing the whole table.
+    One stable sort of the row indices on (sensor, depth); a group is
+    built from `table` each time it is looked up, never all at once.
+    Passing a group to `build_series` gives the same series as passing
+    the whole table.
     """
-    ordered = table[np.lexsort((table.depth_cm, table.sensor))]
-    change = (ordered.sensor[1:] != ordered.sensor[:-1]) | (ordered.depth_cm[1:] != ordered.depth_cm[:-1])
-    bounds = [0, *(np.flatnonzero(change) + 1).tolist(), len(ordered)] if len(ordered) else []
-    return {
-        (ordered.sensor_names[ordered.sensor[a]], int(ordered.depth_cm[a])): ordered[a:b]
-        for a, b in zip(bounds, bounds[1:])
-    }
+    order = np.lexsort((table.depth_cm, table.sensor))
+    sensor, depth = table.sensor[order], table.depth_cm[order]
+    change = (sensor[1:] != sensor[:-1]) | (depth[1:] != depth[:-1])
+    bounds = [0, *(np.flatnonzero(change) + 1).tolist(), len(order)] if len(order) else []
+    spans = {(table.sensor_names[sensor[a]], int(depth[a])): (a, b) for a, b in zip(bounds, bounds[1:])}
+    return _Groups(table, order, spans)
 
 
 def build_series(

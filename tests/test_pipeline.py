@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from smartcast import kriging, pipeline
+from smartcast import kriging, lstm, pipeline
 from smartcast.cli import main
 from smartcast.errors import (
     ConfigError,
@@ -414,7 +414,7 @@ def diverging_config(tiny_dir: Path, tmp_path: Path, section: str) -> Path:
 
 def demo_jobs(config: RunConfig) -> list:
     """`run`'s training jobs for `config`: every soil depth, then the index model."""
-    soil_jobs, _ = pipeline._soil_stage(load_sensor_csv(config.sensor_csv), config)
+    soil_jobs = pipeline._soil_stage(load_sensor_csv(config.sensor_csv), config)
     stack = load_index_stack(config.image_manifest, config.index_kind, config.band_mapping)
     index_job, _ = pipeline._index_stage(stack, config)
     return soil_jobs + [index_job]
@@ -519,6 +519,32 @@ def test_jobs_carry_no_model(tiny_dir: Path):
         assert len(pickle.dumps(job[1:])) < 8 * shape.n_params
 
 
+def test_soil_job_ships_series_not_windows(synth_config):
+    # a soil job carries each sensor's scaled series and its cut points;
+    # the worker cuts the windows, ~34x the bytes of the series
+    for job in pipeline._soil_stage(load_sensor_csv(synth_config.sensor_csv), synth_config):
+        windows = [part for part in job[3].windows() if part is not None]
+        assert len(pickle.dumps(job)) < sum(part.inputs.nbytes + part.targets.nbytes for part in windows) / 10
+
+
+def test_parent_runs_no_lstm_pass(tiny_dir: Path, tiny_run, tiny_chain, tmp_path: Path, monkeypatch):
+    # the workers cut the windows, train, score and forecast: with every
+    # forward pass refused in the parent, run, train-soil and train-index
+    # still write the trees an unrestricted run writes
+    def refused(*args, **kwargs):
+        raise AssertionError("an LSTM forward pass ran in the parent")
+
+    monkeypatch.setattr(lstm, "_forward", refused)
+    config = str(tiny_dir / "config.json")
+    assert main(["run", "--config", config, "--out", str(tmp_path / "run")]) == 0
+    assert file_tree(tmp_path / "run") == file_tree(tiny_run[2])
+    for command in ("train-soil", "train-index"):
+        assert main([command, "--config", config, "--out", str(tmp_path / "chain")]) == 0
+    trained = file_tree(tmp_path / "chain")
+    assert trained == {name: data for name, data in file_tree(tiny_chain).items() if name in trained}
+    assert {"checkpoints/index.ckpt", "soil_metrics.json", "index_metrics.json", "index_forecast.bgrid"} <= set(trained)
+
+
 def test_run_trains_every_model_in_one_pool(tiny_dir: Path, tmp_path: Path, monkeypatch, soil_pools):
     # each run opens one pool for every depth and the index model, and its
     # whole output tree, index.ckpt included, does not depend on the pool
@@ -569,7 +595,7 @@ def test_trained_bytes_do_not_depend_on_the_pool_size(synth_config, tmp_path: Pa
     for workers in (1, 2, 3, 4):
         monkeypatch.setattr(pipeline, "_pool_size", lambda costs, cores, w=workers: w)
         paths = []
-        for k, model in enumerate(pipeline._train_all(jobs)):
+        for k, (model, *_) in enumerate(pipeline._train_all(jobs)):
             paths.append(tmp_path / f"{workers}-{k}.ckpt")
             save_model(model, paths[-1])
         checkpoints.append([path.read_bytes() for path in paths])

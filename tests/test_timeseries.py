@@ -542,6 +542,33 @@ def test_group_errors_match_full_scan():
     assert group_records(table[:0]) == {}
 
 
+def test_grouping_holds_row_indices_not_a_copy():
+    # 100k rows of 56 B: grouping peaks at 2_700_845 B traced and keeps
+    # 895_332 B (the sorted row indices), where a sorted copy of the table
+    # peaked at 6_403_800 B; a group is cut from the table when looked up
+    rng = np.random.default_rng(0)
+    n = 100_000
+    table = SensorTable(
+        tuple(f"s{i}" for i in range(50)),
+        sensor=rng.integers(0, 50, n),
+        depth_cm=rng.integers(1, 13, n) * 10,
+        day=rng.integers(738_000, 739_000, n),
+        features=rng.normal(size=(n, 4)),
+    )
+    tracemalloc.start()
+    try:
+        groups = group_records(table)
+        grouped, peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        sizes = [len(groups[key]) for key in groups]
+        looked_up = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_970_000 and grouped < 990_000
+    assert looked_up < grouped + 56 * max(sizes) + 10_000  # one group at a time
+    assert sum(sizes) == n
+
+
 # -- scaler ------------------------------------------------------------------------
 
 def test_scaler_stats_match_numpy():
@@ -662,23 +689,24 @@ def test_depth_split_pinned_example(tmp_path):
     # windows, the last of them val: 7 fit, 1 val, 2 test, in time order.
     config = soil_config(tmp_path, input_length=4, horizon=2, test_fraction=0.2)
     features = ramp(15)
-    data = _prepare_depth(group_records(depth_table(features)), ["s1"], 10, config)
-    assert (data.fit.n_samples, data.val.n_samples, data.test.n_samples) == (7, 1, 2)
+    task = _prepare_depth(group_records(depth_table(features)), ["s1"], 10, config)
+    fit, val, test = task.windows()
+    assert (fit.n_samples, val.n_samples, test.n_samples) == (7, 1, 2)
     # the scaler sees the days of the 8 train windows: 8 + 4 + 2 - 1 = 13
-    np.testing.assert_array_equal(data.scaler.mean, features[:13].mean(axis=0))
-    z = data.scaler.apply(features)
+    np.testing.assert_array_equal(task.scaler.mean, features[:13].mean(axis=0))
+    z = task.scaler.apply(features)
     # order preserved, val after fit, test strictly later
-    np.testing.assert_array_equal(data.fit.inputs[0], z[0:4])
-    np.testing.assert_array_equal(data.fit.targets[-1, :, 0], z[10:12, 0])
-    np.testing.assert_array_equal(data.val.inputs[0], z[7:11])
-    np.testing.assert_array_equal(data.test.inputs[0], z[8:12])
-    np.testing.assert_array_equal(data.test.targets[-1, :, 0], z[13:15, 0])
-    assert data.test.inputs[0, 0, 0] > data.val.inputs[-1, 0, 0] > data.fit.inputs[-1, 0, 0]
-    np.testing.assert_array_equal(data.last_inputs["s1"], z[-4:])
+    np.testing.assert_array_equal(fit.inputs[0], z[0:4])
+    np.testing.assert_array_equal(fit.targets[-1, :, 0], z[10:12, 0])
+    np.testing.assert_array_equal(val.inputs[0], z[7:11])
+    np.testing.assert_array_equal(test.inputs[0], z[8:12])
+    np.testing.assert_array_equal(test.targets[-1, :, 0], z[13:15, 0])
+    assert test.inputs[0, 0, 0] > val.inputs[-1, 0, 0] > fit.inputs[-1, 0, 0]
+    np.testing.assert_array_equal(task.series["s1"][-4:], z[-4:])  # the forecast's input tail
     # deterministic
-    again = _prepare_depth(group_records(depth_table(features)), ["s1"], 10, config)
-    np.testing.assert_array_equal(data.fit.inputs, again.fit.inputs)
-    np.testing.assert_array_equal(data.test.targets, again.test.targets)
+    again = _prepare_depth(group_records(depth_table(features)), ["s1"], 10, config).windows()
+    np.testing.assert_array_equal(fit.inputs, again[0].inputs)
+    np.testing.assert_array_equal(test.targets, again[2].targets)
 
 
 def test_depth_split_empty_sides(tmp_path):
@@ -692,8 +720,9 @@ def test_depth_split_empty_sides(tmp_path):
     with pytest.raises(ConfigError):
         soil_config(tmp_path, 4, 2, test_fraction=1.0)
     # 7 days: N = 2, one train window; it fits and no val side exists
-    data = _prepare_depth(group_records(depth_table(ramp(7))), ["s1"], 10, soil_config(tmp_path, 4, 2, 0.2))
-    assert (data.fit.n_samples, data.val, data.test.n_samples) == (1, None, 1)
+    task = _prepare_depth(group_records(depth_table(ramp(7))), ["s1"], 10, soil_config(tmp_path, 4, 2, 0.2))
+    fit, val, test = task.windows()
+    assert (fit.n_samples, val, test.n_samples) == (1, None, 1)
 
 
 def test_depth_split_joins_sensors_in_order(tmp_path):
@@ -702,9 +731,9 @@ def test_depth_split_joins_sensors_in_order(tmp_path):
     # before s1 but without rows is skipped.
     config = soil_config(tmp_path, input_length=3, horizon=2, test_fraction=0.2)
     s1, s2 = ramp(15), np.random.default_rng(5).normal(30.0, 3.0, size=(12, 4))
-    data = _prepare_depth(group_records(depth_table(s1, s2)), ["s0", "s1", "s2"], 10, config)
-    w1, w2 = (make_windows(data.scaler.apply(f), input_length=3, horizon=2) for f in (s1, s2))
-    for part, cuts in ((data.fit, (0, 7, 0, 5)), (data.val, (7, 8, 5, 6)), (data.test, (8, 11, 6, 8))):
+    task = _prepare_depth(group_records(depth_table(s1, s2)), ["s0", "s1", "s2"], 10, config)
+    w1, w2 = (make_windows(task.scaler.apply(f), input_length=3, horizon=2) for f in (s1, s2))
+    for part, cuts in zip(task.windows(), ((0, 7, 0, 5), (7, 8, 5, 6), (8, 11, 6, 8))):
         for got, one, two in zip((part.inputs, part.targets), w1, w2):
             np.testing.assert_array_equal(got, np.concatenate([one[cuts[0] : cuts[1]], two[cuts[2] : cuts[3]]]))
-    assert list(data.last_inputs) == ["s1", "s2"]
+    assert list(task.series) == ["s1", "s2"]

@@ -52,11 +52,11 @@ def cmd_synth(args: argparse.Namespace) -> int:
 def cmd_train_soil(args: argparse.Namespace) -> int:
     config = _load_config(args)
     table = timeseries.load_sensor_csv(config.sensor_csv)
-    results, models, _ = pipeline.run_soil_stage(table, config)
+    outcomes = pipeline.run_soil_stage(table, config)
     out_dir = config.output_dir
     with pipeline.staged(out_dir) as partial:
-        pipeline.write_soil(partial, results, models)
-    for r in results:
+        pipeline.write_soil(partial, outcomes)
+    for _, r in outcomes:
         print(f"depth {r.depth_cm:3d} cm: test RMSE {r.test_rmse:.4f} vs persistence {r.persistence_rmse:.4f}")
     print(f"checkpoints in {out_dir / 'checkpoints'}")
     return 0
@@ -67,10 +67,10 @@ def cmd_train_index(args: argparse.Namespace) -> int:
     if config.image_manifest is None:
         raise ConfigError("config has no image_manifest; nothing to train on")
     stack = vegindex.load_index_stack(config.image_manifest, config.index_kind, config.band_mapping)
-    result, model, image = pipeline.run_index_stage(stack, config)
+    model, result, image = pipeline.run_index_stage(stack, config)
     out_dir = config.output_dir
     with pipeline.staged(out_dir) as partial:
-        pipeline.write_index(partial, result, model, image)
+        pipeline.write_index(partial, model, result, image)
     print(f"index test RMSE {result.test_rmse:.4f} MAE {result.test_mae:.4f} vs persistence {result.persistence_rmse:.4f}")
     print(f"checkpoint in {out_dir / 'checkpoints' / 'index.ckpt'}")
     return 0
@@ -106,7 +106,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     config = _load_config(args)
     report = pipeline.run_forecast(config, forecast_day=args.day)
     for d in report.depths:
-        shown = "n/a" if d.loo_score is None else f"{d.loo_score:.4f}"
+        score = report.kriging[d.depth_cm][0]
+        shown = "n/a" if score is None else f"{score:.4f}"
         print(
             f"depth {d.depth_cm:3d} cm: test RMSE {d.test_rmse:.4f} "
             f"vs persistence {d.persistence_rmse:.4f}, LOO {shown}"
@@ -121,14 +122,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_gradcheck(args: argparse.Namespace) -> int:
-    report = pipeline.cmd_gradcheck(
-        seed=args.seed if args.seed is not None else 0,
-        corrupt=args.corrupt,
-        hidden=args.hidden,
-        dense=args.dense,
-        length=args.length,
-        horizon=args.horizon,
-    )
+    report = pipeline.cmd_gradcheck(seed=args.seed if args.seed is not None else 0, corrupt=args.corrupt)
     for name in ("soil", "index"):
         r = report[name]
         status = "PASS" if r["passed"] else "FAIL"
@@ -166,12 +160,9 @@ def build_parser() -> argparse.ArgumentParser:
     ]
     for name, fn, shared, text in commands:
         sub.add_parser(name, help=text, parents=[flags[f] for f in shared.split()]).set_defaults(fn=fn)
-    p = sub.choices["gradcheck"]
-    p.add_argument("--corrupt", action="store_true", help="inject a gradient fault; the check must fail")
-    p.add_argument("--hidden", type=int, default=8, help="toy hidden width (soil-shaped model)")
-    p.add_argument("--dense", type=int, default=6, help="toy dense width (soil-shaped model)")
-    p.add_argument("--length", type=int, default=6, help="toy input length (soil-shaped model)")
-    p.add_argument("--horizon", type=int, default=3, help="toy horizon (soil-shaped model)")
+    sub.choices["gradcheck"].add_argument(
+        "--corrupt", action="store_true", help="inject a gradient fault; the check must fail"
+    )
     return parser
 
 

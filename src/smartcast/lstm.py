@@ -18,7 +18,7 @@ vegetation-index configuration.
 
 Each LSTM layer stores its gates fused (the cuDNN RNN layout, Appleyard,
 Kumar & Sharma, arXiv 1604.01946): one W (4n, d), U (4n, n) and b (4n,),
-gate blocks i, f, o, g; `w_i` ... `b_g` are row-slice views. A model's
+gate blocks i, f, o, g, each a block of n rows. A model's
 parameters are one vector in `ModelShape.layout()` order, the checkpoint's
 per-gate order, and every tensor is a view into it; a gradient and Adam's
 moments share that layout, so a cast, a copy, an Adam step or a checkpoint
@@ -54,31 +54,18 @@ CHECKPOINT_MAGIC = b"SMLSTM1\n"
 _GATES = ("i", "f", "o", "g")
 
 
-def _gate_view(tensor: str, k: int) -> property:
-    def view(self) -> np.ndarray:
-        n = self.hidden_dim
-        return getattr(self, tensor)[k * n : (k + 1) * n]
-
-    return property(view, doc=f"Rows of `{tensor}` for gate {_GATES[k]} (a view).")
-
-
 @dataclass
 class LstmLayerParams:
     """Fused gate parameters of one LSTM layer.
 
     `w` is (4n, d), `u` is (4n, n) and `b` is (4n,), with the gate
-    blocks in the order i, f, o, g everywhere (arrays, checkpoints).
-    `w_i` ... `b_g` are read-only attributes that return row-slice
-    views of one gate's block.
+    blocks in the order i, f, o, g everywhere (arrays, checkpoints):
+    gate k's block is rows k*n to (k+1)*n.
     """
 
     w: np.ndarray
     u: np.ndarray
     b: np.ndarray
-
-    w_i, w_f, w_o, w_g = (_gate_view("w", k) for k in range(4))
-    u_i, u_f, u_o, u_g = (_gate_view("u", k) for k in range(4))
-    b_i, b_f, b_o, b_g = (_gate_view("b", k) for k in range(4))
 
     @property
     def input_dim(self) -> int:
@@ -236,7 +223,7 @@ def init_params(shape: ModelShape, seed: int, scaler: Scaler | None = None) -> S
         n, d = layer.hidden_dim, layer.input_dim
         layer.w[...] = np.concatenate([_glorot(rng, n, d) for _ in _GATES])
         layer.u[...] = np.concatenate([_glorot(rng, n, n) for _ in _GATES])
-        layer.b_f[...] = 1.0  # forget-gate bias starts open
+        layer.b[n : 2 * n] = 1.0  # forget-gate bias starts open
     model.head_hidden.weight[...] = _glorot(rng, shape.dense_hidden, shape.decoder_hidden)
     model.head_out.weight[...] = _glorot(rng, 1, shape.dense_hidden)
     return model
@@ -753,7 +740,8 @@ def _read_header(path: str | Path, line: bytes) -> tuple[ModelShape, Scaler | No
 
 
 def load_model(path: str | Path) -> Seq2SeqModel:
-    """Read a checkpoint written by save_model; DataError naming `path` if any part is malformed."""
+    """Read a checkpoint written by save_model; DataError naming `path` if
+    any part is malformed, and the tensor if a parameter is not finite."""
     with Path(path).open("rb") as fh:
         if fh.read(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
             raise DataError(f"{path}: not a model checkpoint (bad magic)")
@@ -764,4 +752,10 @@ def load_model(path: str | Path) -> Seq2SeqModel:
         raise DataError(f"{path}: checkpoint truncated at tensor {shape.locate(len(raw) // 8)[0]}")
     if len(raw) > size:
         raise DataError(f"{path}: trailing bytes after final tensor")
-    return Seq2SeqModel(shape, np.frombuffer(raw, dtype="<f8").astype(np.float64), scaler)
+    flat = np.frombuffer(raw, dtype="<f8").astype(np.float64)
+    bad = np.flatnonzero(~np.isfinite(flat))
+    if bad.size:
+        name, index, gate = shape.locate(int(bad[0]))
+        where = f"tensor {name}" + (f" (gate {gate})" if gate else "")
+        raise DataError(f"{path}: non-finite parameter {flat[bad[0]]} in {where} at index {index}")
+    return Seq2SeqModel(shape, flat, scaler)

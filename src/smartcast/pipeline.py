@@ -25,7 +25,7 @@ import json
 import math
 import os
 import shutil
-from collections.abc import Callable, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass
 from datetime import timedelta
 from pathlib import Path
@@ -107,7 +107,7 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class DepthResult:
-    """Per-depth training, forecasting, and interpolation outcomes."""
+    """One depth's trained-model figures and per-sensor forecasts."""
 
     depth_cm: int
     test_rmse: float
@@ -115,9 +115,15 @@ class DepthResult:
     n_train_windows: int
     n_test_windows: int
     forecasts: dict[str, tuple[float, ...]]
-    loo_score: float | None
-    variogram: Variogram | None
-    n_samples: int
+
+    def metrics(self) -> dict:
+        """The depth's entry in soil_metrics.json, which report.json extends."""
+        return {
+            "test_rmse": self.test_rmse,
+            "persistence_rmse": self.persistence_rmse,
+            "n_train_windows": self.n_train_windows,
+            "n_test_windows": self.n_test_windows,
+        }
 
 
 @dataclass(frozen=True)
@@ -134,49 +140,34 @@ class IndexResult:
 
 @dataclass(frozen=True)
 class ForecastReport:
-    """Everything a run produced: metrics per depth, index metrics, artifacts."""
+    """Everything a run produced: metrics per depth, the kriging stage's
+    (LOO score, variogram, sample count) per depth, index metrics and
+    artifacts."""
 
     seed: int
     forecast_day: int
     depths: tuple[DepthResult, ...]
+    kriging: dict[int, tuple[float | None, Variogram, int]]
     index: IndexResult | None
     artifacts: dict[str, str]
 
     def to_dict(self) -> dict:
-        """Plain-type payload with every metric checked finite."""
-
-        def finite(name: str, value: float) -> float:
-            value = float(value)
-            if not np.isfinite(value):
-                raise NumericError(f"report metric {name} is not finite: {value}")
-            return value
-
+        """Plain-type payload; `_write_json` refuses it if a number is not finite."""
         depths = {}
         for d in self.depths:
-            entry = {
-                "test_rmse": finite(f"depth {d.depth_cm} test_rmse", d.test_rmse),
-                "persistence_rmse": finite(f"depth {d.depth_cm} persistence_rmse", d.persistence_rmse),
-                "n_train_windows": d.n_train_windows,
-                "n_test_windows": d.n_test_windows,
-                "forecasts": {
-                    s: [finite(f"forecast {s}@{d.depth_cm}", v) for v in vals]
-                    for s, vals in sorted(d.forecasts.items())
-                },
-                "n_samples": d.n_samples,
-                "loo_score": None if d.loo_score is None else finite(f"depth {d.depth_cm} loo", d.loo_score),
-                "variogram": None
-                if d.variogram is None
-                else {k: finite(k, v) for k, v in dataclasses.asdict(d.variogram).items()},
+            loo_score, variogram, n_samples = self.kriging[d.depth_cm]
+            depths[str(d.depth_cm)] = {
+                **d.metrics(),
+                "forecasts": {s: list(vals) for s, vals in d.forecasts.items()},
+                "n_samples": n_samples,
+                "loo_score": loo_score,
+                "variogram": dataclasses.asdict(variogram),
             }
-            depths[str(d.depth_cm)] = entry
-        index = None if self.index is None else dataclasses.asdict(self.index)
-        if index is not None:
-            index.update({k: finite(f"index {k}", index[k]) for k in ("test_rmse", "test_mae", "persistence_rmse")})
         return {
             "seed": self.seed,
             "forecast_day": self.forecast_day,
             "soil": {"per_depth": depths},
-            "index": index,
+            "index": None if self.index is None else dataclasses.asdict(self.index),
             "artifacts": dict(sorted(self.artifacts.items())),
         }
 
@@ -418,9 +409,6 @@ class _SoilTask:
             n_train_windows=sum(n_train for _, n_train in self.cuts.values()),
             n_test_windows=test.n_samples,
             forecasts=forecast_sensors(model, tails),
-            loo_score=None,
-            variogram=None,
-            n_samples=0,
         )
         return model, result
 
@@ -591,9 +579,6 @@ def _soil_shape(config: RunConfig) -> ModelShape:
     return ModelShape(n_features, m.encoder_hidden, m.decoder_hidden, m.dense_hidden, config.horizon_days)
 
 
-_SoilOutcome = tuple[list[DepthResult], dict[int, Seq2SeqModel], dict[int, dict[str, tuple[float, ...]]]]
-
-
 def _soil_stage(table: timeseries.SensorTable, config: RunConfig) -> list[_TrainJob]:
     """Every depth's job, in depth order; a depth whose data cannot split
     raises here, before any worker starts."""
@@ -610,26 +595,18 @@ def _soil_stage(table: timeseries.SensorTable, config: RunConfig) -> list[_Train
     return jobs
 
 
-def _soil_outcome(outcomes: list[tuple[Seq2SeqModel, DepthResult]]) -> _SoilOutcome:
-    """The soil jobs' outcomes as per-depth results, models by depth and
-    the forecast table."""
-    results = [result for _, result in outcomes]
-    models = {result.depth_cm: model for model, result in outcomes}
-    return results, models, {result.depth_cm: result.forecasts for result in results}
-
-
-def run_soil_stage(table: timeseries.SensorTable, config: RunConfig) -> _SoilOutcome:
+def run_soil_stage(table: timeseries.SensorTable, config: RunConfig) -> list[tuple[Seq2SeqModel, DepthResult]]:
     """Train, evaluate, and forecast one model per depth.
 
     The splits are checked and the series scaled here in depth order;
     each depth's worker cuts its windows, trains, scores the test split
     and forecasts every sensor.
 
-    Returns per-depth results (metrics + per-sensor 14-day forecasts,
-    clipped to the physical moisture range), trained models, and the
-    forecast table used by the kriging stage.
+    Returns (trained model, result) per depth, in depth order; a result
+    holds the depth's metrics and per-sensor forecasts, clipped to the
+    physical moisture range.
     """
-    return _soil_outcome(_train_all(_soil_stage(table, config)))
+    return _train_all(_soil_stage(table, config))
 
 
 def forecast_from_checkpoints(config: RunConfig, ckpt_dir: Path) -> dict[int, dict[str, tuple[float, ...]]]:
@@ -690,8 +667,10 @@ def _split_by_run(windows: WindowSet, run_ids: np.ndarray, test_fraction: float)
 @dataclass(frozen=True)
 class _IndexTask:
     """The pixel model's work in a worker: its scaled fit and val windows,
-    its unscaled test windows, and the forecast date's (P, 5, 2) pixel
-    windows with their validity mask."""
+    its unscaled test windows, the forecast date's (P, 5, 2) pixel
+    windows with their validity mask, and what its result and image
+    take from the stack: the train window count, the forecast date, the
+    image size and the index kind."""
 
     scaler: Scaler
     fit: WindowSet
@@ -699,6 +678,11 @@ class _IndexTask:
     test: WindowSet
     pixels: np.ndarray
     mask: np.ndarray
+    n_train_windows: int
+    forecast_target: str
+    width: int
+    height: int
+    index_kind: str
 
     @property
     def n_fit(self) -> int:
@@ -711,21 +695,29 @@ class _IndexTask:
     def windows(self) -> tuple[WindowSet, WindowSet | None, WindowSet]:
         return self.fit, self.val, self.test
 
-    def finish(self, model: Seq2SeqModel, test: WindowSet) -> tuple[Seq2SeqModel, np.ndarray, np.ndarray]:
-        """The trained model, its test predictions and every pixel's
-        prediction, each clipped to [-1, 1]."""
+    def finish(
+        self, model: Seq2SeqModel, test: WindowSet
+    ) -> tuple[Seq2SeqModel, IndexResult, vegindex.IndexImage]:
+        """The trained model, its metrics on the test windows, with
+        predictions clipped to [-1, 1], and the forecast index image."""
         preds = np.clip(lstm.predict_batch(model, self.scaler.apply(test.inputs))[:, 0], -1.0, 1.0)
-        return model, preds, vegindex.predict_pixels(model, self.pixels, self.mask)
+        targets = test.targets[:, 0, 0]
+        result = IndexResult(
+            test_rmse=lstm.rmse(preds, targets),
+            test_mae=lstm.mae(preds, targets),
+            persistence_rmse=lstm.rmse(test.inputs[:, -1, 0], targets),
+            n_train_windows=self.n_train_windows,
+            n_test_windows=test.n_samples,
+            forecast_target=self.forecast_target,
+        )
+        pixel_preds = vegindex.predict_pixels(model, self.pixels, self.mask)
+        image = vegindex.reshape_to_image(pixel_preds, self.width, self.height, index_kind=self.index_kind)
+        return model, result, image
 
 
-_IndexOutcome = tuple[IndexResult, Seq2SeqModel, vegindex.IndexImage]
-
-
-def _index_stage(
-    stack: vegindex.ImageStack, config: RunConfig
-) -> tuple[_TrainJob, Callable[[tuple[Seq2SeqModel, np.ndarray, np.ndarray]], _IndexOutcome]]:
-    """The pixel model's job and the function that turns its outcome into
-    test metrics on held-out runs and the forecast index image."""
+def _index_stage(stack: vegindex.ImageStack, config: RunConfig) -> _TrainJob:
+    """The pixel model's job: train on the leading runs of windows, score
+    on the held-out ones and forecast the index image."""
     windows, run_ids = vegindex.stack_windows_for_training(stack)
     fit, val, test = _split_by_run(windows, run_ids, config.test_fraction)
     n_train_windows = fit.n_samples + (val.n_samples if val is not None else 0)
@@ -739,37 +731,24 @@ def _index_stage(
     m = config.index_model
     shape = ModelShape(2, m.encoder_hidden, m.decoder_hidden, m.dense_hidden, horizon=1)
     train_config = dataclasses.replace(config.index_train, seed=_derive_seed(config.seed, 22, 1))
-    task = _IndexTask(scaler, fit, val, test, pixels, mask)
-    job: _TrainJob = ("index", shape, _derive_seed(config.seed, 22, 0), task, train_config)
-
-    def finish(outcome: tuple[Seq2SeqModel, np.ndarray, np.ndarray]) -> _IndexOutcome:
-        model, preds, pixel_preds = outcome
-        targets = test.targets[:, 0, 0]
-        persistence = test.inputs[:, -1, 0]
-        result = IndexResult(
-            test_rmse=lstm.rmse(preds, targets),
-            test_mae=lstm.mae(preds, targets),
-            persistence_rmse=lstm.rmse(persistence, targets),
-            n_train_windows=n_train_windows,
-            n_test_windows=test.n_samples,
-            forecast_target=target_date.isoformat(),
-        )
-        image = vegindex.reshape_to_image(pixel_preds, stack.width, stack.height, index_kind=config.index_kind)
-        return result, model, image
-
-    return job, finish
+    task = _IndexTask(
+        scaler, fit, val, test, pixels, mask,
+        n_train_windows, target_date.isoformat(), stack.width, stack.height, config.index_kind,
+    )
+    return ("index", shape, _derive_seed(config.seed, 22, 0), task, train_config)
 
 
-def run_index_stage(stack: vegindex.ImageStack, config: RunConfig) -> _IndexOutcome:
+def run_index_stage(
+    stack: vegindex.ImageStack, config: RunConfig
+) -> tuple[Seq2SeqModel, IndexResult, vegindex.IndexImage]:
     """Train the shared pixel model, evaluate on held-out runs, forecast.
 
-    The model trains, and predicts the test windows and the image's
-    pixels, in one spawned worker, as every model does. The forecast
-    target date is the last image date plus the configured forecast day;
-    the predicted image reuses the stack's validity mask.
+    The model trains, is scored and predicts the image's pixels in one
+    spawned worker, as every model does. The forecast target date is the
+    last image date plus the configured forecast day; the predicted image
+    reuses the stack's validity mask.
     """
-    job, finish = _index_stage(stack, config)
-    return finish(_train_all([job])[0])
+    return _train_all([_index_stage(stack, config)])[0]
 
 
 # -- kriging stage ----------------------------------------------------------------
@@ -887,35 +866,31 @@ def staged(out_dir: Path):
 # report artifact names with paths relative to `root`.
 
 def _write_json(root: Path, name: str, payload: dict) -> str:
-    with (root / name).open("w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    """`payload` as `root/name`; NumericError naming the file, which is
+    not written, when a number in it is not finite."""
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as e:
+        raise NumericError(f"{name} would hold a non-finite number: {e}") from e
+    (root / name).write_text(text + "\n", encoding="utf-8")
     return name
 
 
-def write_soil(root: Path, results: list[DepthResult], models: dict[int, Seq2SeqModel]) -> dict[str, str]:
+def write_soil(root: Path, outcomes: list[tuple[Seq2SeqModel, DepthResult]]) -> dict[str, str]:
     """One checkpoint per depth plus soil_metrics.json."""
     (root / "checkpoints").mkdir(exist_ok=True)
     artifacts = {}
-    for depth, model in sorted(models.items()):
-        rel = f"checkpoints/soil_depth_{depth:03d}.ckpt"
+    for model, result in outcomes:
+        rel = f"checkpoints/soil_depth_{result.depth_cm:03d}.ckpt"
         lstm.save_model(model, root / rel)
-        artifacts[f"checkpoint_soil_{depth}"] = rel
-    metrics = {
-        str(r.depth_cm): {
-            "test_rmse": r.test_rmse,
-            "persistence_rmse": r.persistence_rmse,
-            "n_train_windows": r.n_train_windows,
-            "n_test_windows": r.n_test_windows,
-        }
-        for r in results
-    }
+        artifacts[f"checkpoint_soil_{result.depth_cm}"] = rel
+    metrics = {str(result.depth_cm): result.metrics() for _, result in outcomes}
     artifacts["soil_metrics"] = _write_json(root, "soil_metrics.json", metrics)
     return artifacts
 
 
 def write_index(
-    root: Path, result: IndexResult, model: Seq2SeqModel, image: vegindex.IndexImage
+    root: Path, model: Seq2SeqModel, result: IndexResult, image: vegindex.IndexImage
 ) -> dict[str, str]:
     """index.ckpt, index_metrics.json and the forecast image as BandGrid and PGM."""
     (root / "checkpoints").mkdir(exist_ok=True)
@@ -979,35 +954,24 @@ def run_forecast(config: RunConfig, forecast_day: int | None = None) -> Forecast
             )
         # One pool trains every model: the soil depths, then the index model.
         soil_jobs = stage("soil", _soil_stage, table, config)
-        index_jobs = []
-        if stack is not None:
-            index_job, finish_index = stage("index", _index_stage, stack, config)
-            index_jobs = [index_job]
+        index_jobs = [] if stack is None else [stage("index", _index_stage, stack, config)]
         outcomes = stage("soil", _train_all, soil_jobs + index_jobs)  # a failed job raises its own stage's error
-        depth_results, soil_models, forecast_table = _soil_outcome(outcomes[: len(soil_jobs)])
-        index = None if stack is None else stage("index", finish_index, outcomes[-1])
+        soil, index = outcomes[: len(soil_jobs)], outcomes[-1] if index_jobs else None
+        forecast_table = {result.depth_cm: result.forecasts for _, result in soil}
         volume, kriging_stats = stage("kriging", run_kriging_stage, forecast_table, config, day)
 
-        artifacts = stage("export", write_soil, partial, depth_results, soil_models)
+        artifacts = stage("export", write_soil, partial, soil)
         if index is not None:
             artifacts.update(stage("export", write_index, partial, *index))
         artifacts.update(stage("export", write_forecasts, partial, forecast_table))
         artifacts.update(stage("export", write_volume, partial, volume))
         artifacts["report"] = "report.json"
-        merged = [
-            dataclasses.replace(
-                r,
-                loo_score=kriging_stats[r.depth_cm][0],
-                variogram=kriging_stats[r.depth_cm][1],
-                n_samples=kriging_stats[r.depth_cm][2],
-            )
-            for r in depth_results
-        ]
         report = ForecastReport(
             seed=config.seed,
             forecast_day=day,
-            depths=tuple(merged),
-            index=None if index is None else index[0],
+            depths=tuple(result for _, result in soil),
+            kriging=kriging_stats,
+            index=None if index is None else index[1],
             artifacts=artifacts,
         )
         stage("export", lambda: _write_json(partial, "report.json", report.to_dict()))
@@ -1016,33 +980,23 @@ def run_forecast(config: RunConfig, forecast_day: int | None = None) -> Forecast
 
 # -- gradient-check command ---------------------------------------------------------
 
-def cmd_gradcheck(
-    seed: int = 0,
-    corrupt: bool = False,
-    hidden: int = 8,
-    dense: int = 6,
-    length: int = 6,
-    horizon: int = 3,
-) -> dict:
+def cmd_gradcheck(seed: int = 0, corrupt: bool = False) -> dict:
     """Finite-difference audit of both toy architectures.
 
-    The soil-shaped toy honors the dimension arguments; the index toy
-    is fixed at its production shape scaled down. Probe targets sit
-    near the model's own predictions so central differences stay clear
-    of cancellation noise. `corrupt` doubles one analytic gradient
-    entry to prove the check can fail. The worst coordinate is reported
-    by tensor, index within it and, in a fused LSTM tensor, gate.
+    Both toys are their production shapes scaled down; the soil toy's
+    6-day input and 3-day horizon give both layers multi-step
+    backpropagation through time. Probe targets sit near the model's own
+    predictions so central differences stay clear of cancellation noise.
+    `corrupt` doubles one analytic gradient entry to prove the check can
+    fail. The worst coordinate is reported by tensor, index within it
+    and, in a fused LSTM tensor, gate.
     """
     reports = {}
-    configs = {
-        "soil": ModelShape(4, hidden, hidden, dense, horizon=horizon),
-        "index": ModelShape(2, 5, 5, 4, horizon=1),
-    }
-    lengths = {"soil": length, "index": 5}
-    for name, shape in configs.items():
+    toys = {"soil": (ModelShape(4, 8, 8, 6, horizon=3), 6), "index": (ModelShape(2, 5, 5, 4, horizon=1), 5)}
+    for name, (shape, length) in toys.items():
         rng = np.random.default_rng(np.random.SeedSequence((seed, 33, 1 if name == "soil" else 2)))
         model = lstm.init_params(shape, seed=_derive_seed(seed, 33, shape.encoder_hidden))
-        x = rng.normal(0.0, 1.0, size=(lengths[name], shape.input_dim))
+        x = rng.normal(0.0, 1.0, size=(length, shape.input_dim))
         preds, _ = lstm.forward_batch(model, x[None, :, :])
         targets = preds[0] + 0.1 * rng.normal(0.0, 1.0, size=preds[0].shape)
         report = lstm.gradient_check(model, (x, targets), corrupt="encoder.w" if corrupt else None)

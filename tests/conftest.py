@@ -1,10 +1,10 @@
 """Shared fixtures (synthetic datasets generated once per session) and
-the single-sample forward helper of the LSTM tests."""
+the LSTM tests' helpers: single-sample forward and one gate's rows."""
 
 import numpy as np
 import pytest
 
-from smartcast.lstm import ForwardCache, Seq2SeqModel, forward_batch
+from smartcast.lstm import ForwardCache, LstmLayerParams, Seq2SeqModel, forward_batch
 from smartcast.pipeline import parse_config
 from smartcast.synth import SynthSpec, generate_dataset
 
@@ -39,6 +39,12 @@ def tiny_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("synth_tiny")
     generate_dataset(out, seed=3, spec=TINY_SPEC)
     return out
+
+
+def gate_rows(layer: LstmLayerParams, tensor: str, gate: str) -> np.ndarray:
+    """Gate `gate`'s (one of "ifog") block of rows of `layer.<tensor>`."""
+    n, k = layer.hidden_dim, "ifog".index(gate)
+    return getattr(layer, tensor)[k * n : (k + 1) * n]
 
 
 def seq2seq_forward(model: Seq2SeqModel, x: np.ndarray) -> tuple[np.ndarray, ForwardCache]:

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import seq2seq_forward
+from conftest import gate_rows, seq2seq_forward
 
 from smartcast import lstm, pipeline, timeseries, vegindex
 from smartcast.cli import main
@@ -82,8 +82,8 @@ def _scalar_cell(layer, x, h_prev, c_prev):
     for u in range(n):
         z = {}
         for gate in ("i", "f", "o", "g"):
-            acc = float(getattr(layer, f"b_{gate}")[u])
-            w, uu = getattr(layer, f"w_{gate}"), getattr(layer, f"u_{gate}")
+            acc = float(gate_rows(layer, "b", gate)[u])
+            w, uu = gate_rows(layer, "w", gate), gate_rows(layer, "u", gate)
             for k in range(d):
                 acc += float(w[u, k]) * x[k]
             for k in range(n):
@@ -149,7 +149,8 @@ def test_soil_beats_persistence(synth_dir: Path):
     records = timeseries.load_sensor_csv(config.sensor_csv)
     # One call, so the training pool gets all three depths at once.
     t0 = time.perf_counter()
-    results, _, _ = pipeline.run_soil_stage(records, dataclasses.replace(config, depths_cm=(10, 30, 60)))
+    outcomes = pipeline.run_soil_stage(records, dataclasses.replace(config, depths_cm=(10, 30, 60)))
+    results = [result for _, result in outcomes]
     dt = time.perf_counter() - t0
     parts = []
     ok = [r.depth_cm for r in results] == [10, 30, 60] and dt < 300.0
@@ -170,7 +171,7 @@ def test_soil_beats_persistence(synth_dir: Path):
 def test_index_beats_persistence(synth_dir: Path):
     config = parse_config(synth_dir / "config.json")
     stack = vegindex.load_index_stack(config.image_manifest, config.index_kind, config.band_mapping)
-    result, _, image = pipeline.run_index_stage(stack, config)
+    _, result, image = pipeline.run_index_stage(stack, config)
     gain = 1.0 - result.test_rmse / result.persistence_rmse
     ok = (
         len(stack) >= 12

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import seq2seq_forward
+from conftest import gate_rows, seq2seq_forward
 from scipy.special import expit
 
 import smartcast
@@ -48,9 +48,9 @@ def _cell_scalar(layer, x, h_prev, c_prev):
     for u in range(n):
         acts = {}
         for gate in ("i", "f", "o", "g"):
-            z = float(getattr(layer, f"b_{gate}")[u])
-            w = getattr(layer, f"w_{gate}")
-            uu = getattr(layer, f"u_{gate}")
+            z = float(gate_rows(layer, "b", gate)[u])
+            w = gate_rows(layer, "w", gate)
+            uu = gate_rows(layer, "u", gate)
             for k in range(d):
                 z += float(w[u, k]) * x[k]
             for k in range(n):
@@ -156,10 +156,10 @@ def test_init_glorot_bounds_and_forget_bias():
         lim_w = np.sqrt(6.0 / (n + d))
         lim_u = np.sqrt(6.0 / (n + n))
         for g in "ifog":
-            assert np.all(np.abs(getattr(layer, f"w_{g}")) <= lim_w)
-            assert np.all(np.abs(getattr(layer, f"u_{g}")) <= lim_u)
-        np.testing.assert_array_equal(layer.b_f, np.ones(n))
-        np.testing.assert_array_equal(layer.b_i, np.zeros(n))
+            assert np.all(np.abs(gate_rows(layer, "w", g)) <= lim_w)
+            assert np.all(np.abs(gate_rows(layer, "u", g)) <= lim_u)
+        np.testing.assert_array_equal(gate_rows(layer, "b", "f"), np.ones(n))
+        np.testing.assert_array_equal(gate_rows(layer, "b", "i"), np.zeros(n))
     # deterministic per seed
     again = init_params(SOIL_TOY, seed=7)
     for name, a in model.tensors.items():
@@ -178,18 +178,11 @@ def test_model_shape_validation():
 # -- fused gate layout --------------------------------------------------------------
 
 
-def test_layer_is_three_fused_tensors_with_gate_views():
+def test_layer_is_three_fused_tensors():
     layer = init_params(SOIL_TOY, seed=5).encoder
     assert [f.name for f in dataclasses.fields(layer)] == ["w", "u", "b"]
     n, d = layer.hidden_dim, layer.input_dim
     assert (layer.w.shape, layer.u.shape, layer.b.shape) == ((4 * n, d), (4 * n, n), (4 * n,))
-    for k, gate in enumerate("ifog"):
-        for fused in ("w", "u", "b"):
-            view = getattr(layer, f"{fused}_{gate}")
-            np.testing.assert_array_equal(view, getattr(layer, fused)[k * n : (k + 1) * n])
-            assert np.shares_memory(view, getattr(layer, fused))
-    with pytest.raises(AttributeError):
-        layer.w_i = np.zeros((n, d))
     with pytest.raises(ShapeError):
         Seq2SeqModel(SOIL_TOY, np.zeros(SOIL_TOY.n_params - 1))
 

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import gate_rows
 
 from smartcast.errors import DataError, DivergenceError, GradientError
 from smartcast.lstm import (
@@ -273,7 +274,7 @@ def traced_peak(fn) -> int:
 
 def test_engine_memory_peaks():
     """The batch-major engine this replaced peaked at 17_403_912 B predicting
-    and 22_924_071 B training; this one at 12_291_768 B and 14_538_975 B.
+    and 22_924_071 B training; this one at 12_292_610 B and 7_183_182 B.
     The bounds are this engine's figures plus 10 %."""
     index = init_params(ModelShape(input_dim=2, encoder_hidden=24, decoder_hidden=24, dense_hidden=12, horizon=1), seed=1)
     pixels = np.random.default_rng(1).normal(size=(4096, 5, 2))
@@ -283,7 +284,7 @@ def test_engine_memory_peaks():
     rng = np.random.default_rng(2)
     windows = WindowSet(rng.normal(size=(200, 30, 4)), rng.normal(size=(200, 14, 1)))
     config = TrainConfig(epochs=1, batch_size=64, seed=2)
-    assert traced_peak(lambda: train(soil, windows, None, config)) < 15_990_000
+    assert traced_peak(lambda: train(soil, windows, None, config)) < 7_900_000
     # with a validation set, over epochs that end on a ragged batch of 8:
     # 8_716_984 B while the ragged cache joined the full one and the best
     # epoch was kept in float64, 7_391_402 B with one cache at a time
@@ -378,7 +379,11 @@ def test_per_gate_engine_checkpoint_loads_and_resaves_identically(tmp_path, name
     model = load_model(path)
     for key, want in expected.items():
         part, attr = key.split(".")
-        np.testing.assert_array_equal(getattr(getattr(model, part), attr), want, err_msg=key)
+        if part in ("encoder", "decoder"):  # attr is tensor_gate, as w_i
+            got = gate_rows(getattr(model, part), *attr.split("_"))
+        else:
+            got = getattr(getattr(model, part), attr)
+        np.testing.assert_array_equal(got, want, err_msg=key)
     out = tmp_path / name
     save_model(model, out, config_echo=header["config"])
     assert out.read_bytes() == path.read_bytes()
@@ -462,6 +467,25 @@ def test_checkpoint_malformed_header_is_a_data_error(tmp_path, edit):
         load_model(p)
 
 
+@pytest.mark.parametrize(
+    ("value", "where", "named"),
+    [
+        (np.nan, 0, "tensor encoder.w (gate i) at index 0"),
+        (np.inf, 2 * 16 + 5, "tensor encoder.u (gate i) at index 5"),  # encoder.w holds 16 x 2
+        (-np.inf, -1, "tensor head_out.bias at index 0"),
+    ],
+    ids=["nan", "inf", "-inf"],
+)
+def test_checkpoint_with_a_non_finite_parameter_is_a_data_error(tmp_path, value, where, named):
+    model = init_params(TOY, seed=26)
+    model.flat[where] = value
+    p = tmp_path / "m.ckpt"
+    save_model(model, p)
+    with pytest.raises(DataError, match="m.ckpt") as info:
+        load_model(p)
+    assert named in str(info.value)
+
+
 def test_checkpoint_starts_with_magic(tmp_path):
     model = init_params(TOY, seed=16)
     p = tmp_path / "m.ckpt"
@@ -472,8 +496,8 @@ def test_checkpoint_starts_with_magic(tmp_path):
 def test_copy_model_isolated():
     model = init_params(TOY, seed=17)
     clone = copy_model(model)
-    clone.encoder.w_i[0, 0] += 1.0
-    assert model.encoder.w_i[0, 0] != clone.encoder.w_i[0, 0]
+    clone.encoder.w[0, 0] += 1.0
+    assert model.encoder.w[0, 0] != clone.encoder.w[0, 0]
     assert not np.shares_memory(clone.flat, model.flat)
 
 
@@ -481,7 +505,7 @@ def parameter_views(model) -> dict[str, np.ndarray]:
     """Every tensor view, by its name in `tensors` and by attribute."""
     views = {f"tensors[{name}]": a for name, a in model.tensors.items()}
     for part in ("encoder", "decoder"):
-        views.update({f"{part}.{k}": getattr(getattr(model, part), k) for k in ("w", "u", "b", "w_f", "b_g")})
+        views.update({f"{part}.{k}": getattr(getattr(model, part), k) for k in ("w", "u", "b")})
     for part in ("head_hidden", "head_out"):
         views.update({f"{part}.{k}": getattr(getattr(model, part), k) for k in ("weight", "bias")})
     return views

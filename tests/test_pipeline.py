@@ -23,6 +23,7 @@ from smartcast.errors import (
     DivergenceError,
     EmptySplitError,
     FactorizationError,
+    NumericError,
     StageError,
 )
 from smartcast.lstm import ModelShape, Seq2SeqModel, init_params, load_model, predict, save_model
@@ -256,8 +257,9 @@ def test_run_forecast_report_complete(tiny_run):
         for values in d.forecasts.values():
             assert len(values) == config.horizon_days
             assert all(0.0 <= v <= 100.0 for v in values)
-        assert d.n_samples == 4
-        assert d.variogram is not None
+        _, variogram, n_samples = report.kriging[d.depth_cm]
+        assert n_samples == 4
+        assert variogram is not None
     assert report.index is not None
     assert np.isfinite(report.index.test_rmse) and np.isfinite(report.index.test_mae)
     payload = report.to_dict()
@@ -391,13 +393,13 @@ def test_soil_stage_bytes_do_not_depend_on_worker_count(tiny_dir: Path, tmp_path
     outcomes = []
     for cores in (1, 2):
         monkeypatch.setattr(pipeline, "_usable_cores", lambda n=cores: n)
-        results, models, forecasts = pipeline.run_soil_stage(records, config)
-        checkpoints = {}
-        for depth, model in models.items():
-            path = tmp_path / f"{cores}-{depth}.ckpt"
+        checkpoints, results = {}, []
+        for model, result in pipeline.run_soil_stage(records, config):
+            path = tmp_path / f"{cores}-{result.depth_cm}.ckpt"
             save_model(model, path)
-            checkpoints[depth] = path.read_bytes()
-        outcomes.append((checkpoints, forecasts, results))
+            checkpoints[result.depth_cm] = path.read_bytes()
+            results.append(result)  # metrics and forecasts
+        outcomes.append((checkpoints, results))
     assert soil_pools == [{"workers": 1, "jobs": 2}, {"workers": 2, "jobs": 2}]
     assert outcomes[0] == outcomes[1]
 
@@ -416,8 +418,7 @@ def demo_jobs(config: RunConfig) -> list:
     """`run`'s training jobs for `config`: every soil depth, then the index model."""
     soil_jobs = pipeline._soil_stage(load_sensor_csv(config.sensor_csv), config)
     stack = load_index_stack(config.image_manifest, config.index_kind, config.band_mapping)
-    index_job, _ = pipeline._index_stage(stack, config)
-    return soil_jobs + [index_job]
+    return soil_jobs + [pipeline._index_stage(stack, config)]
 
 
 def test_single_threaded_blas_is_scoped(monkeypatch):
@@ -715,26 +716,27 @@ def test_kriging_stage_names_the_depth_it_refuses(tiny_dir: Path, tmp_path: Path
 # -- gradcheck command ----------------------------------------------------------------
 
 
-def test_cmd_gradcheck_passes_and_honors_dims():
-    report = cmd_gradcheck(seed=0, hidden=4, dense=3, length=4, horizon=2)
+def test_cmd_gradcheck_passes_over_every_default_coordinate():
+    report = cmd_gradcheck(seed=0)
     assert report["passed"] is True
     assert report["soil"]["passed"] and report["index"]["passed"]
-    model = init_params(ModelShape(4, 4, 4, 3, horizon=2), seed=0)
-    assert report["soil"]["n_checked"] == sum(t.size for t in model.tensors.values())
+    model = init_params(ModelShape(4, 8, 8, 6, horizon=3), seed=0)
+    assert report["soil"]["n_checked"] == sum(t.size for t in model.tensors.values()) == 1021
+    assert report["index"]["n_checked"] == 409
 
 
 def test_cmd_gradcheck_detects_corruption():
-    report = cmd_gradcheck(seed=0, corrupt=True, hidden=4, dense=3, length=4, horizon=2)
+    report = cmd_gradcheck(seed=0, corrupt=True)
     assert report["passed"] is False
     assert report["soil"]["worst_param"] == "encoder.w"
 
 
 def test_gradcheck_names_the_corrupted_gate(capsys):
     # the corruption doubles flat[0] of the fused encoder W: row 0, gate i
-    report = cmd_gradcheck(seed=0, corrupt=True, hidden=4, dense=3, length=4, horizon=2)
+    report = cmd_gradcheck(seed=0, corrupt=True)
     for r in (report["soil"], report["index"]):
         assert (r["worst_param"], r["worst_gate"], r["worst_index"]) == ("encoder.w", "i", 0)
-    assert main(["gradcheck", "--corrupt", "--hidden", "4", "--dense", "3", "--length", "4", "--horizon", "2"]) == 4
+    assert main(["gradcheck", "--corrupt"]) == 4
     out = capsys.readouterr().out
     assert "soil: FAIL" in out and "at encoder.w (gate i, index 0) over" in out
 
@@ -807,6 +809,49 @@ def test_cli_forecast_refuses_a_checkpoint_of_another_shape(
     assert not (out / ".partial").exists()
 
 
+def test_cli_forecast_refuses_a_checkpoint_with_a_nan_parameter(
+    tiny_dir: Path, tiny_chain: Path, tmp_path: Path, capsys
+):
+    # the header is valid and the shape is the config's: only the
+    # parameters themselves can refuse it, before any forecast is made
+    out = tmp_path / "out"
+    shutil.copytree(tiny_chain, out)
+    ckpt = out / "checkpoints" / "soil_depth_030.ckpt"
+    model = load_model(ckpt)
+    model.flat[0] = np.nan
+    save_model(model, ckpt)
+    before = file_tree(out)
+    assert main(["forecast", "--config", str(tiny_dir / "config.json"), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "soil_depth_030.ckpt" in err and "encoder.w (gate i) at index 0" in err
+    assert file_tree(out) == before
+    assert not (out / ".partial").exists()
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_json_artifact_refuses_a_non_finite_number(value, tmp_path: Path):
+    with pytest.raises(NumericError, match="metrics.json"):
+        pipeline._write_json(tmp_path, "metrics.json", {"10": {"test_rmse": 1.0, "curve": [2.0, value]}})
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_forecast_refuses_a_non_finite_forecast(
+    tiny_dir: Path, tiny_chain: Path, tmp_path: Path, monkeypatch, capsys
+):
+    # a NaN that reaches a payload stops the command with exit 4 naming the
+    # file; it stays in the `.partial` quarantine, unwritten
+    out = tmp_path / "out"
+    shutil.copytree(tiny_chain, out)
+    table = pipeline.read_forecasts(out / "forecasts.json", 1)
+    table[10]["s1"] = (np.nan, *table[10]["s1"][1:])
+    monkeypatch.setattr(pipeline, "forecast_from_checkpoints", lambda config, ckpt_dir: table)
+    before = file_tree(out)
+    assert main(["forecast", "--config", str(tiny_dir / "config.json"), "--out", str(out)]) == 4
+    assert "forecasts.json" in capsys.readouterr().err
+    assert file_tree(out) == before
+    assert list((out / ".partial").iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "payload",
     [
@@ -876,11 +921,11 @@ def test_cli_import_loads_no_scipy():
 
 
 def test_cli_gradcheck(capsys):
-    rc = main(["gradcheck", "--hidden", "4", "--dense", "3", "--length", "4", "--horizon", "2"])
+    rc = main(["gradcheck"])
     out = capsys.readouterr().out
     assert rc == 0
     assert "soil: PASS" in out and "index: PASS" in out
-    rc = main(["gradcheck", "--corrupt", "--hidden", "4", "--dense", "3", "--length", "4", "--horizon", "2"])
+    rc = main(["gradcheck", "--corrupt"])
     out = capsys.readouterr().out
     assert rc == 4
     assert "soil: FAIL" in out

@@ -30,6 +30,16 @@ h_enc, so it is projected once. The encoder's input is projected, and weight
 gradients accumulate, step by step: at n = 200, 30 per-step projections
 took 0.87 ms and one GEMM over all 30 took 1.57 ms; a time-stacked dU
 GEMM needs a (T, 4n, B) block and was slower at n = 32. numpy only.
+
+The forward trace keeps each layer's gates and cell states, nothing
+else. Backpropagation through time rebuilds each h_t = o_{t-1} tanh(c_t)
+from them with the forward step's own ufuncs and operands, so the
+gradients keep every bit and no GEMM runs twice (recomputation as in
+Chen et al., arXiv 1604.06174, but of elementwise values only). `train`
+keeps one gradient alive, runs a short batch in a prefix of the
+full-size buffers, and Adam steps through the vector in chunks. At the
+paper's widths (200/200/100, batches of 64) one epoch's `tracemalloc`
+peak went from 29.3 MB to 22.2 MB.
 """
 
 from __future__ import annotations
@@ -240,10 +250,15 @@ def copy_model(model: Seq2SeqModel, dtype: type = np.float64) -> Seq2SeqModel:
 class _LayerTrace:
     """One layer's activations over T steps, samples as columns.
 
-    `gates` (T, 4n, B) holds sigmoid i, f, o then tanh g; `h` and `c`
-    (T+1, n, B) start from the zero state in slot 0; `tanh_c` is
-    (T, n, B). A rolling trace has T = 1: step t uses slot t mod the
-    length of each array. `xw` (4n, B) is the input projection W x + b.
+    `gates` (T, 4n, B) holds sigmoid i, f, o then tanh g and `c`
+    (T+1, n, B) the cell states, from the zero state in slot 0. `h` rolls
+    in two slots, step t reading slot t mod 2, and `tanh_c` (n, B) is one
+    slot: the backward pass rebuilds both from `gates` and `c`. A rolling
+    trace has T = 1, step t using `gates` slot 0 and `c` slot t mod 2.
+    `xw` (4n, B) is the input projection W x + b. A new trace starts at
+    zero, so the pages of a slot that is only read, such as a one-step
+    decoder's zero state, are never touched; `_forward` zeroes a cache's
+    zero-state slots again, since a reused cache has overwritten them.
     """
 
     gates: np.ndarray
@@ -254,10 +269,18 @@ class _LayerTrace:
 
     @classmethod
     def empty(cls, n: int, batch: int, steps: int, dtype: np.dtype) -> "_LayerTrace":
-        state = (steps + 1, n, batch)
-        gates = np.empty((steps, 4 * n, batch), dtype)
-        tanh_c = np.empty((steps, n, batch), dtype)
-        return cls(gates, np.zeros(state, dtype), np.zeros(state, dtype), tanh_c, np.empty_like(gates[0]))
+        gates, tanh_c = np.empty((steps, 4 * n, batch), dtype), np.empty((n, batch), dtype)
+        h, c = np.zeros((2, n, batch), dtype), np.zeros((steps + 1, n, batch), dtype)
+        return cls(gates, h, c, tanh_c, np.empty_like(gates[0]))
+
+    def prefix(self, batch: int) -> "_LayerTrace":
+        """This trace for `batch` columns, over the first elements of each buffer."""
+        return _LayerTrace(**{f.name: _batch_prefix(getattr(self, f.name), batch) for f in fields(self)})
+
+
+def _batch_prefix(a: np.ndarray, batch: int) -> np.ndarray:
+    """The first size / B * `batch` elements of C-contiguous `a`, last axis B, as `batch` columns."""
+    return a.reshape(-1)[: a.size // a.shape[-1] * batch].reshape(*a.shape[:-1], batch)
 
 
 @dataclass
@@ -281,6 +304,16 @@ class ForwardCache:
         z = np.empty((model.horizon, model.head_hidden.weight.shape[0], b), dtype)
         return cls(x, enc, dec, z, np.empty((b, model.horizon), dtype))
 
+    def prefix(self, batch: int) -> "ForwardCache":
+        """A cache for `batch` <= B samples over the first elements of each of this cache's buffers."""
+        enc, dec, z = self.enc.prefix(batch), self.dec.prefix(batch), _batch_prefix(self.z, batch)
+        return ForwardCache(self.x[:batch], enc, dec, z, self.predictions[:batch])
+
+    @property
+    def h_enc(self) -> np.ndarray:
+        """The encoder's final state (ne, B), which every decoder step reads."""
+        return self.enc.h[len(self.enc.gates) % 2]
+
 
 def _sigmoid_(a: np.ndarray) -> np.ndarray:
     """In-place logistic sigmoid as 0.5 * tanh(0.5 * a) + 0.5; cannot overflow."""
@@ -294,8 +327,8 @@ def _sigmoid_(a: np.ndarray) -> np.ndarray:
 def _step(p: LstmLayerParams, tr: _LayerTrace, t: int) -> np.ndarray:
     """Cell step t of `tr` from `tr.xw`, in place; returns the new h (n, B)."""
     n = p.hidden_dim
-    a, tanh_c = tr.gates[t % len(tr.gates)], tr.tanh_c[t % len(tr.tanh_c)]
-    h_prev, h = tr.h[t % len(tr.h)], tr.h[(t + 1) % len(tr.h)]
+    a, tanh_c = tr.gates[t % len(tr.gates)], tr.tanh_c
+    h_prev, h = tr.h[t % 2], tr.h[(t + 1) % 2]
     c_prev, c = tr.c[t % len(tr.c)], tr.c[(t + 1) % len(tr.c)]
     np.matmul(p.u, h_prev, out=a)
     a += tr.xw
@@ -313,14 +346,19 @@ def _forward(model: Seq2SeqModel, x: np.ndarray, cache: ForwardCache | None) -> 
     enc, dec, head_hidden, head_out = model.encoder, model.decoder, model.head_hidden, model.head_out
     b = x.shape[0]
     tr = cache.enc if cache is not None else _LayerTrace.empty(enc.hidden_dim, b, 1, model.dtype)
+    if cache is not None:  # a reused cache's zero state was overwritten
+        tr.h[0] = tr.c[0] = 0.0
+    bias = enc.b[:, None]
     for t, xt in enumerate(x.transpose(1, 2, 0)):  # xt (d, B), a view
         np.matmul(enc.w, xt, out=tr.xw)
-        tr.xw += enc.b[:, None]
+        tr.xw += bias
         _step(enc, tr, t)
-    h_enc = tr.h[x.shape[1] % len(tr.h)]
+    h_enc = tr.h[x.shape[1] % 2]
     del tr  # a rolling encoder trace is freed before the decoder's is made
 
     tr = cache.dec if cache is not None else _LayerTrace.empty(dec.hidden_dim, b, 1, model.dtype)
+    if cache is not None:
+        tr.h[0] = tr.c[0] = 0.0
     np.matmul(dec.w, h_enc, out=tr.xw)  # the decoder reads h_enc at every step
     tr.xw += dec.b[:, None]
     zs = cache.z if cache is not None else np.empty((1, head_hidden.weight.shape[0], b), model.dtype)
@@ -335,8 +373,10 @@ def _forward(model: Seq2SeqModel, x: np.ndarray, cache: ForwardCache | None) -> 
 
 
 def _cast(a: np.ndarray, dtype: np.dtype, what: str) -> np.ndarray:
-    """`a` in `dtype`; DataError when a value is not finite or lies past `dtype`'s range."""
-    a = np.asarray(a, dtype=np.float64)
+    """`a` in `dtype`, itself when it is a `dtype` array; DataError when a
+    value is not finite or lies past `dtype`'s range."""
+    if not (isinstance(a, np.ndarray) and a.dtype == dtype):
+        a = np.asarray(a, dtype=np.float64)
     if not np.all(np.isfinite(a)):
         raise DataError(f"non-finite values in {what}")
     limit = np.finfo(dtype).max
@@ -401,27 +441,38 @@ def mae(pred: np.ndarray, target: np.ndarray) -> float:
 # -- backward ------------------------------------------------------------------
 
 def _layer_backward(
-    p: LstmLayerParams, tr: _LayerTrace, xs: np.ndarray, dh: np.ndarray, dh_ext: np.ndarray | None,
-    grad: LstmLayerParams,
+    p: LstmLayerParams, tr: _LayerTrace, xs: np.ndarray, dh: np.ndarray,
+    head: tuple[np.ndarray, np.ndarray, np.ndarray] | None, grad: LstmLayerParams,
 ) -> np.ndarray:
     """BPTT through the steps kept in `tr`, adding into `grad`; returns the summed gate gradients.
 
     `xs` is (T, d, B), one input per step, or (d, B), the input read at
     every step, whose weight gradient is then taken once from the sum.
-    `dh` (n, B), overwritten, carries into the last step's h, and
-    `dh_ext[t]` adds into step t's h.
+    `dh` (n, B), overwritten, carries into the last step's h. `head`,
+    the dense head's weights and the loss gradient dy (T, 1, B) of its
+    outputs, adds the head's gradient at step t's h into it. Step t's
+    input h_t = o_{t-1} tanh(c_t) is rebuilt from the trace with the
+    ufuncs and operands of the forward step, so it has the same bits,
+    and its tanh(c_t) is carried to step t-1.
     """
-    n = p.hidden_dim
+    n, steps = p.hidden_dim, len(tr.gates)
     da = np.empty_like(tr.gates[0])
     da_sum = np.zeros_like(da)
     dc = np.zeros_like(dh)
     sig_grad = np.empty_like(da[: 3 * n])
-    di, df, do, dg = da[:n], da[n : 2 * n], da[2 * n : 3 * n], da[3 * n :]
-    for t in range(len(tr.gates) - 1, -1, -1):
-        if dh_ext is not None:
-            dh += dh_ext[t]
-        a, tanh_c = tr.gates[t], tr.tanh_c[t]
-        i, f, o, g = a[:n], a[n : 2 * n], a[2 * n : 3 * n], a[3 * n :]
+    tanh_c, h = np.tanh(tr.c[steps]), np.empty_like(dh)
+    du = np.empty_like(grad.u)
+    dw = np.empty_like(grad.w) if xs.ndim == 3 else None
+    if head is not None:
+        w_hidden, w_out, dy = head
+        dz, dh_head = np.empty((len(w_hidden), dh.shape[1]), dh.dtype), np.empty_like(dh)
+    di, df, do, dg, da_sig, u_t = da[:n], da[n : 2 * n], da[2 * n : 3 * n], da[3 * n :], da[: 3 * n], p.u.T
+    for t in range(steps - 1, -1, -1):
+        if head is not None:
+            np.matmul(w_out.T, dy[t], out=dz)
+            dh += np.matmul(w_hidden.T, dz, out=dh_head)
+        a = tr.gates[t]
+        i, f, o, g, sig = a[:n], a[n : 2 * n], a[2 * n : 3 * n], a[3 * n :], a[: 3 * n]
         np.multiply(dh, o, out=di)  # dc += dh * o * (1 - tanh_c^2), di and df as scratch
         np.multiply(tanh_c, tanh_c, out=df)
         np.subtract(1.0, df, out=df)
@@ -433,18 +484,24 @@ def _layer_backward(
         np.subtract(1.0, dg, out=dg)
         dg *= np.multiply(dc, i, out=do)  # do as scratch
         np.multiply(dh, tanh_c, out=do)
-        np.subtract(1.0, a[: 3 * n], out=sig_grad)
-        sig_grad *= a[: 3 * n]
-        da[: 3 * n] *= sig_grad
+        np.subtract(1.0, sig, out=sig_grad)
+        sig_grad *= sig
+        da_sig *= sig_grad
 
         da_sum += da
-        grad.u += da @ tr.h[t].T
-        if xs.ndim == 3:
-            grad.w += da @ xs[t].T
-        np.matmul(p.u.T, da, out=dh)
+        if t:
+            np.tanh(tr.c[t], out=tanh_c)
+            np.multiply(tr.gates[t - 1, 2 * n : 3 * n], tanh_c, out=h)
+        else:
+            h.fill(0.0)  # the zero initial state
+        grad.u += np.matmul(da, h.T, out=du)
+        if dw is not None:
+            grad.w += np.matmul(da, xs[t].T, out=dw)
+        np.matmul(u_t, da, out=dh)
         dc *= f
+    del du  # freed before a shared input's weight gradient is made
     grad.b += da_sum.sum(axis=1)
-    if xs.ndim == 2:
+    if dw is None:
         grad.w += da_sum @ xs.T
     return da_sum
 
@@ -465,21 +522,22 @@ def backward_batch(
 
     value, d_preds = _loss_and_grad(cache.predictions, targets, loss)
     grad = Seq2SeqModel(model.shape, np.zeros_like(model.flat))
-    head_hidden, head_out = model.head_hidden, model.head_out
-    dh_head = np.empty_like(cache.dec.h[1:])
-    for k, dy in enumerate(d_preds.T[:, None, :]):  # dy (1, B)
-        z = cache.z[k]
-        grad.head_out.weight += dy @ z.T
+    head_hidden, head_out, dec = model.head_hidden, model.head_out, cache.dec
+    dys = d_preds.T[:, None, :]  # (H, 1, B)
+    h = np.tanh(dec.c[1:])  # the decoder's outputs h_1..h_H, rebuilt as its steps made them
+    h *= dec.gates[:, 2 * model.decoder.hidden_dim : 3 * model.decoder.hidden_dim]
+    for k, dy in enumerate(dys):
+        grad.head_out.weight += dy @ cache.z[k].T
         grad.head_out.bias += dy.sum(axis=1)
         dz = head_out.weight.T @ dy
-        grad.head_hidden.weight += dz @ cache.dec.h[k + 1].T
+        grad.head_hidden.weight += dz @ h[k].T
         grad.head_hidden.bias += dz.sum(axis=1)
-        np.matmul(head_hidden.weight.T, dz, out=dh_head[k])
+    del h
 
-    h_enc = cache.enc.h[-1]
-    dh = np.zeros_like(cache.dec.h[0])
-    da_dec = _layer_backward(model.decoder, cache.dec, h_enc, dh, dh_head, grad.decoder)
+    head = (head_hidden.weight, head_out.weight, dys)
+    da_dec = _layer_backward(model.decoder, dec, cache.h_enc, np.zeros_like(dec.tanh_c), head, grad.decoder)
     dh_enc = model.decoder.w.T @ da_dec  # every decoder step reads h_enc
+    del da_dec
     _layer_backward(model.encoder, cache.enc, cache.x.transpose(1, 2, 0), dh_enc, None, grad.encoder)
     return value, grad
 
@@ -561,36 +619,44 @@ def init_adam_state(model: Seq2SeqModel) -> AdamState:
     return AdamState(step=0, m=np.zeros_like(model.flat), v=np.zeros_like(model.flat))
 
 
+ADAM_CHUNK = 1 << 16  # entries per pass: bounds the step's scratch at 256 KiB in float32
+
+
 def adam_step(
     model: Seq2SeqModel, grad: Seq2SeqModel, state: AdamState, config: TrainConfig
 ) -> tuple[Seq2SeqModel, AdamState]:
     """One bias-corrected Adam update of the whole parameter vector, in place.
 
-    `grad` is spent: its vector serves as scratch, so the step allocates
-    one transient vector and keeps nothing beyond `m` and `v`. Each entry
-    sees the operations of a per-tensor update in the same order, so the
-    result is the same to the bit.
+    `grad` is spent: its vector serves as scratch. The step runs over
+    `ADAM_CHUNK` entries at a time, so its one transient vector is a
+    chunk long, and it keeps nothing beyond `m` and `v`. Each entry sees
+    the operations of a per-tensor update in the same order, so the
+    result is the same to the bit. A non-finite gradient is refused
+    before any entry changes.
     """
     t = state.step + 1
     b1, b2 = config.adam_beta1, config.adam_beta2
-    g, m, v = grad.flat, state.m, state.v
-    if not np.isfinite(g).all():
-        name, index, _ = model.shape.locate(int(np.argmin(np.isfinite(g))))
+    chunks = [slice(lo, lo + ADAM_CHUNK) for lo in range(0, grad.flat.size, ADAM_CHUNK)]
+    if not all(np.isfinite(grad.flat[c]).all() for c in chunks):
+        name, index, _ = model.shape.locate(int(np.argmin(np.isfinite(grad.flat))))
         raise GradientError(f"non-finite gradient in {name} (index {index}) at step {t}")
-    scratch = np.multiply(g, 1.0 - b1)
-    m *= b1
-    m += scratch
-    np.multiply(g, 1.0 - b2, out=scratch)
-    scratch *= g
-    v *= b2
-    v += scratch
-    np.divide(m, 1.0 - b1**t, out=g)  # m_hat
-    np.divide(v, 1.0 - b2**t, out=scratch)  # v_hat
-    np.sqrt(scratch, out=scratch)
-    scratch += config.adam_epsilon
-    g *= config.learning_rate
-    g /= scratch
-    model.flat -= g
+    buffer = np.empty(min(grad.flat.size, ADAM_CHUNK), grad.flat.dtype)
+    for c in chunks:
+        g, m, v, p = grad.flat[c], state.m[c], state.v[c], model.flat[c]
+        scratch = np.multiply(g, 1.0 - b1, out=buffer[: len(g)])
+        m *= b1
+        m += scratch
+        np.multiply(g, 1.0 - b2, out=scratch)
+        scratch *= g
+        v *= b2
+        v += scratch
+        np.divide(m, 1.0 - b1**t, out=g)  # m_hat
+        np.divide(v, 1.0 - b2**t, out=scratch)  # v_hat
+        np.sqrt(scratch, out=scratch)
+        scratch += config.adam_epsilon
+        g *= config.learning_rate
+        g /= scratch
+        p -= g
     state.step = t
     model.bump_rev()
     return model, state
@@ -646,16 +712,17 @@ def train(
     best_val = np.inf
     best: Seq2SeqModel | None = None
     n = train_windows.n_samples
-    cache: ForwardCache | None = None  # the one alive, reused by every batch of its size
+    batch = min(config.batch_size, n)
+    full: ForwardCache | None = None  # the one alive; a short batch runs in its prefix
 
     for epoch in range(config.epochs):
         order = rng.permutation(n)
         epoch_loss = 0.0
-        for start in range(0, n, config.batch_size):
-            idx = order[start : start + config.batch_size]
-            if cache is None or len(cache.x) != len(idx):
-                cache = None  # freed before its replacement is made
-                cache = ForwardCache.empty(model, np.empty((len(idx), *inputs.shape[1:]), inputs.dtype))
+        for start in range(0, n, batch):
+            idx = order[start : start + batch]
+            if full is None:
+                full = ForwardCache.empty(model, np.empty((batch, *inputs.shape[1:]), inputs.dtype))
+            cache = full if len(idx) == batch else full.prefix(len(idx))
             np.take(inputs, idx, axis=0, out=cache.x)
             _forward(model, cache.x, cache)
             value, grad = backward_batch(model, cache, targets[idx], config.loss)
@@ -663,9 +730,10 @@ def train(
                 raise DivergenceError(f"training loss became non-finite at epoch {epoch}")
             epoch_loss += value * len(idx)
             adam_step(model, grad, state, config)
+            del cache, grad  # spent: freed before the next batch's gradient is made
         entry = {"epoch": epoch, "train_loss": epoch_loss / n, "val_loss": None}
         if val_windows is not None and val_windows.n_samples > 0:
-            cache = None
+            full = None
             val_loss = evaluate_loss(copy_model(model), val_windows, config.loss)
             if not np.isfinite(val_loss):
                 raise DivergenceError(f"validation loss became non-finite at epoch {epoch}")
@@ -675,6 +743,7 @@ def train(
                 best = copy_model(model, np.float32)
         history.append(entry)
 
+    del full, state  # freed before the float64 copy is made
     return copy_model(best if best is not None else model), history
 
 

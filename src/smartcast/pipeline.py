@@ -387,14 +387,19 @@ class _SoilTask:
 
     def windows(self) -> tuple[WindowSet, WindowSet | None, WindowSet]:
         """The fit, val (None when empty) and test windows, each split
-        joined across sensors in sensor order."""
+        joined across sensors in sensor order. The fit windows are float32,
+        the dtype `lstm.train` trains in, so no float64 copy of them is
+        held while it trains."""
         parts: tuple[list, list, list] = ([], [], [])
         for sid, scaled in self.series.items():
             inputs, targets = timeseries.make_windows(scaled, input_length=self.input_length, horizon=self.horizon)
             n_fit, n_train = self.cuts[sid]
             for part, rows in zip(parts, (slice(0, n_fit), slice(n_fit, n_train), slice(n_train, None))):
                 part.append((inputs[rows], targets[rows]))
-        fit, val, test = (WindowSet(*map(np.concatenate, zip(*part))) for part in parts)
+        fit, val, test = (
+            WindowSet(*(np.concatenate(arrays, dtype=dtype) for arrays in zip(*part)))
+            for part, dtype in zip(parts, (np.float32, np.float64, np.float64))
+        )
         return fit, val if val.n_samples else None, test
 
     def finish(self, model: Seq2SeqModel, test: WindowSet) -> tuple[Seq2SeqModel, DepthResult]:
@@ -763,8 +768,9 @@ def check_forecast_day(config: RunConfig, day: int | None) -> int:
 
 def read_forecasts(path: Path, day: int) -> dict[int, dict[str, tuple[float, ...]]]:
     """The forecast table `write_forecasts` saved: per depth (at least
-    one), per sensor, a list of at least `day` numbers. Anything else is
-    refused by file name."""
+    one), per sensor, a list of at least `day` finite JSON numbers. Anything
+    else is refused by file name, and an entry that is not a finite number
+    (NaN, Infinity, a bool, a string) by its sensor and depth too."""
     if not path.is_file():
         raise DataError(f"{path} not found; run forecast first")
     try:
@@ -773,8 +779,13 @@ def read_forecasts(path: Path, day: int) -> dict[int, dict[str, tuple[float, ...
             for sid, curve in per_sensor.items():
                 if not isinstance(curve, list) or len(curve) < day:
                     raise DataError(f"{path}: forecast for {sid} at depth {depth} is not a list of >= {day} days")
+                bad = [v for v in curve if type(v) not in (int, float) or not math.isfinite(v)]
+                if bad:
+                    raise DataError(
+                        f"{path}: forecast for {sid} at depth {depth} holds {json.dumps(bad[0])}, not a finite number"
+                    )
                 per_sensor[sid] = tuple(float(v) for v in curve)
-    except (ValueError, TypeError, AttributeError) as exc:  # JSONDecodeError is a ValueError
+    except (ValueError, TypeError, AttributeError, OverflowError) as exc:  # JSONDecodeError is a ValueError
         raise DataError(f"{path} is not a forecast table: {exc}") from None
     if not table:
         raise DataError(f"{path} holds no depth")

@@ -124,7 +124,7 @@ def test_decoder_sees_repeated_encoder_state():
     rng = np.random.default_rng(11)
     x = rng.normal(size=(3, SOIL_LEN, 4))
     _, cache = forward_batch(model, x)
-    h_enc = cache.enc.h[-1]  # (n, B), samples as columns
+    h_enc = cache.h_enc  # (n, B), samples as columns
     dec = model.decoder
     n = dec.hidden_dim
     h = c = np.zeros((n, 3))
@@ -133,7 +133,8 @@ def test_decoder_sees_repeated_encoder_state():
         i, f, o, g = expit(a[:n]), expit(a[n : 2 * n]), expit(a[2 * n : 3 * n]), np.tanh(a[3 * n :])
         c = f * c + i * g
         h = o * np.tanh(c)
-        np.testing.assert_allclose(cache.dec.h[k + 1], h, rtol=0.0, atol=1e-12)
+        kept_h = cache.dec.gates[k][2 * n : 3 * n] * np.tanh(cache.dec.c[k + 1])  # the trace keeps o and c
+        np.testing.assert_allclose(kept_h, h, rtol=0.0, atol=1e-12)
         np.testing.assert_allclose(cache.dec.c[k + 1], c, rtol=0.0, atol=1e-12)
 
 

@@ -6,6 +6,7 @@ import json
 import pickle
 import tracemalloc
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ from conftest import gate_rows
 
 from smartcast.errors import DataError, DivergenceError, GradientError
 from smartcast.lstm import (
+    ADAM_CHUNK,
     ForwardCache,
     ModelShape,
     Seq2SeqModel,
@@ -31,11 +33,13 @@ from smartcast.lstm import (
     save_model,
     train,
     CHECKPOINT_MAGIC,
+    _forward,
     _loss_and_grad,
 )
 from smartcast.timeseries import Scaler, WindowSet
 
 TOY = ModelShape(input_dim=2, encoder_hidden=4, decoder_hidden=4, dense_hidden=3, horizon=2)
+PAPER = ModelShape(input_dim=4, encoder_hidden=200, decoder_hidden=200, dense_hidden=100, horizon=14)
 DATA = Path(__file__).parent / "data"
 
 
@@ -130,13 +134,48 @@ def test_flat_adam_step_matches_the_per_tensor_update_bytewise(dtype):
 
 
 def test_adam_step_peak_memory_is_one_vector():
-    """At the paper's widths the per-tensor step peaked at 3.05 MiB over a 1.93 MiB float32 vector."""
-    paper = ModelShape(input_dim=4, encoder_hidden=200, decoder_hidden=200, dense_hidden=100, horizon=14)
-    model = copy_model(init_params(paper, seed=27), np.float32)
+    """At the paper's widths the per-tensor step peaked at 3.05 MiB over a
+    1.93 MiB float32 vector, the whole-vector step at 2_020_304 B and the
+    chunked one at 264_232 B: one chunk of scratch."""
+    model = copy_model(init_params(PAPER, seed=27), np.float32)
     state, config = init_adam_state(model), TrainConfig()
     grad = gradient_of(model)
     grad.flat[...] = np.random.default_rng(27).normal(size=grad.flat.size)
-    assert traced_peak(lambda: adam_step(model, grad, state, config)) <= model.flat.nbytes + 64 * 1024
+    assert traced_peak(lambda: adam_step(model, grad, state, config)) <= ADAM_CHUNK * 4 + 64 * 1024
+
+
+def test_chunked_adam_step_matches_the_per_tensor_update_bytewise():
+    # the paper-width vector spans 8 chunks, the last one partial
+    model = copy_model(init_params(PAPER, seed=28), np.float32)
+    assert model.flat.size > 7 * ADAM_CHUNK
+    ref = {name: a.copy() for name, a in model.tensors.items()}
+    m = {name: np.zeros_like(a) for name, a in ref.items()}
+    v = {name: np.zeros_like(a) for name, a in ref.items()}
+    state, config = init_adam_state(model), TrainConfig(learning_rate=0.01)
+    rng = np.random.default_rng(28)
+    for step in range(1, 3):
+        grad = gradient_of(model)
+        grad.flat[...] = rng.normal(size=grad.flat.size)
+        grads = {name: a.copy() for name, a in grad.tensors.items()}
+        adam_step(model, grad, state, config)
+        per_tensor_adam_step(ref, grads, m, v, step, config)
+        assert model.flat.tobytes() == b"".join(a.tobytes() for a in ref.values()), step
+        assert state.m.tobytes() == b"".join(a.tobytes() for a in m.values())
+        assert state.v.tobytes() == b"".join(a.tobytes() for a in v.values())
+
+
+def test_adam_refuses_a_non_finite_gradient_before_any_entry_changes():
+    # the bad entry lies in the last chunk: no earlier chunk is updated
+    model = copy_model(init_params(PAPER, seed=29), np.float32)
+    state = init_adam_state(model)
+    state.m[...], state.v[...] = 0.5, 0.25
+    grad = gradient_of(model, 1.0)
+    grad.tensors["head_out.bias"][0] = np.nan
+    before = model.flat.tobytes(), state.m.tobytes(), state.v.tobytes()
+    with pytest.raises(GradientError, match=r"head_out\.bias \(index 0\)"):
+        adam_step(model, grad, state, TrainConfig())
+    assert (model.flat.tobytes(), state.m.tobytes(), state.v.tobytes()) == before
+    assert state.step == 0
 
 
 # -- train loop -------------------------------------------------------------------
@@ -219,6 +258,23 @@ def test_train_config_validation():
         TrainConfig(loss="huber")
 
 
+def test_train_frees_each_gradient_before_the_next_is_made(monkeypatch):
+    from smartcast import lstm
+
+    spent = []
+
+    def recording(*args, **kwargs):
+        assert all(ref() is None for ref in spent), "a spent gradient is alive while the next is made"
+        value, grad = backward(*args, **kwargs)
+        spent.append(weakref.ref(grad.flat))
+        return value, grad
+
+    backward = lstm.backward_batch
+    monkeypatch.setattr(lstm, "backward_batch", recording)
+    train(init_params(TOY, seed=21), toy_windows(n=10, seed=21), None, TrainConfig(epochs=2, batch_size=4, seed=21))
+    assert len(spent) == 6  # 2 epochs of 2 full batches and a short one
+
+
 def test_train_reuses_buffers_as_fresh_ones_would(tmp_path):
     """10 windows at batch 4: two full batches and a short one per epoch."""
     windows = toy_windows(n=10, seed=18)
@@ -238,6 +294,27 @@ def test_train_reuses_buffers_as_fresh_ones_would(tmp_path):
     save_model(trained, tmp_path / "train.ckpt")
     save_model(ref, tmp_path / "ref.ckpt")
     assert (tmp_path / "train.ckpt").read_bytes() == (tmp_path / "ref.ckpt").read_bytes()
+
+
+def test_short_batch_runs_in_a_prefix_of_the_full_buffers():
+    # a ragged batch writes the leading elements of the full-size buffers,
+    # contiguous, so no buffer is made and the next full batch still
+    # starts from the zero state its prefix overwrote
+    model = copy_model(init_params(TOY, seed=20), np.float32)
+    x = np.random.default_rng(20).normal(size=(3, 5, 5, 2)).astype(np.float32)
+    full = ForwardCache.empty(model, x[0])
+    short = full.prefix(2)
+    for name, a in cache_arrays(short).items():
+        whole = cache_arrays(full)[name]
+        assert a.flags.c_contiguous and a.__array_interface__["data"][0] == whole.__array_interface__["data"][0], name
+    for batch, cache in ((x[0], full), (x[1, :2], short), (x[2], full)):
+        cache.x[...] = batch
+        _forward(model, cache.x, cache)
+        _, fresh = forward_batch(model, batch)
+        assert cache.predictions.tobytes() == fresh.predictions.tobytes()
+        assert cache.h_enc.tobytes() == fresh.h_enc.tobytes()
+        for name in ("enc.gates", "enc.c", "dec.gates", "dec.c", "z"):
+            assert cache_arrays(cache)[name].tobytes() == cache_arrays(fresh)[name].tobytes(), name
 
 
 def cache_arrays(cache: ForwardCache) -> dict[str, np.ndarray]:
@@ -274,8 +351,10 @@ def traced_peak(fn) -> int:
 
 def test_engine_memory_peaks():
     """The batch-major engine this replaced peaked at 17_403_912 B predicting
-    and 22_924_071 B training; this one at 12_292_610 B and 7_183_182 B.
-    The bounds are this engine's figures plus 10 %."""
+    and 22_924_071 B training; this one at 12_292_610 B and, with a forward
+    trace of only gates and cell states and one gradient alive, 5_339_058 B
+    (7_183_182 B with h and tanh c traced and two gradients alive). The
+    bounds are this engine's figures plus 10 %."""
     index = init_params(ModelShape(input_dim=2, encoder_hidden=24, decoder_hidden=24, dense_hidden=12, horizon=1), seed=1)
     pixels = np.random.default_rng(1).normal(size=(4096, 5, 2))
     assert traced_peak(lambda: predict_batch(index, pixels)) < 13_520_000
@@ -284,12 +363,26 @@ def test_engine_memory_peaks():
     rng = np.random.default_rng(2)
     windows = WindowSet(rng.normal(size=(200, 30, 4)), rng.normal(size=(200, 14, 1)))
     config = TrainConfig(epochs=1, batch_size=64, seed=2)
-    assert traced_peak(lambda: train(soil, windows, None, config)) < 7_900_000
+    assert traced_peak(lambda: train(soil, windows, None, config)) < 5_873_000
     # with a validation set, over epochs that end on a ragged batch of 8:
     # 8_716_984 B while the ragged cache joined the full one and the best
-    # epoch was kept in float64, 7_391_402 B with one cache at a time
+    # epoch was kept in float64, 7_391_402 B with one cache at a time,
+    # 5_551_740 B with the lean trace, the ragged batch in its prefix
     val = WindowSet(rng.normal(size=(100, 30, 4)), rng.normal(size=(100, 14, 1)))
-    assert traced_peak(lambda: train(soil, windows, val, dataclasses.replace(config, epochs=3))) < 8_130_000
+    assert traced_peak(lambda: train(soil, windows, val, dataclasses.replace(config, epochs=3))) < 6_107_000
+
+
+def test_paper_width_training_memory_peak():
+    """One epoch at the paper's widths (200/200/100), two batches of 64:
+    29_272_541 B with h and tanh c traced, the spent gradient alive beside
+    the next and Adam's scratch a whole vector; 22_156_545 B with a trace
+    of gates and cell states, one gradient alive, the head's gradient
+    taken step by step and Adam in chunks. The bound is that plus 10 %."""
+    paper = init_params(PAPER, seed=3)
+    rng = np.random.default_rng(3)
+    windows = WindowSet(rng.normal(size=(128, 30, 4)), rng.normal(size=(128, 14, 1)))
+    config = TrainConfig(epochs=1, batch_size=64, seed=3)
+    assert traced_peak(lambda: train(paper, windows, None, config)) < 24_372_000
 
 
 # -- prediction scaling ---------------------------------------------------------

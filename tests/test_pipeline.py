@@ -872,6 +872,21 @@ def test_cli_interpolate_refuses_a_malformed_forecast_table(payload, tiny_dir: P
     assert sorted(p.name for p in out.iterdir()) == ["forecasts.json"]
 
 
+@pytest.mark.parametrize("entry", ["NaN", "Infinity", "true", '"1.5"'], ids=["nan", "infinity", "true", "string"])
+def test_read_forecasts_refuses_an_entry_that_is_not_a_finite_number(entry, tiny_dir: Path, tmp_path: Path, capsys):
+    # the entry sits past the interpolated day: the whole table is checked
+    # where it is read, by file, sensor and depth, not later in kriging
+    curve = ", ".join(["20.5"] * 5 + [entry] + ["21.0"] * 8)
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "forecasts.json").write_text(f'{{"10": {{"s1": [{curve}]}}}}', encoding="utf-8")
+    with pytest.raises(DataError, match=r"forecasts\.json: forecast for s1 at depth 10 holds .*not a finite number"):
+        pipeline.read_forecasts(out / "forecasts.json", 1)
+    assert main(["interpolate", "--config", str(tiny_dir / "config.json"), "--out", str(out)]) == 3
+    assert "forecast for s1 at depth 10" in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == ["forecasts.json"]
+
+
 @pytest.mark.parametrize(
     ("depth_30", "message"),
     [

@@ -696,8 +696,11 @@ def test_depth_split_pinned_example(tmp_path):
     np.testing.assert_array_equal(task.scaler.mean, features[:13].mean(axis=0))
     z = task.scaler.apply(features)
     # order preserved, val after fit, test strictly later
-    np.testing.assert_array_equal(fit.inputs[0], z[0:4])
-    np.testing.assert_array_equal(fit.targets[-1, :, 0], z[10:12, 0])
+    # the fit windows are float32, the training dtype; val and test stay float64
+    assert fit.inputs.dtype == fit.targets.dtype == np.float32
+    assert val.inputs.dtype == test.inputs.dtype == test.targets.dtype == np.float64
+    np.testing.assert_array_equal(fit.inputs[0], z[0:4].astype(np.float32))
+    np.testing.assert_array_equal(fit.targets[-1, :, 0], z[10:12, 0].astype(np.float32))
     np.testing.assert_array_equal(val.inputs[0], z[7:11])
     np.testing.assert_array_equal(test.inputs[0], z[8:12])
     np.testing.assert_array_equal(test.targets[-1, :, 0], z[13:15, 0])
@@ -733,7 +736,9 @@ def test_depth_split_joins_sensors_in_order(tmp_path):
     s1, s2 = ramp(15), np.random.default_rng(5).normal(30.0, 3.0, size=(12, 4))
     task = _prepare_depth(group_records(depth_table(s1, s2)), ["s0", "s1", "s2"], 10, config)
     w1, w2 = (make_windows(task.scaler.apply(f), input_length=3, horizon=2) for f in (s1, s2))
-    for part, cuts in zip(task.windows(), ((0, 7, 0, 5), (7, 8, 5, 6), (8, 11, 6, 8))):
+    fit, val, test = task.windows()
+    for part, cuts in zip((fit, val, test), ((0, 7, 0, 5), (7, 8, 5, 6), (8, 11, 6, 8))):
         for got, one, two in zip((part.inputs, part.targets), w1, w2):
-            np.testing.assert_array_equal(got, np.concatenate([one[cuts[0] : cuts[1]], two[cuts[2] : cuts[3]]]))
+            joined = np.concatenate([one[cuts[0] : cuts[1]], two[cuts[2] : cuts[3]]])
+            np.testing.assert_array_equal(got, joined.astype(np.float32 if part is fit else np.float64))
     assert list(task.series) == ["s1", "s2"]

@@ -141,9 +141,9 @@ class Seq2SeqModel:
     Every parameter lives in `flat`, laid out by `shape.layout()`;
     `tensors` (name -> array), `encoder`, `decoder`, `head_hidden` and
     `head_out` are views into it. A gradient is a model of the same shape
-    over its own vector. `scaler` (optional) standardizes the input
-    features; channel 0 is the target, so predictions map back to
-    original units with mean[0]/std[0].
+    over its own vector. `scaler` (optional) is the standardization the
+    model trains and `evaluate_loss` scores in; `predict_batch` takes and
+    returns original units, channel 0 being the target.
     """
 
     shape: ModelShape
@@ -664,20 +664,25 @@ def adam_step(
 
 # -- training loop ------------------------------------------------------------------
 
-EVAL_BATCH = 256
+EVAL_BATCH = 256  # samples per forward pass in evaluation and prediction
+
+
+def _forward_slices(model: Seq2SeqModel, x: np.ndarray, scaler: Scaler | None):
+    """Rolling forward passes over x (B, L, d), `EVAL_BATCH` samples at a time:
+    each slice's first row and predictions. With a scaler, x is in original
+    units: each slice is scaled with it and its predictions unscaled."""
+    for lo in range(0, len(x), EVAL_BATCH):
+        xb = x[lo : lo + EVAL_BATCH]
+        preds, _ = forward_batch(model, xb if scaler is None else scaler.apply(xb), keep_cache=False)
+        yield lo, preds if scaler is None else scaler.invert_feature(preds, 0)
 
 
 def evaluate_loss(model: Seq2SeqModel, windows: WindowSet, loss: str = "mse") -> float:
-    """Mean loss over a window set (original per-sample normalization), `EVAL_BATCH` samples at a time."""
+    """Mean loss over a window set in the model's scaled units (original per-sample normalization)."""
     total = 0.0
-    n = windows.n_samples
-    for start in range(0, n, EVAL_BATCH):
-        xb = windows.inputs[start : start + EVAL_BATCH]
-        tb = windows.targets[start : start + EVAL_BATCH, :, 0]
-        preds, _ = forward_batch(model, xb, keep_cache=False)
-        value, _ = _loss_and_grad(preds, tb, loss)
-        total += value * xb.shape[0]
-    return total / n
+    for lo, preds in _forward_slices(model, windows.inputs, None):
+        total += _loss_and_grad(preds, windows.targets[lo : lo + len(preds), :, 0], loss)[0] * len(preds)
+    return total / windows.n_samples
 
 
 def train(
@@ -748,11 +753,7 @@ def train(
 
 
 def predict(model: Seq2SeqModel, x: np.ndarray) -> np.ndarray:
-    """Forward pass plus inversion of the target-channel scaling.
-
-    `x` is expected in the model's (scaled) input units; the returned
-    H-vector is in original units when the model carries a scaler.
-    """
+    """`predict_batch` of one (L, d) input in original units: its H-vector forecast."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise ShapeError(f"expected a (L, d) input, got shape {x.shape}")
@@ -760,23 +761,25 @@ def predict(model: Seq2SeqModel, x: np.ndarray) -> np.ndarray:
 
 
 def predict_batch(model: Seq2SeqModel, x: np.ndarray) -> np.ndarray:
-    """Batched `predict`: (B, L, d) scaled inputs -> (B, H) original units."""
-    preds, _ = forward_batch(model, x, keep_cache=False)
-    if model.scaler is None:
-        return preds
-    return np.asarray(model.scaler.invert_feature(preds, 0), dtype=np.float64)
+    """(B, L, d) inputs -> (B, H) float64 predictions, both in original units, in
+    `EVAL_BATCH` slices (see `_forward_slices`): the one place a model's scaler
+    is applied for prediction. A model without a scaler runs on x as it is."""
+    out = np.empty((len(x), model.horizon))
+    for lo, preds in _forward_slices(model, x, model.scaler):
+        out[lo : lo + len(preds)] = preds
+    return out
 
 
 # -- checkpoint I/O --------------------------------------------------------------
 
-def save_model(model: Seq2SeqModel, path: str | Path, config_echo: dict | None = None) -> None:
-    """Write magic + one-line JSON header + the parameter vector as float64-LE."""
+def save_model(model: Seq2SeqModel, path: str | Path) -> None:
+    """Write magic + one-line JSON header (its `config` always null) + the parameter vector as float64-LE."""
     header = {
         **asdict(model.shape),
         "scaler": None
         if model.scaler is None
         else {"mean": model.scaler.mean.tolist(), "std": model.scaler.std.tolist()},
-        "config": config_echo,
+        "config": None,
     }
     with Path(path).open("wb") as fh:
         fh.write(CHECKPOINT_MAGIC)

@@ -6,12 +6,12 @@ forecasts at every sensor and a forecast index image, kriges the chosen
 forecast day into a per-depth grid stack, and writes all artifacts plus
 a JSON report.
 
-Each training stage checks and scales its data and builds its jobs. A
-job is a model's whole work, not a model: in `_train_all`'s spawned
-workers each job cuts its windows, builds and trains its model, scores
-it on the test split and forecasts with it, so the parent runs no LSTM
-pass and ships only series and cut points. `run` trains the soil and
-index models in one pool.
+Each training stage checks its data, fits its scaler and builds its
+jobs. A job is a model's whole work, not a model: in `_train_all`'s
+spawned workers each job cuts its windows, builds and trains its model,
+scores it on the test split and forecasts with it (in original units:
+`lstm.predict_batch` applies the scaler), so the parent runs no LSTM pass
+and ships only series and cut points. `run` trains every model in one pool.
 
 Every stage failure is wrapped in a StageError naming the stage, and
 artifacts are staged under `<out>/.partial` until the run succeeds.
@@ -276,7 +276,7 @@ def parse_config(path: str | Path) -> RunConfig:
     locations_raw = _optional(raw, "sensor_locations", dict, "config", {})
     locations: dict[str, tuple[float, float]] = {}
     for sid, xy in locations_raw.items():
-        if not (isinstance(xy, list) and len(xy) == 2 and all(isinstance(c, (int, float)) for c in xy)):
+        if not (isinstance(xy, list) and len(xy) == 2 and all(type(c) in (int, float) for c in xy)):
             raise ConfigError(f"sensor_locations['{sid}'] must be [x, y]")
         locations[str(sid)] = (float(xy[0]), float(xy[1]))
 
@@ -303,7 +303,7 @@ def parse_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"index_kind must be one of {vegindex.INDEX_KINDS}")
     band_raw = _optional(raw, "band_mapping", dict, "config", dict(_DEFAULT_BAND_MAPPING))
     _reject_unknown("band_mapping", band_raw, {"red", "nir", "swir"})
-    band_mapping = {k: str(v) for k, v in band_raw.items()}
+    band_mapping = {k: _require(band_raw, k, str, "band_mapping") for k in band_raw}
     needed = {"red", "nir"} if index_kind == "NDVI" else {"nir", "swir"}
     missing = sorted(needed - set(band_mapping))
     if missing:
@@ -354,24 +354,13 @@ def _usable_series(
     return series
 
 
-def _eval_on_moisture_scale(
-    model: Seq2SeqModel, test: WindowSet, scaler: Scaler
-) -> tuple[float, float]:
-    """(model RMSE, persistence RMSE) on the unscaled moisture scale."""
-    preds = lstm.predict_batch(model, test.inputs)
-    targets = scaler.invert_feature(test.targets[:, :, 0], 0)
-    last = scaler.invert_feature(test.inputs[:, -1, 0], 0)
-    persistence = np.repeat(last[:, None], test.horizon, axis=1)
-    return lstm.rmse(preds, targets), lstm.rmse(persistence, targets)
-
-
 @dataclass(frozen=True)
 class _SoilTask:
     """One depth's work in a worker, as the parent ships it.
 
-    `series` holds each usable sensor's scaled (T, 4) daily features, in
-    sensor order, and `cuts` its (n_fit, n_train): the sensor's windows
-    0..n_fit-1 fit, n_fit..n_train-1 validate and the rest test.
+    `series` holds each usable sensor's (T, 4) daily features in original
+    units, in sensor order, and `cuts` its (n_fit, n_train): the sensor's
+    windows 0..n_fit-1 fit, n_fit..n_train-1 validate and the rest test.
     """
 
     depth_cm: int
@@ -387,30 +376,36 @@ class _SoilTask:
 
     def windows(self) -> tuple[WindowSet, WindowSet | None, WindowSet]:
         """The fit, val (None when empty) and test windows, each split
-        joined across sensors in sensor order. The fit windows are float32,
+        joined across sensors in sensor order: fit and val from the scaled
+        days they cover, test in original units. The fit windows are float32,
         the dtype `lstm.train` trains in, so no float64 copy of them is
         held while it trains."""
-        parts: tuple[list, list, list] = ([], [], [])
-        for sid, scaled in self.series.items():
-            inputs, targets = timeseries.make_windows(scaled, input_length=self.input_length, horizon=self.horizon)
+        parts: list[list] = [[], [], []]
+        length, horizon = self.input_length, self.horizon
+        for sid, features in self.series.items():
             n_fit, n_train = self.cuts[sid]
-            for part, rows in zip(parts, (slice(0, n_fit), slice(n_fit, n_train), slice(n_train, None))):
-                part.append((inputs[rows], targets[rows]))
-        fit, val, test = (
+            stop = n_train + length + horizon - 1  # the train windows cover days [0, stop)
+            inputs, targets = timeseries.make_windows(self.scaler.apply(features[:stop]), length, horizon)
+            parts[0].append((inputs[:n_fit], targets[:n_fit]))
+            parts[1].append((inputs[n_fit:], targets[n_fit:]))
+            parts[2].append(timeseries.make_windows(features[n_train:], length, horizon))
+        test = WindowSet(*map(np.concatenate, zip(*parts.pop())))  # test's parts own their arrays: freed here
+        fit, val = (
             WindowSet(*(np.concatenate(arrays, dtype=dtype) for arrays in zip(*part)))
-            for part, dtype in zip(parts, (np.float32, np.float64, np.float64))
+            for part, dtype in zip(parts, (np.float32, np.float64))
         )
         return fit, val if val.n_samples else None, test
 
     def finish(self, model: Seq2SeqModel, test: WindowSet) -> tuple[Seq2SeqModel, DepthResult]:
-        """The trained model and its figures: the test split scored on the
-        moisture scale and every sensor's tail forecast."""
-        rmse, persist = _eval_on_moisture_scale(model, test, self.scaler)
-        tails = {sid: scaled[-self.input_length :] for sid, scaled in self.series.items()}
+        """The trained model and its figures: test RMSE, persistence RMSE (each
+        window's last moisture held over the horizon), every sensor's forecast."""
+        targets = test.targets[:, :, 0]
+        persistence = np.repeat(test.inputs[:, -1, :1], self.horizon, axis=1)
+        tails = {sid: features[-self.input_length :] for sid, features in self.series.items()}
         result = DepthResult(
             depth_cm=self.depth_cm,
-            test_rmse=rmse,
-            persistence_rmse=persist,
+            test_rmse=lstm.rmse(lstm.predict_batch(model, test.inputs), targets),
+            persistence_rmse=lstm.rmse(persistence, targets),
             n_train_windows=sum(n_train for _, n_train in self.cuts.values()),
             n_test_windows=test.n_samples,
             forecasts=forecast_sensors(model, tails),
@@ -446,8 +441,7 @@ def _prepare_depth(
     scaler = timeseries.fit_scaler_pooled(
         [features[: cuts[sid][1] + length + horizon - 1] for sid, features in series.items()]
     )
-    scaled = {sid: scaler.apply(features) for sid, features in series.items()}
-    return _SoilTask(depth, scaler, length, horizon, scaled, cuts)
+    return _SoilTask(depth, scaler, length, horizon, series, cuts)
 
 
 def _usable_cores() -> int:
@@ -567,7 +561,7 @@ def _train_all(jobs: list[_TrainJob]) -> list:
 
 
 def forecast_sensors(model: Seq2SeqModel, tails: dict[str, np.ndarray]) -> dict[str, tuple[float, ...]]:
-    """One depth's forecasts: every sensor's scaled (L, 4) tail in one batch.
+    """One depth's forecasts from every sensor's (L, 4) tail in original units.
 
     Returns per-sensor horizon forecasts in original units, clipped to
     the physical moisture range [0, 100], keyed in sorted sensor order.
@@ -630,7 +624,10 @@ def forecast_from_checkpoints(config: RunConfig, ckpt_dir: Path) -> dict[int, di
     shape = _soil_shape(config)
     table: dict[int, dict[str, tuple[float, ...]]] = {}
     for ckpt in checkpoints:
-        depth = int(ckpt.stem.rsplit("_", 1)[1])
+        try:
+            depth = int(ckpt.stem.removeprefix("soil_depth_"))
+        except ValueError:
+            raise DataError(f"checkpoint {ckpt.name} names no integer depth") from None
         model = lstm.load_model(ckpt)
         if model.shape != shape:
             raise DataError(f"checkpoint {ckpt.name} has {model.shape}, but the config gives {shape}")
@@ -640,7 +637,7 @@ def forecast_from_checkpoints(config: RunConfig, ckpt_dir: Path) -> dict[int, di
         for sid, features in _usable_series(groups, sensor_ids, depth, config.max_gap_days).items():
             if len(features) < length:
                 raise DataError(f"sensor {sid} depth {depth}: {len(features)} days < input window {length}")
-            tails[sid] = model.scaler.apply(features[-length:])
+            tails[sid] = features[-length:]
         if not tails:
             raise DataError(f"no sensor has data at depth {depth}")
         table[depth] = forecast_sensors(model, tails)
@@ -672,7 +669,7 @@ def _split_by_run(windows: WindowSet, run_ids: np.ndarray, test_fraction: float)
 @dataclass(frozen=True)
 class _IndexTask:
     """The pixel model's work in a worker: its scaled fit and val windows,
-    its unscaled test windows, the forecast date's (P, 5, 2) pixel
+    its test windows in index units, the forecast date's (P, 5, 2) pixel
     windows with their validity mask, and what its result and image
     take from the stack: the train window count, the forecast date, the
     image size and the index kind."""
@@ -705,7 +702,7 @@ class _IndexTask:
     ) -> tuple[Seq2SeqModel, IndexResult, vegindex.IndexImage]:
         """The trained model, its metrics on the test windows, with
         predictions clipped to [-1, 1], and the forecast index image."""
-        preds = np.clip(lstm.predict_batch(model, self.scaler.apply(test.inputs))[:, 0], -1.0, 1.0)
+        preds = np.clip(lstm.predict_batch(model, test.inputs)[:, 0], -1.0, 1.0)
         targets = test.targets[:, 0, 0]
         result = IndexResult(
             test_rmse=lstm.rmse(preds, targets),

@@ -33,7 +33,6 @@ BANDGRID_MAGIC = "BGRID 1"
 INDEX_KINDS = ("NDVI", "NDWI")
 DEFAULT_NODATA = -9999.0
 INPUT_WINDOW = 5  # prior images per pixel window
-PIXEL_BATCH = 4096  # pixels per model call in predict_pixels
 
 
 @dataclass(frozen=True)
@@ -196,10 +195,10 @@ def flatten_stack(stack: ImageStack, target_date: date) -> tuple[np.ndarray, np.
 def predict_pixels(model: Seq2SeqModel, windows: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """One index prediction per unmasked pixel, clamped to [-1, 1].
 
-    Pixels run through the model `PIXEL_BATCH` at a time. Masked pixels
-    get `DEFAULT_NODATA`. The model must have input_dim=2 and
-    horizon=1; when it carries a scaler, inputs are standardized with
-    it and the output mapped back through the channel-0 statistics.
+    `windows` are in index units, as `flatten_stack` makes them, and so
+    are the predictions (`predict_batch` applies the model's scaler).
+    Masked pixels get `DEFAULT_NODATA`. The model must have input_dim=2
+    and horizon=1.
     """
     if model.input_dim != 2 or model.horizon != 1:
         raise ShapeError("pixel model must have input_dim=2 and horizon=1")
@@ -211,11 +210,7 @@ def predict_pixels(model: Seq2SeqModel, windows: np.ndarray, mask: np.ndarray) -
         raise ShapeError("mask length must equal the pixel count")
 
     out = np.full(windows.shape[0], DEFAULT_NODATA, dtype=np.float64)
-    active = np.flatnonzero(mask)
-    for start in range(0, active.size, PIXEL_BATCH):
-        idx = active[start : start + PIXEL_BATCH]
-        xb = windows[idx] if model.scaler is None else model.scaler.apply(windows[idx])
-        out[idx] = np.clip(predict_batch(model, xb)[:, 0], -1.0, 1.0)
+    out[mask] = np.clip(predict_batch(model, windows[mask])[:, 0], -1.0, 1.0)
     return out
 
 
@@ -277,18 +272,23 @@ def read_bandgrid(path: str | Path) -> BandGrid:
             raw = fh.readline()
             if not raw.endswith(b"\n"):
                 raise DataError(f"{path}: truncated header")
+            if not raw.isascii():
+                raise DataError(f"{path}: header is not ASCII")
             return raw[:-1].decode("ascii")
 
         if line() != BANDGRID_MAGIC:
             raise DataError(f"{path}: not a BGRID file")
         dims = line().split()
-        if len(dims) != 3:
-            raise DataError(f"{path}: malformed dimension line")
+        if len(dims) != 3 or not all(v.isdigit() and int(v) > 0 for v in dims):
+            raise DataError(f"{path}: dimension line must hold three positive integers")
         width, height, bands = (int(v) for v in dims)
         nodata_line = line()
         if not nodata_line.startswith("nodata="):
             raise DataError(f"{path}: malformed nodata line")
-        nodata = float(nodata_line[len("nodata="):])
+        try:
+            nodata = float(nodata_line[len("nodata="):])
+        except ValueError:
+            raise DataError(f"{path}: nodata value is not a number") from None
         names = tuple(line().split(","))
         if len(names) != bands:
             raise DataError(f"{path}: {bands} bands declared but {len(names)} names listed")

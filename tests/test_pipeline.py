@@ -109,6 +109,8 @@ def test_parse_validation_errors(minimal_dir: Path):
         ({**base, "depths_cm": []}, "depths_cm"),
         ({**base, "depths_cm": [10, True]}, "depths_cm"),
         ({**base, "sensor_locations": {"s1": [1.0]}}, "s1"),
+        ({**base, "sensor_locations": {"s1": [True, False]}}, "s1"),
+        ({**base, "band_mapping": {"red": "B04", "nir": None}}, "'nir' in band_mapping"),
         ({**base, "variogram": {"nugget": 0.1}}, "sill"),
         ({**base, "seed": "seven"}, "wrong type"),
         ({**base, "soil_train": {"learning_rate": -1}}, "soil_train"),
@@ -317,7 +319,7 @@ def test_batched_forecast_matches_per_sensor_predict():
     scaler = Scaler(mean=np.array([30.0, 15.0, 1.0, 2.0]), std=np.array([40.0, 5.0, 0.5, 3.0]))
     model = dataclasses.replace(init_params(ModelShape(4, 6, 5, 4, horizon=3), seed=2), scaler=scaler)
     rng = np.random.default_rng(4)
-    tails = {f"s{k}": rng.normal(0.0, 1.5, (7, 4)) for k in (3, 1, 12, 2)}
+    tails = {f"s{k}": rng.normal(0.0, 1.5, (7, 4)) * scaler.std + scaler.mean for k in (3, 1, 12, 2)}
     got = pipeline.forecast_sensors(model, tails)
     assert list(got) == ["s1", "s12", "s2", "s3"]
     clipped = 0
@@ -786,6 +788,18 @@ def test_cli_forecast_refuses_a_malformed_checkpoint(tiny_dir: Path, tiny_chain:
     ckpt.write_bytes(magic + b"\n" + json.dumps(header).encode("utf-8") + b"\n" + body)
     assert main(["forecast", "--config", str(tiny_dir / "config.json"), "--out", str(out)]) == 3
     assert "soil_depth_030.ckpt" in capsys.readouterr().err
+
+
+def test_cli_forecast_refuses_a_checkpoint_named_without_a_depth(
+    tiny_dir: Path, tiny_chain: Path, tmp_path: Path, capsys
+):
+    out = tmp_path / "out"
+    shutil.copytree(tiny_chain, out)
+    shutil.copy(out / "checkpoints" / "soil_depth_030.ckpt", out / "checkpoints" / "soil_depth_old.ckpt")
+    before = file_tree(out)
+    assert main(["forecast", "--config", str(tiny_dir / "config.json"), "--out", str(out)]) == 3
+    assert "soil_depth_old.ckpt" in capsys.readouterr().err
+    assert file_tree(out) == before
 
 
 def test_cli_forecast_refuses_a_checkpoint_of_another_shape(

@@ -702,10 +702,11 @@ def test_depth_split_pinned_example(tmp_path):
     np.testing.assert_array_equal(fit.inputs[0], z[0:4].astype(np.float32))
     np.testing.assert_array_equal(fit.targets[-1, :, 0], z[10:12, 0].astype(np.float32))
     np.testing.assert_array_equal(val.inputs[0], z[7:11])
-    np.testing.assert_array_equal(test.inputs[0], z[8:12])
-    np.testing.assert_array_equal(test.targets[-1, :, 0], z[13:15, 0])
-    assert test.inputs[0, 0, 0] > val.inputs[-1, 0, 0] > fit.inputs[-1, 0, 0]
-    np.testing.assert_array_equal(task.series["s1"][-4:], z[-4:])  # the forecast's input tail
+    # test windows, the series shipped and its forecast tail are in original units
+    np.testing.assert_array_equal(test.inputs[0], features[8:12])
+    np.testing.assert_array_equal(test.targets[-1, :, 0], features[13:15, 0])
+    np.testing.assert_array_equal(task.series["s1"], features)
+    assert task.scaler.apply(test.inputs)[0, 0, 0] > val.inputs[-1, 0, 0] > fit.inputs[-1, 0, 0]
     # deterministic
     again = _prepare_depth(group_records(depth_table(features)), ["s1"], 10, config).windows()
     np.testing.assert_array_equal(fit.inputs, again[0].inputs)
@@ -735,10 +736,13 @@ def test_depth_split_joins_sensors_in_order(tmp_path):
     config = soil_config(tmp_path, input_length=3, horizon=2, test_fraction=0.2)
     s1, s2 = ramp(15), np.random.default_rng(5).normal(30.0, 3.0, size=(12, 4))
     task = _prepare_depth(group_records(depth_table(s1, s2)), ["s0", "s1", "s2"], 10, config)
-    w1, w2 = (make_windows(task.scaler.apply(f), input_length=3, horizon=2) for f in (s1, s2))
+    scaled = [make_windows(task.scaler.apply(f), input_length=3, horizon=2) for f in (s1, s2)]
+    raw = [make_windows(f, input_length=3, horizon=2) for f in (s1, s2)]  # test windows are in original units
     fit, val, test = task.windows()
-    for part, cuts in zip((fit, val, test), ((0, 7, 0, 5), (7, 8, 5, 6), (8, 11, 6, 8))):
+    splits = ((0, 7, 0, 5), (7, 8, 5, 6), (8, 11, 6, 8))
+    for part, (w1, w2), cuts in zip((fit, val, test), (scaled, scaled, raw), splits):
         for got, one, two in zip((part.inputs, part.targets), w1, w2):
             joined = np.concatenate([one[cuts[0] : cuts[1]], two[cuts[2] : cuts[3]]])
             np.testing.assert_array_equal(got, joined.astype(np.float32 if part is fit else np.float64))
     assert list(task.series) == ["s1", "s2"]
+    np.testing.assert_array_equal(task.series["s2"], s2)

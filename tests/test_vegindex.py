@@ -13,9 +13,9 @@ from smartcast.errors import (
     ShapeError,
 )
 from smartcast.lstm import ModelShape, init_params, predict_batch
+from smartcast.timeseries import Scaler
 from smartcast.vegindex import (
     DEFAULT_NODATA,
-    PIXEL_BATCH,
     BandGrid,
     ImageStack,
     IndexImage,
@@ -196,6 +196,29 @@ def test_bandgrid_read_errors(tmp_path: Path):
         read_bandgrid(mismatch)
 
 
+@pytest.mark.parametrize(
+    "dims, nodata, fragment",
+    [
+        (b"x 1 3", b"nodata=-9999.0", "dimension"),
+        (b"1 1 3.5", b"nodata=-9999.0", "dimension"),
+        (b"0 1 3", b"nodata=-9999.0", "positive"),
+        (b"1 -1 3", b"nodata=-9999.0", "positive"),
+        (b"1 1 0", b"nodata=-9999.0", "positive"),
+        (b"1 1 3", b"nodata=none", "nodata"),
+        (b"1 1 3", b"nodata=-9999.0\xc2\xb0", "ASCII"),
+    ],
+)
+def test_bandgrid_refuses_a_malformed_header(tmp_path: Path, dims: bytes, nodata: bytes, fragment: str):
+    good = tmp_path / "g.bgrid"
+    write_bandgrid(make_grid([[0.2]], [[0.6]]), good)
+    magic, _, _, names, payload = good.read_bytes().split(b"\n", 4)
+    bad = tmp_path / "bad.bgrid"
+    bad.write_bytes(b"\n".join([magic, dims, nodata, names, payload]))
+    with pytest.raises(DataError, match=fragment) as info:
+        read_bandgrid(bad)
+    assert "bad.bgrid" in str(info.value)
+
+
 def test_stack_manifest_errors(tmp_path: Path):
     bad_header = tmp_path / "m1.csv"
     bad_header.write_text("day,file\n", encoding="utf-8")
@@ -344,6 +367,12 @@ def test_predict_pixels_mask_and_validation():
     soil_like = init_params(ModelShape(4, 4, 4, 3, horizon=2), seed=0)
     with pytest.raises(ShapeError):
         predict_pixels(soil_like, windows, np.ones(3, dtype=bool))
+    # windows go to predict_batch in index units; it alone applies the scaler
+    scaled = init_params(PIXEL_SHAPE, seed=0, scaler=Scaler(np.array([0.3, 30.0]), np.array([0.2, 15.0])))
+    mask = np.array([True, False, True])
+    out = predict_pixels(scaled, windows, mask)
+    np.testing.assert_array_equal(out[mask], np.clip(predict_batch(scaled, windows[mask])[:, 0], -1.0, 1.0))
+    assert out[1] == DEFAULT_NODATA
 
 
 def test_predict_pixels_clamps_to_index_range():
@@ -353,21 +382,3 @@ def test_predict_pixels_clamps_to_index_range():
     windows[:, :, 1] = [50.0, 40.0, 30.0, 20.0, 10.0]
     out = predict_pixels(model, windows, np.ones(2, dtype=bool))
     assert out.tolist() == [1.0, 1.0]
-
-
-def test_predict_pixels_batch_size_agreement():
-    # more active pixels than one PIXEL_BATCH, so two batches run; different
-    # batch splits hit different BLAS kernels, so require closeness to one
-    # batch over every active pixel, not byte equality
-    rng = np.random.default_rng(3)
-    model = init_params(PIXEL_SHAPE, seed=3)
-    windows = rng.uniform(-1.0, 1.0, (6000, 5, 2))
-    windows[:, :, 1] = np.array([50.0, 40.0, 30.0, 20.0, 10.0])
-    mask = rng.uniform(size=6000) > 0.2
-    assert mask.sum() > PIXEL_BATCH
-    full = predict_pixels(model, windows, mask)
-    one_batch = np.clip(predict_batch(model, windows[mask])[:, 0], -1.0, 1.0)
-    assert np.allclose(full[mask], one_batch, rtol=0.0, atol=1e-9)
-    assert np.all(full[~mask] == DEFAULT_NODATA)
-    again = predict_pixels(model, windows, mask)
-    assert again.tobytes() == full.tobytes()

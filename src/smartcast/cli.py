@@ -67,10 +67,10 @@ def cmd_train_index(args: argparse.Namespace) -> int:
     if config.image_manifest is None:
         raise ConfigError("config has no image_manifest; nothing to train on")
     stack = vegindex.load_index_stack(config.image_manifest, config.index_kind, config.band_mapping)
-    model, result, image = pipeline.run_index_stage(stack, config)
+    model, result, forecast = pipeline.run_index_stage(stack, config)
     out_dir = config.output_dir
     with pipeline.staged(out_dir) as partial:
-        pipeline.write_index(partial, model, result, image)
+        pipeline.write_index(partial, model, result, forecast, config.index_kind)
     print(f"index test RMSE {result.test_rmse:.4f} MAE {result.test_mae:.4f} vs persistence {result.persistence_rmse:.4f}")
     print(f"checkpoint in {out_dir / 'checkpoints' / 'index.ckpt'}")
     return 0

@@ -647,32 +647,30 @@ def forecast_from_checkpoints(config: RunConfig, ckpt_dir: Path) -> dict[int, di
 # -- index stage ------------------------------------------------------------------
 
 def _split_by_run(windows: WindowSet, run_ids: np.ndarray, test_fraction: float):
+    """(fit, val, test): the leading runs fit, the last training run
+    validates when there are two or more, the rest is test. Each split is
+    cut once, by its own mask."""
     runs = np.unique(run_ids)
     n_train_runs = int(np.floor(len(runs) * (1.0 - test_fraction)))
     if n_train_runs < 1 or n_train_runs >= len(runs):
         raise EmptySplitError(
             f"{len(runs)} window runs cannot split with test_fraction {test_fraction}"
         )
-    train_mask = np.isin(run_ids, runs[:n_train_runs])
-    train = WindowSet(windows.inputs[train_mask], windows.targets[train_mask])
-    test = WindowSet(windows.inputs[~train_mask], windows.targets[~train_mask])
-    val = None
-    if n_train_runs >= 2:
-        last_run = runs[n_train_runs - 1]
-        val_mask = run_ids == last_run
-        fit_mask = train_mask & ~val_mask
-        val = WindowSet(windows.inputs[val_mask], windows.targets[val_mask])
-        train = WindowSet(windows.inputs[fit_mask], windows.targets[fit_mask])
-    return train, val, test
+    n_fit_runs = max(n_train_runs - 1, 1)
+
+    def cut(mask: np.ndarray) -> WindowSet:
+        return WindowSet(windows.inputs[mask], windows.targets[mask])
+
+    fit = cut(run_ids < runs[n_fit_runs])
+    val = cut(run_ids == runs[n_fit_runs]) if n_fit_runs < n_train_runs else None
+    return fit, val, cut(run_ids >= runs[n_train_runs])
 
 
 @dataclass(frozen=True)
 class _IndexTask:
     """The pixel model's work in a worker: its scaled fit and val windows,
     its test windows in index units, the forecast date's (P, 5, 2) pixel
-    windows with their validity mask, and what its result and image
-    take from the stack: the train window count, the forecast date, the
-    image size and the index kind."""
+    windows with their (H, W) validity mask, and the forecast date."""
 
     scaler: Scaler
     fit: WindowSet
@@ -680,11 +678,7 @@ class _IndexTask:
     test: WindowSet
     pixels: np.ndarray
     mask: np.ndarray
-    n_train_windows: int
     forecast_target: str
-    width: int
-    height: int
-    index_kind: str
 
     @property
     def n_fit(self) -> int:
@@ -697,58 +691,50 @@ class _IndexTask:
     def windows(self) -> tuple[WindowSet, WindowSet | None, WindowSet]:
         return self.fit, self.val, self.test
 
-    def finish(
-        self, model: Seq2SeqModel, test: WindowSet
-    ) -> tuple[Seq2SeqModel, IndexResult, vegindex.IndexImage]:
+    def finish(self, model: Seq2SeqModel, test: WindowSet) -> tuple[Seq2SeqModel, IndexResult, np.ndarray]:
         """The trained model, its metrics on the test windows, with
-        predictions clipped to [-1, 1], and the forecast index image."""
+        predictions clipped to [-1, 1], and the (H, W) forecast index,
+        `vegindex.DEFAULT_NODATA` where the mask is false."""
         preds = np.clip(lstm.predict_batch(model, test.inputs)[:, 0], -1.0, 1.0)
         targets = test.targets[:, 0, 0]
         result = IndexResult(
             test_rmse=lstm.rmse(preds, targets),
             test_mae=lstm.mae(preds, targets),
             persistence_rmse=lstm.rmse(test.inputs[:, -1, 0], targets),
-            n_train_windows=self.n_train_windows,
+            n_train_windows=self.fit.n_samples + (0 if self.val is None else self.val.n_samples),
             n_test_windows=test.n_samples,
             forecast_target=self.forecast_target,
         )
-        pixel_preds = vegindex.predict_pixels(model, self.pixels, self.mask)
-        image = vegindex.reshape_to_image(pixel_preds, self.width, self.height, index_kind=self.index_kind)
-        return model, result, image
+        forecast = vegindex.predict_pixels(model, self.pixels, self.mask.reshape(-1))
+        return model, result, forecast.reshape(self.mask.shape)
 
 
-def _index_stage(stack: vegindex.ImageStack, config: RunConfig) -> _TrainJob:
+def _index_stage(stack: vegindex.IndexStack, config: RunConfig) -> _TrainJob:
     """The pixel model's job: train on the leading runs of windows, score
     on the held-out ones and forecast the index image."""
-    windows, run_ids = vegindex.stack_windows_for_training(stack)
-    fit, val, test = _split_by_run(windows, run_ids, config.test_fraction)
-    n_train_windows = fit.n_samples + (val.n_samples if val is not None else 0)
+    fit, val, test = _split_by_run(*vegindex.stack_windows_for_training(stack), config.test_fraction)
     scaler = timeseries.fit_scaler_pooled([fit.inputs.reshape(-1, fit.input_dim)])
     fit = WindowSet(scaler.apply(fit.inputs), scaler.apply_feature(fit.targets, 0))
     if val is not None:
         val = WindowSet(scaler.apply(val.inputs), scaler.apply_feature(val.targets, 0))
-    target_date = stack.entries[-1][0] + timedelta(days=config.forecast_day)
+    target_date = stack.dates[-1] + timedelta(days=config.forecast_day)
     pixels, mask = vegindex.flatten_stack(stack, target_date)
 
     m = config.index_model
     shape = ModelShape(2, m.encoder_hidden, m.decoder_hidden, m.dense_hidden, horizon=1)
     train_config = dataclasses.replace(config.index_train, seed=_derive_seed(config.seed, 22, 1))
-    task = _IndexTask(
-        scaler, fit, val, test, pixels, mask,
-        n_train_windows, target_date.isoformat(), stack.width, stack.height, config.index_kind,
-    )
+    task = _IndexTask(scaler, fit, val, test, pixels, mask.reshape(stack.values.shape[1:]), target_date.isoformat())
     return ("index", shape, _derive_seed(config.seed, 22, 0), task, train_config)
 
 
-def run_index_stage(
-    stack: vegindex.ImageStack, config: RunConfig
-) -> tuple[Seq2SeqModel, IndexResult, vegindex.IndexImage]:
+def run_index_stage(stack: vegindex.IndexStack, config: RunConfig) -> tuple[Seq2SeqModel, IndexResult, np.ndarray]:
     """Train the shared pixel model, evaluate on held-out runs, forecast.
 
     The model trains, is scored and predicts the image's pixels in one
     spawned worker, as every model does. The forecast target date is the
-    last image date plus the configured forecast day; the predicted image
-    reuses the stack's validity mask.
+    last image date plus the configured forecast day. The forecast is an
+    (H, W) index array that reuses the stack's validity mask: a pixel
+    missing from any of the last 5 images is `vegindex.DEFAULT_NODATA`.
     """
     return _train_all([_index_stage(stack, config)])[0]
 
@@ -898,20 +884,21 @@ def write_soil(root: Path, outcomes: list[tuple[Seq2SeqModel, DepthResult]]) -> 
 
 
 def write_index(
-    root: Path, model: Seq2SeqModel, result: IndexResult, image: vegindex.IndexImage
+    root: Path, model: Seq2SeqModel, result: IndexResult, forecast: np.ndarray, index_kind: str
 ) -> dict[str, str]:
-    """index.ckpt, index_metrics.json and the forecast image as BandGrid and PGM."""
+    """index.ckpt, index_metrics.json and the (H, W) forecast index as
+    BandGrid and PGM; the BandGrid's one band is named `index_kind`."""
     (root / "checkpoints").mkdir(exist_ok=True)
     lstm.save_model(model, root / "checkpoints" / "index.ckpt")
     grid = vegindex.BandGrid(
-        width=image.width,
-        height=image.height,
-        nodata=image.nodata,
-        band_names=(image.index_kind,),
-        data=image.values[None, :, :].astype(np.float32),
+        width=forecast.shape[1],
+        height=forecast.shape[0],
+        nodata=vegindex.DEFAULT_NODATA,
+        band_names=(index_kind,),
+        data=forecast[None, :, :].astype(np.float32),
     )
     vegindex.write_bandgrid(grid, root / "index_forecast.bgrid")
-    vegindex.write_pgm(image.values, root / "index_forecast.pgm", nodata=image.nodata)
+    vegindex.write_pgm(forecast, root / "index_forecast.pgm", nodata=vegindex.DEFAULT_NODATA)
     return {
         "checkpoint_index": "checkpoints/index.ckpt",
         "index_metrics": _write_json(root, "index_metrics.json", dataclasses.asdict(result)),
@@ -970,7 +957,7 @@ def run_forecast(config: RunConfig, forecast_day: int | None = None) -> Forecast
 
         artifacts = stage("export", write_soil, partial, soil)
         if index is not None:
-            artifacts.update(stage("export", write_index, partial, *index))
+            artifacts.update(stage("export", write_index, partial, *index, config.index_kind))
         artifacts.update(stage("export", write_forecasts, partial, forecast_table))
         artifacts.update(stage("export", write_volume, partial, volume))
         artifacts["report"] = "report.json"

@@ -1,9 +1,12 @@
 """Vegetation-index rasters and per-pixel time-series prediction.
 
 Band math (NDVI = (NIR-Red)/(NIR+Red), NDWI = (NIR-SWIR)/(NIR+SWIR)),
-raster container I/O, conversion of image stacks into per-pixel
+raster file I/O, conversion of image stacks into per-pixel
 (value, days-to-target) windows, and batched per-pixel inference with
 the seq2seq LSTM.
+
+An image stack is one `IndexStack`, its dates and one (T, H, W) array,
+and windows are slices of it. `BandGrid` is the raster file format only.
 
 Nodata propagates: undefined ratios and missing inputs become the
 nodata sentinel, never 0 or infinity.
@@ -11,13 +14,14 @@ nodata sentinel, never 0 or infinity.
 
 from __future__ import annotations
 
+import bisect
 import csv
-from collections.abc import Sequence
 from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     CsvFormatError,
@@ -27,7 +31,7 @@ from .errors import (
     ShapeError,
 )
 from .lstm import Seq2SeqModel, predict_batch
-from .timeseries import WindowSet
+from .timeseries import _BAD, WindowSet, _parse_day
 
 BANDGRID_MAGIC = "BGRID 1"
 INDEX_KINDS = ("NDVI", "NDWI")
@@ -73,61 +77,24 @@ class BandGrid:
 
 
 @dataclass(frozen=True)
-class IndexImage:
-    """A single NDVI or NDWI raster; non-nodata values lie in [-1, 1]."""
+class IndexStack:
+    """Index images on strictly increasing dates: `values` is (T, H, W)
+    float64, T = len(dates), with `DEFAULT_NODATA` where undefined."""
 
-    width: int
-    height: int
-    index_kind: str
-    nodata: float
+    dates: tuple[date, ...]
     values: np.ndarray
 
     def __post_init__(self):
-        if self.index_kind not in INDEX_KINDS:
-            raise DataError(f"index_kind must be one of {INDEX_KINDS}, got {self.index_kind!r}")
-        if self.values.shape != (self.height, self.width):
-            raise ShapeError(f"values shape {self.values.shape} != ({self.height}, {self.width})")
-        valid = self.values != self.nodata
-        block = self.values[valid]
-        if block.size and (not np.all(np.isfinite(block)) or block.min() < -1.0 or block.max() > 1.0):
-            raise DataError("index values must lie in [-1, 1] or equal nodata")
-
-    def valid_mask(self) -> np.ndarray:
-        return self.values != self.nodata
-
-
-@dataclass(frozen=True)
-class ImageStack:
-    """Date-ordered index images with shared dimensions."""
-
-    entries: tuple[tuple[date, IndexImage], ...]
-
-    def __post_init__(self):
-        if not self.entries:
+        if not self.dates:
             raise DataError("image stack is empty")
-        dates = [d for d, _ in self.entries]
-        if any(b <= a for a, b in zip(dates, dates[1:])):
+        if any(b <= a for a, b in zip(self.dates, self.dates[1:])):
             raise DataError("stack dates must be strictly increasing")
-        dims = {(img.width, img.height) for _, img in self.entries}
-        if len(dims) != 1:
-            raise DataError(f"stack images have mixed dimensions: {sorted(dims)}")
-
-    @property
-    def width(self) -> int:
-        return self.entries[0][1].width
-
-    @property
-    def height(self) -> int:
-        return self.entries[0][1].height
-
-    def __len__(self) -> int:
-        return len(self.entries)
 
 
 # -- band math ------------------------------------------------------------------
 
-def compute_index(grid: BandGrid, kind: str, band_mapping: dict[str, str]) -> IndexImage:
-    """Normalized difference ratio of two mapped bands.
+def compute_index(grid: BandGrid, kind: str, band_mapping: dict[str, str]) -> np.ndarray:
+    """Normalized difference ratio of two mapped bands, as an (H, W) float64 array.
 
     NDVI = (NIR - Red) / (NIR + Red); NDWI = (NIR - SWIR) / (NIR + SWIR).
     Pixels where the denominator is zero or any input equals nodata
@@ -157,39 +124,31 @@ def compute_index(grid: BandGrid, kind: str, band_mapping: dict[str, str]) -> In
     values = np.full(a.shape, float(DEFAULT_NODATA), dtype=np.float64)
     ok = ~invalid
     values[ok] = (a64[ok] - b64[ok]) / denom[ok]
-    return IndexImage(grid.width, grid.height, kind, float(DEFAULT_NODATA), values)
+    return values
 
 
 # -- stack flattening -----------------------------------------------------------
 
-def _pixel_windows(chosen: Sequence[tuple[date, IndexImage]], target_date: date) -> tuple[np.ndarray, np.ndarray]:
-    """(windows, mask) of `flatten_stack` from the window's images, oldest first."""
-    p = chosen[0][1].values.size
-    windows = np.zeros((p, INPUT_WINDOW, 2), dtype=np.float64)
-    mask = np.ones(p, dtype=bool)
-    for j, (d, img) in enumerate(chosen):
-        flat = img.values.reshape(-1)
-        valid = img.valid_mask().reshape(-1)
-        mask &= valid
-        windows[:, j, 0] = np.where(valid, flat, 0.0)
-        windows[:, j, 1] = float((target_date - d).days)
-    windows[~mask, :, 0] = 0.0
-    return windows, mask
-
-
-def flatten_stack(stack: ImageStack, target_date: date) -> tuple[np.ndarray, np.ndarray]:
+def flatten_stack(stack: IndexStack, target_date: date) -> tuple[np.ndarray, np.ndarray]:
     """Per-pixel windows from the 5 most recent images before target_date.
 
     Returns (windows, mask): windows is (P, 5, 2) with columns (index
-    value, days-to-target) and P = width*height in row-major pixel
-    order; mask flags pixels valid in all 5 images.
+    value, days-to-target) and P = H*W in row-major pixel order; mask
+    flags pixels valid in all 5 images. A masked pixel's values are 0.
     """
-    prior = [(d, img) for d, img in stack.entries if d < target_date]
-    if len(prior) < INPUT_WINDOW:
+    n_prior = bisect.bisect_left(stack.dates, target_date)
+    if n_prior < INPUT_WINDOW:
         raise InsufficientHistoryError(
-            f"need {INPUT_WINDOW} images before {target_date.isoformat()}, have {len(prior)}"
+            f"need {INPUT_WINDOW} images before {target_date.isoformat()}, have {n_prior}"
         )
-    return _pixel_windows(prior[-INPUT_WINDOW:], target_date)
+    chosen = slice(n_prior - INPUT_WINDOW, n_prior)
+    values = stack.values[chosen].reshape(INPUT_WINDOW, -1)
+    mask = np.all(values != DEFAULT_NODATA, axis=0)
+    windows = np.zeros((values.shape[1], INPUT_WINDOW, 2))
+    windows[mask, :, 0] = values[:, mask].T
+    days = np.array(stack.dates[chosen], dtype="datetime64[D]")
+    windows[:, :, 1] = (np.datetime64(target_date, "D") - days).astype(np.float64)
+    return windows, mask
 
 
 def predict_pixels(model: Seq2SeqModel, windows: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -214,15 +173,7 @@ def predict_pixels(model: Seq2SeqModel, windows: np.ndarray, mask: np.ndarray) -
     return out
 
 
-def reshape_to_image(flat: np.ndarray, width: int, height: int, index_kind: str) -> IndexImage:
-    """Row-major reshape of a flat prediction vector into an IndexImage with `DEFAULT_NODATA`."""
-    flat = np.asarray(flat, dtype=np.float64)
-    if flat.shape != (width * height,):
-        raise ShapeError(f"flat length {flat.shape} != width*height = {width * height}")
-    return IndexImage(width, height, index_kind, DEFAULT_NODATA, flat.reshape(height, width).copy())
-
-
-def stack_windows_for_training(stack: ImageStack) -> tuple[WindowSet, np.ndarray]:
+def stack_windows_for_training(stack: IndexStack) -> tuple[WindowSet, np.ndarray]:
     """Supervised pixel samples from every consecutive 6-image run.
 
     Run i uses images i..i+4 as the window and image i+5 as the target;
@@ -230,26 +181,20 @@ def stack_windows_for_training(stack: ImageStack) -> tuple[WindowSet, np.ndarray
     Returns the pooled WindowSet (L=5, d=2, H=1) plus the run index of
     each sample; samples are ordered by run, then pixel.
     """
-    n_runs = len(stack) - INPUT_WINDOW
-    if n_runs < 1:
-        raise InsufficientDataError(f"need at least {INPUT_WINDOW + 1} images, have {len(stack)}")
-    inputs, targets, run_ids = [], [], []
-    for r in range(n_runs):
-        target_date, target_img = stack.entries[r + INPUT_WINDOW]
-        windows, mask = _pixel_windows(stack.entries[r : r + INPUT_WINDOW], target_date)
-        mask &= target_img.valid_mask().reshape(-1)
-        if not mask.any():
-            continue
-        inputs.append(windows[mask])
-        targets.append(target_img.values.reshape(-1)[mask])
-        run_ids.append(np.full(int(mask.sum()), r, dtype=np.int64))
-    if not inputs:
+    n_images = len(stack.dates)
+    if n_images <= INPUT_WINDOW:
+        raise InsufficientDataError(f"need at least {INPUT_WINDOW + 1} images, have {n_images}")
+    values = stack.values.reshape(n_images, -1)
+    runs = sliding_window_view(values, INPUT_WINDOW + 1, axis=0)  # (run, pixel, image in run)
+    valid = sliding_window_view(values != DEFAULT_NODATA, INPUT_WINDOW + 1, axis=0).all(axis=2)
+    if not valid.any():
         raise InsufficientDataError("no pixel is valid across any 6-image run")
-    ws = WindowSet(
-        inputs=np.concatenate(inputs, axis=0),
-        targets=np.concatenate(targets)[:, None, None],
-    )
-    return ws, np.concatenate(run_ids)
+    run_ids, pixel = np.divmod(np.flatnonzero(valid), values.shape[1])
+    days = sliding_window_view(np.array(stack.dates, dtype="datetime64[D]"), INPUT_WINDOW + 1)
+    inputs = np.empty((run_ids.size, INPUT_WINDOW, 2))
+    inputs[:, :, 0] = runs[run_ids, pixel, :INPUT_WINDOW]
+    inputs[:, :, 1] = (days[:, INPUT_WINDOW:] - days[:, :INPUT_WINDOW]).astype(np.float64)[run_ids]
+    return WindowSet(inputs, runs[run_ids, pixel, INPUT_WINDOW:, None]), run_ids
 
 
 # -- raster file I/O --------------------------------------------------------------
@@ -299,35 +244,39 @@ def read_bandgrid(path: str | Path) -> BandGrid:
     return BandGrid(width=width, height=height, nodata=nodata, band_names=names, data=data)
 
 
-def read_stack_manifest(path: str | Path) -> list[tuple[date, Path]]:
-    """Parse a `date,path` manifest CSV; paths resolve against its directory."""
-    path = Path(path)
-    out: list[tuple[date, Path]] = []
-    with path.open(newline="", encoding="utf-8") as fh:
+def load_index_stack(manifest_path: str | Path, kind: str, band_mapping: dict[str, str]) -> IndexStack:
+    """The index images of the BandGrids a `date,path` manifest CSV lists.
+
+    The manifest is read as the sensor CSV is: UTF-8, optionally with a
+    byte-order mark, and `YYYY-MM-DD` dates. Paths resolve against its
+    directory. An unreadable image, mixed dimensions, no image and dates
+    out of order are data errors.
+    """
+    path = Path(manifest_path)
+    dates, images = [], []
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["date", "path"]:
+        if next(reader, None) != ["date", "path"]:
             raise CsvFormatError(f"{path}: manifest header must be 'date,path'")
         for line_no, row in enumerate(reader, start=2):
             if not row:
                 continue
             if len(row) != 2:
                 raise CsvFormatError(f"{path}: line {line_no}: expected 2 fields")
+            ordinal = _parse_day(row[0])
+            if ordinal == _BAD:
+                raise CsvFormatError(f"{path}: line {line_no}: bad date {row[0]!r} (want YYYY-MM-DD)")
+            grid_path = (path.parent / row[1]).resolve()
             try:
-                day = date.fromisoformat(row[0])
-            except ValueError:
-                raise CsvFormatError(f"{path}: line {line_no}: bad date {row[0]!r}") from None
-            out.append((day, (path.parent / row[1]).resolve()))
-    return out
-
-
-def load_index_stack(manifest_path: str | Path, kind: str, band_mapping: dict[str, str]) -> ImageStack:
-    """Read every BandGrid in a manifest and convert it to an index stack."""
-    entries = []
-    for day, grid_path in read_stack_manifest(manifest_path):
-        grid = read_bandgrid(grid_path)
-        entries.append((day, compute_index(grid, kind, band_mapping)))
-    return ImageStack(entries=tuple(entries))
+                grid = read_bandgrid(grid_path)
+            except OSError as e:
+                raise DataError(f"{path}: line {line_no}: cannot read {grid_path}: {e.strerror}") from None
+            dates.append(date.fromordinal(ordinal))
+            images.append(compute_index(grid, kind, band_mapping))
+    shapes = sorted({img.shape for img in images})
+    if len(shapes) > 1:
+        raise DataError(f"{path}: images have mixed (height, width): {shapes}")
+    return IndexStack(tuple(dates), np.array(images))
 
 
 def write_pgm(values: np.ndarray, path: str | Path, nodata: float | None = None) -> tuple[float, float]:

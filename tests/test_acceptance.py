@@ -31,7 +31,6 @@ from smartcast.vegindex import (
     DEFAULT_NODATA,
     BandGrid,
     compute_index,
-    reshape_to_image,
 )
 
 MAPPING = {"red": "B04", "nir": "B08", "swir": "B11"}
@@ -171,19 +170,20 @@ def test_soil_beats_persistence(synth_dir: Path):
 def test_index_beats_persistence(synth_dir: Path):
     config = parse_config(synth_dir / "config.json")
     stack = vegindex.load_index_stack(config.image_manifest, config.index_kind, config.band_mapping)
-    _, result, image = pipeline.run_index_stage(stack, config)
+    _, result, forecast = pipeline.run_index_stage(stack, config)
     gain = 1.0 - result.test_rmse / result.persistence_rmse
+    n_images, height, width = stack.values.shape
     ok = (
-        len(stack) >= 12
-        and (stack.width, stack.height) == (32, 32)
+        n_images >= 12
+        and (width, height) == (32, 32)
         and gain >= 0.15
         and np.isfinite(result.test_mae)
-        and image.width == 32
+        and forecast.shape == (32, 32)
     )
     criterion(
         "index-learning",
         ok,
-        f"{len(stack)} images {stack.width}x{stack.height}, RMSE {result.test_rmse:.4f} "
+        f"{n_images} images {width}x{height}, RMSE {result.test_rmse:.4f} "
         f"vs persistence {result.persistence_rmse:.4f} = {gain:+.1%} (bar >= +15.0%)",
     )
 
@@ -268,7 +268,6 @@ def test_index_math_and_roundtrip():
     rng = np.random.default_rng(99)
     max_err = 0.0
     ok = True
-    last_img = None
     for _ in range(20):
         h, w = (int(v) for v in rng.integers(3, 17, 2))
         red = rng.uniform(0.0, 1.0, (h, w)).astype(np.float32)
@@ -281,7 +280,7 @@ def test_index_math_and_roundtrip():
         for kind, minus in (("NDVI", red), ("NDWI", swir)):
             img = compute_index(grid, kind, MAPPING)
             a, b = nir.astype(np.float64), minus.astype(np.float64)
-            valid = img.values != DEFAULT_NODATA
+            valid = img != DEFAULT_NODATA
             expect_invalid = (
                 (nir == np.float32(DEFAULT_NODATA))
                 | (minus == np.float32(DEFAULT_NODATA))
@@ -290,18 +289,14 @@ def test_index_math_and_roundtrip():
             ok = ok and not np.any(valid & expect_invalid) and bool(np.all(expect_invalid ^ valid))
             if valid.any():
                 direct = (a[valid] - b[valid]) / (a[valid] + b[valid])
-                max_err = max(max_err, float(np.max(np.abs(img.values[valid] - direct))))
-                ok = ok and img.values[valid].min() >= -1.0 and img.values[valid].max() <= 1.0
-            last_img = img
-    flat = last_img.values.reshape(-1).copy()
-    back = reshape_to_image(flat, last_img.width, last_img.height, index_kind=last_img.index_kind)
-    roundtrip = back.values.tobytes() == last_img.values.tobytes()
-    ok = ok and max_err <= 1e-7 and roundtrip
+                max_err = max(max_err, float(np.max(np.abs(img[valid] - direct))))
+                ok = ok and img[valid].min() >= -1.0 and img[valid].max() <= 1.0
+    ok = ok and max_err <= 1e-7
     criterion(
         "index-math",
         ok,
         f"20 random float32 scenes, NDVI+NDWI: max |index - direct| {max_err:.2e} (<= 1e-7), "
-        f"outputs in [-1, 1] or nodata, flatten/reshape bit-exact: {roundtrip}",
+        f"outputs in [-1, 1] or nodata",
     )
 
 

@@ -778,6 +778,17 @@ def test_cli_exit_codes(tmp_path: Path, capsys):
     assert "soil_train" in capsys.readouterr().err
 
 
+def test_cli_refuses_a_manifest_image_that_cannot_be_read(tiny_dir: Path, tmp_path: Path, capsys):
+    data = tmp_path / "data"
+    shutil.copytree(tiny_dir, data, ignore=shutil.ignore_patterns("out*", "chain*"))
+    (data / "images" / "image_003.bgrid").rename(data / "images" / "renamed.bgrid")
+    for command in ("train-index", "run"):
+        assert main([command, "--config", str(data / "config.json"), "--out", str(tmp_path / command)]) == 3
+        err = capsys.readouterr().err
+        assert "manifest.csv: line 5:" in err and str(data / "images" / "image_003.bgrid") in err
+        assert "Traceback" not in err
+
+
 def test_cli_forecast_refuses_a_malformed_checkpoint(tiny_dir: Path, tiny_chain: Path, tmp_path: Path, capsys):
     out = tmp_path / "out"
     shutil.copytree(tiny_chain, out)

@@ -84,22 +84,19 @@ def test_sensor_csv_loads_and_builds_series(tiny_dir: Path):
 def test_image_stack_kind_and_range(tiny_dir: Path):
     mapping = {"red": "B04", "nir": "B08", "swir": "B11"}
     stack = load_index_stack(tiny_dir / "images" / "manifest.csv", "NDVI", mapping)
-    assert len(stack) == 8
-    dates = [d for d, _ in stack.entries]
-    assert all(b > a for a, b in zip(dates, dates[1:]))
-    for _, img in stack.entries:
-        valid = img.values[img.valid_mask()]
-        assert valid.min() >= -1.0 and valid.max() <= 1.0
+    assert stack.values.shape == (8, 8, 8) and len(stack.dates) == 8
+    assert all(b > a for a, b in zip(stack.dates, stack.dates[1:]))
+    valid = stack.values[stack.values != DEFAULT_NODATA]
+    assert valid.min() >= -1.0 and valid.max() <= 1.0
     # first image sits at day 0; bands were built to make NDVI reproduce the
     # clean field up to float32 rounding
     tiny = SynthSpec(n_days=140, depths_cm=(10, 30), grid_nx=6, grid_ny=6,
                      n_images=8, image_width=8, image_height=8, cloud_image=None)
     clean = index_field(tiny, 0)
-    assert np.max(np.abs(stack.entries[0][1].values - clean)) <= 5e-7
+    assert np.max(np.abs(stack.values[0] - clean)) <= 5e-7
     ndwi = load_index_stack(tiny_dir / "images" / "manifest.csv", "NDWI", mapping)
-    for _, img in ndwi.entries:
-        valid = img.values[img.valid_mask()]
-        assert valid.min() > 0.0 and valid.max() < 0.4
+    valid = ndwi.values[ndwi.values != DEFAULT_NODATA]
+    assert valid.min() > 0.0 and valid.max() < 0.4
 
 
 def test_cloud_block_becomes_nodata(tmp_path: Path):
@@ -111,8 +108,8 @@ def test_cloud_block_becomes_nodata(tmp_path: Path):
     grid = read_bandgrid(tmp_path / "images" / "image_001.bgrid")
     assert int((grid.band("B04") == np.float32(DEFAULT_NODATA)).sum()) == 9
     img = compute_index(grid, "NDVI", {"red": "B04", "nir": "B08"})
-    assert int((img.values == DEFAULT_NODATA).sum()) == 9
-    assert not np.any(img.values[3:, 3:] == DEFAULT_NODATA)
+    assert int((img == DEFAULT_NODATA).sum()) == 9
+    assert not np.any(img[3:, 3:] == DEFAULT_NODATA)
     clear = read_bandgrid(tmp_path / "images" / "image_000.bgrid")
     assert not np.any(clear.band("B04") == np.float32(DEFAULT_NODATA))
 

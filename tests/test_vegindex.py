@@ -16,15 +16,14 @@ from smartcast.lstm import ModelShape, init_params, predict_batch
 from smartcast.timeseries import Scaler
 from smartcast.vegindex import (
     DEFAULT_NODATA,
+    INPUT_WINDOW,
     BandGrid,
-    ImageStack,
-    IndexImage,
+    IndexStack,
     compute_index,
     flatten_stack,
+    load_index_stack,
     predict_pixels,
     read_bandgrid,
-    read_stack_manifest,
-    reshape_to_image,
     stack_windows_for_training,
     write_bandgrid,
     write_pgm,
@@ -46,9 +45,11 @@ def make_grid(red, nir, swir=None, nodata=DEFAULT_NODATA):
     return BandGrid(width=w, height=h, nodata=nodata, band_names=("B04", "B08", "B11"), data=data)
 
 
-def constant_image(value, width=2, height=2, kind="NDVI"):
-    return IndexImage(width, height, kind, DEFAULT_NODATA,
-                      np.full((height, width), float(value)))
+def write_manifest(root: Path, lines: list[str], encoding="utf-8", newline="\n") -> Path:
+    """A `date,path` manifest under `root` with the given body lines."""
+    path = root / "manifest.csv"
+    path.write_bytes(newline.join(["date,path", *lines, ""]).encode(encoding))
+    return path
 
 
 # -- band math -----------------------------------------------------------------
@@ -67,29 +68,30 @@ def test_index_matches_direct_arithmetic_randomized():
         ndvi = compute_index(grid, "NDVI", MAPPING)
         ndwi = compute_index(grid, "NDWI", MAPPING)
         r64, n64, s64 = (band.astype(np.float64) for band in (red, nir, swir))
-        assert np.max(np.abs(ndvi.values - (n64 - r64) / (n64 + r64))) <= 1e-7
-        assert np.max(np.abs(ndwi.values - (n64 - s64) / (n64 + s64))) <= 1e-7
+        assert np.max(np.abs(ndvi - (n64 - r64) / (n64 + r64))) <= 1e-7
+        assert np.max(np.abs(ndwi - (n64 - s64) / (n64 + s64))) <= 1e-7
         for img in (ndvi, ndwi):
-            assert img.values.min() >= -1.0 and img.values.max() <= 1.0
+            assert img.shape == (h, w) and img.dtype == np.float64
+            assert img.min() >= -1.0 and img.max() <= 1.0
 
 
 def test_index_pinned_values():
     grid = make_grid([[0.2, 0.25, 0.3, 0.0]], [[0.6, 0.75, 0.3, 0.0]])
     img = compute_index(grid, "NDVI", MAPPING)
-    assert abs(img.values[0, 0] - 0.5) <= 1e-7
+    assert abs(img[0, 0] - 0.5) <= 1e-7
     # 0.75 and 0.25 are exact in float32, so the ratio is exactly 0.5
-    assert img.values[0, 1] == 0.5
-    assert img.values[0, 2] == 0.0
-    assert img.values[0, 3] == DEFAULT_NODATA  # zero denominator
+    assert img[0, 1] == 0.5
+    assert img[0, 2] == 0.0
+    assert img[0, 3] == DEFAULT_NODATA  # zero denominator
 
 
 def test_index_input_nodata_propagates():
     nod = np.float32(DEFAULT_NODATA)
     grid = make_grid([[0.2, nod], [0.3, 0.3]], [[nod, 0.5], [0.6, 0.6]])
     img = compute_index(grid, "NDVI", MAPPING)
-    assert img.values[0, 0] == DEFAULT_NODATA
-    assert img.values[0, 1] == DEFAULT_NODATA
-    assert img.values[1, 0] != DEFAULT_NODATA
+    assert img[0, 0] == DEFAULT_NODATA
+    assert img[0, 1] == DEFAULT_NODATA
+    assert img[1, 0] != DEFAULT_NODATA
 
 
 def test_index_rejects_reflectance_outside_unit_interval():
@@ -125,28 +127,23 @@ def test_bandgrid_validation():
         grid.band("missing")
 
 
-def test_index_image_validation():
-    with pytest.raises(DataError):
-        constant_image(1.5)
-    with pytest.raises(DataError):
-        IndexImage(1, 1, "EVI", DEFAULT_NODATA, np.zeros((1, 1)))
-    with pytest.raises(ShapeError):
-        IndexImage(2, 2, "NDVI", DEFAULT_NODATA, np.zeros((2, 3)))
-    vals = np.array([[0.5, DEFAULT_NODATA]])
-    img = IndexImage(2, 1, "NDVI", DEFAULT_NODATA, vals)
-    assert img.valid_mask().tolist() == [[True, False]]
-
-
-def test_image_stack_validation():
-    d0 = date(2024, 1, 1)
-    img = constant_image(0.1)
+def test_image_stack_validation(tmp_path: Path):
+    d0, d1 = date(2024, 1, 1), date(2024, 1, 2)
     with pytest.raises(DataError, match="empty"):
-        ImageStack(entries=())
+        IndexStack(dates=(), values=np.zeros((0, 2, 2)))
     with pytest.raises(DataError, match="increasing"):
-        ImageStack(entries=((d0, img), (d0, img)))
-    other = constant_image(0.1, width=3)
-    with pytest.raises(DataError, match="mixed"):
-        ImageStack(entries=((d0, img), (d0 + timedelta(days=1), other)))
+        IndexStack(dates=(d0, d0), values=np.zeros((2, 2, 2)))
+    write_bandgrid(make_grid([[0.2, 0.3]], [[0.6, 0.5]]), tmp_path / "a.bgrid")
+    write_bandgrid(make_grid([[0.2], [0.3]], [[0.6], [0.5]]), tmp_path / "b.bgrid")
+    with pytest.raises(DataError, match="empty"):
+        load_index_stack(write_manifest(tmp_path, []), "NDVI", MAPPING)
+    with pytest.raises(DataError, match="increasing"):
+        load_index_stack(write_manifest(tmp_path, ["2024-01-02,a.bgrid", "2024-01-01,a.bgrid"]), "NDVI", MAPPING)
+    with pytest.raises(DataError, match=r"mixed \(height, width\): \[\(1, 2\), \(2, 1\)\]"):
+        load_index_stack(write_manifest(tmp_path, ["2024-01-01,a.bgrid", "2024-01-02,b.bgrid"]), "NDVI", MAPPING)
+    stack = load_index_stack(write_manifest(tmp_path, ["2024-01-01,a.bgrid", "2024-01-02,a.bgrid"]), "NDVI", MAPPING)
+    assert stack.dates == (d0, d1)
+    assert stack.values.shape == (2, 1, 2) and stack.values.dtype == np.float64
 
 
 # -- raster file I/O ---------------------------------------------------------------
@@ -220,14 +217,41 @@ def test_bandgrid_refuses_a_malformed_header(tmp_path: Path, dims: bytes, nodata
 
 
 def test_stack_manifest_errors(tmp_path: Path):
+    write_bandgrid(make_grid([[0.2]], [[0.6]]), tmp_path / "a.bgrid")
     bad_header = tmp_path / "m1.csv"
     bad_header.write_text("day,file\n", encoding="utf-8")
     with pytest.raises(DataError, match="header"):
-        read_stack_manifest(bad_header)
-    bad_date = tmp_path / "m2.csv"
-    bad_date.write_text("date,path\nnot-a-date,x.bgrid\n", encoding="utf-8")
+        load_index_stack(bad_header, "NDVI", MAPPING)
     with pytest.raises(DataError, match="line 2"):
-        read_stack_manifest(bad_date)
+        load_index_stack(write_manifest(tmp_path, ["not-a-date,a.bgrid"]), "NDVI", MAPPING)
+
+
+@pytest.mark.parametrize("day", ["20240111", "2024-W02-4", "2024-1-11", " 2024-01-11", "2024-02-30"])
+def test_stack_manifest_takes_only_iso_calendar_dates(tmp_path: Path, day: str):
+    # the sensor CSV's rule; fromisoformat alone reads the first two
+    write_bandgrid(make_grid([[0.2]], [[0.6]]), tmp_path / "a.bgrid")
+    manifest = write_manifest(tmp_path, ["2024-01-01,a.bgrid", f"{day},a.bgrid"])
+    with pytest.raises(DataError, match=f"line 3: bad date {day!r} \\(want YYYY-MM-DD\\)"):
+        load_index_stack(manifest, "NDVI", MAPPING)
+
+
+def test_stack_manifest_reads_a_byte_order_mark_and_crlf(tmp_path: Path):
+    write_bandgrid(make_grid([[0.2]], [[0.6]]), tmp_path / "a.bgrid")
+    write_bandgrid(make_grid([[0.3]], [[0.5]]), tmp_path / "b.bgrid")
+    lines = ["2024-01-01,a.bgrid", "2024-01-11,b.bgrid"]
+    plain = load_index_stack(write_manifest(tmp_path, lines), "NDVI", MAPPING)
+    spelled = load_index_stack(write_manifest(tmp_path, lines, "utf-8-sig", "\r\n"), "NDVI", MAPPING)
+    assert spelled.dates == plain.dates == (date(2024, 1, 1), date(2024, 1, 11))
+    assert spelled.values.tobytes() == plain.values.tobytes()
+
+
+def test_stack_manifest_names_an_image_that_cannot_be_read(tmp_path: Path):
+    write_bandgrid(make_grid([[0.2]], [[0.6]]), tmp_path / "a.bgrid")
+    manifest = write_manifest(tmp_path, ["2024-01-01,a.bgrid", "", "2024-01-11,gone.bgrid"])
+    with pytest.raises(DataError) as info:
+        load_index_stack(manifest, "NDVI", MAPPING)
+    message = str(info.value)
+    assert "manifest.csv: line 4:" in message and str(tmp_path / "gone.bgrid") in message
 
 
 def test_pgm_pinned_bytes_and_sidecar(tmp_path: Path):
@@ -248,22 +272,76 @@ def test_pgm_constant_field_maps_to_midgray(tmp_path: Path):
     assert path.read_bytes().endswith(bytes([128, 128, 128]))
 
 
-# -- flatten / reshape --------------------------------------------------------------
+# -- windows ----------------------------------------------------------------------
 
 
-def test_flatten_reshape_roundtrip_exact():
-    rng = np.random.default_rng(11)
-    vals = rng.uniform(-1.0, 1.0, (4, 3))
-    vals[2, 1] = DEFAULT_NODATA
-    img = IndexImage(3, 4, "NDWI", DEFAULT_NODATA, vals)
-    flat = img.values.reshape(-1).copy()
-    assert flat.shape == (12,)
-    assert flat[2 * 3 + 1] == DEFAULT_NODATA
-    back = reshape_to_image(flat, 3, 4, index_kind="NDWI")
-    assert back.values.tobytes() == img.values.tobytes()
-    assert back.index_kind == "NDWI"
-    with pytest.raises(ShapeError):
-        reshape_to_image(flat, 4, 4, index_kind="NDWI")
+def oracle_pixel_windows(images, dates, target_date):
+    """The per-image loop `flatten_stack` and `stack_windows_for_training`
+    once ran: (windows, mask) from the window's (H, W) images, oldest first."""
+    p = images[0].size
+    windows = np.zeros((p, INPUT_WINDOW, 2), dtype=np.float64)
+    mask = np.ones(p, dtype=bool)
+    for j, (d, img) in enumerate(zip(dates, images)):
+        flat = img.reshape(-1)
+        valid = flat != DEFAULT_NODATA
+        mask &= valid
+        windows[:, j, 0] = np.where(valid, flat, 0.0)
+        windows[:, j, 1] = float((target_date - d).days)
+    windows[~mask, :, 0] = 0.0
+    return windows, mask
+
+
+def oracle_flatten(stack, target_date):
+    prior = [k for k, d in enumerate(stack.dates) if d < target_date][-INPUT_WINDOW:]
+    return oracle_pixel_windows(stack.values[prior], [stack.dates[k] for k in prior], target_date)
+
+
+def oracle_training(stack):
+    """The per-run loop: run r is images r..r+4 with image r+5 as target."""
+    inputs, targets, run_ids = [], [], []
+    for r in range(len(stack.dates) - INPUT_WINDOW):
+        target_date, target_img = stack.dates[r + INPUT_WINDOW], stack.values[r + INPUT_WINDOW]
+        window = slice(r, r + INPUT_WINDOW)
+        windows, mask = oracle_pixel_windows(stack.values[window], stack.dates[window], target_date)
+        mask &= target_img.reshape(-1) != DEFAULT_NODATA
+        inputs.append(windows[mask])
+        targets.append(target_img.reshape(-1)[mask])
+        run_ids.append(np.full(int(mask.sum()), r, dtype=np.int64))
+    return np.concatenate(inputs), np.concatenate(targets)[:, None, None], np.concatenate(run_ids)
+
+
+def random_stack(rng, n_images, height, width, nodata_frac):
+    """Uneven dates (gaps of 1 to 20 days) and scattered nodata."""
+    gaps = np.cumsum(rng.integers(1, 21, size=n_images))
+    dates = tuple(date(2024, 1, 1) + timedelta(days=int(g)) for g in gaps)
+    values = rng.uniform(-1.0, 1.0, (n_images, height, width))
+    values[rng.random(values.shape) < nodata_frac] = DEFAULT_NODATA
+    return IndexStack(dates, values)
+
+
+def test_windows_equal_the_per_image_loop_bit_for_bit():
+    rng = np.random.default_rng(28)
+    for case in range(40):
+        stack = random_stack(rng, int(rng.integers(6, 13)), *(int(v) for v in rng.integers(1, 7, 2)),
+                             nodata_frac=(0.0, 0.05, 0.3)[case % 3])
+        expected = oracle_training(stack)
+        if expected[2].size == 0:
+            with pytest.raises(InsufficientDataError, match="no pixel is valid"):
+                stack_windows_for_training(stack)
+        else:
+            ws, run_ids = stack_windows_for_training(stack)
+            for got, want in zip((ws.inputs, ws.targets, run_ids), expected):
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+                assert got.base is None  # owns its data: no view of a larger block
+
+        d = stack.dates
+        between = [d[k] + timedelta(days=1) for k in range(INPUT_WINDOW - 1, len(d) - 1) if (d[k + 1] - d[k]).days > 1]
+        for target in [*d[INPUT_WINDOW:], *between, d[-1] + timedelta(days=int(rng.integers(1, 30)))]:
+            windows, mask = flatten_stack(stack, target)
+            want_windows, want_mask = oracle_flatten(stack, target)
+            assert windows.tobytes() == want_windows.tobytes()
+            assert mask.tolist() == want_mask.tolist()
 
 
 def step10_stack(n_images, width=2, height=2, bad=None):
@@ -271,22 +349,16 @@ def step10_stack(n_images, width=2, height=2, bad=None):
 
     `bad` marks (image, row, col) cells to overwrite with nodata.
     """
-    d0 = date(2024, 1, 1)
     p = width * height
-    entries = []
-    for k in range(n_images):
-        vals = (np.arange(p, dtype=np.float64).reshape(height, width) + k * p) / 1000.0
-        for bk, br, bc in bad or ():
-            if bk == k:
-                vals[br, bc] = DEFAULT_NODATA
-        entries.append((d0 + timedelta(days=10 * k),
-                        IndexImage(width, height, "NDVI", DEFAULT_NODATA, vals)))
-    return ImageStack(entries=tuple(entries))
+    values = np.arange(n_images * p, dtype=np.float64).reshape(n_images, height, width) / 1000.0
+    for bk, br, bc in bad or ():
+        values[bk, br, bc] = DEFAULT_NODATA
+    return IndexStack(tuple(date(2024, 1, 1) + timedelta(days=10 * k) for k in range(n_images)), values)
 
 
 def test_flatten_stack_offsets_and_values():
     stack = step10_stack(6)
-    target = stack.entries[5][0]
+    target = stack.dates[5]
     windows, mask = flatten_stack(stack, target)
     assert windows.shape == (4, 5, 2)
     assert mask.all()
@@ -298,7 +370,7 @@ def test_flatten_stack_offsets_and_values():
 def test_flatten_stack_skips_later_images():
     stack = step10_stack(8)
     # target between images 5 and 6: window must end at image 5
-    target = stack.entries[5][0] + timedelta(days=3)
+    target = stack.dates[5] + timedelta(days=3)
     windows, _ = flatten_stack(stack, target)
     assert windows[0, :, 1].tolist() == [43.0, 33.0, 23.0, 13.0, 3.0]
     assert windows[1, -1, 0] == (5 * 4 + 1) / 1000.0
@@ -312,7 +384,7 @@ def test_flatten_stack_insufficient_history():
 
 def test_flatten_stack_mask_and_zeroing():
     stack = step10_stack(6, bad=[(2, 0, 1)])  # pixel 1 missing in third image
-    windows, mask = flatten_stack(stack, stack.entries[5][0])
+    windows, mask = flatten_stack(stack, stack.dates[5])
     assert mask.tolist() == [True, False, True, True]
     assert np.all(windows[1, :, 0] == 0.0)
     assert windows[1, 0, 1] == 50.0  # offsets survive masking

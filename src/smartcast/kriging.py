@@ -7,6 +7,8 @@ of R per range gives every kriging quantity as GEMMs and elementwise work
 with the diagonal 1/(lambda + r): the variogram fit scores a grid of
 ranges and ratios by closed-form leave-one-out, `build_model` keeps the
 eigenpairs of one variogram, and `krige` and `loo_score` use them. A
+`SampleLayout` holds what depends on the sample locations alone, so
+depths sampled at one set of locations share each range's eigh. A
 covariance whose condition number exceeds COND_BOUND is refused. The
 per-depth grids form a moisture volume with file exports. The fit does
 not use `empirical_variogram`; `bench/tracing.py` times it.
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 import csv
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -79,16 +81,56 @@ class GridGeometry:
         return xs, ys
 
 
+class SampleLayout:
+    """What kriging computes from sample locations (n, 2) alone: the
+    squared sample distances and, each on first use and then kept, the
+    correlation eigenpairs at each range asked for and the sample-to-cell
+    distances of each grid. Depths sampled at the same locations share one
+    layout, so a range's eigh runs once for all of them; each kept range
+    holds n^2 + n floats."""
+
+    def __init__(self, points: np.ndarray):
+        self.points = points
+        self.h2 = _distances(points, points) ** 2
+        self._eigh: dict[float, tuple[np.ndarray, np.ndarray]] = {}
+        self._cells: dict[GridGeometry, np.ndarray] = {}
+
+    def correlation_eigh(self, range_a: float) -> tuple[np.ndarray, np.ndarray]:
+        """Ascending eigenvalues and eigenvectors of the Gaussian
+        correlation exp(-3 h^2 / a^2) of the samples at range a."""
+        if range_a not in self._eigh:
+            self._eigh[range_a] = np.linalg.eigh(np.exp(-3.0 * self.h2 / range_a**2))
+        return self._eigh[range_a]
+
+    def cell_distances(self, geometry: GridGeometry) -> np.ndarray:
+        """(n, ny * nx) distances from each sample to each cell centre, row-major."""
+        if geometry not in self._cells:
+            gx, gy = np.meshgrid(*geometry.cell_centers())
+            self._cells[geometry] = _distances(self.points, np.column_stack([gx.ravel(), gy.ravel()]))
+        return self._cells[geometry]
+
+
+def _layout(points: np.ndarray, layout: SampleLayout | None) -> SampleLayout:
+    """`layout`, which must be of `points`, or a new layout of them."""
+    if layout is None:
+        return SampleLayout(points)
+    if not np.array_equal(layout.points, points):
+        raise ShapeError("the sample layout is not of these points")
+    return layout
+
+
 @dataclass(frozen=True)
 class KrigingModel:
     """Ordinary-kriging model over a fixed sample set: the eigenpairs of
-    the samples' Gaussian correlation matrix R under `variogram`."""
+    the samples' Gaussian correlation matrix R under `variogram`, and the
+    layout they came from."""
 
     points: np.ndarray          # (n, 2)
     values: np.ndarray          # (n,)
     variogram: Variogram
     eigenvalues: np.ndarray     # (n,) of R, ascending
     eigenvectors: np.ndarray    # (n, n), one per column
+    layout: SampleLayout = field(repr=False, compare=False)
     # Always 0.0: an ill-conditioned covariance is refused, never nudged.
     # Kept because the benchmark's tracer counts models with jitter > 0.
     jitter: float = 0.0
@@ -149,12 +191,6 @@ def empirical_variogram(points: np.ndarray, values: np.ndarray) -> tuple[np.ndar
     return np.array([lags[sel].mean() for sel in bins]), semivariances, counts
 
 
-def _correlation_eigh(h2: np.ndarray, range_a: float) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenvalues and eigenvectors of the Gaussian correlation
-    exp(-3 h^2 / a^2) at squared sample distances h2 (n, n)."""
-    return np.linalg.eigh(np.exp(-3.0 * h2 / range_a**2))
-
-
 def _dubrule(
     lam: np.ndarray, vec: np.ndarray, values: np.ndarray, ratios: tuple[float, ...]
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -172,31 +208,31 @@ def _dubrule(
     return 1.0 - (resid**2).sum(axis=0) / ss_tot, (qz * resid).mean(axis=0)  # sill: mean(e^2 / var) = 1
 
 
-def _loo_grid(points: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _loo_grid(layout: SampleLayout, values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Candidate ranges (R,), and each (range, ratio) candidate's LOO
     score and calibrated sill, (R, K) each: one eigh of R per range
     makes every ratio a diagonal shift."""
-    h2 = _distances(points, points) ** 2
-    ranges = RANGE_FACTORS * np.sqrt(h2.max()) / 2.0
+    ranges = RANGE_FACTORS * np.sqrt(layout.h2.max()) / 2.0
     scores = np.empty((ranges.size, len(NUGGET_RATIOS)))
     sills = np.empty_like(scores)
     for k, a in enumerate(ranges):
-        scores[k], sills[k] = _dubrule(*_correlation_eigh(h2, a), values, NUGGET_RATIOS)
+        scores[k], sills[k] = _dubrule(*layout.correlation_eigh(a), values, NUGGET_RATIOS)
     return ranges, scores, sills
 
 
-def fit_variogram(points: np.ndarray, values: np.ndarray) -> Variogram:
+def fit_variogram(points: np.ndarray, values: np.ndarray, layout: SampleLayout | None = None) -> Variogram:
     """The Gaussian variogram whose range and nugget/sill ratio score the
     highest leave-one-out R^2 among RANGE_FACTORS x NUGGET_RATIOS (Cressie
     1993, section 2.6.4; the first wins a tie, ranges outermost). Kriging
     weights do not depend on the sill; it is set so the LOO standardized
-    errors have mean square 1. Needs 3 samples not all equal in value."""
+    errors have mean square 1. Needs 3 samples not all equal in value.
+    `layout`, when given, must be of `points`; its eigenpairs are reused."""
     points, values = _samples(points, values)
     if values.size < 3:
         raise InsufficientDataError(f"variogram fit needs >= 3 samples, have {values.size}")
     if np.ptp(values) == 0.0:
         raise FlatFieldError("sample values are constant; the field is flat")
-    ranges, scores, sills = _loo_grid(points, values)
+    ranges, scores, sills = _loo_grid(_layout(points, layout), values)
     k, j = np.unravel_index(np.argmax(scores), scores.shape)
     sill = float(sills[k, j])
     return Variogram(nugget=NUGGET_RATIOS[j] * sill, sill=sill, range_a=float(ranges[k]))
@@ -211,20 +247,25 @@ def _distances(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.sqrt(dx * dx + dy * dy)
 
 
-def build_model(points: np.ndarray, values: np.ndarray, variogram: Variogram) -> KrigingModel:
+def build_model(
+    points: np.ndarray, values: np.ndarray, variogram: Variogram, layout: SampleLayout | None = None
+) -> KrigingModel:
     """The kriging model of samples at `points` (n, 2) with `values` (n,)
-    under `variogram`: one eigendecomposition of their correlation R.
+    under `variogram`: one eigendecomposition of their correlation R,
+    taken from `layout` when it holds that range already.
 
     Coordinates and values must be finite; exact duplicate coordinates
-    are rejected. Raises FactorizationError when cond(R + r I) =
-    (lambda_max + r) / (lambda_min + r) exceeds COND_BOUND, counted as
-    infinite when lambda_min + r <= 0; only a tiny nugget on nearly
-    coincident samples gets there.
+    are rejected, and `layout`, when given, must be of `points`. Raises
+    FactorizationError when cond(R + r I) = (lambda_max + r) /
+    (lambda_min + r) exceeds COND_BOUND, counted as infinite when
+    lambda_min + r <= 0; only a tiny nugget on nearly coincident samples
+    gets there.
     """
     points, values = _samples(points, values)
     if values.size == 0:
         raise InsufficientDataError("kriging needs at least one sample")
-    lam, vec = _correlation_eigh(_distances(points, points) ** 2, variogram.range_a)
+    layout = _layout(points, layout)
+    lam, vec = layout.correlation_eigh(variogram.range_a)
     r = variogram.nugget / variogram.sill
     cond = (lam[-1] + r) / (lam[0] + r) if lam[0] + r > 0.0 else np.inf
     if cond > COND_BOUND:
@@ -232,7 +273,7 @@ def build_model(points: np.ndarray, values: np.ndarray, variogram: Variogram) ->
             f"kriging covariance too ill-conditioned: cond(R + rI) = {cond:.3g} > {COND_BOUND:.0e} "
             f"at nugget/sill ratio r = {r:.3g}"
         )
-    return KrigingModel(points=points, values=values, variogram=variogram, eigenvalues=lam, eigenvectors=vec)
+    return KrigingModel(points, values, variogram, eigenvalues=lam, eigenvectors=vec, layout=layout)
 
 
 def krige(model: KrigingModel, points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -246,11 +287,15 @@ def krige(model: KrigingModel, points: np.ndarray) -> tuple[np.ndarray, np.ndarr
     V'c weighted by 1/(lambda + r), so results do not depend on the order
     or grouping of the queries.
     """
+    return _krige(model, _distances(model.points, points))
+
+
+def _krige(model: KrigingModel, h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`krige` at the queries whose distances to the samples are h (n, k)."""
     v = model.variogram
     r = v.nugget / v.sill
     vec = model.eigenvectors
     d = 1.0 / (model.eigenvalues + r)
-    h = _distances(model.points, points)
     vc = vec.T @ np.where(h > 0.0, np.exp(-3.0 * h**2 / v.range_a**2), 1.0 + r)
     v1 = vec.sum(axis=0)
     s11 = v1**2 @ d
@@ -261,9 +306,9 @@ def krige(model: KrigingModel, points: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 
 def interpolate_grid(model: KrigingModel, geometry: GridGeometry) -> tuple[np.ndarray, np.ndarray]:
-    """Kriged value and variance at every cell center of a grid, (ny, nx) each."""
-    gx, gy = np.meshgrid(*geometry.cell_centers())
-    values, variances, _ = krige(model, np.column_stack([gx.ravel(), gy.ravel()]))
+    """Kriged value and variance at every cell center of a grid, (ny, nx)
+    each; the model's layout keeps the cells' distances to the samples."""
+    values, variances, _ = _krige(model, model.layout.cell_distances(geometry))
     return values.reshape(geometry.ny, geometry.nx), variances.reshape(geometry.ny, geometry.nx)
 
 

@@ -8,10 +8,11 @@ a JSON report.
 
 Each training stage checks its data, fits its scaler and builds its
 jobs. A job is a model's whole work, not a model: in `_train_all`'s
-spawned workers each job cuts its windows, builds and trains its model,
-scores it on the test split and forecasts with it (in original units:
-`lstm.predict_batch` applies the scaler), so the parent runs no LSTM pass
-and ships only series and cut points. `run` trains every model in one pool.
+spawned workers each job derives its seeds, cuts its windows, builds and
+trains its model, scores it on the test split and forecasts with it (in
+original units: `lstm.predict_batch` applies the scaler), so the parent
+runs no LSTM pass, never loads `np.random`, and ships only series and cut
+points. `run` trains every model in one pool.
 
 Every stage failure is wrapped in a StageError naming the stage, and
 artifacts are staged under `<out>/.partial` until the run succeeds.
@@ -29,6 +30,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from datetime import timedelta
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
@@ -476,18 +478,23 @@ def _single_threaded_blas():
                 os.environ[name] = value
 
 
-# One model's whole work: its stage, the initial model's shape and init
-# seed, the task the worker cuts its windows from and finishes with, and
-# `lstm.train`'s config. The worker builds the model.
-_TrainJob = tuple[str, ModelShape, int, "_SoilTask | _IndexTask", TrainConfig]
+# One model's whole work: its stage, the initial model's shape, the parts
+# its seeds are derived from, the task the worker cuts its windows from and
+# finishes with, and `lstm.train`'s config. The worker builds the model.
+_TrainJob = tuple[str, ModelShape, tuple[int, ...], "_SoilTask | _IndexTask", TrainConfig]
 
 
-def _run_job(shape: ModelShape, init_seed: int, task: _SoilTask | _IndexTask, train_config: TrainConfig):
+def _run_job(shape: ModelShape, seed_parts: tuple[int, ...], task: _SoilTask | _IndexTask, train_config: TrainConfig):
     """One job, run in the worker: the task's windows, the model built and
-    trained on them, and the task's outcome, which holds that model."""
+    trained on them, and the task's outcome, which holds that model.
+
+    The init seed is derived from `seed_parts` + (0,) and the training seed
+    from `seed_parts` + (1,) here, not in the parent: `np.random`, which
+    derives them, costs ~5 MiB to import, and only a worker draws numbers."""
     fit, val, test = task.windows()
-    model = lstm.train(lstm.init_params(shape, init_seed, task.scaler), fit, val, train_config)[0]
-    del fit, val  # cut here, for a soil task: freed before scoring
+    train_config = dataclasses.replace(train_config, seed=_derive_seed(*seed_parts, 1))
+    model = lstm.train(lstm.init_params(shape, _derive_seed(*seed_parts, 0), task.scaler), fit, val, train_config)[0]
+    del fit, val  # the task handed them over: freed before scoring
     return task.finish(model, test)
 
 
@@ -588,9 +595,7 @@ def _soil_stage(table: timeseries.SensorTable, config: RunConfig) -> list[_Train
     jobs: list[_TrainJob] = []
     for depth in depths:
         task = _prepare_depth(groups, sensor_ids, depth, config)
-        init_seed = _derive_seed(config.seed, 11, task.depth_cm, 0)
-        train_config = dataclasses.replace(config.soil_train, seed=_derive_seed(config.seed, 11, task.depth_cm, 1))
-        jobs.append(("soil", shape, init_seed, task, train_config))
+        jobs.append(("soil", shape, (config.seed, 11, task.depth_cm), task, config.soil_train))
     return jobs
 
 
@@ -666,30 +671,34 @@ def _split_by_run(windows: WindowSet, run_ids: np.ndarray, test_fraction: float)
     return fit, val, cut(run_ids >= runs[n_train_runs])
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class _IndexTask:
     """The pixel model's work in a worker: its scaled fit and val windows,
     its test windows in index units, the forecast date's (P, 5, 2) pixel
-    windows with their (H, W) validity mask, and the forecast date."""
+    windows with their (H, W) validity mask, and the forecast date.
+
+    `windows` hands the fit and val windows over and keeps no reference to
+    them, so they are freed once the model has trained, as a soil task's are.
+    """
 
     scaler: Scaler
-    fit: WindowSet
+    fit: WindowSet | None
     val: WindowSet | None
     test: WindowSet
     pixels: np.ndarray
     mask: np.ndarray
     forecast_target: str
+    input_length: ClassVar[int] = vegindex.INPUT_WINDOW
+    n_fit: int = dataclasses.field(init=False)
+    n_train: int = dataclasses.field(init=False)
 
-    @property
-    def n_fit(self) -> int:
-        return self.fit.n_samples
-
-    @property
-    def input_length(self) -> int:
-        return self.fit.input_length
+    def __post_init__(self):
+        self.n_fit = self.fit.n_samples
+        self.n_train = self.n_fit + (0 if self.val is None else self.val.n_samples)
 
     def windows(self) -> tuple[WindowSet, WindowSet | None, WindowSet]:
-        return self.fit, self.val, self.test
+        fit, val, self.fit, self.val = self.fit, self.val, None, None
+        return fit, val, self.test
 
     def finish(self, model: Seq2SeqModel, test: WindowSet) -> tuple[Seq2SeqModel, IndexResult, np.ndarray]:
         """The trained model, its metrics on the test windows, with
@@ -701,7 +710,7 @@ class _IndexTask:
             test_rmse=lstm.rmse(preds, targets),
             test_mae=lstm.mae(preds, targets),
             persistence_rmse=lstm.rmse(test.inputs[:, -1, 0], targets),
-            n_train_windows=self.fit.n_samples + (0 if self.val is None else self.val.n_samples),
+            n_train_windows=self.n_train,
             n_test_windows=test.n_samples,
             forecast_target=self.forecast_target,
         )
@@ -722,9 +731,8 @@ def _index_stage(stack: vegindex.IndexStack, config: RunConfig) -> _TrainJob:
 
     m = config.index_model
     shape = ModelShape(2, m.encoder_hidden, m.decoder_hidden, m.dense_hidden, horizon=1)
-    train_config = dataclasses.replace(config.index_train, seed=_derive_seed(config.seed, 22, 1))
     task = _IndexTask(scaler, fit, val, test, pixels, mask.reshape(stack.values.shape[1:]), target_date.isoformat())
-    return ("index", shape, _derive_seed(config.seed, 22, 0), task, train_config)
+    return ("index", shape, (config.seed, 22), task, config.index_train)
 
 
 def run_index_stage(stack: vegindex.IndexStack, config: RunConfig) -> tuple[Seq2SeqModel, IndexResult, np.ndarray]:
@@ -788,26 +796,33 @@ def run_kriging_stage(
     forecasts with LOO score None; otherwise `kriging.fit_variogram`
     chooses one by LOO from the depth's samples, which needs 3 located
     sensors not all equal in value. Each depth builds one model for its
-    LOO score and its grid. A refusal names its depth.
+    LOO score and its grid. Depths whose located sensors are the same share
+    one `kriging.SampleLayout`: its distances and each range's
+    eigendecomposition are computed once for all of them. A refusal names
+    its depth.
     """
     depths = tuple(sorted(forecast_table))
     values_by_depth, variance_by_depth = [], []
     stats: dict[int, tuple[float | None, Variogram, int]] = {}
+    layouts: dict[tuple[str, ...], kriging.SampleLayout] = {}
     for depth in depths:
         forecasts = forecast_table[depth]
-        located = [sid for sid in sorted(forecasts) if sid in config.sensor_locations]
+        located = tuple(sid for sid in sorted(forecasts) if sid in config.sensor_locations)
         if not located:
             known = ", ".join(sorted(config.sensor_locations)) or "(none)"
             raise DataError(
                 f"no sensor at depth {depth} has a configured location; locations exist for: {known}"
             )
-        points = np.array([config.sensor_locations[sid] for sid in located], dtype=np.float64)
+        if located not in layouts:
+            points = np.array([config.sensor_locations[sid] for sid in located], dtype=np.float64)
+            layouts[located] = kriging.SampleLayout(points)
+        layout = layouts[located]
         values = np.array([forecasts[sid][forecast_day - 1] for sid in located])
         variogram = config.variogram
         try:
             if variogram is None:
-                variogram = kriging.fit_variogram(points, values)
-            model = kriging.build_model(points, values, variogram)
+                variogram = kriging.fit_variogram(layout.points, values, layout=layout)
+            model = kriging.build_model(layout.points, values, variogram, layout=layout)
         except (DataError, FactorizationError) as e:  # too few or constant samples, or ill-conditioned
             raise type(e)(f"depth {depth} cm: {e}") from e
         try:

@@ -3,13 +3,14 @@
 Reads per-sensor/per-depth daily records from CSV into one columnar
 `SensorTable` (day ordinals, sensor codes, depths, an (N, 4) feature
 matrix), parsing, converting and validating the rows in bounded chunks:
-through numpy's C parser while the chunks are clean, through csv.reader
-from the first chunk that is not. Groups the table by (sensor, depth)
-with one stable sort; aligns each group to a consecutive daily grid as
-a (T, 4) feature array (linear gap fill up to a configurable maximum);
-fits pooled normalization statistics; and cuts a feature array into
-(input window, 14-day target) array pairs. The chronological
-train/val/test split of those windows is the pipeline's.
+through numpy's C parser when a chunk is clean and through csv.reader
+when it is not, or from the first chunk that holds a quote to the end.
+Groups the table by (sensor, depth) with one stable sort; aligns each
+group to a consecutive daily grid as a (T, 4) feature array (linear gap
+fill up to a configurable maximum); fits pooled normalization
+statistics; and cuts a feature array into (input window, 14-day target)
+array pairs. The chronological train/val/test split of those windows is
+the pipeline's.
 
 Feature column order is fixed everywhere: moisture, soil_temp,
 salinity, rainfall. Moisture (column 0) is the forecast target.
@@ -187,7 +188,8 @@ class _ChunkConverter:
     """Validates chunks of CSV data rows and collects them as table columns.
 
     `add_lines` takes a chunk of raw lines through numpy's loadtxt, or
-    declines it; `add` takes csv.reader rows. Date, depth and sensor-id
+    declines it; `add` takes csv.reader rows, and `add_all` a csv.reader's
+    every row, a chunk at a time. Date, depth and sensor-id
     texts are parsed once per distinct text. Every check runs on whole
     columns; the error raised is the one the earliest bad line would
     give, checks taken in row order.
@@ -297,6 +299,19 @@ class _ChunkConverter:
         self._check_duplicates()  # a repeated key on an earlier line is reported first
         raise CsvFormatError(f"line {lines[i]}: {message(i)}")
 
+    def add_all(self, reader, line_no: int) -> int:
+        """Append every row of a csv.reader, the first on line `line_no`,
+        through `add` a chunk at a time; return the line after the last."""
+        while rows := list(itertools.islice(reader, _CHUNK_ROWS)):
+            lines = np.arange(line_no, line_no + len(rows))
+            line_no += len(rows)
+            if not all(rows):  # skip blank lines; later lines keep their numbers
+                kept = [i for i, row in enumerate(rows) if row]
+                rows, lines = [rows[i] for i in kept], lines[kept]
+            self.add(rows, lines)
+            del rows  # one chunk of parsed rows alive at a time: drop it before reading the next
+        return line_no
+
     def _append(self, *values: np.ndarray) -> None:
         """Copy rows into the columns, doubling their capacity when full."""
         rows = self.rows + len(values[0])
@@ -337,8 +352,10 @@ def load_sensor_csv(path: str | Path) -> SensorTable:
     mark; dates are `YYYY-MM-DD`; empty feature fields mean "missing";
     blank lines are skipped.
 
-    Chunks of lines go through numpy's C parser until one is declined;
-    csv.reader reads that chunk and the rest, and finds any error.
+    Chunks of lines go through numpy's C parser; csv.reader reads a chunk
+    it declines and finds any error. After a declined chunk that holds a
+    quote, which may open a field spanning lines, csv.reader reads the rest
+    of the file; after any other, numpy's parser takes the next chunk.
 
     Raises:
         CsvFormatError: malformed header/row (message names the line).
@@ -355,18 +372,13 @@ def load_sensor_csv(path: str | Path) -> SensorTable:
             raise CsvFormatError(f"line 1: header must be {','.join(CSV_HEADER)!r}, got {','.join(header)!r}")
         line_no = 2
         while texts := list(itertools.islice(fh, _CHUNK_ROWS)):
-            if not converter.add_lines(texts, line_no):
+            if converter.add_lines(texts, line_no):
+                line_no += len(texts)
+            elif any('"' in text for text in texts):  # a quoted field may span lines: csv.reader reads the rest
+                converter.add_all(csv.reader(itertools.chain(texts, fh)), line_no)
                 break
-            line_no += len(texts)
-        reader = csv.reader(itertools.chain(texts, fh))  # a declined chunk and all after it
-        while rows := list(itertools.islice(reader, _CHUNK_ROWS)):
-            lines = np.arange(line_no, line_no + len(rows))
-            line_no += len(rows)
-            if not all(rows):  # skip blank lines; later lines keep their numbers
-                kept = [i for i, row in enumerate(rows) if row]
-                rows, lines = [rows[i] for i in kept], lines[kept]
-            converter.add(rows, lines)
-            del rows  # one chunk of parsed rows alive at a time: drop it before reading the next
+            else:  # one row per line, so the next chunk starts on a line of its own
+                line_no = converter.add_all(csv.reader(texts), line_no)
     return converter.table()
 
 

@@ -249,11 +249,13 @@ def load_index_stack(manifest_path: str | Path, kind: str, band_mapping: dict[st
 
     The manifest is read as the sensor CSV is: UTF-8, optionally with a
     byte-order mark, and `YYYY-MM-DD` dates. Paths resolve against its
-    directory. An unreadable image, mixed dimensions, no image and dates
-    out of order are data errors.
+    directory. An unreadable image, a date not after the one before it,
+    mixed dimensions and no image are data errors; the first two name
+    their line.
     """
     path = Path(manifest_path)
     dates, images = [], []
+    last_line = 0  # of the latest date read
     with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         if next(reader, None) != ["date", "path"]:
@@ -266,6 +268,12 @@ def load_index_stack(manifest_path: str | Path, kind: str, band_mapping: dict[st
             ordinal = _parse_day(row[0])
             if ordinal == _BAD:
                 raise CsvFormatError(f"{path}: line {line_no}: bad date {row[0]!r} (want YYYY-MM-DD)")
+            if dates and ordinal <= dates[-1].toordinal():
+                raise DataError(
+                    f"{path}: line {line_no}: date {row[0]} is not after {dates[-1].isoformat()} on line {last_line}; "
+                    "manifest dates must be strictly increasing"
+                )
+            last_line = line_no
             grid_path = (path.parent / row[1]).resolve()
             try:
                 grid = read_bandgrid(grid_path)

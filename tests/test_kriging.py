@@ -215,7 +215,7 @@ def test_fit_is_the_brute_force_loo_optimum():
     assert fit.nugget / fit.sill == pytest.approx(kriging.NUGGET_RATIOS[j], rel=1e-12)
     model = build_model(points, values, fit)
     assert model.jitter == 0.0
-    _, scores, _ = kriging._loo_grid(points, values)
+    _, scores, _ = kriging._loo_grid(kriging.SampleLayout(points), values)
     assert abs(scores.max() - loo_score(model)) <= 1e-9
     # the sill gives the LOO standardized errors mean square 1; in
     # variogram form the LOO variance is -1 / (A^-1)_ii

@@ -9,6 +9,7 @@ import pickle
 import shutil
 import subprocess
 import sys
+import weakref
 from datetime import date, timedelta
 from pathlib import Path
 
@@ -644,9 +645,9 @@ def test_kriging_stage_builds_one_model_per_depth(tiny_dir: Path, monkeypatch):
     calls = []
     real = kriging.build_model
 
-    def counting(points, values, variogram):
+    def counting(points, values, variogram, **kwargs):
         calls.append(len(values))
-        return real(points, values, variogram)
+        return real(points, values, variogram, **kwargs)
 
     monkeypatch.setattr(kriging, "build_model", counting)
     rng = np.random.default_rng(8)
@@ -661,6 +662,55 @@ def test_kriging_stage_builds_one_model_per_depth(tiny_dir: Path, monkeypatch):
             values = np.array([table[depth][sid][1] for sid in sorted(config.sensor_locations)])
             want = variogram if variogram is not None else kriging.fit_variogram(points, values)
             assert stats[depth][0] is not None and stats[depth][1] == want
+
+
+def kriging_table(sensor_ids, depths=(10, 30, 60), seed=8) -> dict[int, dict[str, tuple[float, ...]]]:
+    rng = np.random.default_rng(seed)
+    return {depth: {sid: tuple(rng.uniform(10.0, 60.0, 3)) for sid in sensor_ids} for depth in depths}
+
+
+@pytest.mark.parametrize(("fitted", "eighs"), [(True, 8), (False, 1)], ids=["fitted", "configured"])
+def test_kriging_stage_decomposes_each_range_once_per_layout(fitted, eighs, tiny_dir: Path, monkeypatch):
+    # three depths at the same 4 located sensors: a fit scores 8 ranges,
+    # and the model's range is one of them, so 8 eighs serve every depth
+    # (27 when each depth decomposed its own); a configured variogram has 1
+    config = parse_config(tiny_dir / "config.json")
+    if fitted:
+        config = dataclasses.replace(config, variogram=None)
+    calls = []
+    real = np.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        calls.append(a.shape)
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    volume, _ = pipeline.run_kriging_stage(kriging_table(config.sensor_locations), config, 2)
+    assert volume.depths == (10, 30, 60)
+    assert calls == [(4, 4)] * eighs
+
+
+@pytest.mark.parametrize("fitted", [True, False], ids=["fitted", "configured"])
+def test_kriging_stage_matches_each_depth_kriged_alone(fitted, tiny_dir: Path):
+    # 60 cm lacks s2, so it gets a layout of its own; each depth's grid,
+    # variance and stats are those of the per-depth calls, bit for bit
+    config = parse_config(tiny_dir / "config.json")
+    if fitted:
+        config = dataclasses.replace(config, variogram=None)
+    table = kriging_table(config.sensor_locations, depths=(10, 30, 60, 90), seed=9)
+    del table[60]["s2"]
+    volume, stats = pipeline.run_kriging_stage(table, config, 3)
+    for k, depth in enumerate(volume.depths):
+        located = sorted(table[depth])
+        points = np.array([config.sensor_locations[sid] for sid in located])
+        values = np.array([table[depth][sid][2] for sid in located])
+        variogram = config.variogram or kriging.fit_variogram(points, values)
+        model = kriging.build_model(points, values, variogram)
+        mapped, variance = kriging.interpolate_grid(model, config.grid)
+        assert volume.values[k].tobytes() == mapped.tobytes()
+        assert volume.variance[k].tobytes() == variance.tobytes()
+        assert stats[depth] == (kriging.loo_score(model), variogram, len(located))
+    assert stats[60][2] == 3
 
 
 def thin_table(located: list[str], depth_30: dict[str, float]) -> dict[int, dict[str, tuple[float, ...]]]:
@@ -787,6 +837,20 @@ def test_cli_refuses_a_manifest_image_that_cannot_be_read(tiny_dir: Path, tmp_pa
         err = capsys.readouterr().err
         assert "manifest.csv: line 5:" in err and str(data / "images" / "image_003.bgrid") in err
         assert "Traceback" not in err
+
+
+def test_cli_refuses_a_manifest_date_out_of_order(tiny_dir: Path, tmp_path: Path, capsys):
+    data = tmp_path / "data"
+    shutil.copytree(tiny_dir, data, ignore=shutil.ignore_patterns("out*", "chain*"))
+    manifest = data / "images" / "manifest.csv"
+    lines = manifest.read_text(encoding="utf-8").splitlines()
+    lines[4], lines[5] = lines[5], lines[4]
+    manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    later, earlier = lines[4].split(",")[0], lines[5].split(",")[0]
+    assert main(["train-index", "--config", str(data / "config.json"), "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert f"manifest.csv: line 6: date {earlier} is not after {later} on line 5" in err
+    assert "Traceback" not in err
 
 
 def test_cli_forecast_refuses_a_malformed_checkpoint(tiny_dir: Path, tiny_chain: Path, tmp_path: Path, capsys):
@@ -958,6 +1022,80 @@ def test_cli_import_loads_no_scipy():
     code = "import sys, smartcast.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True, timeout=120)
     assert out.stdout.strip() == "[]"
+
+
+def test_parent_never_loads_numpy_random(tiny_dir: Path, tmp_path: Path):
+    # the workers derive the training seeds and draw every random number:
+    # train-soil, train-index and run leave numpy.random out of the parent
+    src = str(Path(pipeline.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    config, out = str(tiny_dir / "config.json"), str(tmp_path / "out")
+    code = (
+        "import sys\n"
+        "from smartcast.cli import main\n"
+        "for command in ('train-soil', 'train-index', 'run'):\n"
+        f"    assert main([command, '--config', {config!r}, '--out', {out!r}]) == 0\n"
+        "    print(command, 'numpy.random' in sys.modules)\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=600)
+    assert result.returncode == 0, result.stderr
+    assert [line for line in result.stdout.splitlines() if line.endswith(("True", "False"))] == [
+        "train-soil False",
+        "train-index False",
+        "run False",
+    ]
+
+
+def test_run_job_derives_todays_seeds(tiny_dir: Path, monkeypatch):
+    # the parent ships each job's seed parts; the worker derives from them
+    # the init and training seeds the parent once derived itself
+    config = parse_config(tiny_dir / "config.json")
+    config = dataclasses.replace(
+        config,
+        soil_train=dataclasses.replace(config.soil_train, epochs=0),
+        index_train=dataclasses.replace(config.index_train, epochs=0),
+    )
+    seeds = []
+    real_init, real_train = lstm.init_params, lstm.train
+
+    def init_params(shape, seed, scaler=None):
+        seeds.append(seed)
+        return real_init(shape, seed, scaler)
+
+    def train(model, fit, val, train_config):
+        seeds.append(train_config.seed)
+        return real_train(model, fit, val, train_config)
+
+    monkeypatch.setattr(lstm, "init_params", init_params)
+    monkeypatch.setattr(lstm, "train", train)
+    jobs = demo_jobs(config)
+    assert [job[2] for job in jobs] == [(3, 11, 10), (3, 11, 30), (3, 22)]
+    for job in jobs:
+        pipeline._run_job(*job[1:])
+    assert seeds == [698397058, 612058380, 3921729532, 3202589398, 2833387778, 2109360856]
+
+
+def test_index_job_frees_its_fit_and_val_windows_before_finish(tiny_dir: Path, monkeypatch):
+    # the task hands its fit and val windows to the job, which drops them
+    # once the model has trained: neither is alive while the model scores
+    config = parse_config(tiny_dir / "config.json")
+    config = dataclasses.replace(config, index_train=dataclasses.replace(config.index_train, epochs=1))
+    stack = load_index_stack(config.image_manifest, config.index_kind, config.band_mapping)
+    job = pipeline._index_stage(stack, config)
+    task = job[3]
+    refs = [weakref.ref(task.fit), weakref.ref(task.val)]
+    n_train = task.fit.n_samples + task.val.n_samples
+    alive = []
+    real = pipeline._IndexTask.finish
+
+    def finish(self, model, test):
+        alive.extend(ref() is not None for ref in refs)
+        return real(self, model, test)
+
+    monkeypatch.setattr(pipeline._IndexTask, "finish", finish)
+    _, result, _ = pipeline._run_job(*job[1:])
+    assert alive == [False, False]
+    assert result.n_train_windows == n_train
 
 
 def test_cli_gradcheck(capsys):

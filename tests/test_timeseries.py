@@ -425,6 +425,74 @@ def test_clean_csv_takes_the_fast_path(tmp_path, monkeypatch):
         assert load_sensor_csv(long_ids).sensor_names == tuple(f"probe-north-{k + 1}" for k in range(12))
 
 
+def spy_on_parsers(monkeypatch) -> list[tuple]:
+    """Each chunk the loader parses, in order: ("lines", first line, taken)
+    for numpy's parser, ("rows", first line) for csv.reader's."""
+    calls = []
+    add_lines, add = timeseries._ChunkConverter.add_lines, timeseries._ChunkConverter.add
+
+    def spied_add_lines(self, texts, line_no):
+        taken = add_lines(self, texts, line_no)
+        calls.append(("lines", line_no, taken))
+        return taken
+
+    def spied_add(self, rows, lines):
+        calls.append(("rows", int(lines[0])))
+        return add(self, rows, lines)
+
+    monkeypatch.setattr(timeseries._ChunkConverter, "add_lines", spied_add_lines)
+    monkeypatch.setattr(timeseries._ChunkConverter, "add", spied_add)
+    return calls
+
+
+def test_numpy_parser_resumes_after_a_declined_chunk_without_quotes(tmp_path, monkeypatch):
+    # a blank line or an empty field sends only its own chunk to csv.reader;
+    # numpy's parser takes the chunks after it, and the table is the oracle's
+    days = [date(2024, 1, 1) + timedelta(days=k) for k in range(12)]
+    body = [f"{day},s{k % 2},10,{30 + k}.5,18.2,1.1,{k % 3}.0" for k, day in enumerate(days)]
+    monkeypatch.setattr(timeseries, "_CHUNK_ROWS", 4)
+    calls = spy_on_parsers(monkeypatch)
+    for name, lines in {
+        "blank line": body[:1] + [""] + body[1:],
+        "empty field": [body[0].replace(",0.0", ",")] + body[1:],
+    }.items():
+        calls.clear()
+        path = write_csv(tmp_path, "\n".join(lines) + "\n")
+        assert rows_and_ids(path) == oracle_rows_and_ids(path), name
+        n = len(lines)
+        assert calls == [("lines", 2, False), ("rows", 2)] + [("lines", k, True) for k in range(6, n + 2, 4)], name
+
+
+def test_a_chunk_with_a_quote_sends_the_rest_to_csv_reader(tmp_path, monkeypatch):
+    days = [date(2024, 1, 1) + timedelta(days=k) for k in range(12)]
+    body = [f"{day},s1,10,{30 + k}.5,18.2,1.1,0.0" for k, day in enumerate(days)]
+    body[1] = body[1].replace(",s1,", ',"s1",')
+    monkeypatch.setattr(timeseries, "_CHUNK_ROWS", 4)
+    calls = spy_on_parsers(monkeypatch)
+    path = write_csv(tmp_path, "\n".join(body) + "\n")
+    assert rows_and_ids(path) == oracle_rows_and_ids(path)
+    assert calls == [("lines", 2, False), ("rows", 2), ("rows", 6), ("rows", 10)]
+
+
+def test_errors_after_a_declined_chunk_match_row_loop(tmp_path, monkeypatch):
+    # a declined first chunk (a blank line), a chunk numpy's parser takes,
+    # then a bad row, a repeated key or an oversized id in the third chunk
+    good = [f"2024-01-{d:02d},s1,10,3{d % 10}.5,18.2,1.1,0.0" for d in range(1, 8)]
+    third = {
+        "bad depth": "2024-02-01,s1,15,35.5,18.2,1.1,0.0",
+        "duplicate of line 2": good[0],
+        "duplicate of line 7": good[4],
+        "negative rain": "2024-02-01,s1,10,35.5,18.2,1.1,-1",
+        "long id": f"2024-02-01,{'x' * 70},10,35.5,18.2,1.1,0.0",
+        "clean": "2024-02-01,s2,20,35.5,18.2,1.1,0.0",
+    }
+    monkeypatch.setattr(timeseries, "_CHUNK_ROWS", 3)
+    for name, line in third.items():
+        lines = good[:1] + [""] + good[1:5] + [line] + good[5:]
+        path = write_csv(tmp_path, "\n".join(lines) + "\n")
+        assert load_or_error(path, rows_and_ids) == load_or_error(path, oracle_rows_and_ids), name
+
+
 def test_loader_keeps_no_parsed_chunk_alive(tmp_path):
     # numpy's parser returns each chunk as one structured array. Keeping a
     # view of one field of every chunk holds every field of every chunk to

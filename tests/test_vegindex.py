@@ -254,6 +254,15 @@ def test_stack_manifest_names_an_image_that_cannot_be_read(tmp_path: Path):
     assert "manifest.csv: line 4:" in message and str(tmp_path / "gone.bgrid") in message
 
 
+@pytest.mark.parametrize("earlier", ["2024-01-05", "2024-01-11"], ids=["unordered", "repeated"])
+def test_stack_manifest_names_a_date_not_after_the_one_before(tmp_path: Path, earlier: str):
+    # named by file, line and both dates; the line's image is never read
+    write_bandgrid(make_grid([[0.2]], [[0.6]]), tmp_path / "a.bgrid")
+    manifest = write_manifest(tmp_path, ["2024-01-01,a.bgrid", "2024-01-11,a.bgrid", "", f"{earlier},gone.bgrid"])
+    with pytest.raises(DataError, match=rf"manifest\.csv: line 5: date {earlier} is not after 2024-01-11 on line 3"):
+        load_index_stack(manifest, "NDVI", MAPPING)
+
+
 def test_pgm_pinned_bytes_and_sidecar(tmp_path: Path):
     values = np.array([[0.0, 0.5], [1.0, DEFAULT_NODATA]])
     path = tmp_path / "img.pgm"

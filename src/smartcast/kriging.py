@@ -1,17 +1,17 @@
 """Ordinary kriging with a Gaussian variogram, on numpy arrays.
 
-Samples are an (n, 2) coordinate array and an (n,) value array. The
-module works in covariance form, C = sill * (R + r I), with R the
-samples' Gaussian correlation and r = nugget/sill. One `np.linalg.eigh`
-of R per range gives every kriging quantity as GEMMs and elementwise work
-with the diagonal 1/(lambda + r): the variogram fit scores a grid of
-ranges and ratios by closed-form leave-one-out, `build_model` keeps the
-eigenpairs of one variogram, and `krige` and `loo_score` use them. A
-`SampleLayout` holds what depends on the sample locations alone, so
-depths sampled at one set of locations share each range's eigh. A
-covariance whose condition number exceeds COND_BOUND is refused. The
-per-depth grids form a moisture volume with file exports. The fit does
-not use `empirical_variogram`; `bench/tracing.py` times it.
+Samples are a `SampleLayout` of (n, 2) coordinates, checked once, and
+an (n,) value array. The module works in covariance form, C = sill *
+(R + r I), with R the samples' Gaussian correlation and r = nugget/sill.
+One `np.linalg.eigh` of R per range gives every kriging quantity as GEMMs
+and elementwise work with the diagonal 1/(lambda + r): the variogram fit
+scores a grid of ranges and ratios by closed-form leave-one-out,
+`build_model` keeps the eigenpairs of one variogram, and `krige` and
+`loo_score` use them. The layout holds what depends on the sample
+locations alone, so depths sampled at one set of locations share each
+range's eigh. A covariance whose condition number exceeds COND_BOUND is
+refused. The per-depth grids form a moisture volume with file exports.
+The fit does not use `empirical_variogram`; `bench/tracing.py` times it.
 
 The Gaussian model uses the practical-range convention
 gamma(h) = nugget + sill * (1 - exp(-3 h^2 / a^2)) with gamma(0) = 0, so
@@ -82,14 +82,24 @@ class GridGeometry:
 
 
 class SampleLayout:
-    """What kriging computes from sample locations (n, 2) alone: the
-    squared sample distances and, each on first use and then kept, the
-    correlation eigenpairs at each range asked for and the sample-to-cell
-    distances of each grid. Depths sampled at the same locations share one
-    layout, so a range's eigh runs once for all of them; each kept range
-    holds n^2 + n floats."""
+    """Sample locations (n, 2), finite and no two alike, and what kriging
+    computes from them alone: the squared sample distances and, each on
+    first use and then kept, the correlation eigenpairs at each range asked
+    for and the sample-to-cell distances of each grid. Depths sampled at the
+    same locations share one layout, so a range's eigh runs once for all of
+    them; each kept range holds n^2 + n floats."""
 
-    def __init__(self, points: np.ndarray):
+    def __init__(self, points):
+        points = np.asarray(points, dtype=np.float64)
+        if points.ndim != 2 or points.shape[1] != 2:
+            raise ShapeError(f"need points (n, 2); got {points.shape}")
+        if not np.isfinite(points).all():
+            raise DataError("sample coordinates and values must be finite")
+        same = (points[:, None, 0] == points[None, :, 0]) & (points[:, None, 1] == points[None, :, 1])
+        pairs = np.argwhere(np.triu(same, k=1))  # row-major: the first pair a nested i < j loop meets
+        if pairs.size:
+            i, j = pairs[0]
+            raise DataError(f"samples {i} and {j} share coordinates ({points[i, 0]}, {points[i, 1]})")
         self.points = points
         self.h2 = _distances(points, points) ** 2
         self._eigh: dict[float, tuple[np.ndarray, np.ndarray]] = {}
@@ -110,27 +120,16 @@ class SampleLayout:
         return self._cells[geometry]
 
 
-def _layout(points: np.ndarray, layout: SampleLayout | None) -> SampleLayout:
-    """`layout`, which must be of `points`, or a new layout of them."""
-    if layout is None:
-        return SampleLayout(points)
-    if not np.array_equal(layout.points, points):
-        raise ShapeError("the sample layout is not of these points")
-    return layout
-
-
 @dataclass(frozen=True)
 class KrigingModel:
-    """Ordinary-kriging model over a fixed sample set: the eigenpairs of
-    the samples' Gaussian correlation matrix R under `variogram`, and the
-    layout they came from."""
+    """Ordinary-kriging model over a fixed sample set: the sample layout,
+    and the eigenpairs of its Gaussian correlation matrix R under `variogram`."""
 
-    points: np.ndarray          # (n, 2)
+    layout: SampleLayout = field(repr=False, compare=False)
     values: np.ndarray          # (n,)
     variogram: Variogram
     eigenvalues: np.ndarray     # (n,) of R, ascending
     eigenvectors: np.ndarray    # (n, n), one per column
-    layout: SampleLayout = field(repr=False, compare=False)
     # Always 0.0: an ill-conditioned covariance is refused, never nudged.
     # Kept because the benchmark's tracer counts models with jitter > 0.
     jitter: float = 0.0
@@ -148,23 +147,17 @@ class MoistureVolume:
 
 # -- variogram -----------------------------------------------------------------
 
-def _samples(points, values) -> tuple[np.ndarray, np.ndarray]:
-    """Finite float64 sample coordinates (n, 2) and values (n,), no two at one location."""
-    points = np.asarray(points, dtype=np.float64)
+def _values(layout: SampleLayout, values) -> np.ndarray:
+    """Finite float64 sample values (n,), one per point of `layout`."""
     values = np.asarray(values, dtype=np.float64)
-    if values.ndim != 1 or points.shape != (values.size, 2):
-        raise ShapeError(f"need points (n, 2) and values (n,); got {points.shape} and {values.shape}")
-    if not (np.isfinite(points).all() and np.isfinite(values).all()):
+    if values.shape != (len(layout.points),):
+        raise ShapeError(f"need points (n, 2) and values (n,); got {layout.points.shape} and {values.shape}")
+    if not np.isfinite(values).all():
         raise DataError("sample coordinates and values must be finite")
-    same = (points[:, None, 0] == points[None, :, 0]) & (points[:, None, 1] == points[None, :, 1])
-    pairs = np.argwhere(np.triu(same, k=1))  # row-major: the first pair a nested i < j loop meets
-    if pairs.size:
-        i, j = pairs[0]
-        raise DataError(f"samples {i} and {j} share coordinates ({points[i, 0]}, {points[i, 1]})")
-    return points, values
+    return values
 
 
-def empirical_variogram(points: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def empirical_variogram(layout: SampleLayout, values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Binned empirical semivariances: (1/2N_b) * sum of squared value diffs.
 
     Pairs at lag up to half the largest pairwise distance are assigned to
@@ -172,11 +165,11 @@ def empirical_variogram(points: np.ndarray, values: np.ndarray) -> tuple[np.ndar
     semivariances and pair counts. Raises DataError when no pair falls
     inside that lag.
     """
-    points, values = _samples(points, values)
+    values = _values(layout, values)
     if values.size < 2:
         raise InsufficientDataError("empirical variogram needs at least 2 samples")
     iu, ju = np.triu_indices(values.size, k=1)
-    lags = _distances(points, points)[iu, ju]
+    lags = _distances(layout.points, layout.points)[iu, ju]
     sqdiff = (values[iu] - values[ju]) ** 2
     max_lag = float(lags.max()) / 2.0
     keep = (lags > 0) & (lags <= max_lag)
@@ -220,19 +213,19 @@ def _loo_grid(layout: SampleLayout, values: np.ndarray) -> tuple[np.ndarray, np.
     return ranges, scores, sills
 
 
-def fit_variogram(points: np.ndarray, values: np.ndarray, layout: SampleLayout | None = None) -> Variogram:
+def fit_variogram(layout: SampleLayout, values: np.ndarray) -> Variogram:
     """The Gaussian variogram whose range and nugget/sill ratio score the
     highest leave-one-out R^2 among RANGE_FACTORS x NUGGET_RATIOS (Cressie
     1993, section 2.6.4; the first wins a tie, ranges outermost). Kriging
     weights do not depend on the sill; it is set so the LOO standardized
-    errors have mean square 1. Needs 3 samples not all equal in value.
-    `layout`, when given, must be of `points`; its eigenpairs are reused."""
-    points, values = _samples(points, values)
+    errors have mean square 1. Needs 3 samples not all equal in value;
+    the layout keeps each range's eigenpairs for `build_model`."""
+    values = _values(layout, values)
     if values.size < 3:
         raise InsufficientDataError(f"variogram fit needs >= 3 samples, have {values.size}")
     if np.ptp(values) == 0.0:
         raise FlatFieldError("sample values are constant; the field is flat")
-    ranges, scores, sills = _loo_grid(_layout(points, layout), values)
+    ranges, scores, sills = _loo_grid(layout, values)
     k, j = np.unravel_index(np.argmax(scores), scores.shape)
     sill = float(sills[k, j])
     return Variogram(nugget=NUGGET_RATIOS[j] * sill, sill=sill, range_a=float(ranges[k]))
@@ -247,24 +240,19 @@ def _distances(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.sqrt(dx * dx + dy * dy)
 
 
-def build_model(
-    points: np.ndarray, values: np.ndarray, variogram: Variogram, layout: SampleLayout | None = None
-) -> KrigingModel:
-    """The kriging model of samples at `points` (n, 2) with `values` (n,)
-    under `variogram`: one eigendecomposition of their correlation R,
+def build_model(layout: SampleLayout, values: np.ndarray, variogram: Variogram) -> KrigingModel:
+    """The kriging model of samples at the layout's points with `values`
+    (n,) under `variogram`: one eigendecomposition of their correlation R,
     taken from `layout` when it holds that range already.
 
-    Coordinates and values must be finite; exact duplicate coordinates
-    are rejected, and `layout`, when given, must be of `points`. Raises
-    FactorizationError when cond(R + r I) = (lambda_max + r) /
-    (lambda_min + r) exceeds COND_BOUND, counted as infinite when
-    lambda_min + r <= 0; only a tiny nugget on nearly coincident samples
-    gets there.
+    Values must be finite, one per point. Raises FactorizationError when
+    cond(R + r I) = (lambda_max + r) / (lambda_min + r) exceeds COND_BOUND,
+    counted as infinite when lambda_min + r <= 0; only a tiny nugget on
+    nearly coincident samples gets there.
     """
-    points, values = _samples(points, values)
+    values = _values(layout, values)
     if values.size == 0:
         raise InsufficientDataError("kriging needs at least one sample")
-    layout = _layout(points, layout)
     lam, vec = layout.correlation_eigh(variogram.range_a)
     r = variogram.nugget / variogram.sill
     cond = (lam[-1] + r) / (lam[0] + r) if lam[0] + r > 0.0 else np.inf
@@ -273,7 +261,7 @@ def build_model(
             f"kriging covariance too ill-conditioned: cond(R + rI) = {cond:.3g} > {COND_BOUND:.0e} "
             f"at nugget/sill ratio r = {r:.3g}"
         )
-    return KrigingModel(points, values, variogram, eigenvalues=lam, eigenvectors=vec, layout=layout)
+    return KrigingModel(layout, values, variogram, eigenvalues=lam, eigenvectors=vec)
 
 
 def krige(model: KrigingModel, points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -287,7 +275,7 @@ def krige(model: KrigingModel, points: np.ndarray) -> tuple[np.ndarray, np.ndarr
     V'c weighted by 1/(lambda + r), so results do not depend on the order
     or grouping of the queries.
     """
-    return _krige(model, _distances(model.points, points))
+    return _krige(model, _distances(model.layout.points, points))
 
 
 def _krige(model: KrigingModel, h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -368,6 +356,6 @@ def export_volume(volume: MoistureVolume, out_dir: str | Path) -> Path:
                 data=np.stack([values, variance]).astype(np.float32),
             )
             write_bandgrid(grid, out_dir / name)
-            write_pgm(values, out_dir / f"depth_{depth:03d}.pgm", nodata=DEFAULT_NODATA)
+            write_pgm(values, out_dir / f"depth_{depth:03d}.pgm")
             writer.writerow([depth, name])
     return manifest

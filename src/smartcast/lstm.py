@@ -190,28 +190,18 @@ class Seq2SeqModel:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Optimizer and loop settings for `train`."""
+    """`train`'s step size and loop settings; the loss is MSE and Adam's
+    constants are ADAM_BETA1, ADAM_BETA2 and ADAM_EPSILON."""
 
     learning_rate: float = 1e-3
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_epsilon: float = 1e-8
     epochs: int = 100
     batch_size: int = 32
-    seed: int = 0
-    loss: str = "mse"
 
     def __post_init__(self):
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
-        if not (0 < self.adam_beta1 < 1 and 0 < self.adam_beta2 < 1):
-            raise ValueError("adam betas must lie in (0, 1)")
-        if self.adam_epsilon <= 0:
-            raise ValueError("adam_epsilon must be positive")
         if self.epochs < 0 or self.batch_size < 1:
             raise ValueError("epochs must be >= 0 and batch_size >= 1")
-        if self.loss not in ("mse", "mae"):
-            raise ValueError(f"loss must be 'mse' or 'mae', got {self.loss!r}")
 
 
 # -- initialization -----------------------------------------------------------
@@ -405,19 +395,11 @@ def forward_batch(
 
 # -- loss ----------------------------------------------------------------------
 
-def _loss_and_grad(preds: np.ndarray, targets: np.ndarray, kind: str) -> tuple[float, np.ndarray]:
-    """Batch-mean loss and dLoss/dpreds, in the dtype of `preds`; per-sample loss is a mean over H."""
+def _loss_and_grad(preds: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
+    """Batch-mean squared error and dLoss/dpreds, in the dtype of `preds`; per-sample loss is a mean over H."""
     err = preds - targets
     b, horizon = preds.shape
-    if kind == "mse":
-        value = float(np.sum(err * err) / (horizon * b))
-        grad = 2.0 * err / (horizon * b)
-    elif kind == "mae":
-        value = float(np.sum(np.abs(err)) / (horizon * b))
-        grad = np.sign(err) / (horizon * b)
-    else:
-        raise ValueError(f"unknown loss {kind!r}")
-    return value, grad
+    return float(np.sum(err * err) / (horizon * b)), 2.0 * err / (horizon * b)
 
 
 def _error(pred: np.ndarray, target: np.ndarray, metric: str) -> np.ndarray:
@@ -507,9 +489,9 @@ def _layer_backward(
 
 
 def backward_batch(
-    model: Seq2SeqModel, cache: ForwardCache, targets: np.ndarray, loss: str = "mse"
+    model: Seq2SeqModel, cache: ForwardCache, targets: np.ndarray
 ) -> tuple[float, Seq2SeqModel]:
-    """Exact BPTT gradients of the batch-mean loss w.r.t. every parameter.
+    """Exact BPTT gradients of the batch-mean squared error w.r.t. every parameter.
 
     The gradient comes back as a model of the same shape and dtype whose
     parameter vector holds dLoss/dflat.
@@ -520,7 +502,7 @@ def backward_batch(
     if targets.shape != cache.predictions.shape:
         raise ShapeError(f"targets shape {targets.shape} != predictions shape {cache.predictions.shape}")
 
-    value, d_preds = _loss_and_grad(cache.predictions, targets, loss)
+    value, d_preds = _loss_and_grad(cache.predictions, targets)
     grad = Seq2SeqModel(model.shape, np.zeros_like(model.flat))
     head_hidden, head_out, dec = model.head_hidden, model.head_out, cache.dec
     dys = d_preds.T[:, None, :]  # (H, 1, B)
@@ -562,10 +544,7 @@ class GradCheckReport:
 
 
 def gradient_check(
-    model: Seq2SeqModel,
-    sample: tuple[np.ndarray, np.ndarray],
-    loss: str = "mse",
-    corrupt: str | None = None,
+    model: Seq2SeqModel, sample: tuple[np.ndarray, np.ndarray], corrupt: str | None = None
 ) -> GradCheckReport:
     """Compare BPTT gradients with central finite differences.
 
@@ -581,7 +560,7 @@ def gradient_check(
     target = np.asarray(target, dtype=np.float64).reshape(1, -1)
 
     _, cache = forward_batch(model, x)
-    _, grad = backward_batch(model, cache, target, loss)
+    _, grad = backward_batch(model, cache, target)
     if corrupt is not None:
         if corrupt not in grad.tensors:
             raise ValueError(f"unknown tensor {corrupt!r}")
@@ -591,9 +570,9 @@ def gradient_check(
     for j in range(flat.size):
         orig = flat[j]
         flat[j] = orig + GRADCHECK_STEP
-        loss_p, _ = _loss_and_grad(forward_batch(model, x, keep_cache=False)[0], target, loss)
+        loss_p, _ = _loss_and_grad(forward_batch(model, x, keep_cache=False)[0], target)
         flat[j] = orig - GRADCHECK_STEP
-        loss_m, _ = _loss_and_grad(forward_batch(model, x, keep_cache=False)[0], target, loss)
+        loss_m, _ = _loss_and_grad(forward_batch(model, x, keep_cache=False)[0], target)
         flat[j] = orig
         numeric = (loss_p - loss_m) / (2.0 * GRADCHECK_STEP)
         analytic = grad.flat[j]
@@ -620,6 +599,10 @@ def init_adam_state(model: Seq2SeqModel) -> AdamState:
 
 
 ADAM_CHUNK = 1 << 16  # entries per pass: bounds the step's scratch at 256 KiB in float32
+# Adam's published constants (Kingma & Ba 2015).
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
 
 
 def adam_step(
@@ -635,7 +618,7 @@ def adam_step(
     before any entry changes.
     """
     t = state.step + 1
-    b1, b2 = config.adam_beta1, config.adam_beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     chunks = [slice(lo, lo + ADAM_CHUNK) for lo in range(0, grad.flat.size, ADAM_CHUNK)]
     if not all(np.isfinite(grad.flat[c]).all() for c in chunks):
         name, index, _ = model.shape.locate(int(np.argmin(np.isfinite(grad.flat))))
@@ -653,7 +636,7 @@ def adam_step(
         np.divide(m, 1.0 - b1**t, out=g)  # m_hat
         np.divide(v, 1.0 - b2**t, out=scratch)  # v_hat
         np.sqrt(scratch, out=scratch)
-        scratch += config.adam_epsilon
+        scratch += ADAM_EPSILON
         g *= config.learning_rate
         g /= scratch
         p -= g
@@ -677,11 +660,11 @@ def _forward_slices(model: Seq2SeqModel, x: np.ndarray, scaler: Scaler | None):
         yield lo, preds if scaler is None else scaler.invert_feature(preds, 0)
 
 
-def evaluate_loss(model: Seq2SeqModel, windows: WindowSet, loss: str = "mse") -> float:
-    """Mean loss over a window set in the model's scaled units (original per-sample normalization)."""
+def evaluate_loss(model: Seq2SeqModel, windows: WindowSet) -> float:
+    """Mean squared error over a window set in the model's scaled units (original per-sample normalization)."""
     total = 0.0
     for lo, preds in _forward_slices(model, windows.inputs, None):
-        total += _loss_and_grad(preds, windows.targets[lo : lo + len(preds), :, 0], loss)[0] * len(preds)
+        total += _loss_and_grad(preds, windows.targets[lo : lo + len(preds), :, 0])[0] * len(preds)
     return total / windows.n_samples
 
 
@@ -690,8 +673,9 @@ def train(
     train_windows: WindowSet,
     val_windows: WindowSet | None,
     config: TrainConfig,
+    seed: int,
 ) -> tuple[Seq2SeqModel, list[dict]]:
-    """Mini-batch Adam training in float32; deterministic for a fixed (seed, data, config).
+    """Mini-batch Adam training in float32, batches shuffled by `seed`; deterministic for a fixed (seed, data, config).
 
     The input model is not mutated. Inputs, targets and a copy of the
     model are cast to float32 once, and the Adam state is built from that
@@ -712,7 +696,7 @@ def train(
     targets = _cast(train_windows.targets[:, :, 0], np.float32, "training targets")
     model = copy_model(model, np.float32)
     state = init_adam_state(model)
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
     history: list[dict] = []
     best_val = np.inf
     best: Seq2SeqModel | None = None
@@ -730,7 +714,7 @@ def train(
             cache = full if len(idx) == batch else full.prefix(len(idx))
             np.take(inputs, idx, axis=0, out=cache.x)
             _forward(model, cache.x, cache)
-            value, grad = backward_batch(model, cache, targets[idx], config.loss)
+            value, grad = backward_batch(model, cache, targets[idx])
             if not np.isfinite(value):
                 raise DivergenceError(f"training loss became non-finite at epoch {epoch}")
             epoch_loss += value * len(idx)
@@ -739,7 +723,7 @@ def train(
         entry = {"epoch": epoch, "train_loss": epoch_loss / n, "val_loss": None}
         if val_windows is not None and val_windows.n_samples > 0:
             full = None
-            val_loss = evaluate_loss(copy_model(model), val_windows, config.loss)
+            val_loss = evaluate_loss(copy_model(model), val_windows)
             if not np.isfinite(val_loss):
                 raise DivergenceError(f"validation loss became non-finite at epoch {epoch}")
             entry["val_loss"] = val_loss

@@ -207,16 +207,11 @@ _SECTIONS = {
     "grid": (GridGeometry, GridGeometry(nx=16, ny=16, cell_size=10.0)),
     "variogram": (Variogram, None),
 }
-_KINDS = {"int": (int, int), "float": ((int, float), float), "str": (str, str)}
-
-
-def _section_fields(cls) -> list[dataclasses.Field]:
-    # A training seed is derived from the run seed per stage, never configured.
-    return [f for f in dataclasses.fields(cls) if not (cls is TrainConfig and f.name == "seed")]
+_KINDS = {"int": (int, int), "float": ((int, float), float)}
 
 
 def _parse_section(section: str, raw: dict, cls, default):
-    fields = _section_fields(cls)
+    fields = dataclasses.fields(cls)
     _reject_unknown(section, raw, {f.name for f in fields})
     values = {}
     for f in fields:
@@ -296,6 +291,8 @@ def parse_config(path: str | Path) -> RunConfig:
     if not (0.0 < test_fraction < 1.0):
         raise ConfigError("test_fraction must be in (0, 1)")
     max_gap = int(_optional(raw, "max_gap_days", int, "config", DEFAULT_MAX_GAP))
+    if max_gap < 0:
+        raise ConfigError("max_gap_days must be >= 0")
     forecast_day = int(_optional(raw, "forecast_day", int, "config", horizon))
     if not (1 <= forecast_day <= horizon):
         raise ConfigError(f"forecast_day must be in 1..{horizon}")
@@ -492,8 +489,9 @@ def _run_job(shape: ModelShape, seed_parts: tuple[int, ...], task: _SoilTask | _
     from `seed_parts` + (1,) here, not in the parent: `np.random`, which
     derives them, costs ~5 MiB to import, and only a worker draws numbers."""
     fit, val, test = task.windows()
-    train_config = dataclasses.replace(train_config, seed=_derive_seed(*seed_parts, 1))
-    model = lstm.train(lstm.init_params(shape, _derive_seed(*seed_parts, 0), task.scaler), fit, val, train_config)[0]
+    init_seed, train_seed = (_derive_seed(*seed_parts, k) for k in (0, 1))
+    # Unnamed, the initial model dies once `train` has made its float32 copy.
+    model = lstm.train(lstm.init_params(shape, init_seed, task.scaler), fit, val, train_config, train_seed)[0]
     del fit, val  # the task handed them over: freed before scoring
     return task.finish(model, test)
 
@@ -813,17 +811,16 @@ def run_kriging_stage(
             raise DataError(
                 f"no sensor at depth {depth} has a configured location; locations exist for: {known}"
             )
-        if located not in layouts:
-            points = np.array([config.sensor_locations[sid] for sid in located], dtype=np.float64)
-            layouts[located] = kriging.SampleLayout(points)
-        layout = layouts[located]
         values = np.array([forecasts[sid][forecast_day - 1] for sid in located])
         variogram = config.variogram
         try:
+            if located not in layouts:  # made in the try, so two sensors at one location name the depth
+                layouts[located] = kriging.SampleLayout([config.sensor_locations[sid] for sid in located])
+            layout = layouts[located]
             if variogram is None:
-                variogram = kriging.fit_variogram(layout.points, values, layout=layout)
-            model = kriging.build_model(layout.points, values, variogram, layout=layout)
-        except (DataError, FactorizationError) as e:  # too few or constant samples, or ill-conditioned
+                variogram = kriging.fit_variogram(layout, values)
+            model = kriging.build_model(layout, values, variogram)
+        except (DataError, FactorizationError) as e:  # shared locations, too few or constant samples, ill-conditioned
             raise type(e)(f"depth {depth} cm: {e}") from e
         try:
             score = kriging.loo_score(model)
@@ -913,7 +910,7 @@ def write_index(
         data=forecast[None, :, :].astype(np.float32),
     )
     vegindex.write_bandgrid(grid, root / "index_forecast.bgrid")
-    vegindex.write_pgm(forecast, root / "index_forecast.pgm", nodata=vegindex.DEFAULT_NODATA)
+    vegindex.write_pgm(forecast, root / "index_forecast.pgm")
     return {
         "checkpoint_index": "checkpoints/index.ckpt",
         "index_metrics": _write_json(root, "index_metrics.json", dataclasses.asdict(result)),

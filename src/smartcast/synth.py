@@ -250,9 +250,9 @@ def generate_dataset(out_dir: str | Path, seed: int, spec: SynthSpec | None = No
         },
         "variogram": {"nugget": 0.01, "sill": 30.0, "range_a": spec.domain_x * 0.75},
         "soil_model": {"input_length": 30, "encoder_hidden": 32, "decoder_hidden": 32, "dense_hidden": 16},
-        "soil_train": {"learning_rate": 0.003, "epochs": 25, "batch_size": 64, "loss": "mse"},
+        "soil_train": {"learning_rate": 0.003, "epochs": 25, "batch_size": 64},
         "index_model": {"encoder_hidden": 24, "decoder_hidden": 24, "dense_hidden": 12},
-        "index_train": {"learning_rate": 0.003, "epochs": 12, "batch_size": 256, "loss": "mse"},
+        "index_train": {"learning_rate": 0.003, "epochs": 12, "batch_size": 256},
     }
     if spec.n_images > 0:
         generate_image_stack(spec, out_dir / "images", seed)

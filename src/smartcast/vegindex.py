@@ -287,16 +287,16 @@ def load_index_stack(manifest_path: str | Path, kind: str, band_mapping: dict[st
     return IndexStack(tuple(dates), np.array(images))
 
 
-def write_pgm(values: np.ndarray, path: str | Path, nodata: float | None = None) -> tuple[float, float]:
+def write_pgm(values: np.ndarray, path: str | Path) -> tuple[float, float]:
     """Export a 2-D array as binary PGM (P5), min->0 and max->255.
 
-    Nodata pixels map to 0. The scaling bounds go to a `<path>.txt`
+    `DEFAULT_NODATA` pixels map to 0. The scaling bounds go to a `<path>.txt`
     sidecar so the grayscale ramp stays invertible. Returns (lo, hi).
     """
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 2:
         raise ShapeError("PGM export expects a 2-D array")
-    valid = np.ones(values.shape, dtype=bool) if nodata is None else values != nodata
+    valid = values != DEFAULT_NODATA
     if valid.any():
         lo = float(values[valid].min())
         hi = float(values[valid].max())
@@ -313,8 +313,5 @@ def write_pgm(values: np.ndarray, path: str | Path, nodata: float | None = None)
         fh.write(f"P5\n{values.shape[1]} {values.shape[0]}\n255\n".encode("ascii"))
         fh.write(gray.tobytes())
     sidecar = path.with_name(path.name + ".txt")
-    sidecar.write_text(
-        f"min={lo!r}\nmax={hi!r}\nnodata_value={'none' if nodata is None else repr(float(nodata))}\nnodata_gray=0\n",
-        encoding="utf-8",
-    )
+    sidecar.write_text(f"min={lo!r}\nmax={hi!r}\nnodata_value={DEFAULT_NODATA!r}\nnodata_gray=0\n", encoding="utf-8")
     return lo, hi

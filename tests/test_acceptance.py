@@ -19,6 +19,7 @@ from conftest import gate_rows, seq2seq_forward
 from smartcast import lstm, pipeline, timeseries, vegindex
 from smartcast.cli import main
 from smartcast.kriging import (
+    SampleLayout,
     Variogram,
     build_model,
     fit_variogram,
@@ -225,14 +226,14 @@ def test_kriging_oracle():
             sill=float(rng.uniform(0.5, 5.0)),
             range_a=float(rng.uniform(5.0, 80.0)),
         )
-        model = build_model(points, values, v)
+        model = build_model(SampleLayout(points), values, v)
         queries = rng.uniform(-20.0, 120.0, (5, 2))
         kriged, variances, weights = krige(model, queries)
         for (x, y), value, variance, w in zip(queries, kriged, variances, weights.T):
             ov, ovar = _dense_oracle(points, values, model.variogram, 0.0, x, y)
             max_err = max(max_err, abs(value - ov), abs(variance - ovar))
             max_wsum = max(max_wsum, abs(float(w.sum()) - 1.0))
-        exact = build_model(points, values, Variogram(nugget=0.0, sill=v.sill, range_a=v.range_a))
+        exact = build_model(SampleLayout(points), values, Variogram(nugget=0.0, sill=v.sill, range_a=v.range_a))
         kriged, _, weights = krige(exact, points)
         max_exact = max(max_exact, float(np.abs(kriged - values).max()))
         max_wsum = max(max_wsum, float(np.abs(weights.sum(axis=0) - 1.0).max()))
@@ -252,8 +253,8 @@ def test_kriging_loo_score():
     rng = np.random.default_rng(123)
     pts = rng.uniform(0.0, 100.0, (25, 2))
     values = 0.03 * pts[:, 0] + 0.02 * pts[:, 1]
-    variogram = fit_variogram(pts, values)
-    score = loo_score(build_model(pts, values, variogram))
+    variogram = fit_variogram(SampleLayout(pts), values)
+    score = loo_score(build_model(SampleLayout(pts), values, variogram))
     criterion(
         "kriging-loo",
         score >= 0.9,

@@ -21,6 +21,7 @@ from smartcast.errors import (
 from smartcast.kriging import (
     GridGeometry,
     MoistureVolume,
+    SampleLayout,
     Variogram,
     build_model,
     empirical_variogram,
@@ -115,13 +116,13 @@ def test_build_model_rejects_non_finite_samples():
     points = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
     values = np.array([1.0, 2.0, 3.0])
     with pytest.raises(DataError, match="finite"):
-        build_model(np.array([[0.0, float("nan")]]), np.array([1.0]), v)
+        build_model(SampleLayout(np.array([[0.0, float("nan")]])), np.array([1.0]), v)
     with pytest.raises(DataError, match="finite"):
-        build_model(points, np.array([1.0, float("nan"), 3.0]), v)
+        build_model(SampleLayout(points), np.array([1.0, float("nan"), 3.0]), v)
     with pytest.raises(DataError, match="finite"):
-        build_model(np.array([[0.0, 0.0], [float("inf"), 0.0], [2.0, 0.0]]), values, v)
+        build_model(SampleLayout(np.array([[0.0, 0.0], [float("inf"), 0.0], [2.0, 0.0]])), values, v)
     with pytest.raises(ShapeError):
-        build_model(points, values[:2], v)
+        build_model(SampleLayout(points), values[:2], v)
 
 
 # Three samples on a line: the lag-1 pairs (0, 1) and (1, 2) and the lag-2 pair (0, 2).
@@ -131,7 +132,7 @@ LINE_VALUES = np.array([0.0, 2.0, 1.0])
 
 def test_empirical_variogram_hand_check():
     # max lag = largest distance / 2 = 1.0 keeps only the two lag-1 pairs
-    lags, semivariances, counts = empirical_variogram(LINE_POINTS, LINE_VALUES)
+    lags, semivariances, counts = empirical_variogram(SampleLayout(LINE_POINTS), LINE_VALUES)
     assert len(lags) == 1
     assert lags[0] == 1.0
     assert semivariances[0] == (4.0 + 1.0) / (2.0 * 2)
@@ -139,7 +140,7 @@ def test_empirical_variogram_hand_check():
 
     # a fourth sample at x = 5 raises the max lag to 2.5; its own pairs lie beyond it
     lags, semivariances, counts = empirical_variogram(
-        np.vstack([LINE_POINTS, [[5.0, 0.0]]]), np.append(LINE_VALUES, 7.0)
+        SampleLayout(np.vstack([LINE_POINTS, [[5.0, 0.0]]])), np.append(LINE_VALUES, 7.0)
     )
     assert list(zip(lags.tolist(), semivariances.tolist(), counts.tolist())) == [
         (1.0, 1.25, 2),
@@ -148,35 +149,35 @@ def test_empirical_variogram_hand_check():
 
 
 def test_empirical_variogram_omits_empty_bins_and_validates():
-    lags, _, counts = empirical_variogram(np.vstack([LINE_POINTS, [[5.0, 0.0]]]), np.append(LINE_VALUES, 7.0))
+    lags, _, counts = empirical_variogram(SampleLayout(np.vstack([LINE_POINTS, [[5.0, 0.0]]])), np.append(LINE_VALUES, 7.0))
     assert len(lags) == 2  # only two distinct lags exist within the max lag
     assert all(c >= 1 for c in counts)
     with pytest.raises(InsufficientDataError):
-        empirical_variogram(LINE_POINTS[:1], LINE_VALUES[:1])
+        empirical_variogram(SampleLayout(LINE_POINTS[:1]), LINE_VALUES[:1])
     with pytest.raises(DataError):
-        empirical_variogram(LINE_POINTS[[0, 2]], LINE_VALUES[[0, 2]])  # one pair at 2.0, max lag 1.0
+        empirical_variogram(SampleLayout(LINE_POINTS[[0, 2]]), LINE_VALUES[[0, 2]])  # one pair at 2.0, max lag 1.0
     with pytest.raises(DataError):
-        empirical_variogram(np.zeros((3, 2)), LINE_VALUES)  # all pairs at lag 0
+        empirical_variogram(SampleLayout(np.zeros((3, 2))), LINE_VALUES)  # all pairs at lag 0
     with pytest.raises(DataError, match="finite"):
-        empirical_variogram(LINE_POINTS, np.array([0.0, float("nan"), 1.0]))
+        empirical_variogram(SampleLayout(LINE_POINTS), np.array([0.0, float("nan"), 1.0]))
 
 
 def test_empirical_variogram_white_noise_level():
     rng = np.random.default_rng(0)
     points = rng.uniform(0.0, 100.0, (80, 2))
     values = np.array([rng.standard_normal() for _ in points])
-    _, semivariances, _ = empirical_variogram(points, values)
+    _, semivariances, _ = empirical_variogram(SampleLayout(points), values)
     # iid unit-variance noise has semivariance ~= 1 at every lag
     assert all(0.4 < g < 2.0 for g in semivariances)
 
 
 def test_fit_rejects_flat_or_thin_input():
     with pytest.raises(FlatFieldError):
-        fit_variogram(LINE_POINTS, np.full(3, 4.0))
+        fit_variogram(SampleLayout(LINE_POINTS), np.full(3, 4.0))
     with pytest.raises(InsufficientDataError):
-        fit_variogram(LINE_POINTS[:2], LINE_VALUES[:2])
+        fit_variogram(SampleLayout(LINE_POINTS[:2]), LINE_VALUES[:2])
     with pytest.raises(DataError, match="share coordinates"):
-        fit_variogram(np.zeros((3, 2)), LINE_VALUES)
+        fit_variogram(SampleLayout(np.zeros((3, 2))), LINE_VALUES)
 
 
 def test_fitted_map_tracks_a_noisy_field():
@@ -193,7 +194,8 @@ def test_fitted_map_tracks_a_noisy_field():
     for depth in spec.depths_cm:
         clean = np.array([moisture_formula(spec, x, y, depth, day) for x, y in points])
         values = clean + rng.normal(0.0, 0.3, clean.size)
-        model = build_model(points, values, fit_variogram(points, values))
+        layout = SampleLayout(points)
+        model = build_model(layout, values, fit_variogram(layout, values))
         grid, _ = interpolate_grid(model, geometry)
         truth = np.array([[moisture_formula(spec, x, y, depth, day) for x in xs] for y in ys])
         rmse = float(np.sqrt(((grid - truth) ** 2).mean()))
@@ -207,13 +209,13 @@ def test_fit_is_the_brute_force_loo_optimum():
     values = 3.0 * np.sin(points[:, 0] / 20.0) + np.cos(points[:, 1] / 30.0) + rng.normal(0.0, 0.3, 14)
     ranges = kriging.RANGE_FACTORS * cdist(points, points).max() / 2.0
     brute = np.array(
-        [[loo_score(build_model(points, values, Variogram(r, 1.0, a))) for r in kriging.NUGGET_RATIOS] for a in ranges]
+        [[loo_score(build_model(SampleLayout(points), values, Variogram(r, 1.0, a))) for r in kriging.NUGGET_RATIOS] for a in ranges]
     )
     k, j = np.unravel_index(np.argmax(brute), brute.shape)
-    fit = fit_variogram(points, values)
+    fit = fit_variogram(SampleLayout(points), values)
     assert fit.range_a == pytest.approx(ranges[k], rel=1e-12)
     assert fit.nugget / fit.sill == pytest.approx(kriging.NUGGET_RATIOS[j], rel=1e-12)
-    model = build_model(points, values, fit)
+    model = build_model(SampleLayout(points), values, fit)
     assert model.jitter == 0.0
     _, scores, _ = kriging._loo_grid(kriging.SampleLayout(points), values)
     assert abs(scores.max() - loo_score(model)) <= 1e-9
@@ -243,7 +245,7 @@ def random_case(seed):
 def test_predictions_match_dense_solve_oracle():
     for seed in range(40):
         rng, points, values, v = random_case(seed)
-        model = build_model(points, values, v)
+        model = build_model(SampleLayout(points), values, v)
         queries = rng.uniform(-20.0, 120.0, (5, 2))
         kriged, variances, weights = krige(model, queries)
         for (x, y), value, variance, w in zip(queries, kriged, variances, weights.T):
@@ -258,14 +260,14 @@ def test_zero_nugget_is_exact_at_samples():
     for seed in (3, 17):
         _, points, values, _ = random_case(seed)
         v = Variogram(nugget=0.0, sill=2.0, range_a=40.0)
-        kriged, variances, _ = krige(build_model(points, values, v), points)
+        kriged, variances, _ = krige(build_model(SampleLayout(points), values, v), points)
         assert np.abs(kriged - values).max() <= 1e-8
         assert np.abs(variances).max() <= 1e-8
 
 
 def test_symmetric_pair_weights():
     v = Variogram(nugget=0.0, sill=1.0, range_a=20.0)
-    model = build_model(np.array([[0.0, 0.0], [10.0, 0.0]]), np.array([4.0, 8.0]), v)
+    model = build_model(SampleLayout(np.array([[0.0, 0.0], [10.0, 0.0]])), np.array([4.0, 8.0]), v)
     value, _, w = krige(model, np.array([[5.0, 0.0]]))
     assert np.allclose(w[:, 0], [0.5, 0.5], atol=1e-12)
     assert abs(value[0] - 6.0) <= 1e-12
@@ -273,8 +275,8 @@ def test_symmetric_pair_weights():
 
 def test_sample_order_is_irrelevant():
     rng, points, values, v = random_case(23)
-    a = build_model(points, values, v)
-    b = build_model(points[::-1], values[::-1], v)
+    a = build_model(SampleLayout(points), values, v)
+    b = build_model(SampleLayout(points[::-1]), values[::-1], v)
     queries = rng.uniform(0.0, 100.0, (4, 2))
     assert np.abs(krige(a, queries)[0] - krige(b, queries)[0]).max() <= 1e-10
 
@@ -282,8 +284,8 @@ def test_sample_order_is_irrelevant():
 def test_translation_invariance():
     rng, points, values, v = random_case(5)
     shift = np.array([1234.5, -987.25])
-    a = build_model(points, values, v)
-    b = build_model(points + shift, values, v)
+    a = build_model(SampleLayout(points), values, v)
+    b = build_model(SampleLayout(points + shift), values, v)
     queries = rng.uniform(0.0, 100.0, (4, 2))
     for va, vb in zip(krige(a, queries)[0], krige(b, queries + shift)[0]):
         assert abs(va - vb) <= 1e-7 * max(1.0, abs(va))
@@ -293,19 +295,19 @@ def test_duplicate_coordinates_rejected_by_name():
     v = Variogram(nugget=0.1, sill=1.0, range_a=10.0)
     points = np.array([[1.0, 2.0], [5.0, 5.0], [1.0, 2.0]])
     with pytest.raises(DataError, match=r"samples 0 and 2 share coordinates \(1\.0, 2\.0\)"):
-        build_model(points, np.array([0.0, 1.0, 3.0]), v)
+        build_model(SampleLayout(points), np.array([0.0, 1.0, 3.0]), v)
     # samples 1, 5 and 6 share one location and 2, 3 another: the error
     # names the first pair a nested i < j loop meets, (1, 5)
     points = np.array([(0.0, 0.0), (2.0, 3.0), (7.0, 7.0), (7.0, 7.0), (9.0, 1.0), (2.0, 3.0), (2.0, 3.0)])
     with pytest.raises(DataError, match=r"^samples 1 and 5 share coordinates \(2\.0, 3\.0\)$"):
-        build_model(points, np.arange(7.0), v)
+        build_model(SampleLayout(points), np.arange(7.0), v)
 
 
 def refused(points, values, v, ratio="0"):
     """The condition number build_model refuses these samples with; its
     message names the condition number, the bound and the ratio."""
     with pytest.raises(FactorizationError) as info:
-        build_model(points, values, v)
+        build_model(SampleLayout(points), values, v)
     message = str(info.value)
     assert "> 1e+10" in message and f"r = {ratio}" in message, message
     return float(message.split("cond(R + rI) = ")[1].split()[0])
@@ -338,7 +340,7 @@ def test_refusal_keeps_the_configured_nugget():
     assert refused(points, values, Variogram(nugget=0.0, sill=1.0, range_a=10.0)) > 1e10
     cond = refused(points, values, Variogram(nugget=1e-10, sill=1.0, range_a=10.0), ratio="1e-10")
     assert 1e10 < cond < 3e10
-    model = build_model(points, values, Variogram(nugget=1e-3, sill=1.0, range_a=10.0))
+    model = build_model(SampleLayout(points), values, Variogram(nugget=1e-3, sill=1.0, range_a=10.0))
     assert model.variogram == Variogram(nugget=1e-3, sill=1.0, range_a=10.0)
     assert model.jitter == 0.0
     queries = np.array([(2.5, 0.0), (1.0, 3.0), (-4.0, 7.5)])
@@ -349,7 +351,7 @@ def test_refusal_keeps_the_configured_nugget():
 
 def test_empty_sample_list_rejected():
     with pytest.raises(InsufficientDataError):
-        build_model(np.empty((0, 2)), np.empty(0), Variogram(nugget=0.0, sill=1.0, range_a=1.0))
+        build_model(SampleLayout(np.empty((0, 2))), np.empty(0), Variogram(nugget=0.0, sill=1.0, range_a=1.0))
 
 
 # -- grid interpolation ----------------------------------------------------------------
@@ -357,7 +359,7 @@ def test_empty_sample_list_rejected():
 
 def test_grid_matches_per_point_predictions():
     _, points, values, v = random_case(9)
-    model = build_model(points, values, v)
+    model = build_model(SampleLayout(points), values, v)
     geom = GridGeometry(nx=5, ny=4, cell_size=7.3, x0=2.0, y0=-3.0)
     grid, variances = interpolate_grid(model, geom)
     xs, ys = geom.cell_centers()
@@ -371,7 +373,7 @@ def test_grid_matches_per_point_predictions():
 
 def test_grid_is_krige_at_cell_centers_bitwise():
     _, points, values, v = random_case(9)
-    model = build_model(points, values, v)
+    model = build_model(SampleLayout(points), values, v)
     geom = GridGeometry(nx=5, ny=4, cell_size=7.3, x0=2.0, y0=-3.0)
     xs, ys = geom.cell_centers()
     centers = np.array([(x, y) for y in ys for x in xs])  # row-major, row 0 southmost
@@ -396,15 +398,15 @@ def test_loo_high_on_smooth_field():
     rng = np.random.default_rng(31)
     pts = rng.uniform(0.0, 100.0, (15, 2))
     values = 0.03 * pts[:, 0] + 0.02 * pts[:, 1]
-    fit = fit_variogram(pts, values)
-    assert loo_score(build_model(pts, values, fit)) > 0.9
+    fit = fit_variogram(SampleLayout(pts), values)
+    assert loo_score(build_model(SampleLayout(pts), values, fit)) > 0.9
 
 
 def refit_loo_score(points, values, variogram):
     """Leave-one-out by brute force: refit without each sample, predict it."""
     preds = np.empty(len(values))
     for i in range(len(values)):
-        model = build_model(np.delete(points, i, axis=0), np.delete(values, i), variogram)
+        model = build_model(SampleLayout(np.delete(points, i, axis=0)), np.delete(values, i), variogram)
         preds[i] = krige(model, points[i : i + 1])[0][0]
     return 1.0 - float(((values - preds) ** 2).sum()) / float(((values - values.mean()) ** 2).sum())
 
@@ -418,7 +420,7 @@ def test_loo_matches_refit_oracle():
         values = rng.normal(0.0, 3.0, n)
         sill = float(rng.uniform(0.5, 5.0))
         v = Variogram(nugget=float(rng.uniform(0.1, 1.0)) * sill, sill=sill, range_a=float(rng.uniform(10.0, 60.0)))
-        model = build_model(pts, values, v)
+        model = build_model(SampleLayout(pts), values, v)
         assert model.jitter == 0.0
         want = refit_loo_score(pts, values, v)
         got = loo_score(model)
@@ -428,10 +430,10 @@ def test_loo_matches_refit_oracle():
 def test_loo_guard_rails():
     v = Variogram(nugget=0.0, sill=1.0, range_a=10.0)
     with pytest.raises(InsufficientDataError):
-        loo_score(build_model(np.array([[0.0, 0.0], [1.0, 0.0]]), np.array([1.0, 2.0]), v))
+        loo_score(build_model(SampleLayout(np.array([[0.0, 0.0], [1.0, 0.0]])), np.array([1.0, 2.0]), v))
     line = np.column_stack([np.arange(4.0), np.zeros(4)])
     with pytest.raises(UndefinedScoreError):
-        loo_score(build_model(line, np.full(4, 5.0), v))
+        loo_score(build_model(SampleLayout(line), np.full(4, 5.0), v))
 
 
 # -- scipy oracles ------------------------------------------------------------------------
@@ -458,10 +460,10 @@ def lu_oracle(model, v, queries):
     """Kriged values, variances and solutions from scipy's LU, assembled with cdist."""
     n = model.values.size
     a = np.ones((n + 1, n + 1))
-    a[:n, :n] = gaussian_variogram(cdist(model.points, model.points), v)
+    a[:n, :n] = gaussian_variogram(cdist(model.layout.points, model.layout.points), v)
     a[n, n] = 0.0
     rhs = np.ones((n + 1, queries.shape[0]))
-    rhs[:n] = gaussian_variogram(cdist(model.points, queries), v)
+    rhs[:n] = gaussian_variogram(cdist(model.layout.points, queries), v)
     sol = lu_solve(lu_factor(a), rhs)
     return sol[:n].T @ model.values, np.sum(sol[:n] * rhs[:n], axis=0) + sol[n], sol
 
@@ -478,7 +480,7 @@ def test_solves_match_lu_oracle():
         values = rng.uniform(10.0, 50.0, n)
         sill = float(rng.uniform(0.5, 5.0))
         v = Variogram(nugget=float(rng.uniform(0.05, 1.0)) * sill, sill=sill, range_a=float(rng.uniform(10.0, 60.0)))
-        model = build_model(pts, values, v)
+        model = build_model(SampleLayout(pts), values, v)
         assert model.jitter == 0.0
         want_values, want_var, _ = lu_oracle(model, v, cells)
         grid, variances = interpolate_grid(model, geom)

@@ -43,12 +43,6 @@ def test_full_coordinate_gradcheck(shape, length, seed):
     assert report.max_rel_error < 1e-4
 
 
-def test_gradcheck_mae_loss():
-    model, x, targets = probe(SOIL_TOY, 6, 3)
-    report = gradient_check(model, (x, targets), loss="mae")
-    assert report.passed
-
-
 def test_gradcheck_detects_corruption():
     model, x, targets = probe(SOIL_TOY, 6, 0)
     report = gradient_check(model, (x, targets), corrupt="decoder.u")
@@ -66,16 +60,6 @@ def test_mse_loss_value_and_head_bias_gradient():
     assert loss == pytest.approx(float(np.mean(err**2)), abs=1e-15)
     expected_bias_grad = float(np.sum(2.0 * err / model.horizon))
     assert grads.head_out.bias[0] == pytest.approx(expected_bias_grad, rel=1e-12)
-
-
-def test_mae_loss_value_and_sign():
-    model, x, _ = probe(SOIL_TOY, 6, 6)
-    preds, cache = seq2seq_forward(model, x)
-    targets = preds - np.array([0.3, -0.2, 0.5])  # signs +, -, +
-    loss, grads = backward_batch(model, cache, targets[None], loss="mae")
-    assert loss == pytest.approx(float(np.mean(np.abs(preds - targets))), abs=1e-15)
-    expected = (1.0 - 1.0 + 1.0) / model.horizon
-    assert grads.tensors["head_out.bias"][0] == pytest.approx(expected, rel=1e-12)
 
 
 def test_batch_gradient_is_mean_of_singles():

@@ -89,6 +89,11 @@ def test_parse_rejects_unknown_keys_by_name(minimal_dir: Path):
         parse_config(write_config(minimal_dir, {**base, "grid": {"cells": 4}}))
     with pytest.raises(ConfigError, match="green"):
         parse_config(write_config(minimal_dir, {**base, "band_mapping": {"green": "B03"}}))
+    # The loss is always MSE and Adam's constants are fixed: an older config's keys are unknown.
+    for section in ("soil_train", "index_train"):
+        for key, value in (("loss", "mse"), ("adam_beta1", 0.9), ("adam_beta2", 0.999), ("adam_epsilon", 1e-8)):
+            with pytest.raises(ConfigError, match=f"in {section}: {key}$"):
+                parse_config(write_config(minimal_dir, {**base, section: {"epochs": 2, key: value}}))
 
 
 def test_parse_validation_errors(minimal_dir: Path):
@@ -104,6 +109,7 @@ def test_parse_validation_errors(minimal_dir: Path):
         ({**base, "forecast_day": 0}, "forecast_day"),
         ({**base, "forecast_day": 15}, "forecast_day"),
         ({**base, "horizon_days": 0}, "horizon_days"),
+        ({**base, "max_gap_days": -1}, "max_gap_days"),
         ({**base, "index_kind": "EVI"}, "index_kind"),
         ({**base, "index_kind": "NDWI", "band_mapping": {"nir": "B08"}}, "swir"),
         ({**base, "band_mapping": {"nir": "B08"}}, "red"),
@@ -645,14 +651,14 @@ def test_kriging_stage_builds_one_model_per_depth(tiny_dir: Path, monkeypatch):
     calls = []
     real = kriging.build_model
 
-    def counting(points, values, variogram, **kwargs):
+    def counting(layout, values, variogram):
         calls.append(len(values))
-        return real(points, values, variogram, **kwargs)
+        return real(layout, values, variogram)
 
     monkeypatch.setattr(kriging, "build_model", counting)
     rng = np.random.default_rng(8)
     table = {depth: {sid: tuple(rng.uniform(10.0, 60.0, 3)) for sid in config.sensor_locations} for depth in (10, 30, 60)}
-    points = np.array([config.sensor_locations[sid] for sid in sorted(config.sensor_locations)])
+    layout = kriging.SampleLayout([config.sensor_locations[sid] for sid in sorted(config.sensor_locations)])
     for variogram in (config.variogram, None):
         calls.clear()
         volume, stats = pipeline.run_kriging_stage(table, dataclasses.replace(config, variogram=variogram), 2)
@@ -660,7 +666,7 @@ def test_kriging_stage_builds_one_model_per_depth(tiny_dir: Path, monkeypatch):
         assert volume.depths == (10, 30, 60)
         for depth in (10, 30, 60):
             values = np.array([table[depth][sid][1] for sid in sorted(config.sensor_locations)])
-            want = variogram if variogram is not None else kriging.fit_variogram(points, values)
+            want = variogram if variogram is not None else kriging.fit_variogram(layout, values)
             assert stats[depth][0] is not None and stats[depth][1] == want
 
 
@@ -702,15 +708,23 @@ def test_kriging_stage_matches_each_depth_kriged_alone(fitted, tiny_dir: Path):
     volume, stats = pipeline.run_kriging_stage(table, config, 3)
     for k, depth in enumerate(volume.depths):
         located = sorted(table[depth])
-        points = np.array([config.sensor_locations[sid] for sid in located])
+        layout = kriging.SampleLayout([config.sensor_locations[sid] for sid in located])
         values = np.array([table[depth][sid][2] for sid in located])
-        variogram = config.variogram or kriging.fit_variogram(points, values)
-        model = kriging.build_model(points, values, variogram)
+        variogram = config.variogram or kriging.fit_variogram(layout, values)
+        model = kriging.build_model(layout, values, variogram)
         mapped, variance = kriging.interpolate_grid(model, config.grid)
         assert volume.values[k].tobytes() == mapped.tobytes()
         assert volume.variance[k].tobytes() == variance.tobytes()
         assert stats[depth] == (kriging.loo_score(model), variogram, len(located))
     assert stats[60][2] == 3
+
+
+def test_kriging_stage_names_the_depth_of_two_sensors_at_one_location(tiny_dir: Path):
+    # the layout checks the locations, and is made inside the depth's try
+    config = parse_config(tiny_dir / "config.json")
+    locations = dict(config.sensor_locations, s2=config.sensor_locations["s1"])
+    with pytest.raises(DataError, match=r"^depth 10 cm: samples 0 and 1 share coordinates"):
+        pipeline.run_kriging_stage(kriging_table(locations), dataclasses.replace(config, sensor_locations=locations), 2)
 
 
 def thin_table(located: list[str], depth_30: dict[str, float]) -> dict[int, dict[str, tuple[float, ...]]]:
@@ -1062,9 +1076,9 @@ def test_run_job_derives_todays_seeds(tiny_dir: Path, monkeypatch):
         seeds.append(seed)
         return real_init(shape, seed, scaler)
 
-    def train(model, fit, val, train_config):
-        seeds.append(train_config.seed)
-        return real_train(model, fit, val, train_config)
+    def train(model, fit, val, train_config, seed):
+        seeds.append(seed)
+        return real_train(model, fit, val, train_config, seed)
 
     monkeypatch.setattr(lstm, "init_params", init_params)
     monkeypatch.setattr(lstm, "train", train)

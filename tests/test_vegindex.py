@@ -266,7 +266,7 @@ def test_stack_manifest_names_a_date_not_after_the_one_before(tmp_path: Path, ea
 def test_pgm_pinned_bytes_and_sidecar(tmp_path: Path):
     values = np.array([[0.0, 0.5], [1.0, DEFAULT_NODATA]])
     path = tmp_path / "img.pgm"
-    lo, hi = write_pgm(values, path, nodata=DEFAULT_NODATA)
+    lo, hi = write_pgm(values, path)
     assert (lo, hi) == (0.0, 1.0)
     raw = path.read_bytes()
     assert raw == b"P5\n2 2\n255\n" + bytes([0, 128, 255, 0])

@@ -120,12 +120,13 @@ class SampleLayout:
         return self._cells[geometry]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KrigingModel:
     """Ordinary-kriging model over a fixed sample set: the sample layout,
-    and the eigenpairs of its Gaussian correlation matrix R under `variogram`."""
+    and the eigenpairs of its Gaussian correlation matrix R under `variogram`.
+    Its fields are arrays, so `==` compares models by identity."""
 
-    layout: SampleLayout = field(repr=False, compare=False)
+    layout: SampleLayout = field(repr=False)
     values: np.ndarray          # (n,)
     variogram: Variogram
     eigenvalues: np.ndarray     # (n,) of R, ascending

@@ -26,7 +26,6 @@ import json
 import math
 import os
 import shutil
-from collections.abc import Mapping
 from dataclasses import dataclass
 from datetime import timedelta
 from pathlib import Path
@@ -282,6 +281,8 @@ def parse_config(path: str | Path) -> RunConfig:
     if depths_raw is not None:
         if not depths_raw or not all(isinstance(d, int) and not isinstance(d, bool) for d in depths_raw):
             raise ConfigError("depths_cm must be a nonempty list of integers")
+        if outside := [d for d in depths_raw if d not in timeseries.VALID_DEPTHS_CM]:
+            raise ConfigError(f"depths_cm {outside[0]} not in {{10,20,...,120}}")
         depths = tuple(sorted(set(depths_raw)))
 
     horizon = int(_optional(raw, "horizon_days", int, "config", DEFAULT_HORIZON))
@@ -337,17 +338,14 @@ def _derive_seed(master: int, *parts: int) -> int:
 # -- soil stage -------------------------------------------------------------------
 
 def _usable_series(
-    groups: Mapping[tuple[str, int], timeseries.SensorTable], sensor_ids: list[str], depth: int, max_gap: int
+    table: timeseries.SensorTable, sensor_ids: list[str], depth: int, max_gap: int
 ) -> dict[str, np.ndarray]:
     """Each sensor's (T, 4) daily features at `depth`, in `sensor_ids`
-    order, skipping sensors whose rows build no series."""
+    order, skipping sensors without rows there or whose rows build no series."""
     series = {}
     for sid in sensor_ids:
-        group = groups.get((sid, depth))
-        if group is None:
-            continue
         try:
-            series[sid] = timeseries.build_series(group, sid, depth, max_gap=max_gap)
+            series[sid] = timeseries.build_series(table, sid, depth, max_gap=max_gap)
         except DataError:
             continue
     return series
@@ -359,7 +357,9 @@ class _SoilTask:
 
     `series` holds each usable sensor's (T, 4) daily features in original
     units, in sensor order, and `cuts` its (n_fit, n_train): the sensor's
-    windows 0..n_fit-1 fit, n_fit..n_train-1 validate and the rest test.
+    windows 0..n_fit-1 fit, n_fit..n_train-1 validate, and those from
+    n_train + H - 1 on test. The H - 1 windows between are left out, as
+    their targets share days with the last train windows' targets.
     """
 
     depth_cm: int
@@ -387,7 +387,7 @@ class _SoilTask:
             inputs, targets = timeseries.make_windows(self.scaler.apply(features[:stop]), length, horizon)
             parts[0].append((inputs[:n_fit], targets[:n_fit]))
             parts[1].append((inputs[n_fit:], targets[n_fit:]))
-            parts[2].append(timeseries.make_windows(features[n_train:], length, horizon))
+            parts[2].append(timeseries.make_windows(features[n_train + horizon - 1 :], length, horizon))
         test = WindowSet(*map(np.concatenate, zip(*parts.pop())))  # test's parts own their arrays: freed here
         fit, val = (
             WindowSet(*(np.concatenate(arrays, dtype=dtype) for arrays in zip(*part)))
@@ -412,16 +412,14 @@ class _SoilTask:
         return model, result
 
 
-def _prepare_depth(
-    groups: Mapping[tuple[str, int], timeseries.SensorTable], sensor_ids: list[str], depth: int, config: RunConfig
-) -> _SoilTask:
+def _prepare_depth(table: timeseries.SensorTable, sensor_ids: list[str], depth: int, config: RunConfig) -> _SoilTask:
     """The depth's task: each sensor's windows split in time order, first
-    n_fit fit, then n_val val, then the rest test; the splits are checked
-    here, before any worker starts. The scaler is fitted on the days the
-    train windows (fit and val) cover."""
+    n_fit fit, then n_val val, then, after H - 1 windows left out, the
+    rest test; the splits are checked here, before any worker starts. The
+    scaler is fitted on the days the train windows (fit and val) cover."""
     length = config.soil_model.input_length
     horizon = config.horizon_days
-    series = _usable_series(groups, sensor_ids, depth, config.max_gap_days)
+    series = _usable_series(table, sensor_ids, depth, config.max_gap_days)
     if not series:
         raise DataError(f"no usable sensor series at depth {depth}")
 
@@ -433,8 +431,11 @@ def _prepare_depth(
                 f"sensor {sid} depth {depth}: {len(features)} days give {max(n_windows, 0)} windows; need >= 2"
             )
         n_train = int(np.floor(n_windows * (1.0 - config.test_fraction)))
-        if n_train < 1 or n_train >= n_windows:
-            raise EmptySplitError(f"test_fraction {config.test_fraction} leaves an empty split at depth {depth}")
+        if n_train < 1 or n_train + horizon - 1 >= n_windows:
+            raise EmptySplitError(
+                f"sensor {sid} depth {depth}: test_fraction {config.test_fraction} leaves an empty split "
+                f"({n_train} of {n_windows} windows train, and test starts {horizon - 1} windows later)"
+            )
         n_val = max(1, int(np.floor(n_train * _VAL_FRACTION))) if n_train > 1 else 0  # a single train window fits, none validates
         cuts[sid] = (n_train - n_val, n_train)
     scaler = timeseries.fit_scaler_pooled(
@@ -586,13 +587,11 @@ def _soil_shape(config: RunConfig) -> ModelShape:
 def _soil_stage(table: timeseries.SensorTable, config: RunConfig) -> list[_TrainJob]:
     """Every depth's job, in depth order; a depth whose data cannot split
     raises here, before any worker starts."""
-    groups = timeseries.group_records(table)
-    sensor_ids = sorted({sid for sid, _ in groups})
-    depths = config.depths_cm or tuple(sorted({depth for _, depth in groups}))
+    sensor_ids = sorted(table.sensor_names)
     shape = _soil_shape(config)
     jobs: list[_TrainJob] = []
-    for depth in depths:
-        task = _prepare_depth(groups, sensor_ids, depth, config)
+    for depth in config.depths_cm or np.unique(table.depth_cm).tolist():
+        task = _prepare_depth(table, sensor_ids, depth, config)
         jobs.append(("soil", shape, (config.seed, 11, task.depth_cm), task, config.soil_train))
     return jobs
 
@@ -621,11 +620,11 @@ def forecast_from_checkpoints(config: RunConfig, ckpt_dir: Path) -> dict[int, di
     checkpoints = sorted(ckpt_dir.glob("soil_depth_*.ckpt"))
     if not checkpoints:
         raise DataError(f"no soil checkpoints under {ckpt_dir}; run train-soil first")
-    groups = timeseries.group_records(timeseries.load_sensor_csv(config.sensor_csv))
-    sensor_ids = sorted({sid for sid, _ in groups})
+    table = timeseries.load_sensor_csv(config.sensor_csv)
+    sensor_ids = sorted(table.sensor_names)
     length = config.soil_model.input_length
     shape = _soil_shape(config)
-    table: dict[int, dict[str, tuple[float, ...]]] = {}
+    forecasts: dict[int, dict[str, tuple[float, ...]]] = {}
     for ckpt in checkpoints:
         try:
             depth = int(ckpt.stem.removeprefix("soil_depth_"))
@@ -637,14 +636,14 @@ def forecast_from_checkpoints(config: RunConfig, ckpt_dir: Path) -> dict[int, di
         if model.scaler is None:
             raise DataError(f"checkpoint {ckpt.name} carries no scaler")
         tails: dict[str, np.ndarray] = {}
-        for sid, features in _usable_series(groups, sensor_ids, depth, config.max_gap_days).items():
+        for sid, features in _usable_series(table, sensor_ids, depth, config.max_gap_days).items():
             if len(features) < length:
                 raise DataError(f"sensor {sid} depth {depth}: {len(features)} days < input window {length}")
             tails[sid] = features[-length:]
         if not tails:
             raise DataError(f"no sensor has data at depth {depth}")
-        table[depth] = forecast_sensors(model, tails)
-    return table
+        forecasts[depth] = forecast_sensors(model, tails)
+    return forecasts
 
 
 # -- index stage ------------------------------------------------------------------

@@ -5,12 +5,13 @@ Reads per-sensor/per-depth daily records from CSV into one columnar
 matrix), parsing, converting and validating the rows in bounded chunks:
 through numpy's C parser when a chunk is clean and through csv.reader
 when it is not, or from the first chunk that holds a quote to the end.
-Groups the table by (sensor, depth) with one stable sort; aligns each
-group to a consecutive daily grid as a (T, 4) feature array (linear gap
-fill up to a configurable maximum); fits pooled normalization
-statistics; and cuts a feature array into (input window, 14-day target)
-array pairs. The chronological train/val/test split of those windows is
-the pipeline's.
+The table's rows are sorted by (sensor, depth, day), so each key's rows
+are one run of its days; `build_series` finds a key's run by binary
+search and aligns it to a consecutive daily grid as a (T, 4) feature
+array (linear gap fill up to a configurable maximum). Also fits pooled
+normalization statistics and cuts a feature array into (input window,
+14-day target) array pairs. The chronological train/val/test split of
+those windows is the pipeline's.
 
 Feature column order is fixed everywhere: moisture, soil_temp,
 salinity, rainfall. Moisture (column 0) is the forecast target.
@@ -22,7 +23,6 @@ import csv
 import itertools
 import math
 import re
-from collections.abc import Mapping
 from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
@@ -51,9 +51,12 @@ class SensorTable:
     """Sensor observations as columns, one entry per data row.
 
     `sensor` indexes `sensor_names`, the distinct ids in order of first
-    appearance; `day` holds `date.toordinal()` values; `features` is an
-    (N, 4) float64 matrix in FEATURE_NAMES order, NaN where a value is
-    missing. A loaded table keeps file order.
+    appearance in the file; `day` holds `date.toordinal()` values;
+    `features` is an (N, 4) float64 matrix in FEATURE_NAMES order, NaN
+    where a value is missing. Rows are in strictly increasing (sensor,
+    depth_cm, day) order, so no key repeats and each (sensor, depth)
+    key's rows are one run in day order; a table out of that order is
+    refused.
     """
 
     sensor_names: tuple[str, ...]
@@ -62,12 +65,15 @@ class SensorTable:
     day: np.ndarray        # (N,) int64
     features: np.ndarray   # (N, 4) float64
 
+    def __post_init__(self):
+        step = [np.diff(column) for column in (self.sensor, self.depth_cm, self.day)]
+        ordered = (step[0] > 0) | ((step[0] == 0) & ((step[1] > 0) | ((step[1] == 0) & (step[2] > 0))))
+        if not ordered.all():
+            row = int(ordered.argmin()) + 1
+            raise ValueError(f"rows must be in strictly increasing (sensor, depth_cm, day) order; row {row} is not")
+
     def __len__(self) -> int:
         return len(self.day)
-
-    def __getitem__(self, rows) -> "SensorTable":
-        """The rows that a slice, an index array or a boolean mask selects."""
-        return SensorTable(self.sensor_names, self.sensor[rows], self.depth_cm[rows], self.day[rows], self.features[rows])
 
 
 @dataclass(frozen=True)
@@ -182,6 +188,12 @@ def _feature_column(texts: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray, np.
     for i in np.flatnonzero(non_finite):
         non_finite[i] = texts[i] != ""  # a literal nan or inf, not a missing value
     return values, not_number, non_finite
+
+
+def _row_key(sensor: np.ndarray, depth: np.ndarray, day: np.ndarray) -> np.ndarray:
+    """One int64 per loaded row, in (sensor, depth, day) order: ordinals fit
+    22 bits and depths (at most 120) 7, so every depth keeps its own key."""
+    return (sensor << 29) | (depth << 22) | day
 
 
 class _ChunkConverter:
@@ -322,11 +334,11 @@ class _ChunkConverter:
             column[self.rows : rows] = value
         self.rows = rows
 
-    def _check_duplicates(self) -> None:
-        """Raise at the earliest line whose (sensor, depth, date) an earlier line holds."""
+    def _check_duplicates(self) -> np.ndarray:
+        """The rows' stable order by (sensor, depth, date); raise at the
+        earliest line whose key an earlier line holds."""
         line, sensor, depth, day = (column[: self.rows] for column in self.columns[:4])
-        # One int64 key per row: ordinals fit 22 bits, depth // 10 (1..12) 4 bits.
-        key = (sensor << 26) | ((depth // 10) << 22) | day
+        key = _row_key(sensor, depth, day)
         order = np.argsort(key, kind="stable")
         ordered = key[order]
         again = order[1:][ordered[1:] == ordered[:-1]]  # with a stable sort: every occurrence but the first
@@ -336,16 +348,23 @@ class _ChunkConverter:
                 f"line {line[i]}: duplicate record for {tuple(self.codes)[sensor[i]]}/{depth[i]}cm/"
                 f"{date.fromordinal(int(day[i])).isoformat()}"
             )
+        return order
 
     def table(self) -> SensorTable:
-        self._check_duplicates()
+        """The rows as a SensorTable, in key order. Each column is permuted
+        one (N,) slice at a time, so one slice's copy is held beside them."""
+        order = self._check_duplicates()
+        del self.columns[0]  # the line numbers
         for column in self.columns:
             column.resize((self.rows, *column.shape[1:]), refcheck=False)
-        return SensorTable(tuple(self.codes), *self.columns[1:])
+            for part in np.atleast_2d(column.T):
+                part[:] = part[order]
+        return SensorTable(tuple(self.codes), *self.columns)
 
 
 def load_sensor_csv(path: str | Path) -> SensorTable:
-    """Parse and validate a sensor CSV file into a SensorTable, file order kept.
+    """Parse and validate a sensor CSV file into a SensorTable, its rows in
+    (sensor, depth, date) order whatever the file's row order.
 
     The header must be exactly `date,sensor_id,depth_cm,moisture,
     soil_temp,salinity,rainfall`, optionally after a UTF-8 byte-order
@@ -401,40 +420,6 @@ def _fill_gaps(column: np.ndarray, first_day: int, max_gap: int, key: str, name:
         raise UnfillableGapError(f"{key}: {name} gap of {run} days ({span}) exceeds max_gap={max_gap}")
 
 
-class _Groups(Mapping):
-    """A table's rows by (sensor_id, depth_cm); each group is cut from the
-    table when it is looked up, so one group at a time is held beside it."""
-
-    def __init__(self, table: SensorTable, order: np.ndarray, spans: dict[tuple[str, int], tuple[int, int]]):
-        self._table, self._order, self._spans = table, order, spans
-
-    def __getitem__(self, key: tuple[str, int]) -> SensorTable:
-        start, stop = self._spans[key]
-        return self._table[self._order[start:stop]]
-
-    def __iter__(self):
-        return iter(self._spans)
-
-    def __len__(self) -> int:
-        return len(self._spans)
-
-
-def group_records(table: SensorTable) -> Mapping[tuple[str, int], SensorTable]:
-    """The table's rows keyed by (sensor_id, depth_cm), file order kept in each.
-
-    One stable sort of the row indices on (sensor, depth); a group is
-    built from `table` each time it is looked up, never all at once.
-    Passing a group to `build_series` gives the same series as passing
-    the whole table.
-    """
-    order = np.lexsort((table.depth_cm, table.sensor))
-    sensor, depth = table.sensor[order], table.depth_cm[order]
-    change = (sensor[1:] != sensor[:-1]) | (depth[1:] != depth[:-1])
-    bounds = [0, *(np.flatnonzero(change) + 1).tolist(), len(order)] if len(order) else []
-    spans = {(table.sensor_names[sensor[a]], int(depth[a])): (a, b) for a, b in zip(bounds, bounds[1:])}
-    return _Groups(table, order, spans)
-
-
 def build_series(
     table: SensorTable,
     sensor_id: str,
@@ -446,31 +431,26 @@ def build_series(
 
     Missing days and missing per-feature values are linearly
     interpolated when the gap is at most `max_gap` days; observed
-    values are never altered. `table` may be the whole file or the
-    key's group from `group_records`; the latter keeps many keys linear.
+    values are never altered. The key's rows are found by binary search
+    in the table's key order.
 
     Raises:
         MissingKeyError: key matches no row.
         InsufficientDataError: fewer than 2 matching rows.
-        DuplicateKeyError: two matching rows share a date.
         UnfillableGapError: gap too long or at a series boundary.
     """
     code = table.sensor_names.index(sensor_id) if sensor_id in table.sensor_names else _BAD
-    rows = np.flatnonzero((table.sensor == code) & (table.depth_cm == depth_cm))
-    if rows.size == 0:
+    start, stop = np.searchsorted(table.sensor, (code, code + 1))
+    start, stop = start + np.searchsorted(table.depth_cm[start:stop], (depth_cm, depth_cm + 1))
+    if stop == start:
         raise MissingKeyError(f"no records for sensor {sensor_id!r} at {depth_cm} cm")
-    if rows.size < 2:
+    if stop - start < 2:
         raise InsufficientDataError(f"sensor {sensor_id!r} at {depth_cm} cm has a single record; need at least 2")
-    rows = rows[np.argsort(table.day[rows], kind="stable")]
-    days = table.day[rows]
-    repeated = np.flatnonzero(days[1:] == days[:-1])
-    if repeated.size:
-        day = date.fromordinal(int(days[repeated[0]]))
-        raise DuplicateKeyError(f"duplicate record for {sensor_id}/{depth_cm}cm/{day.isoformat()}")
+    days = table.day[start:stop]
 
     first = int(days[0])
     features = np.full((int(days[-1]) - first + 1, len(FEATURE_NAMES)), np.nan)
-    features[days - first] = table.features[rows]
+    features[days - first] = table.features[start:stop]
     key = f"{sensor_id}/{depth_cm}cm"
     for col, name in enumerate(FEATURE_NAMES):
         _fill_gaps(features[:, col], first, max_gap, key, name)

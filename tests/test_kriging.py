@@ -1,6 +1,7 @@
 """Variogram math, ordinary-kriging solves, grid interpolation, exports."""
 
 import csv
+import dataclasses
 import math
 from pathlib import Path
 
@@ -279,6 +280,14 @@ def test_sample_order_is_irrelevant():
     b = build_model(SampleLayout(points[::-1]), values[::-1], v)
     queries = rng.uniform(0.0, 100.0, (4, 2))
     assert np.abs(krige(a, queries)[0] - krige(b, queries)[0]).max() <= 1e-10
+
+
+def test_models_compare_by_identity():
+    # a model's fields are arrays: `==` must answer, not raise on them
+    _, points, values, v = random_case(7)
+    model = build_model(SampleLayout(points), values, v)
+    twin = dataclasses.replace(model, values=model.values.copy())
+    assert model == model and model != twin and twin in [model, twin]
 
 
 def test_translation_invariance():

@@ -115,6 +115,7 @@ def test_parse_validation_errors(minimal_dir: Path):
         ({**base, "band_mapping": {"nir": "B08"}}, "red"),
         ({**base, "depths_cm": []}, "depths_cm"),
         ({**base, "depths_cm": [10, True]}, "depths_cm"),
+        ({**base, "depths_cm": [15, 10]}, r"^depths_cm 15 not in \{10,20,...,120\}$"),
         ({**base, "sensor_locations": {"s1": [1.0]}}, "s1"),
         ({**base, "sensor_locations": {"s1": [True, False]}}, "s1"),
         ({**base, "band_mapping": {"red": "B04", "nir": None}}, "'nir' in band_mapping"),

@@ -10,7 +10,7 @@ import pytest
 from smartcast.errors import ConfigError
 from smartcast.pipeline import parse_config
 from smartcast.synth import SynthSpec, generate_dataset, index_field, moisture_formula
-from smartcast.timeseries import build_series, group_records, load_sensor_csv
+from smartcast.timeseries import build_series, load_sensor_csv
 from smartcast.vegindex import DEFAULT_NODATA, compute_index, load_index_stack, read_bandgrid
 
 SMALL = SynthSpec(
@@ -76,8 +76,8 @@ def test_sensor_csv_loads_and_builds_series(tiny_dir: Path):
     series = build_series(records, "s2", 30)
     assert series.shape == (spec_days, 4)
     # generator leaves no gaps: one complete row per day of the series
-    rows = group_records(records)[("s2", 30)]
-    assert len(rows) == len(series) and not np.isnan(rows.features).any()
+    rows = (records.sensor == records.sensor_names.index("s2")) & (records.depth_cm == 30)
+    assert rows.sum() == len(series) and not np.isnan(records.features[rows]).any()
     assert np.all(series[:, 0] >= 2.0) and np.all(series[:, 0] <= 98.0)
 
 

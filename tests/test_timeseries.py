@@ -33,7 +33,6 @@ from smartcast.timeseries import (
     SensorTable,
     build_series,
     fit_scaler_pooled,
-    group_records,
     load_sensor_csv,
     make_windows,
 )
@@ -80,7 +79,8 @@ def depth_table(*series: np.ndarray) -> SensorTable:
 
 
 def table_rows(table: SensorTable) -> list[tuple]:
-    """(sensor_id, depth_cm, date, features) per row in table order; None for a missing value."""
+    """(sensor_id, depth_cm, date, features) per row in table order, which is
+    key order; None for a missing value."""
     return [
         (table.sensor_names[code], depth, date.fromordinal(day), tuple(None if math.isnan(v) else v for v in values))
         for code, depth, day, values in zip(
@@ -234,7 +234,9 @@ def test_loader_memory_per_row(tmp_path):
 
 
 def row_loop_load(path) -> list[tuple]:
-    """Reference: the row-at-a-time loader the columnar one replaced, as table_rows."""
+    """Reference: the row-at-a-time loader the columnar one replaced, as
+    table_rows: rows in (sensor, depth, date) order, sensors in order of
+    first appearance in the file."""
 
     def feature(text, line_no, name):
         if text == "":
@@ -283,7 +285,8 @@ def row_loop_load(path) -> list[tuple]:
                 raise DuplicateKeyError(f"line {line_no}: duplicate record for {sensor_id}/{depth_cm}cm/{day.isoformat()}")
             seen.add(key)
             rows.append((sensor_id, depth_cm, day, tuple(None if math.isnan(v) else v for v in values)))
-    return rows
+    codes = {sensor_id: code for code, sensor_id in enumerate(dict.fromkeys(row[0] for row in rows))}
+    return sorted(rows, key=lambda row: (codes[row[0]], row[1], row[2]))  # key order, codes by first appearance
 
 
 def test_loader_matches_row_loop_oracle(tmp_path, monkeypatch):
@@ -349,7 +352,8 @@ def rows_and_ids(path):
 
 
 def oracle_rows_and_ids(path):
-    """The reference rows, and the sensor ids in order of first appearance."""
+    """The reference rows, and the sensor ids in order of first appearance
+    (which key order keeps)."""
     rows = row_loop_load(path)
     return rows, tuple(dict.fromkeys(row[0] for row in rows))
 
@@ -516,6 +520,58 @@ def test_loader_keeps_no_parsed_chunk_alive(tmp_path):
     assert (peak - before) / len(table) < 200
 
 
+def table_bytes(table: SensorTable) -> tuple:
+    return table.sensor_names, *((column.dtype, column.shape, column.tobytes()) for column in
+                                 (table.sensor, table.depth_cm, table.day, table.features))
+
+
+def test_row_order_gives_one_table(tmp_path, monkeypatch):
+    # Rows come back in (sensor, depth, date) order, sensor codes in order of
+    # first appearance, whatever the file's row order: 30 permutations of a
+    # synth file load to its table bit for bit once its sensors are taken in
+    # the permuted file's order. One file has scattered empty fields (chunks
+    # declined without a quote), one a quoted field (csv.reader from there on).
+    spec = SynthSpec(sensor_fractions=((0.2, 0.3), (0.7, 0.4), (0.5, 0.8)), n_days=20, n_images=0)
+    with generate_sensor_csv(spec, tmp_path / "synth.csv", seed=2).open(newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))[1:]
+    empties = [[text if j < 3 or (i * 7 + j) % 31 else "" for j, text in enumerate(row)] for i, row in enumerate(rows)]
+    quoted = [row[:1] + [f'"{row[1]}"'] + row[2:] if i == 100 else row for i, row in enumerate(rows)]
+    monkeypatch.setattr(timeseries, "_CHUNK_ROWS", 16)
+    rng = np.random.default_rng(9)
+    for base in (empties, quoted):
+        reference = load_sensor_csv(write_csv(tmp_path, "".join(",".join(row) + "\n" for row in base)))
+        assert len(reference) == len(rows) == 180 and np.isnan(reference.features).any() == (base is empties)
+        for _ in range(30):
+            shuffled = [base[i] for i in rng.permutation(len(base))]
+            table = load_sensor_csv(write_csv(tmp_path, "".join(",".join(row) + "\n" for row in shuffled)))
+            names = tuple(dict.fromkeys(row[1].strip('"') for row in shuffled))
+            code = np.array([names.index(name) for name in reference.sensor_names])[reference.sensor]
+            order = np.argsort(code, kind="stable")
+            columns = (reference.depth_cm, reference.day, reference.features)
+            expected = SensorTable(names, code[order], *(column[order] for column in columns))
+            assert table_bytes(table) == table_bytes(expected)
+
+
+def test_table_refuses_rows_out_of_key_order():
+    day = date(2024, 1, 1).toordinal()
+
+    def table(sensor, depth, days):
+        return SensorTable(("s1", "s2"), np.array(sensor), np.array(depth), np.array(days), np.zeros((len(days), 4)))
+
+    # sensor first, then depth, then day; 15 and 10 cm are two depths
+    assert len(table([0, 0, 0, 1], [10, 15, 20, 10], [day + 1, day, day, day])) == 4
+    assert len(table([], [], [])) == 0
+    for sensor, depth, days in [
+        ([0, 0], [10, 10], [day, day]),                 # a repeated key
+        ([0, 0, 0], [10, 10, 10], [day, day + 1, day]),  # a key again, not next to its first
+        ([0, 0], [10, 10], [day + 1, day]),             # days out of order
+        ([0, 0], [15, 10], [day, day + 1]),             # depths out of order
+        ([1, 0], [10, 10], [day, day + 1]),             # sensors out of order
+    ]:
+        with pytest.raises(ValueError, match=r"strictly increasing \(sensor, depth_cm, day\) order"):
+            table(sensor, depth, days)
+
+
 # -- build_series and gap fill ------------------------------------------------------
 
 def rows(days_values, sensor="s1", depth=10):
@@ -530,6 +586,10 @@ def test_series_interior_gap_linear(tmp_path):
     p = write_csv(tmp_path, rows([(1, 30.0), (2, None), (3, None), (4, 36.0), (5, 35.0)]))
     series = build_series(load_sensor_csv(p), "s1", 10)
     np.testing.assert_allclose(series[:, 0], [30.0, 32.0, 34.0, 36.0, 35.0])
+    # the rows' order in the file does not matter, nor do other keys' rows between them
+    body = rows([(4, 36.0), (1, 30.0)]) + rows([(1, 5.0), (2, 6.0)], sensor="s0") + rows([(5, 35.0), (2, None)])
+    p = write_csv(tmp_path, body)
+    np.testing.assert_array_equal(build_series(load_sensor_csv(p), "s1", 10), series)
 
 
 def test_series_missing_days_are_filled(tmp_path):
@@ -556,85 +616,19 @@ def test_series_boundary_gap_rejected(tmp_path):
 
 
 def test_series_key_errors(tmp_path):
-    p = write_csv(tmp_path, rows([(1, 30.0), (2, 31.0)]))
+    # s1 has rows at 10 and 30 cm, so its 20 cm run is empty between them
+    body = rows([(1, 30.0), (2, 31.0)]) + rows([(1, 40.0), (2, 41.0)], depth=30) + rows([(1, 50.0)], sensor="s2")
+    p = write_csv(tmp_path, body)
     table = load_sensor_csv(p)
     with pytest.raises(MissingKeyError):
         build_series(table, "nope", 10)
     with pytest.raises(MissingKeyError):
         build_series(table, "s1", 20)
     with pytest.raises(MissingKeyError):
-        build_series(table[:0], "s1", 10)
+        build_series(load_sensor_csv(write_csv(tmp_path, "")), "s1", 10)
     with pytest.raises(InsufficientDataError):
-        build_series(table[:1], "s1", 10)
-
-
-def test_grouped_series_equal_full_scan(tmp_path, synth_dir):
-    gappy = write_csv(
-        tmp_path,
-        rows([(4, 33.0), (1, 30.0), (2, None), (6, 35.0), (7, 36.0)])
-        + rows([(1, 20.0), (3, 22.0), (2, 21.0)], depth=20)
-        + rows([(5, 50.0), (1, 10.0)], sensor="s2"),
-    )
-    for path in (synth_dir / "sensors.csv", gappy):
-        table = load_sensor_csv(path)
-        rows_in_file = table_rows(table)
-        groups = group_records(table)
-        assert sorted(groups) == sorted({row[:2] for row in rows_in_file})
-        for (sid, depth), group in groups.items():
-            # group rows equal the full scan's rows in file order
-            assert table_rows(group) == [row for row in rows_in_file if row[:2] == (sid, depth)]
-            np.testing.assert_array_equal(build_series(group, sid, depth), build_series(table, sid, depth))
-        with pytest.raises(MissingKeyError):
-            build_series(table, "nope", 10)
-
-
-def test_group_errors_match_full_scan():
-    # the loader rejects a repeated key, so this table is built directly
-    day = date(2024, 1, 1).toordinal()
-    table = SensorTable(
-        ("s1", "s2"),
-        sensor=np.array([0, 1, 0]),
-        depth_cm=np.array([10, 10, 10]),
-        day=np.array([day, day + 1, day]),
-        features=np.array([[30.0, 18.0, 1.0, 0.0], [31.0, 18.0, 1.0, 0.0], [31.0, 18.0, 1.0, 0.0]]),
-    )
-    groups = group_records(table)
-    assert sorted(groups) == [("s1", 10), ("s2", 10)]
-    assert table_rows(groups[("s1", 10)]) == [table_rows(table)[0], table_rows(table)[2]]
-    for rows in (groups[("s1", 10)], table):
-        with pytest.raises(DuplicateKeyError, match="s1/10cm/2024-01-01"):
-            build_series(rows, "s1", 10)
-    for rows in (groups[("s2", 10)], table):
-        with pytest.raises(InsufficientDataError):
-            build_series(rows, "s2", 10)
-    assert group_records(table[:0]) == {}
-
-
-def test_grouping_holds_row_indices_not_a_copy():
-    # 100k rows of 56 B: grouping peaks at 2_700_845 B traced and keeps
-    # 895_332 B (the sorted row indices), where a sorted copy of the table
-    # peaked at 6_403_800 B; a group is cut from the table when looked up
-    rng = np.random.default_rng(0)
-    n = 100_000
-    table = SensorTable(
-        tuple(f"s{i}" for i in range(50)),
-        sensor=rng.integers(0, 50, n),
-        depth_cm=rng.integers(1, 13, n) * 10,
-        day=rng.integers(738_000, 739_000, n),
-        features=rng.normal(size=(n, 4)),
-    )
-    tracemalloc.start()
-    try:
-        groups = group_records(table)
-        grouped, peak = tracemalloc.get_traced_memory()
-        tracemalloc.reset_peak()
-        sizes = [len(groups[key]) for key in groups]
-        looked_up = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2_970_000 and grouped < 990_000
-    assert looked_up < grouped + 56 * max(sizes) + 10_000  # one group at a time
-    assert sum(sizes) == n
+        build_series(table, "s2", 10)
+    assert build_series(table, "s1", 30)[:, 0].tolist() == [40.0, 41.0]
 
 
 # -- scaler ------------------------------------------------------------------------
@@ -659,7 +653,7 @@ def test_scaler_train_range_only(tmp_path):
     base = rng.normal(20.0, 2.0, size=(40, 4))
 
     def scaler_for(features: np.ndarray) -> Scaler:
-        return _prepare_depth(group_records(depth_table(features)), ["s1"], 10, config).scaler
+        return _prepare_depth(depth_table(features), ["s1"], 10, config).scaler
 
     reference = scaler_for(base)
     np.testing.assert_allclose(reference.mean, base[:31].mean(axis=0), rtol=1e-12)
@@ -754,12 +748,13 @@ def ramp(t: int) -> np.ndarray:
 
 def test_depth_split_pinned_example(tmp_path):
     # 15 days, L=4, H=2: N = 10 windows. Test fraction 0.2 leaves 8 train
-    # windows, the last of them val: 7 fit, 1 val, 2 test, in time order.
+    # windows, the last of them val: 7 fit, 1 val, then H - 1 = 1 window
+    # left out and 1 test, in time order.
     config = soil_config(tmp_path, input_length=4, horizon=2, test_fraction=0.2)
     features = ramp(15)
-    task = _prepare_depth(group_records(depth_table(features)), ["s1"], 10, config)
+    task = _prepare_depth(depth_table(features), ["s1"], 10, config)
     fit, val, test = task.windows()
-    assert (fit.n_samples, val.n_samples, test.n_samples) == (7, 1, 2)
+    assert (fit.n_samples, val.n_samples, test.n_samples) == (7, 1, 1)
     # the scaler sees the days of the 8 train windows: 8 + 4 + 2 - 1 = 13
     np.testing.assert_array_equal(task.scaler.mean, features[:13].mean(axis=0))
     z = task.scaler.apply(features)
@@ -771,43 +766,64 @@ def test_depth_split_pinned_example(tmp_path):
     np.testing.assert_array_equal(fit.targets[-1, :, 0], z[10:12, 0].astype(np.float32))
     np.testing.assert_array_equal(val.inputs[0], z[7:11])
     # test windows, the series shipped and its forecast tail are in original units
-    np.testing.assert_array_equal(test.inputs[0], features[8:12])
+    np.testing.assert_array_equal(test.inputs[0], features[9:13])
     np.testing.assert_array_equal(test.targets[-1, :, 0], features[13:15, 0])
     np.testing.assert_array_equal(task.series["s1"], features)
     assert task.scaler.apply(test.inputs)[0, 0, 0] > val.inputs[-1, 0, 0] > fit.inputs[-1, 0, 0]
     # deterministic
-    again = _prepare_depth(group_records(depth_table(features)), ["s1"], 10, config).windows()
+    again = _prepare_depth(depth_table(features), ["s1"], 10, config).windows()
     np.testing.assert_array_equal(fit.inputs, again[0].inputs)
     np.testing.assert_array_equal(test.targets, again[2].targets)
 
 
 def test_depth_split_empty_sides(tmp_path):
-    groups = group_records(depth_table(ramp(8)))  # L=4, H=2: N = 3
+    table = depth_table(ramp(8))  # L=4, H=2: N = 3
     with pytest.raises(EmptySplitError, match="empty split"):
-        _prepare_depth(groups, ["s1"], 10, soil_config(tmp_path, 4, 2, test_fraction=0.9))  # floor(3 * 0.1) = 0 train
+        _prepare_depth(table, ["s1"], 10, soil_config(tmp_path, 4, 2, test_fraction=0.9))  # floor(3 * 0.1) = 0 train
     with pytest.raises(EmptySplitError, match="empty split"):
-        _prepare_depth(groups, ["s1"], 10, soil_config(tmp_path, 4, 2, test_fraction=1e-17))  # 1 - f rounds to 1: 0 test
+        _prepare_depth(table, ["s1"], 10, soil_config(tmp_path, 4, 2, test_fraction=1e-17))  # 1 - f rounds to 1: 0 test
     with pytest.raises(EmptySplitError, match="6 days give 1 windows; need >= 2"):
-        _prepare_depth(group_records(depth_table(ramp(6))), ["s1"], 10, soil_config(tmp_path, 4, 2, test_fraction=0.2))
+        _prepare_depth(depth_table(ramp(6)), ["s1"], 10, soil_config(tmp_path, 4, 2, test_fraction=0.2))
     with pytest.raises(ConfigError):
         soil_config(tmp_path, 4, 2, test_fraction=1.0)
-    # 7 days: N = 2, one train window; it fits and no val side exists
-    task = _prepare_depth(group_records(depth_table(ramp(7))), ["s1"], 10, soil_config(tmp_path, 4, 2, 0.2))
-    fit, val, test = task.windows()
+    # 7 days: N = 2, one train window, and the test side starts at window 2
+    with pytest.raises(EmptySplitError, match="^sensor s1 depth 10: test_fraction 0.2 leaves an empty split"):
+        _prepare_depth(depth_table(ramp(7)), ["s1"], 10, soil_config(tmp_path, 4, 2, test_fraction=0.2))
+    # N = 3 at half: one train window; it fits, no val side exists, window 1 is left out
+    fit, val, test = _prepare_depth(table, ["s1"], 10, soil_config(tmp_path, 4, 2, test_fraction=0.5)).windows()
     assert (fit.n_samples, val, test.n_samples) == (1, None, 1)
 
 
+def test_no_test_target_day_was_a_training_target(tmp_path):
+    # Sensor k's moisture on day t is 1000 k + t, so each target names its
+    # sensor and day. For every sensor, no test target day may be a fit or
+    # val target day: the test windows start H - 1 windows after the train ones.
+    lengths = (90, 83, 107)
+    series = [ramp(t) + [1000.0 * k, 0.0, 0.0, 0.0] for k, t in enumerate(lengths)]
+    for input_length, horizon, test_fraction in ((5, 3, 0.25), (4, 7, 0.3), (3, 1, 0.2), (6, 14, 0.3)):
+        config = soil_config(tmp_path, input_length, horizon, test_fraction)
+        task = _prepare_depth(depth_table(*series), ["s1", "s2", "s3"], 10, config)
+        fit, val, test = task.windows()
+        train_targets = np.concatenate([w.targets[:, :, 0] for w in (fit, val) if w is not None])
+        train_days = np.rint(task.scaler.invert_feature(train_targets.astype(np.float64), 0))
+        for k in range(len(series)):
+            trained = {day for day in train_days.ravel().tolist() if day // 1000 == k}
+            tested = {day for day in test.targets.ravel().tolist() if day // 1000 == k}
+            assert tested and trained, (k, horizon)
+            assert not trained & tested, (k, input_length, horizon, sorted(trained & tested))
+
+
 def test_depth_split_joins_sensors_in_order(tmp_path):
-    # L=3, H=2. s1: 15 days, 11 windows -> 7 fit, 1 val, 3 test;
-    # s2: 12 days, 8 windows -> 5 fit, 1 val, 2 test. A sensor listed
-    # before s1 but without rows is skipped.
+    # L=3, H=2. s1: 15 days, 11 windows -> 7 fit, 1 val, 1 left out, 2 test;
+    # s2: 12 days, 8 windows -> 5 fit, 1 val, 1 left out, 1 test. A sensor
+    # listed before s1 but without rows is skipped.
     config = soil_config(tmp_path, input_length=3, horizon=2, test_fraction=0.2)
     s1, s2 = ramp(15), np.random.default_rng(5).normal(30.0, 3.0, size=(12, 4))
-    task = _prepare_depth(group_records(depth_table(s1, s2)), ["s0", "s1", "s2"], 10, config)
+    task = _prepare_depth(depth_table(s1, s2), ["s0", "s1", "s2"], 10, config)
     scaled = [make_windows(task.scaler.apply(f), input_length=3, horizon=2) for f in (s1, s2)]
     raw = [make_windows(f, input_length=3, horizon=2) for f in (s1, s2)]  # test windows are in original units
     fit, val, test = task.windows()
-    splits = ((0, 7, 0, 5), (7, 8, 5, 6), (8, 11, 6, 8))
+    splits = ((0, 7, 0, 5), (7, 8, 5, 6), (9, 11, 7, 8))
     for part, (w1, w2), cuts in zip((fit, val, test), (scaled, scaled, raw), splits):
         for got, one, two in zip((part.inputs, part.targets), w1, w2):
             joined = np.concatenate([one[cuts[0] : cuts[1]], two[cuts[2] : cuts[3]]])
